@@ -256,24 +256,8 @@ def _field_value(fam: mg.DensityFamily, name: str, x: float, y: float):
     raise UsageError(f"unknown field {name!r}")
 
 
-def emit_field_csv(sc: Scenario, field_name: str, out_path: Path) -> Path:
-    """Write a grid field as CSV (columns x, y, value; y-major rows)."""
-    fam = _family_from_params(sc.params)
-    xs, ys = _grid_points(sc.grid, (0.5, 3.0, 0.0, 2.0 * math.pi, 40, 40))
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", field_name])
-        for y in ys:
-            for x in xs:
-                v = _field_value(fam, field_name, x, y)
-                if v is not None:
-                    w.writerow([f"{x:.12g}", f"{y:.12g}", f"{v:.15g}"])
-    return out_path
-
-
-def emit_field_json(sc: Scenario, field_name: str, out_path: Path) -> Path:
-    """Same grid field as a JSON document (rows in y-major order)."""
+def _field_rows(sc: Scenario, field_name: str) -> list[list[float]]:
+    """[x, y, value] over the scenario grid in y-major order, where defined."""
     fam = _family_from_params(sc.params)
     xs, ys = _grid_points(sc.grid, (0.5, 3.0, 0.0, 2.0 * math.pi, 40, 40))
     rows = []
@@ -282,6 +266,24 @@ def emit_field_json(sc: Scenario, field_name: str, out_path: Path) -> Path:
             v = _field_value(fam, field_name, x, y)
             if v is not None:
                 rows.append([x, y, v])
+    return rows
+
+
+def emit_field_csv(sc: Scenario, field_name: str, out_path: Path) -> Path:
+    """Write a grid field as CSV (columns x, y, value; y-major rows)."""
+    rows = _field_rows(sc, field_name)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with out_path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", field_name])
+        for x, y, v in rows:
+            w.writerow([f"{x:.12g}", f"{y:.12g}", f"{v:.15g}"])
+    return out_path
+
+
+def emit_field_json(sc: Scenario, field_name: str, out_path: Path) -> Path:
+    """Same grid field as a JSON document (rows in y-major order)."""
+    rows = _field_rows(sc, field_name)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps({"field": field_name, "rows": rows}) + "\n")
     return out_path
@@ -481,11 +483,8 @@ def _maps_verify(sc: Scenario) -> list[dict]:
     G0, kernel = sm.solve_h_equals_Rm(n_amb, m, basis)
     checks = []
     rm = sm.h_of_G(G0, basis)
-    R = harmonic.Poly.radius_squared(n_amb)
-    target = harmonic.Poly.one(n_amb)
-    for _ in range(m):
-        target = target * R
-    checks.append(_check("base_point_exact", rm == target, exact=True))
+    checks.append(_check("base_point_exact", rm == sm.radius_power(n_amb, m),
+                         exact=True))
     all_zero = all(sm.h_of_G(k, basis).is_zero() for k in kernel.basis)
     checks.append(_check("kernel_annihilates", all_zero, exact=True,
                          witness=f"dimension {kernel.dimension}"))
@@ -526,46 +525,42 @@ def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
 # dispatch
 # ----------------------------------------------------------------------
 
+def _maps_export(sc: Scenario, out_dir: Path,
+                 fmt: str) -> tuple[list[dict], list[str]]:
+    checks, the_map = _maps_construct(sc)
+    path = export_map_json(the_map, out_dir / "map.json")
+    checks.append(_check("map_exported", True, witness=str(path)))
+    return checks, [str(path)]
+
+
+def _no_artifacts(mode_fn):
+    return lambda sc, out_dir, fmt: (mode_fn(sc), [])
+
+
+# (suite, mode) -> f(scenario, out_dir, fmt) -> (checks, artifact paths)
+_MODES = {
+    ("families", "verify"): _no_artifacts(_families_verify),
+    ("families", "sample"): _families_sample,
+    ("families", "period"): _no_artifacts(_families_period),
+    ("families", "winding"): _no_artifacts(_families_winding),
+    ("calabi", "residual"): _no_artifacts(_calabi_residual),
+    ("calabi", "branches"): _no_artifacts(_calabi_branches),
+    ("calabi", "extract"): _no_artifacts(_calabi_extract),
+    ("harmonic", "identities"): _no_artifacts(_harmonic_identities),
+    ("harmonic", "spectrum"): _no_artifacts(_harmonic_spectrum),
+    ("harmonic", "dims"): _no_artifacts(_harmonic_dims),
+    ("maps", "kernel"): _no_artifacts(_maps_kernel),
+    ("maps", "construct"): _no_artifacts(lambda sc: _maps_construct(sc)[0]),
+    ("maps", "verify"): _no_artifacts(_maps_verify),
+    ("maps", "export"): _maps_export,
+}
+
+
 def run(sc: Scenario, out_dir: Path | None = None, fmt: str = "csv") -> dict:
     """Execute a scenario and assemble its report."""
     out_dir = Path(out_dir) if out_dir else Path(".")
     t0 = time.perf_counter()
-    artifacts: list[str] = []
-    if sc.suite == "families":
-        if sc.mode == "verify":
-            checks = _families_verify(sc)
-        elif sc.mode == "sample":
-            checks, artifacts = _families_sample(sc, out_dir, fmt)
-        elif sc.mode == "period":
-            checks = _families_period(sc)
-        else:
-            checks = _families_winding(sc)
-    elif sc.suite == "calabi":
-        if sc.mode == "residual":
-            checks = _calabi_residual(sc)
-        elif sc.mode == "branches":
-            checks = _calabi_branches(sc)
-        else:
-            checks = _calabi_extract(sc)
-    elif sc.suite == "harmonic":
-        if sc.mode == "identities":
-            checks = _harmonic_identities(sc)
-        elif sc.mode == "spectrum":
-            checks = _harmonic_spectrum(sc)
-        else:
-            checks = _harmonic_dims(sc)
-    else:
-        if sc.mode == "kernel":
-            checks = _maps_kernel(sc)
-        elif sc.mode == "construct":
-            checks, _ = _maps_construct(sc)
-        elif sc.mode == "verify":
-            checks = _maps_verify(sc)
-        else:
-            checks, the_map = _maps_construct(sc)
-            path = export_map_json(the_map, out_dir / "map.json")
-            artifacts.append(str(path))
-            checks.append(_check("map_exported", True, witness=str(path)))
+    checks, artifacts = _MODES[(sc.suite, sc.mode)](sc, out_dir, fmt)
     report = {
         "scenario": sc.echo(),
         "seed": sc.seed,

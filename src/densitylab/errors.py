@@ -39,7 +39,7 @@ class FoldSingularity(DensityLabError):
 
 
 class QuadratureFailure(DensityLabError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """The throat-period quadrature could not meet the requested tolerance."""
 
 
 class RangeViolation(DensityLabError):

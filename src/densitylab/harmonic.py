@@ -208,13 +208,6 @@ class HarmonicElement:
     poly: Poly
     degree: int
 
-    @staticmethod
-    def checked(p: Poly) -> "HarmonicElement":
-        d = p.homogeneous_degree()
-        if not p.analyst_laplacian().is_zero():
-            raise NotHomogeneous("polynomial is not harmonic")
-        return HarmonicElement(p, max(d, 0))
-
 
 @dataclass(frozen=True)
 class SpectralParams:

@@ -34,18 +34,19 @@ from .errors import (
     LiftAmbiguity,
     NoRealSolution,
     ParamViolation,
+    QuadratureFailure,
     Singularity,
 )
 from .jets import Jet, jet_asinh, jet_cos, jet_cosh, jet_log, jet_sinh, jet_sqrt
-from .quadrature import adaptive_simpson
 
 # Default tolerances (double precision headroom; see module docstrings).
 TOL_ALG = 1e-9        # algebraic residuals on analytic jets
-TOL_QUAD = 1e-8       # adaptive quadrature
+TOL_QUAD = 1e-8       # throat period: |T_N - T_2N| of the trapezoid rule
 TOL_INTEGRAL = 1e-7   # first-integral point spread
 TOL_SING = 1e-12      # singularity guards
 DOMAIN_MARGIN = 1e-6  # open domains are shrunk by this margin
 TOL_SURFACE = 1e-9    # on-surface residual for sample points
+MAX_PERIOD_NODES = 2 ** 15  # node cap of the throat-period refinement
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +62,23 @@ class DensityFamily:
     def contains(self, x: float, y: float) -> bool:
         raise NotImplementedError
 
+    def density(self, x: float, y: float) -> float:
+        """F(x, y) at a point of the domain (no guards)."""
+        raise NotImplementedError
+
+    def C_jet(self, X: Jet, Y: Jet) -> Jet:
+        """C = cosh(2 mu) as a jet in the coordinate jets X, Y."""
+        raise NotImplementedError
+
+    def closed_slope(self, x: float, y: float, branch: int, psi: float
+                     ) -> tuple[float, float, float] | None:
+        """(cos theta, sin theta, sinh mu) where the slope system degenerates.
+
+        None for the nondegenerate families, whose angle is tracked along
+        the path instead.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class ConstantPlane(DensityFamily):
@@ -75,6 +93,19 @@ class ConstantPlane(DensityFamily):
     def contains(self, x: float, y: float) -> bool:
         return True
 
+    def density(self, x: float, y: float) -> float:
+        return self.c
+
+    def C_jet(self, X: Jet, Y: Jet) -> Jet:
+        c2 = self.c * self.c
+        return Jet.constant((c2 + 1.0) / (c2 - 1.0), X.order)
+
+    def closed_slope(self, x: float, y: float, branch: int, psi: float
+                     ) -> tuple[float, float, float]:
+        smu = 1.0 / math.sqrt(self.c ** 2 - 1.0)
+        s = float(branch)
+        return s * math.cos(psi), s * math.sin(psi), smu
+
 
 @dataclass(frozen=True)
 class ScherkFifth(DensityFamily):
@@ -85,6 +116,21 @@ class ScherkFifth(DensityFamily):
 
     def contains(self, x: float, y: float) -> bool:
         return x >= DOMAIN_MARGIN
+
+    def density(self, x: float, y: float) -> float:
+        return 1.0 / math.tanh(x)
+
+    def C_jet(self, X: Jet, Y: Jet) -> Jet:
+        return jet_cosh(2.0 * X)
+
+    def closed_slope(self, x: float, y: float, branch: int, psi: float
+                     ) -> tuple[float, float, float]:
+        c1 = math.cos(y + psi)
+        w = math.sqrt(math.sinh(x) ** 2 + c1 * c1)
+        s = float(branch)
+        return (s * (-c1 * math.cosh(x) / w),
+                s * (-math.sin(y + psi) * math.sinh(x) / w),
+                math.sinh(x))
 
 
 @dataclass(frozen=True)
@@ -103,6 +149,14 @@ class HeliCatenoid(DensityFamily):
     def contains(self, x: float, y: float) -> bool:
         return x * x + y * y >= math.sin(self.phi) ** 2 + DOMAIN_MARGIN
 
+    def density(self, x: float, y: float) -> float:
+        r2 = x * x + y * y
+        return math.sqrt((r2 + math.cos(self.phi) ** 2)
+                         / (r2 - math.sin(self.phi) ** 2))
+
+    def C_jet(self, X: Jet, Y: Jet) -> Jet:
+        return 2.0 * (X * X + Y * Y) + math.cos(2.0 * self.phi)
+
 
 @dataclass(frozen=True)
 class DoublyPeriodic(DensityFamily):
@@ -119,6 +173,13 @@ class DoublyPeriodic(DensityFamily):
 
     def contains(self, x: float, y: float) -> bool:
         return self.a * math.cosh(x) + self.c * math.cos(y) >= 1.0 + DOMAIN_MARGIN
+
+    def density(self, x: float, y: float) -> float:
+        C = self.a * math.cosh(x) + self.c * math.cos(y)
+        return math.sqrt((C + 1.0) / (C - 1.0))
+
+    def C_jet(self, X: Jet, Y: Jet) -> Jet:
+        return self.a * jet_cosh(X) + self.c * jet_cos(Y)
 
 
 @dataclass(frozen=True)
@@ -162,18 +223,7 @@ def density_value(family: DensityFamily, x: float, y: float) -> float:
     family.validate()
     if not family.contains(x, y):
         raise DomainViolation(f"({x}, {y}) outside the domain of {family}")
-    if isinstance(family, ConstantPlane):
-        return family.c
-    if isinstance(family, ScherkFifth):
-        return 1.0 / math.tanh(x)
-    if isinstance(family, HeliCatenoid):
-        r2 = x * x + y * y
-        return math.sqrt((r2 + math.cos(family.phi) ** 2)
-                         / (r2 - math.sin(family.phi) ** 2))
-    if isinstance(family, DoublyPeriodic):
-        C = family.a * math.cosh(x) + family.c * math.cos(y)
-        return math.sqrt((C + 1.0) / (C - 1.0))
-    raise ParamViolation(f"unknown family {family!r}")
+    return family.density(x, y)
 
 
 def mu_C_from_F(F: float) -> tuple[float, float]:
@@ -192,17 +242,7 @@ def mu_C_from_F(F: float) -> tuple[float, float]:
 def family_C_jet(family: DensityFamily, x: float, y: float, order: int = 3) -> Jet:
     """Analytic jet of C = cosh(2 mu) for the family at (x, y)."""
     family.validate()
-    X, Y = Jet.variables(x, y, order)
-    if isinstance(family, ConstantPlane):
-        c2 = family.c * family.c
-        return Jet.constant((c2 + 1.0) / (c2 - 1.0), order)
-    if isinstance(family, ScherkFifth):
-        return jet_cosh(2.0 * X)
-    if isinstance(family, HeliCatenoid):
-        return 2.0 * (X * X + Y * Y) + math.cos(2.0 * family.phi)
-    if isinstance(family, DoublyPeriodic):
-        return family.a * jet_cosh(X) + family.c * jet_cos(Y)
-    raise ParamViolation(f"unknown family {family!r}")
+    return family.C_jet(*Jet.variables(x, y, order))
 
 
 def mu_jet_from_C(C: Jet) -> Jet:
@@ -446,6 +486,10 @@ def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
     Parametrized by rho in [0, 2 pi]: cos y = g(rho) with
     g = (1 - a')/c + (a' + c - 1) cos^2(rho)/c, a' = a cosh(x_section), and
     z = sqrt(a' + c - 1) cos(rho).  This chart is smooth through the folds.
+    y is taken from 1 - g = (a' + c - 1) sin^2(rho)/c as
+    2 asin(sqrt((a' + c - 1)/(2c)) sin(rho)), which stays at rounding
+    level at the closure points rho = 0, 2 pi; acos(g) loses half the
+    digits there (|y| ~ 1e-8) and the loop fails to close.
     """
     DoublyPeriodic(a, c).validate()
     ap = a * math.cosh(x_section)
@@ -454,12 +498,10 @@ def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
             f"x = {x_section} section has no fold: a cosh(x0) - c = {ap - c} >= 1")
     pts = []
     zmax = math.sqrt(ap + c - 1.0)
+    half = math.sqrt((ap + c - 1.0) / (2.0 * c))
     for k in range(n + 1):
         rho = 2.0 * math.pi * k / n
-        g = (1.0 - ap) / c + (ap + c - 1.0) * math.cos(rho) ** 2 / c
-        g = max(-1.0, min(1.0, g))
-        ysign = 1.0 if math.sin(rho) >= 0.0 else -1.0
-        y = ysign * math.acos(g)
+        y = 2.0 * math.asin(max(-1.0, min(1.0, half * math.sin(rho))))
         z = zmax * math.cos(rho)
         pts.append(SurfacePoint(x_section, y, z))
     return pts
@@ -487,68 +529,49 @@ def gamma_rectangle(a: float, c: float, R: float, n_per_edge: int = 1200
 
 
 def period_sigma(a: float, c: float, seed_sign: int = 1,
-                 tol: float = TOL_QUAD, samples: int = 512,
+                 tol: float = TOL_QUAD, samples: int = 64,
                  x_section: float = 0.0) -> float:
     """Period of the height differential around the x = x_section loop.
 
     On the loop dx = 0 and, in the smooth chart of :func:`sigma_loop`,
     (dy/d rho)/z = 2/sqrt(c + 1 - a' + (a' + c - 1) cos^2 rho) with signed
     z, so the integrand 2 sqrt(2) sin(theta(rho)) / sqrt(...) is smooth and
-    the fold crossings are invisible.  theta is the continuous lift seeded
-    with the principal half-angle at rho = 0 (flip with seed_sign).
+    2 pi-periodic, and the fold crossings are invisible.  theta is the
+    continuous lift along the loop samples, seeded with the principal
+    half-angle at rho = 0 (flip with seed_sign), and the periodic trapezoid
+    rule runs on the same N nodes, so it converges geometrically.  N starts
+    at samples and doubles until |T_N - T_2N| < tol; a lift that is
+    ambiguous on a coarse grid is refined the same way.
     """
     if seed_sign not in (1, -1):
         raise ParamViolation("seed_sign must be +1 or -1")
-    DoublyPeriodic(a, c).validate()
+    if samples < 1:
+        raise ParamViolation(f"samples must be positive, got {samples}")
     ap = a * math.cosh(x_section)
-    if not ap - c < 1.0:
-        raise ParamViolation(
-            f"x = {x_section} section has no fold: a cosh(x0) - c = {ap - c} >= 1")
-    zmax = math.sqrt(ap + c - 1.0)
-    two_pi = 2.0 * math.pi
-
-    def point_at(rho: float) -> SurfacePoint:
-        g = (1.0 - ap) / c + (ap + c - 1.0) * math.cos(rho) ** 2 / c
-        g = max(-1.0, min(1.0, g))
-        ysign = 1.0 if math.sin(rho) >= 0.0 else -1.0
-        return SurfacePoint(x_section, ysign * math.acos(g), zmax * math.cos(rho))
-
-    # reference lift of 2 theta on a uniform grid, for branch selection
-    ref_rho = [two_pi * k / samples for k in range(samples + 1)]
-    ref_lift = []
-    prev = None
-    for rho in ref_rho:
-        c2, s2 = cos_sin_two_theta(a, c, point_at(rho))
-        ang = math.atan2(s2, c2)
-        if prev is None:
-            ref_lift.append(ang)
-        else:
-            step = _wrap_pi(ang - prev)
-            if abs(step) >= math.pi / 2.0:
-                raise LiftAmbiguity("reference grid too coarse; raise samples")
-            ref_lift.append(prev + step)
-        prev = ref_lift[-1]
-    if abs(ref_lift[-1] - ref_lift[0]) > 1e-9:
-        raise LiftAmbiguity(
-            f"angle lift failed to close around the section loop "
-            f"(winding residue {ref_lift[-1] - ref_lift[0]:.3g})")
-
-    def two_theta_at(rho: float) -> float:
-        c2, s2 = cos_sin_two_theta(a, c, point_at(rho))
-        ang = math.atan2(s2, c2)
-        t = rho / two_pi * samples
-        k = min(int(t), samples - 1)
-        ref = ref_lift[k] + (t - k) * (ref_lift[k + 1] - ref_lift[k])
-        return ang + two_pi * round((ref - ang) / two_pi)
-
-    offset = 0.0 if seed_sign == 1 else math.pi
-
-    def integrand(rho: float) -> float:
-        theta = 0.5 * two_theta_at(rho) + offset
-        denom = math.sqrt(c + 1.0 - ap + (ap + c - 1.0) * math.cos(rho) ** 2)
-        return 2.0 * math.sqrt(2.0) * math.sin(theta) / denom
-
-    return adaptive_simpson(integrand, 0.0, two_pi, tol=tol)
+    n, prev = samples, None
+    while n <= MAX_PERIOD_NODES:
+        pts = sigma_loop(a, c, n, x_section)
+        try:
+            theta = lift_theta_along(pts, a, c, seed_sign).theta
+        except LiftAmbiguity:
+            n, prev = 2 * n, None
+            continue
+        residue = 2.0 * (theta[-1] - theta[0])
+        if abs(residue) > 1e-9:
+            raise LiftAmbiguity(
+                f"angle lift failed to close around the section loop "
+                f"(winding residue {residue:.3g})")
+        total = 0.0
+        for k in range(n):
+            rho = 2.0 * math.pi * k / n
+            total += math.sin(theta[k]) / math.sqrt(
+                c + 1.0 - ap + (ap + c - 1.0) * math.cos(rho) ** 2)
+        value = 2.0 * math.sqrt(2.0) * 2.0 * math.pi * total / n
+        if prev is not None and abs(value - prev) < tol:
+            return value
+        n, prev = 2 * n, value
+    raise QuadratureFailure(
+        f"throat period not within {tol:g} at {MAX_PERIOD_NODES} nodes")
 
 
 # ----------------------------------------------------------------------
@@ -569,20 +592,11 @@ class _ThetaTracker:
         self._half_offset = None
 
     def __call__(self, x: float, y: float) -> tuple[float, float, float]:
-        fam = self.family
-        if isinstance(fam, ConstantPlane):
-            smu = 1.0 / math.sqrt(fam.c ** 2 - 1.0)
-            s = float(self.branch)
-            return s * math.cos(self.psi), s * math.sin(self.psi), smu
-        if isinstance(fam, ScherkFifth):
-            c1 = math.cos(y + self.psi)
-            w = math.sqrt(math.sinh(x) ** 2 + c1 * c1)
-            s = float(self.branch)
-            return (s * (-c1 * math.cosh(x) / w),
-                    s * (-math.sin(y + self.psi) * math.sinh(x) / w),
-                    math.sinh(x))
+        closed = self.family.closed_slope(x, y, self.branch, self.psi)
+        if closed is not None:
+            return closed
         # nondegenerate families: track the doubled angle of the chosen branch
-        C = family_C_jet(fam, x, y, order=2)
+        C = family_C_jet(self.family, x, y, order=2)
         mu = mu_jet_from_C(C)
         plus, minus = two_theta_solutions(mu)
         c2, s2 = plus if self.branch == 1 else minus

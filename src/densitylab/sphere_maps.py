@@ -139,14 +139,16 @@ class GramMatrix:
                 total += v[i] * sum(row[j] * v[j] for j in range(self.dim) if v[j])
         return total
 
-    def psd_certificate(self) -> tuple[bool, Optional[list[Fraction]]]:
-        """Exact PSD decision by pivoted symmetric elimination.
+    def ldlt(self) -> tuple[list[tuple[int, list[Fraction], Fraction]],
+                            Optional[list[Fraction]]]:
+        """Exact pivoted symmetric elimination G = sum_k row_k^T row_k / piv_k.
 
         Leading principal minors alone cannot certify semidefiniteness (a
         zero pivot hides indefinite blocks), so the elimination pivots on
         the largest remaining diagonal entry and checks that rows with a
-        zero diagonal vanish.  Returns (True, None) or (False, witness)
-        with an exact rational witness v, v^T G v < 0.
+        zero diagonal vanish.  Returns the steps (k, row_k, piv_k) in
+        pivot order and None when G is PSD, or the steps so far and an
+        exact rational witness v with v^T G v < 0.
         """
         d = self.dim
         M = [[self.entries[i][j] for j in range(d)] for i in range(d)]
@@ -164,18 +166,18 @@ class GramMatrix:
         while active:
             k = max(active, key=lambda i: M[i][i])
             if M[k][k] < 0:
-                return False, lift_witness({k: Fraction(1)})
+                return steps, lift_witness({k: Fraction(1)})
             if M[k][k] == 0:
                 # all remaining diagonals are <= 0, hence exactly 0 here
                 for i in active:
                     if M[i][i] < 0:
-                        return False, lift_witness({i: Fraction(1)})
+                        return steps, lift_witness({i: Fraction(1)})
                 for i in active:
                     for j in active:
                         if i < j and M[i][j] != 0:
                             s = Fraction(1 if M[i][j] < 0 else -1)
-                            return False, lift_witness({i: Fraction(1), j: s})
-                return True, None
+                            return steps, lift_witness({i: Fraction(1), j: s})
+                return steps, None
             piv = M[k][k]
             row = [M[k][j] for j in range(d)]
             steps.append((k, row, piv))
@@ -187,7 +189,12 @@ class GramMatrix:
                         M[i][j] -= fi * row[j]
             for i in active:
                 M[i][k] = M[k][i] = Fraction(0)
-        return True, None
+        return steps, None
+
+    def psd_certificate(self) -> tuple[bool, Optional[list[Fraction]]]:
+        """(True, None), or (False, witness) with v^T G v < 0; see ldlt."""
+        _, witness = self.ldlt()
+        return witness is None, witness
 
     def rank(self) -> int:
         red, pivots = rref([list(r) for r in self.entries])
@@ -229,6 +236,15 @@ class HarmonicBasis:
     @property
     def dim(self) -> int:
         return len(self.elements)
+
+
+def radius_power(n_ambient: int, m: int) -> Poly:
+    """R^m with R = |x|^2 on R^n_ambient, as an exact polynomial."""
+    R = Poly.radius_squared(n_ambient)
+    out = Poly.one(n_ambient)
+    for _ in range(m):
+        out = out * R
+    return out
 
 
 def _primitive(p: Poly) -> Poly:
@@ -302,10 +318,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     acc = Poly.zero(n_ambient)
     for el, n2 in zip(ortho, norms):
         acc = acc + (el.poly * el.poly).scale(Fraction(1, 1) / n2)
-    rm = Poly.one(n_ambient)
-    R = Poly.radius_squared(n_ambient)
-    for _ in range(m):
-        rm = rm * R
+    rm = radius_power(n_ambient, m)
     lead_exp = next(iter(rm.terms))
     c = acc.terms.get(lead_exp, Fraction(0)) / rm.terms[lead_exp]
     if acc != rm.scale(c):
@@ -440,11 +453,7 @@ def _sum_sq_minus_Rm_exact(components: Sequence[Poly], n_ambient: int,
     acc = Poly.zero(n_ambient)
     for f in components:
         acc = acc + f * f
-    R = Poly.radius_squared(n_ambient)
-    rm = Poly.one(n_ambient)
-    for _ in range(m):
-        rm = rm * R
-    return acc - rm
+    return acc - radius_power(n_ambient, m)
 
 
 def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
@@ -459,13 +468,13 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     """
     if G.dim != basis.dim:
         raise DimensionMismatch("Gram matrix does not match basis")
-    ok, witness = G.psd_certificate()
-    if not ok:
+    steps, witness = G.ldlt()
+    if witness is not None:
         raise NotPSD("Gram matrix is not positive semidefinite", witness)
-    if not (h_of_G(G, basis) == _rm_poly(basis)):
+    if not (h_of_G(G, basis) == radius_power(basis.n_ambient, basis.m)):
         raise ParamViolation("h(G) != R^m; not a sum-of-squares certificate")
 
-    exact_rows = _exact_sqrt_factor(G)
+    exact_rows = _exact_sqrt_factor(steps)
     if exact_rows is not None:
         comps = []
         for row in exact_rows:
@@ -502,40 +511,16 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     return SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(comps_f), False)
 
 
-def _rm_poly(basis: HarmonicBasis) -> Poly:
-    R = Poly.radius_squared(basis.n_ambient)
-    out = Poly.one(basis.n_ambient)
-    for _ in range(basis.m):
-        out = out * R
-    return out
-
-
-def _exact_sqrt_factor(G: GramMatrix) -> Optional[list[list[Fraction]]]:
-    """Rows of a rational S with G = S^T S, or None if pivots are not squares."""
-    d = G.dim
-    M = [[G.entries[i][j] for j in range(d)] for i in range(d)]
+def _exact_sqrt_factor(steps: list[tuple[int, list[Fraction], Fraction]]
+                       ) -> Optional[list[list[Fraction]]]:
+    """Rows row_k / sqrt(piv_k) of a rational S with G = S^T S, from the
+    steps of a PSD :meth:`GramMatrix.ldlt`; None if a pivot is not a square."""
     rows: list[list[Fraction]] = []
-    active = list(range(d))
-    while active:
-        k = max(active, key=lambda i: M[i][i])
-        if M[k][k] == 0:
-            break  # PSD already certified: remainder is zero
-        piv = M[k][k]
+    for _, row, piv in steps:
         root = _fraction_sqrt(piv)
         if root is None:
             return None
-        row = [M[k][j] / root for j in range(d)]
-        rows.append(row)
-        active.remove(k)
-        for i in active:
-            fi = M[i][k] / piv
-            if fi:
-                for j in range(d):
-                    M[i][j] -= fi * M[k][j]
-        for i in range(d):
-            M[i][k] = Fraction(0)
-        for j in range(d):
-            M[k][j] = Fraction(0)
+        rows.append([v / root for v in row])
     return rows
 
 
@@ -556,11 +541,7 @@ def _sum_sq_residual_float(comps: list[dict], n_ambient: int, m: int) -> float:
             for e2, c2 in comp.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 acc[e] = acc.get(e, 0.0) + c1 * c2
-    R = Poly.radius_squared(n_ambient)
-    rm = Poly.one(n_ambient)
-    for _ in range(m):
-        rm = rm * R
-    for e, c in rm.terms.items():
+    for e, c in radius_power(n_ambient, m).terms.items():
         acc[e] = acc.get(e, 0.0) - float(c)
     return max((abs(v) for v in acc.values()), default=0.0)
 

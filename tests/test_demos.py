@@ -1,0 +1,32 @@
+"""Smoke test: the quick demos run to completion.
+
+Demos 01, 02 and 05 cover height reconstruction, throat periods and the
+exact sphere-map factorization in about a second together.  Demos 03 and
+04 take about 27 s together and join this list once the Calabi batch path
+and the exact harmonic layer are faster (ROADMAP items 2 and 3).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+QUICK_DEMOS = [
+    "01_equal_area_minimal_graphs.py",
+    "02_doubly_periodic_topology.py",
+    "05_constant_energy_sphere_maps.py",
+]
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_demo_exits_zero(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -450,12 +450,13 @@ def _period_oracle(a, c, n=20000):
     return value, th0
 
 
-@pytest.mark.parametrize("a,c", [(1.0, 1.0), (0.8, 0.5)])
+@pytest.mark.parametrize("a,c", [(1.0, 1.0), (0.8, 0.5), (1.1778, 1.2903),
+                                 (1.0, 0.875)])
 def test_period_against_independent_chart(a, c):
     lam = mg.period_sigma(a, c)
     oracle, _ = _period_oracle(a, c)
     # charts may disagree on the half-angle seed, i.e. a global sign
-    assert min(abs(lam - oracle), abs(lam + oracle)) < 1e-6
+    assert min(abs(lam - oracle), abs(lam + oracle)) < 1e-9
     assert abs(lam) > 1e-3
 
 
@@ -465,9 +466,19 @@ def test_period_seed_flip_and_refinement():
     assert abs(lam - mg.period_sigma(1.0, 1.0, samples=1024)) < 10 * mg.TOL_QUAD
 
 
-def test_period_homotopy_invariance():
-    lam0 = mg.period_sigma(1.0, 1.0)
-    lam1 = mg.period_sigma(1.0, 1.0, x_section=0.3)
+def test_period_refines_an_ambiguous_start():
+    # the 6-sample loop cannot be lifted (test_lift_refuses_coarse_paths),
+    # so the period must refine the grid instead of refusing
+    lam = mg.period_sigma(1.0, 1.0, samples=6)
+    assert abs(lam - mg.period_sigma(1.0, 1.0)) < 1e-12
+    with pytest.raises(ParamViolation):
+        mg.period_sigma(1.0, 1.0, samples=0)
+
+
+@pytest.mark.parametrize("a,c", [(1.0, 1.0), (0.2807, 0.8615)])
+def test_period_homotopy_invariance(a, c):
+    lam0 = mg.period_sigma(a, c)
+    lam1 = mg.period_sigma(a, c, x_section=0.3)
     assert abs(lam0 - lam1) < 10 * mg.TOL_QUAD
 
 
