@@ -12,8 +12,11 @@ The degree-shifting pairings on harmonic polynomials are normalized by
 
 where f . xi is the directional derivative of f along xi and f vee xi is
 the harmonic projection of the product, rescaled.  The inner product is
-<f, g> = (-Delta)^d (f g) / (2^d d!), and the bracket {f, g} in H_1 is
-defined by {f, g} . alpha = <f, g . alpha>.
+the Fischer pairing <f, g> = sum_alpha alpha! f_alpha g_alpha over the
+shared monomials x^alpha.  On harmonic f, g of the same degree d (its
+precondition) it equals the Laplacian form (-Delta)^d (f g) / (2^d d!)
+exactly.  The bracket {f, g} in H_1 is defined by
+{f, g} . alpha = <f, g . alpha>.
 
 The spectral side: b_m(lambda) = (lambda - m(n+m-1) K)/((n+2m)(n+2m-2))
 controls the recursion A_{m+1} = b_m (m+n-2)(n+2m)/(m+1) A_m of squared
@@ -24,10 +27,12 @@ m, which is the eigenvalue quantization used by the sphere-map module.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd
+from operator import add
 from typing import Optional
 
 from .errors import (
@@ -52,6 +57,14 @@ class Poly:
                 c = Fraction(coef)
                 if c:
                     self.terms[tuple(exp)] = c
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap terms that are already tuple -> nonzero Fraction, unchecked."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -81,36 +94,45 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+                continue
+            s += c
             if s:
                 out[exp] = s
             else:
-                out.pop(exp, None)
-        return Poly(self.nvars, out)
+                del out[exp]
+        return Poly._raw(self.nvars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
+        return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return self.scale(-1)
+        return Poly._raw(self.nvars, {e: -v for e, v in self.terms.items()})
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         if not c:
             return Poly(self.nvars)
-        return Poly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        # integer numerators over the product of the two common denominators;
+        # a key whose running sum cancels is dropped and re-enters at the end
+        den1, nums1 = _numerators(self.terms)
+        den2, nums2 = _numerators(other.terms)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+        for e1, a in nums1:
+            for e2, b in nums2:
+                e = tuple(map(add, e1, e2))
+                s = out.get(e, 0) + a * b
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return Poly(self.nvars, out)
+                    del out[e]
+        den = den1 * den2
+        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in out.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars \
@@ -145,7 +167,7 @@ class Poly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        return Poly(self.nvars, out)
+        return Poly._raw(self.nvars, out)
 
     def analyst_laplacian(self) -> "Poly":
         out = Poly(self.nvars)
@@ -154,12 +176,29 @@ class Poly:
         return out
 
     def directional(self, xi: "Poly") -> "Poly":
-        """Directional derivative along the linear form xi (metric-dual)."""
-        out = Poly(self.nvars)
-        for e, c in xi.terms.items():
-            i = next(j for j, k in enumerate(e) if k)
-            out = out + self.diff(i).scale(c)
-        return out
+        """Directional derivative along the linear form xi (metric-dual).
+
+        One pass over the terms, summing sum_i xi_i d_i f in the order of
+        xi's terms, with integer numerators as in ``__mul__``.
+        """
+        den1, nums = _numerators(self.terms)
+        den2, xnums = _numerators(xi.terms)
+        out: dict = {}
+        for ex, b in xnums:
+            i = next(j for j, k in enumerate(ex) if k)
+            for e, a in nums:
+                k = e[i]
+                if k:
+                    e2 = list(e)
+                    e2[i] = k - 1
+                    e2 = tuple(e2)
+                    s = out.get(e2, 0) + a * k * b
+                    if s:
+                        out[e2] = s
+                    else:
+                        del out[e2]
+        den = den1 * den2
+        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in out.items()})
 
     def eval(self, point) -> float:
         total = 0.0
@@ -194,6 +233,17 @@ class Poly:
             bits.append(f"{c}*{mono}")
         more = "" if len(self.terms) <= 6 else f" +{len(self.terms)-6} terms"
         return f"Poly({' + '.join(bits)}{more})"
+
+
+def _numerators(terms: dict) -> tuple[int, list[tuple[tuple, int]]]:
+    """Common denominator D and (exponent, c * D) integer pairs, in order."""
+    den = 1
+    for c in terms.values():
+        q = c.denominator
+        if den % q:
+            den = den * q // gcd(den, q)
+    return den, [(e, c.numerator * (den // c.denominator))
+                 for e, c in terms.items()]
 
 
 def laplacian(p: Poly) -> Poly:
@@ -312,17 +362,22 @@ def so_action(alpha: HarmonicElement, beta: HarmonicElement,
 
 
 def inner(f: HarmonicElement, g: HarmonicElement) -> Fraction:
-    """Invariant inner product (-Delta)^d (f g) / (2^d d!), exact."""
+    """Invariant inner product: the Fischer pairing sum alpha! f_alpha g_alpha.
+
+    Exact, summed over the monomials x^alpha that f and g share.
+    Precondition: f and g are harmonic of the same degree d; then this
+    equals the Laplacian form (-Delta)^d (f g) / (2^d d!).  Inputs that
+    are not harmonic get the Fischer value, not the Laplacian one.
+    """
     if f.degree != g.degree:
         raise DegreeMismatch(f"degrees {f.degree} != {g.degree}")
-    d = f.degree
-    prod = f.poly * g.poly
-    for _ in range(d):
-        prod = prod.analyst_laplacian()
-    denom = Fraction(2) ** d
-    for k in range(2, d + 1):
-        denom *= k
-    return prod.constant_value() / denom
+    gterms = g.poly.terms
+    total = Fraction(0)
+    for e, c in f.poly.terms.items():
+        c2 = gterms.get(e)
+        if c2 is not None:
+            total += math.prod(map(factorial, e)) * c * c2
+    return total
 
 
 def brace(f: HarmonicElement, g: HarmonicElement) -> HarmonicElement:

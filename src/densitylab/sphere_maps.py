@@ -68,7 +68,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         for i in range(nrows):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -77,7 +77,12 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact kernel basis of the matrix (rows of length ncols)."""
+    """Exact kernel basis of the matrix (rows of length ncols).
+
+    One vector per free column f, in order of f: 1 at f, 0 at the other
+    free columns.  Its other entries sit at pivot columns left of f, so its
+    last nonzero entry is at f.
+    """
     if not rows:
         return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
     red, pivots = rref(rows)
@@ -290,10 +295,9 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
         row = [Fraction(0)] * len(monos)
         for exp, c in h.poly.terms.items():
             row[index[exp]] = c
-        trial = reduced_rows + [row]
-        _, pivots = rref(trial)
+        red, pivots = rref(reduced_rows + [row])
         if len(pivots) > len(reduced_rows):
-            reduced_rows, _ = rref(trial)
+            reduced_rows = red
             chosen.append(h.poly)
         if len(chosen) == target:
             break
@@ -338,9 +342,10 @@ def h_of_G(G: GramMatrix, basis: HarmonicBasis) -> Poly:
     for a in range(G.dim):
         pa = basis.elements[a].poly
         for b in range(a, G.dim):
-            coef = G.entries[a][b] * (1 if a == b else 2)
+            coef = G.entries[a][b]
             if coef:
-                out = out + (pa * basis.elements[b].poly).scale(coef)
+                out = out + (pa * basis.elements[b].poly).scale(
+                    coef if a == b else 2 * coef)
     return out
 
 
@@ -358,6 +363,19 @@ def _sym_pairs(D: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(D) for b in range(a, D)]
 
 
+def _parity(e: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k & 1 for k in e)
+
+
+def _element_parity(p: Poly) -> tuple[int, ...]:
+    """The one parity pattern in Z_2^n shared by every monomial of p."""
+    parities = {_parity(e) for e in p.terms}
+    if len(parities) != 1:
+        raise ParamViolation(
+            f"basis element has {len(parities)} parity patterns (internal)")
+    return parities.pop()
+
+
 def solve_h_equals_Rm(n_ambient: int, m: int,
                       basis: Optional[HarmonicBasis] = None
                       ) -> tuple[GramMatrix, KernelCertificate]:
@@ -366,6 +384,15 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     The kernel is computed by exact rational elimination on the matrix of
     h over the symmetric-pair basis; its dimension is D(D+1)/2 - rank(h).
     Every returned kernel element satisfies h(k) = 0 exactly.
+
+    The matrix is block-diagonal by parity.  Each basis element has one
+    parity pattern in Z_2^n (the Fischer pairing of different parities is
+    0, so Gram-Schmidt never mixes them), so every monomial of h_a h_b has
+    the parity par(h_a) XOR par(h_b): the column E_ab meets only the rows
+    of that parity.  Each block is eliminated on its own.  A column is free
+    exactly when it is free in its block, and the block's kernel vector
+    for a free column is the whole matrix's, so the basis below is the one
+    read off the rref of the whole matrix, in the same order.
     """
     if n_ambient < 4:
         raise ParamViolation("need ambient dimension >= 4 (sphere dim > 2)")
@@ -373,26 +400,44 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
         basis = basis_Hm(n_ambient, m)
     D = basis.dim
     pairs = _sym_pairs(D)
-    monos2m = monomial_exponents(n_ambient, 2 * m)
-    row_index = {e: i for i, e in enumerate(monos2m)}
-    # columns: E_{ab}; rows: coefficients of h(E_{ab})
-    cols: list[list[Fraction]] = []
-    for (a, b) in pairs:
-        prod = basis.elements[a].poly * basis.elements[b].poly
-        if a != b:
-            prod = prod.scale(2)
-        col = [Fraction(0)] * len(monos2m)
-        for e, c in prod.terms.items():
-            col[row_index[e]] = c
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(len(pairs))] for i in range(len(monos2m))]
-    kernel_vecs = nullspace(rows, len(pairs))
+    parity = [_element_parity(el.poly) for el in basis.elements]
+    # columns: E_{ab}, grouped by parity in column order
+    block_cols: dict[tuple[int, ...], list[int]] = {}
+    for j, (a, b) in enumerate(pairs):
+        key = tuple(x ^ y for x, y in zip(parity[a], parity[b]))
+        block_cols.setdefault(key, []).append(j)
+    # rows: coefficients of the degree-2m monomials, grouped by parity
+    block_rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for e in monomial_exponents(n_ambient, 2 * m):
+        rows_of = block_rows.setdefault(_parity(e), {})
+        rows_of[e] = len(rows_of)
+
+    found: list[tuple[int, list[Fraction]]] = []  # (free column, vector)
+    for key, cols in block_cols.items():
+        row_index = block_rows[key]
+        rows = [[Fraction(0)] * len(cols) for _ in row_index]
+        for k, j in enumerate(cols):
+            a, b = pairs[j]
+            prod = basis.elements[a].poly * basis.elements[b].poly
+            if a != b:
+                prod = prod.scale(2)
+            for e, c in prod.terms.items():
+                rows[row_index[e]][k] = c
+        for block_vec in nullspace(rows, len(cols)):
+            vec = [Fraction(0)] * len(pairs)
+            for j, v in zip(cols, block_vec):
+                vec[j] = v
+            fc = max(k for k, v in enumerate(block_vec) if v)
+            found.append((cols[fc], vec))
+    found.sort(key=lambda item: item[0])
+    kernel_vecs = [vec for _, vec in found]
 
     def vec_to_gram(vec: list[Fraction]) -> GramMatrix:
         M = [[Fraction(0)] * D for _ in range(D)]
         for (a, b), v in zip(pairs, vec):
             M[a][b] = M[b][a] = v
-        return GramMatrix.from_rows(M)
+        # symmetric Fractions by construction: no from_rows re-conversion
+        return GramMatrix(tuple(map(tuple, M)))
 
     kernel = []
     for vec in kernel_vecs:

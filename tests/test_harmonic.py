@@ -1,5 +1,6 @@
 """Exact harmonic polynomial calculus: no tolerances anywhere in this file."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,95 @@ def test_inner_against_sympy_oracle():
     val = sp.Rational(1, 8) * lap(lap(q * q))
     assert val == 12
     assert ha.inner(ha.vee(x(0), x(0)), ha.vee(x(0), x(0))) == 12
+
+
+def laplacian_inner(f, g):
+    """The Laplacian form (-Delta)^d (f g) / (2^d d!): the oracle for inner."""
+    d = f.degree
+    prod = f.poly * g.poly
+    for _ in range(d):
+        prod = prod.analyst_laplacian()
+    return prod.constant_value() / (Fraction(2) ** d * math.factorial(d))
+
+
+def test_inner_equals_laplacian_form_on_random_harmonics():
+    rng = random.Random(21)
+    for n in (3, 4, 5):
+        for d in range(5):
+            for _ in range(3):
+                f = ha.random_harmonic(n, d, rng)
+                g = ha.random_harmonic(n, d, rng)
+                assert ha.inner(f, g) == laplacian_inner(f, g)
+                assert ha.inner(f, f) == laplacian_inner(f, f) > 0
+            # a rational multiple, so that denominators take part
+            h = HarmonicElement(g.poly.scale(Fraction(-3, 7)), d)
+            assert ha.inner(f, h) == laplacian_inner(f, h)
+
+
+def naive_mul(p, q):
+    """Term-pair product over Fractions; a cancelled key re-enters at the end."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def naive_directional(p, xi):
+    """sum_i xi_i d_i p, one scaled partial at a time, in xi's term order."""
+    out = {}
+    for ex, cx in xi.terms.items():
+        i = next(j for j, k in enumerate(ex) if k)
+        for e, c in p.terms.items():
+            if e[i]:
+                e2 = list(e)
+                e2[i] -= 1
+                e2 = tuple(e2)
+                s = out.get(e2, Fraction(0)) + c * e[i] * cx
+                if s:
+                    out[e2] = s
+                else:
+                    out.pop(e2, None)
+    return out
+
+
+def random_rational_poly(n, d, rng, density=0.6):
+    terms = {}
+    for e in ha.monomial_exponents(n, d):
+        if rng.random() < density:
+            terms[e] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 6)))
+    return Poly(n, terms)
+
+
+def test_mul_and_directional_match_naive_fraction_reference():
+    rng = random.Random(22)
+    for n in (3, 4, 5):
+        for d1 in range(4):
+            for d2 in range(4):
+                p = random_rational_poly(n, d1, rng)
+                q = random_rational_poly(n, d2, rng)
+                # same terms, same values, same insertion order
+                assert list((p * q).terms.items()) == list(naive_mul(p, q).items())
+            xi = random_rational_poly(n, 1, rng, density=0.8)
+            assert list(p.directional(xi).terms.items()) == \
+                list(naive_directional(p, xi).items())
+    for p in (Poly.zero(3), Poly.one(3)):
+        assert (p * Poly.variable(3, 1)).terms == naive_mul(p, Poly.variable(3, 1))
+
+
+def test_mul_cancelled_term_reenters_at_the_end():
+    # (x0 + x1 + x2)(x1 x2 - x0 x2 + x0 x1): x0 x1 x2 gets +1, then -1 (the
+    # key is dropped), then +1 again, so it comes last in insertion order
+    p = Poly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    q = Poly(3, {(0, 1, 1): 1, (1, 0, 1): -1, (1, 1, 0): 1})
+    assert list((p * q).terms) == [(2, 0, 1), (2, 1, 0), (0, 2, 1), (1, 2, 0),
+                                   (0, 1, 2), (1, 0, 2), (1, 1, 1)]
+    assert (p * q).terms[(1, 1, 1)] == 1
 
 
 def test_inner_positive_definite_on_basis_sweep():

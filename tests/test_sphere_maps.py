@@ -1,12 +1,19 @@
 """Gram-matrix construction of constant-energy sphere maps."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from densitylab import sphere_maps as sm
 from densitylab.errors import DimensionMismatch, NotOnSphere, NotPSD, ParamViolation
-from densitylab.harmonic import Poly, inner
+from densitylab.harmonic import (
+    HarmonicElement,
+    Poly,
+    dim_harmonics,
+    inner,
+    monomial_exponents,
+)
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +134,55 @@ def test_solve_five_dims():
     assert rep["kernel_dimension"] == 105 - 70 == 35
     assert rep["so_dimension"] == 10
     assert rep["margin"] == 25
+
+
+def whole_matrix_kernel(basis):
+    """The kernel of h by one elimination of the whole matrix, over E_ab."""
+    pairs = sm._sym_pairs(basis.dim)
+    monos = monomial_exponents(basis.n_ambient, 2 * basis.m)
+    idx = {e: i for i, e in enumerate(monos)}
+    rows = [[Fraction(0)] * len(pairs) for _ in monos]
+    for j, (a, b) in enumerate(pairs):
+        prod = basis.elements[a].poly * basis.elements[b].poly
+        for e, c in prod.terms.items():
+            rows[idx[e]][j] = c if a == b else 2 * c
+    return sm.nullspace(rows, len(pairs))
+
+
+@pytest.mark.parametrize("n_amb,m", [(4, 2), (5, 2), (4, 3)])
+def test_block_kernel_equals_whole_matrix_nullspace(n_amb, m):
+    b = sm.basis_Hm(n_amb, m)
+    G0, ker = sm.solve_h_equals_Rm(n_amb, m, b)
+    pairs = sm._sym_pairs(b.dim)
+    got = [[k.entries[a][bb] for a, bb in pairs] for k in ker.basis]
+    assert got == whole_matrix_kernel(b)  # entry for entry, in order
+    assert G0 == sm.scaled_identity_gram(b)
+
+
+@pytest.mark.parametrize("n_amb,m", [(4, 1), (4, 2), (5, 2), (6, 2), (4, 3),
+                                     (4, 4), (5, 3)])
+def test_kernel_dimension_oracle(n_amb, m):
+    # h is onto the degree-2m polynomials, so its kernel has dimension
+    # D(D+1)/2 - dim P_2m(R^n)
+    D = dim_harmonics(n_amb, m)
+    _, ker = sm.solve_h_equals_Rm(n_amb, m)
+    assert ker.dimension == len(ker.basis) \
+        == D * (D + 1) // 2 - math.comb(n_amb + 2 * m - 1, 2 * m)
+
+
+def test_basis_elements_have_one_parity_each():
+    for (n_amb, m) in [(4, 2), (5, 2), (4, 3)]:
+        for el in sm.basis_Hm(n_amb, m).elements:
+            assert len({tuple(k % 2 for k in e) for e in el.poly.terms}) == 1
+
+
+def test_solve_refuses_a_mixed_parity_basis():
+    b = sm.basis_Hm(4, 1)
+    mixed = HarmonicElement(Poly.variable(4, 0) + Poly.variable(4, 1), 1)
+    bad = sm.HarmonicBasis(4, 1, (mixed,) + b.elements[1:], b.norms,
+                           b.invariant_c)
+    with pytest.raises(ParamViolation, match="parity"):
+        sm.solve_h_equals_Rm(4, 1, bad)
 
 
 def test_solve_requires_ambient_four():
