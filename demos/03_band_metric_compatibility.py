@@ -15,6 +15,8 @@ is asserted to exist; the constants are the only known solutions).
 import math
 import random
 
+import numpy as np
+
 from densitylab import calabi as cb
 from densitylab.errors import DensityLabError
 from densitylab.jets import Jet
@@ -61,17 +63,18 @@ print()
 print("3. random search for third-order residual zeros (none expected)")
 print("-" * 60)
 rng = random.Random(20260808)
+# per jet, in this order: phi's value and its nine partials up to order 3
+draws = [[rng.uniform(0.15, math.pi / 4 - 0.15)]
+         + [rng.uniform(-0.3, 0.3) for _ in range(9)] for _ in range(2000)]
+# all 2000 candidate searches run as one batch; the residuals stay scalar
+outcomes = cb.candidates_batch(Jet(*np.array(draws).T, order=3))
 best = None
-for _ in range(2000):
-    phij = Jet(rng.uniform(0.15, math.pi / 4 - 0.15),
-               dx=rng.uniform(-0.3, 0.3), dy=rng.uniform(-0.3, 0.3),
-               dxx=rng.uniform(-0.3, 0.3), dxy=rng.uniform(-0.3, 0.3),
-               dyy=rng.uniform(-0.3, 0.3),
-               dxxx=rng.uniform(-0.3, 0.3), dxxy=rng.uniform(-0.3, 0.3),
-               dxyy=rng.uniform(-0.3, 0.3), dyyy=rng.uniform(-0.3, 0.3),
-               order=3)
+for row, cands in zip(draws, outcomes):
+    if not isinstance(cands, list):
+        continue                      # the exception class of a skipped jet
+    phij = Jet(*row, order=3)
     try:
-        for th in cb.two_theta_candidates(phij):
+        for th in cands:
             rx, ry = cb.third_order_residual(phij, th)
             size = math.hypot(rx, ry)
             if best is None or size < best[0]:

@@ -39,6 +39,7 @@ from .calabi import (
     CompatibilityData,
     GradientPair,
     band_metric,
+    candidates_batch,
     compatibility_extract,
     el_residual,
     ellipse_param,

@@ -19,12 +19,20 @@ The closed forms of w_i and A_i are never derived symbolically here (the
 expression swell is the reason they are unprinted anywhere); instead they
 are extracted exactly by probing the affine structure at three angles, with
 every derivative taken analytically through the jet algebra.
+
+The pipeline from phi's jet to the candidate angles is one implementation
+for a single jet and for a batch (a jet whose slots are arrays, see
+:mod:`densitylab.jets`): :func:`candidates_batch` runs it once over the
+batch, and each element that a guard rejects ends as the exception class the
+single-jet call raises, without stopping the others.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BranchCollision,
@@ -35,7 +43,17 @@ from .errors import (
     Singularity,
     SingularSystem,
 )
-from .jets import Jet, jet_acos, jet_atan2, jet_cos, jet_sin, jet_sqrt
+from .jets import (
+    BatchStatus,
+    Jet,
+    guard,
+    jet_acos,
+    jet_atan2,
+    jet_cos,
+    jet_sin,
+    jet_sqrt,
+    math_for,
+)
 
 TOL_SING = 1e-12
 
@@ -147,8 +165,7 @@ def _psi_raw(p, q):
     """psi components on jets or floats, no range guard."""
     r = _radicand(p, q)
     rv = r.value if isinstance(r, Jet) else r
-    if rv <= TOL_SING:
-        raise Singularity(f"radicand {rv} at the boundary conic")
+    guard(rv <= TOL_SING, Singularity, "radicand {} at the boundary conic", rv)
     n1 = (p ** 4 - q ** 4 - 2.0 * p * p + 1.0) * p
     n2 = -(q ** 4 - p ** 4 - 2.0 * q * q + 1.0) * q
     if isinstance(r, Jet):
@@ -177,10 +194,11 @@ def el_residual(z: Jet) -> float:
     return psi_y.dx - psi_x.dy
 
 
-def _closedness_solve(phi: Jet, theta: float):
+def _closedness_solve(phi: Jet, theta: float, status: BatchStatus | None = None):
     """Solve the two closedness conditions for the theta-gradient jets.
 
-    Returns (theta_x, theta_y) as jets of order phi.order - 1.  The two
+    Returns (theta_x, theta_y) as jets of order phi.order - 1; the guards
+    record into status when one is given.  The two
     scalar equations are closedness of p dx + q dy and closedness of psi,
     expanded by the chain rule with theta held at the probe value:
 
@@ -191,9 +209,9 @@ def _closedness_solve(phi: Jet, theta: float):
     """
     if phi.order < 1:
         raise ParamViolation("phi jet must carry first derivatives")
-    if not 0.0 < phi.value < math.pi / 4.0:
-        raise RangeViolation(
-            f"phi value must lie in (0, pi/4), got {phi.value}")
+    v = phi.value
+    guard(np.logical_not((0.0 < v) & (v < math.pi / 4.0)), RangeViolation,
+          "phi value must lie in (0, pi/4), got {}", v, status=status)
     k = phi.order - 1
     ph = phi.truncate(k)
     # coefficient fields of the chain rule, as jets of order k
@@ -212,8 +230,8 @@ def _closedness_solve(phi: Jet, theta: float):
 
     # psi partials in (p, q), as jets through the field jets p, q
     r = _radicand(p, q)
-    if r.value <= TOL_SING:
-        raise Singularity("radicand vanished along the probe")
+    guard(r.value <= TOL_SING, Singularity, "radicand vanished along the probe",
+          status=status)
     n1 = (p ** 4 - q ** 4 - 2.0 * p * p + 1.0) * p
     n2 = -(q ** 4 - p ** 4 - 2.0 * q * q + 1.0) * q
     n1_p = 5.0 * p ** 4 - q ** 4 - 6.0 * p * p + 1.0
@@ -240,8 +258,8 @@ def _closedness_solve(phi: Jet, theta: float):
     b2 = -gamma * phx + delta * phy
 
     det = (-q_th) * (-beta) - p_th * alpha
-    if abs(det.value) < TOL_SING:
-        raise SingularSystem(f"closedness system determinant {det.value}")
+    guard(abs(det.value) < TOL_SING, SingularSystem,
+          "closedness system determinant {}", det.value, status=status)
     tx = (b1 * (-beta) - p_th * b2) / det
     ty = ((-q_th) * b2 - alpha * b1) / det
     return tx, ty
@@ -260,11 +278,11 @@ def theta_gradient_calabi(phi: Jet, theta: float) -> tuple[float, float]:
 _PROBES_2T = (0.0, 0.5 * math.pi, math.pi)  # probe values of 2*theta
 
 
-def _omega_jets(phi: Jet):
+def _omega_jets(phi: Jet, status: BatchStatus | None = None):
     """The three 1-form coefficient jets (w1, w2, w3), each an (x, y) pair."""
     g = []
     for t2 in _PROBES_2T:
-        tx, ty = _closedness_solve(phi, 0.5 * t2)
+        tx, ty = _closedness_solve(phi, 0.5 * t2, status)
         g.append((2.0 * tx, 2.0 * ty))
     w1 = tuple(0.5 * (g[0][i] - g[2][i]) for i in range(2))
     w3 = tuple(0.5 * (g[0][i] + g[2][i]) for i in range(2))
@@ -272,7 +290,8 @@ def _omega_jets(phi: Jet):
     return w1, w2, w3
 
 
-def compatibility_extract(phi: Jet) -> CompatibilityData:
+def compatibility_extract(phi: Jet, status: BatchStatus | None = None
+                          ) -> CompatibilityData:
     """Recover the affine data (w_i, A_i) of the angle compatibility system.
 
     w_i come from probing d(2 theta) at 2 theta in {0, pi/2, pi}; the
@@ -282,10 +301,12 @@ def compatibility_extract(phi: Jet) -> CompatibilityData:
 
     at the same angles, which is exactly the dx^dy coefficient of
     d(d 2theta) after substituting the affine expression for d(2 theta).
+    For a batch phi every field holds one entry per element; with a status,
+    guards record and mask instead of raising.
     """
     if phi.order < 2:
         raise ParamViolation("phi jet must carry second derivatives")
-    w1, w2, w3 = _omega_jets(phi)
+    w1, w2, w3 = _omega_jets(phi, status)
 
     def d_of(w):
         # exterior derivative coefficient of w = wx dx + wy dy
@@ -320,30 +341,60 @@ def two_theta_candidates(phi: Jet) -> list[float]:
     return candidates_from_coefficients(data.A1, data.A2, data.A3, phi.value)
 
 
-def candidates_from_coefficients(A1: float, A2: float, A3: float,
-                                 phi_value: float,
-                                 tol: float = TOL_SING) -> list[float]:
-    """Range-filtered solutions of A1 cos(2th) + A2 sin(2th) + A3 = 0."""
-    amp = math.hypot(A1, A2)
-    scale = max(abs(A1), abs(A2), abs(A3))
-    if scale < tol:
-        raise DegenerateAllZero("A1 = A2 = A3 = 0 within tolerance")
-    if abs(A3) > amp:
+def candidates_batch(phi: Jet) -> list:
+    """:func:`two_theta_candidates` for every element of a batch phi at once.
+
+    phi.value is an array with one entry per element.  The result has one
+    entry per element: its candidate list, or the exception class that
+    two_theta_candidates raises for that element alone.
+    """
+    status = BatchStatus(len(phi.value))
+    with np.errstate(all="ignore"):
+        data = compatibility_extract(phi, status)
+        cands = candidates_from_coefficients(data.A1, data.A2, data.A3,
+                                             phi.value, status=status)
+    return [c if err is None else err for c, err in zip(cands, status.errors)]
+
+
+def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
+                                 status: BatchStatus | None = None) -> list:
+    """Range-filtered solutions of A1 cos(2th) + A2 sin(2th) + A3 = 0.
+
+    On arrays (one entry per element of a batch) the result is one sorted
+    candidate list per element; with a status, guards record and mask.
+    """
+    batch = isinstance(A1, np.ndarray)
+    m = math_for(A1)
+    amp = m.hypot(A1, A2)
+    scale = m.maximum(m.maximum(abs(A1), abs(A2)), abs(A3))
+    guard(scale < tol, DegenerateAllZero, "A1 = A2 = A3 = 0 within tolerance",
+          status=status)
+    real = np.logical_not(abs(A3) > amp)
+    if not batch and not real:
         return []
-    base = math.atan2(A2, A1)
-    beta = math.acos(max(-1.0, min(1.0, -A3 / amp)))
+    base = m.atan2(A2, A1)
+    beta = m.acos(m.maximum(-1.0, m.minimum(1.0, -A3 / amp)))
     half_window = math.pi / 2.0 - phi_value
-    out = []
+    # the ten angles in a fixed order; each is kept when it lies in the
+    # window and is not within 1e-9 of an angle kept before it
+    ths, keeps = [], []
     for t2 in (base + beta, base - beta):
         for k in (-2, -1, 0, 1, 2):
             th = 0.5 * t2 + k * math.pi
-            if abs(th) < half_window:
-                if all(abs(th - o) > 1e-9 for o in out):
-                    out.append(th)
-    out.sort()
-    if len(out) > 2:
-        raise ParamViolation(f"impossible candidate count {len(out)}")
-    return out
+            keep = real & (abs(th) < half_window)
+            for o, kept in zip(ths, keeps):
+                keep = keep & (~kept | (abs(th - o) > 1e-9))
+            ths.append(th)
+            keeps.append(keep)
+    if not batch:
+        out = sorted(th for th, kept in zip(ths, keeps) if kept)
+        guard(len(out) > 2, ParamViolation, "impossible candidate count {}", len(out))
+        return out
+    counts = np.sum(keeps, axis=0)
+    guard(counts > 2, ParamViolation, "impossible candidate count {}", counts,
+          status=status)
+    return [sorted(row[kept].tolist())
+            for row, kept in zip(np.transpose(ths), np.transpose(keeps))]
 
 
 def third_order_residual(phi: Jet, theta_branch: float) -> tuple[float, float]:

@@ -406,21 +406,40 @@ def abeq_fields(a: float, c: float, x: float, y: float
     z^2 = C - 1.
     """
     DoublyPeriodic(a, c).validate()
+    return _abeq_fields(a, c, _q_factor(a, c), x, y)
+
+
+def _q_factor(a: float, c: float) -> float:
+    """The point-independent factor (1 - (a-c)^2)((a+c)^2 - 1) of Q^2."""
+    return (1.0 - (a - c) ** 2) * ((a + c) ** 2 - 1.0)
+
+
+def _abeq_fields(a: float, c: float, q_factor: float, x: float, y: float
+                 ) -> tuple[float, float, float, float]:
+    """:func:`abeq_fields` for a validated pair, given its :func:`_q_factor`."""
     ch, co = math.cosh(x), math.cos(y)
     A = c * c + 2.0 * a * c * ch * co + a * a - 1.0
     B = 2.0 * a * c * math.sinh(x) * math.sin(y)
     E = a * (a * a - c * c - 1.0) * ch + c * (a * a - c * c + 1.0) * co
-    Q = math.sqrt((1.0 - (a - c) ** 2) * ((a + c) ** 2 - 1.0)
-                  * (a * ch + c * co + 1.0))
+    Q = math.sqrt(q_factor * (a * ch + c * co + 1.0))
     return A, B, E, Q
 
 
-def cos_sin_two_theta(a: float, c: float, p: SurfacePoint) -> tuple[float, float]:
-    """(cos 2theta, sin 2theta) at a point of the double cover."""
-    if abs(p.surface_residual(a, c)) > TOL_SURFACE:
+def cos_sin_two_theta(a: float, c: float, p: SurfacePoint, *,
+                      q_factor: float | None = None) -> tuple[float, float]:
+    """(cos 2theta, sin 2theta) at a point of the double cover.
+
+    A caller that evaluates many points of one validated pair passes that
+    pair's ``_q_factor(a, c)``; without it the pair is validated here.
+    """
+    residual = p.surface_residual(a, c)
+    if abs(residual) > TOL_SURFACE:
         raise DomainViolation(f"{p} is not on the surface (residual "
-                              f"{p.surface_residual(a, c):.3g})")
-    A, B, E, Q = abeq_fields(a, c, p.x, p.y)
+                              f"{residual:.3g})")
+    if q_factor is None:
+        DoublyPeriodic(a, c).validate()
+        q_factor = _q_factor(a, c)
+    A, B, E, Q = _abeq_fields(a, c, q_factor, p.x, p.y)
     d = A * A + B * B
     if d < TOL_SING:
         raise Singularity("A^2 + B^2 vanished; fields undefined here")
@@ -448,9 +467,11 @@ def lift_theta_along(path: list[SurfacePoint], a: float, c: float,
         raise ParamViolation("seed_sign must be +1 or -1")
     if len(path) < 2:
         raise ParamViolation("path needs at least two samples")
+    DoublyPeriodic(a, c).validate()
+    q_factor = _q_factor(a, c)
     lifted2 = []
     for i, pt in enumerate(path):
-        c2, s2 = cos_sin_two_theta(a, c, pt)
+        c2, s2 = cos_sin_two_theta(a, c, pt, q_factor=q_factor)
         ang = math.atan2(s2, c2)
         if i == 0:
             lifted2.append(ang)

@@ -16,6 +16,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from densitylab import calabi as cb
@@ -289,17 +290,18 @@ def test_criterion_06_calabi_density():
 
 def test_criterion_07_branch_bound():
     rng = random.Random(9090)
-    max_count = 0
-    degenerate = 0
-    for _ in range(10000):
-        phij = Jet(rng.uniform(0.12, math.pi / 4 - 0.12),
-                   dx=rng.uniform(-0.4, 0.4), dy=rng.uniform(-0.4, 0.4),
-                   dxx=rng.uniform(-0.4, 0.4), dxy=rng.uniform(-0.4, 0.4),
-                   dyy=rng.uniform(-0.4, 0.4), order=2)
-        try:
-            max_count = max(max_count, len(cb.two_theta_candidates(phij)))
-        except cb.DegenerateAllZero:
-            degenerate += 1
+    # per jet, in this order: phi's value, dx, dy, dxx, dxy, dyy; the 10^4
+    # jets run as one batch, and each outcome is the candidate list or the
+    # exception class that two_theta_candidates raises for that jet alone
+    draws = [[rng.uniform(0.12, math.pi / 4 - 0.12)]
+             + [rng.uniform(-0.4, 0.4) for _ in range(5)] for _ in range(10000)]
+    outcomes = cb.candidates_batch(Jet(*np.array(draws).T, order=2))
+    failures = [o for o in outcomes if isinstance(o, type)]
+    # only the degenerate route is an expected outcome, as in a scalar loop
+    # that catches DegenerateAllZero alone
+    assert set(failures) <= {cb.DegenerateAllZero}, set(failures)
+    degenerate = len(failures)
+    max_count = max((len(o) for o in outcomes if isinstance(o, list)), default=0)
     phij = Jet(math.pi / 8, dx=0.1, dy=0.0, dyy=0.04, order=3)
     data = cb.compatibility_extract(phij)
     th = math.pi / 6

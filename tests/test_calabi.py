@@ -3,18 +3,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitylab import calabi as cb
 from densitylab.errors import (
     DegenerateAllZero,
+    DensityLabError,
     NotPositiveDefinite,
     ParamViolation,
     RangeViolation,
     Singularity,
+    SingularSystem,
 )
-from densitylab.jets import Jet
+from densitylab.jets import BatchStatus, Jet
 
 # regression fixture: the probe jet of phi = pi/8 + x/10 + y^2/50 at (0, 0)
 PROBE_JET = dict(value=math.pi / 8, dx=0.1, dy=0.0, dxx=0.0, dxy=0.0, dyy=0.04)
@@ -259,6 +262,29 @@ def test_candidates_degenerate_raises():
         cb.two_theta_candidates(Jet(math.pi / 8, order=2))
 
 
+# (A1, A2, A3, phi): a double root (one candidate, not two), two roots, no
+# root, all zero, and a root just inside the amplitude bound
+COEFFICIENT_CASES = [(1.0, 0.0, -1.0, 0.2), (1.0, 0.0, 0.0, 0.1),
+                     (0.3, 0.4, 2.0, 0.1), (0.0, 0.0, 0.0, 0.1),
+                     (0.6, -0.8, 1.0 - 1e-15, 0.3)]
+
+
+def test_candidates_from_coefficients_batch_matches_scalar():
+    assert cb.candidates_from_coefficients(1.0, 0.0, -1.0, 0.2) == [0.0]
+    A1, A2, A3, phi = (np.array(col) for col in zip(*COEFFICIENT_CASES))
+    status = BatchStatus(len(COEFFICIENT_CASES))
+    with np.errstate(all="ignore"):
+        got = cb.candidates_from_coefficients(A1, A2, A3, phi, status=status)
+    for i, case in enumerate(COEFFICIENT_CASES):
+        try:
+            want = cb.candidates_from_coefficients(*case)
+        except DensityLabError as exc:
+            assert status.errors[i] is type(exc), i
+            continue
+        assert status.errors[i] is None and len(got[i]) == len(want), (i, got[i])
+        assert np.allclose(got[i], want, rtol=0.0, atol=1e-12), i
+
+
 def test_candidates_probe_fixture():
     cands = cb.two_theta_candidates(probe_jet())
     assert len(cands) == 2
@@ -311,3 +337,96 @@ def test_third_order_residual_stable_under_jet_perturbation():
 def test_third_order_residual_rejects_foreign_angle():
     with pytest.raises(ParamViolation):
         cb.third_order_residual(probe_jet(order=3), 1.5)
+
+
+# ----------------------------------------------------------------------
+# batch path: one pass over an array jet agrees with the scalar calls
+# ----------------------------------------------------------------------
+
+def batch_of(rows, order):
+    """One array jet whose element i has the slots rows[i]."""
+    return Jet(*np.array(rows, dtype=float).T, order=order)
+
+
+def scalar_outcome(rows, i, order):
+    """Scalar (A1, A2, A3) and candidates of element i, or the class raised."""
+    phij = Jet(*rows[i], order=order)
+    try:
+        data = cb.compatibility_extract(phij)
+        return (data.A1, data.A2, data.A3), cb.two_theta_candidates(phij)
+    except DensityLabError as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want, i):
+    """A batch outcome against scalar_outcome: same class, or same list."""
+    if isinstance(want, type):
+        assert got is want, (i, got, want)
+    else:
+        assert isinstance(got, list) and len(got) == len(want[1]), (i, got, want)
+        assert np.allclose(got, want[1], rtol=0.0, atol=1e-12), (i, got, want)
+
+
+def test_batch_matches_scalar_on_random_jets():
+    # the distribution of the calabi branches scenario
+    rng = random.Random(4242)
+    rows = [[rng.uniform(0.15, math.pi / 4 - 0.15)]
+            + [rng.uniform(-0.3, 0.3) for _ in range(5)] for _ in range(2000)]
+    phi = batch_of(rows, 2)
+    outcomes = cb.candidates_batch(phi)
+    status = BatchStatus(len(rows))
+    data = cb.compatibility_extract(phi, status)
+    assert len(outcomes) == len(rows)
+    for i, got in enumerate(outcomes):
+        want = scalar_outcome(rows, i, 2)
+        if isinstance(want, type):
+            assert got is want and status.errors[i] is want, i
+            continue
+        assert status.errors[i] is None
+        batch_coeffs = (data.A1[i], data.A2[i], data.A3[i])
+        assert np.allclose(batch_coeffs, want[0], rtol=0.0, atol=1e-12), i
+        assert_same_outcome(got, want, i)
+
+
+# one element per guard, each next to good jets; the scalar call on each
+# raises the class named here
+GUARDED_ROWS = [
+    ([0.9, 0.1, 0.0, 0.0, 0.0, 0.0], RangeViolation),       # phi > pi/4
+    ([-0.1, 0.1, 0.0, 0.0, 0.0, 0.0], RangeViolation),      # phi < 0
+    ([math.pi / 8, 0.0, 0.0, 0.0, 0.0, 0.0], DegenerateAllZero),  # constant phi
+    ([math.pi / 4 - 1e-7, 0.1, 0.05, 0.0, 0.0, 0.0], Singularity),   # radicand
+    ([math.pi / 4 - 1e-13, 0.1, 0.05, 0.0, 0.0, 0.0], SingularSystem),  # det
+]
+
+
+def test_batch_gives_each_element_the_class_the_scalar_call_raises():
+    good = [[PROBE_JET[s] for s in ("value", "dx", "dy", "dxx", "dxy", "dyy")],
+            [0.3, 0.2, -0.1, 0.05, 0.1, -0.2], [0.6, -0.25, 0.3, 0.0, 0.2, 0.1]]
+    rows = [good[0]]
+    for (row, _), extra in zip(GUARDED_ROWS, good[1:] * 3):
+        rows += [row, extra]
+    outcomes = cb.candidates_batch(batch_of(rows, 2))
+    seen = set()
+    for i, got in enumerate(outcomes):
+        want = scalar_outcome(rows, i, 2)
+        assert_same_outcome(got, want, i)
+        if isinstance(want, type):
+            seen.add(want)
+    assert seen == {cls for _, cls in GUARDED_ROWS}
+    assert outcomes[0] == pytest.approx(list(PROBE_CANDIDATES), abs=1e-12)
+
+
+def test_batch_without_status_raises_the_first_failure():
+    rows = [[0.3, 0.1, 0.0, 0.0, 0.0, 0.0], [0.9, 0.1, 0.0, 0.0, 0.0, 0.0]]
+    with np.errstate(all="ignore"):
+        with pytest.raises(RangeViolation, match=r"got 0\.9$"):
+            cb.compatibility_extract(batch_of(rows, 2))
+
+
+def test_batch_of_third_order_jets_matches_scalar():
+    rng = random.Random(77)
+    rows = [[rng.uniform(0.15, math.pi / 4 - 0.15)]
+            + [rng.uniform(-0.3, 0.3) for _ in range(9)] for _ in range(50)]
+    outcomes = cb.candidates_batch(batch_of(rows, 3))
+    for i, got in enumerate(outcomes):
+        assert_same_outcome(got, scalar_outcome(rows, i, 3), i)

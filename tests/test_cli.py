@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,6 +51,36 @@ def test_run_calabi_and_harmonic_modes():
                                        "params": params, "seed": 7})
         report = cli.run(sc)
         assert report["overall"] == "pass", (suite, mode, report["checks"])
+
+
+def test_calabi_branches_reports_used_and_skipped_trials():
+    sc = cli.Scenario.from_config({"suite": "calabi", "mode": "branches",
+                                   "params": {"trials": 30}, "seed": 3})
+    (check,) = cli.run(sc)["checks"]
+    assert check["status"] == "pass"
+    assert check["witness"].startswith("max count 2 over 30 trials; 30 used, ")
+
+
+class _BeyondRange:
+    """A stand-in for random.Random whose draws all lie above their interval."""
+
+    def __init__(self, seed):
+        pass
+
+    def uniform(self, lo, hi):
+        return hi + 1.0
+
+
+def test_calabi_branches_fails_when_no_trial_is_used(monkeypatch):
+    # every phi value lands above pi/4, so every trial raises RangeViolation
+    monkeypatch.setattr(cli, "random", SimpleNamespace(Random=_BeyondRange))
+    sc = cli.Scenario.from_config({"suite": "calabi", "mode": "branches",
+                                   "params": {"trials": 20}, "seed": 0})
+    report = cli.run(sc)
+    (check,) = report["checks"]
+    assert check["status"] == "fail" and report["overall"] == "fail"
+    assert check["witness"] == ("max count 0 over 20 trials; 0 used, "
+                                "20 skipped (RangeViolation 20)")
 
 
 def test_emit_field_csv_matches_density(tmp_path):

@@ -1,9 +1,9 @@
-"""Smoke test: the quick demos run to completion.
+"""Smoke test: every demo runs to completion.
 
-Demos 01, 02, 04 and 05 cover height reconstruction, throat periods, the
-exact harmonic calculus and the exact sphere-map factorization in a few
-seconds together.  Demo 03 takes about 24 s and joins this list once the
-Calabi batch path is faster (ROADMAP item 2).
+The five demos cover height reconstruction, throat periods, the Calabi
+compatibility search (its 2000 random jets run as one batch), the exact
+harmonic calculus and the exact sphere-map factorization in a few seconds
+together.
 """
 
 import os
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 QUICK_DEMOS = [
     "01_equal_area_minimal_graphs.py",
     "02_doubly_periodic_topology.py",
+    "03_band_metric_compatibility.py",
     "04_harmonic_polynomial_calculus.py",
     "05_constant_energy_sphere_maps.py",
 ]

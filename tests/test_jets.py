@@ -1,12 +1,17 @@
 """Jet algebra against finite-difference and algebraic oracles."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densitylab.errors import RangeViolation
 from densitylab.jets import (
+    BatchStatus,
     Jet,
+    guard,
     jet_acos,
     jet_asinh,
     jet_atan,
@@ -160,3 +165,97 @@ def test_integer_powers():
     assert (f ** -2).value == pytest.approx(1.7 ** -2)
     with pytest.raises(TypeError):
         f ** 0.5
+
+
+# ----------------------------------------------------------------------
+# array slots: a batch of jets, element by element like the scalar jets
+# ----------------------------------------------------------------------
+
+def random_rows(rng, n, lo, hi):
+    """n rows of ten slot values: the value in [lo, hi], partials in [-1, 1]."""
+    return [[rng.uniform(lo, hi)] + [rng.uniform(-1.0, 1.0) for _ in range(9)]
+            for _ in range(n)]
+
+
+def batch_of(rows):
+    return Jet(*np.array(rows).T, order=3)
+
+
+def assert_elementwise(batch, scalars, rel):
+    for slot in SLOTS3:
+        got = getattr(batch, slot)
+        want = np.array([getattr(j, slot) for j in scalars])
+        if rel == 0.0:
+            assert np.array_equal(got, want), slot
+        else:
+            assert np.allclose(got, want, rtol=rel, atol=rel), slot
+
+
+def test_array_ring_operations_match_scalar_jets():
+    rng = random.Random(11)
+    f_rows, g_rows = random_rows(rng, 40, 0.5, 2.0), random_rows(rng, 40, 0.5, 2.0)
+    F, G = batch_of(f_rows), batch_of(g_rows)
+    fs = [Jet(*r, order=3) for r in f_rows]
+    gs = [Jet(*r, order=3) for r in g_rows]
+    # the same float operations in the same order: bit for bit
+    assert_elementwise(F * G, [f * g for f, g in zip(fs, gs)], 0.0)
+    assert_elementwise(F + G, [f + g for f, g in zip(fs, gs)], 0.0)
+    assert_elementwise(F - 0.7 * G, [f - 0.7 * g for f, g in zip(fs, gs)], 0.0)
+    assert_elementwise(F ** 3, [f ** 3 for f in fs], 0.0)
+    assert_elementwise(2.0 - F, [2.0 - f for f in fs], 0.0)
+    # integer powers of the value go through numpy's power here
+    assert_elementwise(F / G, [f / g for f, g in zip(fs, gs)], 1e-13)
+    assert_elementwise(F ** -2, [f ** -2 for f in fs], 1e-13)
+    assert_elementwise(1.0 / F, [1.0 / f for f in fs], 1e-13)
+
+
+@pytest.mark.parametrize("jfn,lo,hi", [
+    (jet_sin, -3.0, 3.0), (jet_cos, -3.0, 3.0), (jet_sinh, -2.0, 2.0),
+    (jet_cosh, -2.0, 2.0), (jet_exp, -2.0, 2.0), (jet_log, 0.2, 3.0),
+    (jet_sqrt, 0.2, 3.0), (jet_asinh, -2.0, 2.0), (jet_atan, -2.0, 2.0),
+    (jet_acos, -0.8, 0.8),
+])
+def test_array_elementary_functions_match_scalar_jets(jfn, lo, hi):
+    rows = random_rows(random.Random(12), 40, lo, hi)
+    assert_elementwise(jfn(batch_of(rows)), [jfn(Jet(*r, order=3)) for r in rows],
+                       1e-13)
+
+
+def test_array_atan2_takes_each_elements_branch():
+    rng = random.Random(13)
+    # values on all four quadrants, on both sides of the diagonal
+    y_rows, x_rows = random_rows(rng, 60, -2.0, 2.0), random_rows(rng, 60, -2.0, 2.0)
+    got = jet_atan2(batch_of(y_rows), batch_of(x_rows))
+    want = [jet_atan2(Jet(*y, order=3), Jet(*x, order=3))
+            for y, x in zip(y_rows, x_rows)]
+    assert_elementwise(got, want, 1e-12)
+
+
+def test_floats_and_arrays_mix_within_one_jet():
+    # an order-2 batch keeps its third-order slots as float zeros
+    X = Jet(np.array([0.3, 0.9]), dx=1.0, order=2)
+    prod = jet_sin(X) * X
+    assert prod.dxxx == 0.0 and isinstance(prod.dxxx, float)
+    for i, x in enumerate((0.3, 0.9)):
+        s = jet_sin(Jet(x, dx=1.0, order=2)) * Jet(x, dx=1.0, order=2)
+        for slot in SLOTS2:
+            assert getattr(prod, slot)[i] == pytest.approx(getattr(s, slot),
+                                                           rel=1e-14, abs=1e-15)
+
+
+def test_guard_records_the_first_failure_and_masks_the_element():
+    status = BatchStatus(4)
+    guard(np.array([False, True, False, False]), RangeViolation, "x", status=status)
+    guard(np.array([False, True, True, False]), ZeroDivisionError, "y",
+          status=status)
+    assert status.errors == [None, RangeViolation, ZeroDivisionError, None]
+    assert status.failed.tolist() == [False, True, True, False]
+
+
+def test_guard_without_status_raises():
+    with pytest.raises(RangeViolation, match="got 2.5"):
+        guard(True, RangeViolation, "got {}", 2.5)
+    guard(False, RangeViolation, "got {}", 2.5)
+    with pytest.raises(RangeViolation, match="got 3.0"):
+        guard(np.array([False, True]), RangeViolation, "got {}",
+              np.array([1.0, 3.0]))
