@@ -18,7 +18,10 @@ produces the obstruction A1 cos(2 theta) + A2 sin(2 theta) + A3 = 0.
 The closed forms of w_i and A_i are never derived symbolically here (the
 expression swell is the reason they are unprinted anywhere); instead they
 are extracted exactly by probing the affine structure at three angles, with
-every derivative taken analytically through the jet algebra.
+every derivative taken analytically through the jet algebra.  One pipeline
+probes on jets: on phi's 2-jet it gives the values of w_i and A_i
+(:func:`compatibility_extract`), on its 3-jet it gives the A_i as 1-jets,
+whose derivatives :func:`third_order_residual` needs.
 
 The pipeline from phi's jet to the candidate angles is one implementation
 for a single jet and for a batch (a jet whose slots are arrays, see
@@ -123,11 +126,10 @@ def band_metric(F: Jet) -> tuple[float, float]:
     if F.order < 1:
         raise ParamViolation("F jet must carry first derivatives")
     fx, fy = F.dx, F.dy
-    if abs(fx * fy) < TOL_SING:
-        raise Singularity("F_x F_y vanishes; band metric undefined")
+    guard(abs(fx * fy) < TOL_SING, Singularity,
+          "F_x F_y vanishes; band metric undefined")
     f = (1.0 - fx * fx - fy * fy) / (2.0 * fx * fy)
-    if abs(f) >= 1.0:
-        raise NotPositiveDefinite(f"|f| = {abs(f)} >= 1")
+    guard(abs(f) >= 1.0, NotPositiveDefinite, "|f| = {} >= 1", abs(f))
     r = _radicand(fx, fy)
     density = 2.0 * fx * fy / math.sqrt(r)
     return f, density
@@ -161,13 +163,19 @@ def psi_components(g: GradientPair) -> tuple[float, float]:
     return px, py
 
 
+def _psi_numerators(p, q):
+    """The numerators (N1, N2) of psi, on jets or floats."""
+    n1 = (p ** 4 - q ** 4 - 2.0 * p * p + 1.0) * p
+    n2 = -(q ** 4 - p ** 4 - 2.0 * q * q + 1.0) * q
+    return n1, n2
+
+
 def _psi_raw(p, q):
     """psi components on jets or floats, no range guard."""
     r = _radicand(p, q)
     rv = r.value if isinstance(r, Jet) else r
     guard(rv <= TOL_SING, Singularity, "radicand {} at the boundary conic", rv)
-    n1 = (p ** 4 - q ** 4 - 2.0 * p * p + 1.0) * p
-    n2 = -(q ** 4 - p ** 4 - 2.0 * q * q + 1.0) * q
+    n1, n2 = _psi_numerators(p, q)
     if isinstance(r, Jet):
         den = jet_sqrt(r)
         den3 = den * den * den
@@ -232,8 +240,7 @@ def _closedness_solve(phi: Jet, theta: float, status: BatchStatus | None = None)
     r = _radicand(p, q)
     guard(r.value <= TOL_SING, Singularity, "radicand vanished along the probe",
           status=status)
-    n1 = (p ** 4 - q ** 4 - 2.0 * p * p + 1.0) * p
-    n2 = -(q ** 4 - p ** 4 - 2.0 * q * q + 1.0) * q
+    n1, n2 = _psi_numerators(p, q)
     n1_p = 5.0 * p ** 4 - q ** 4 - 6.0 * p * p + 1.0
     n1_q = -4.0 * q ** 3 * p
     n2_p = 4.0 * p ** 3 * q
@@ -278,56 +285,62 @@ def theta_gradient_calabi(phi: Jet, theta: float) -> tuple[float, float]:
 _PROBES_2T = (0.0, 0.5 * math.pi, math.pi)  # probe values of 2*theta
 
 
-def _omega_jets(phi: Jet, status: BatchStatus | None = None):
-    """The three 1-form coefficient jets (w1, w2, w3), each an (x, y) pair."""
+def _affine_from_probes(at_0, at_half_pi, at_pi):
+    """(a, b, c) of a cos(t) + b sin(t) + c from its values at _PROBES_2T."""
+    c = 0.5 * (at_0 + at_pi)
+    return 0.5 * (at_0 - at_pi), at_half_pi - c, c
+
+
+def _obstruction_jets(phi: Jet, status: BatchStatus | None = None):
+    """The 1-forms (w1, w2, w3) and the obstruction (A1, A2, A3), as jets.
+
+    Each w_i is an (x, y) pair of jets of order phi.order - 1, probed from
+    d(2 theta) at 2 theta in {0, pi/2, pi}; the A_i are jets of order
+    phi.order - 2, probed at the same angles from the total 2-form
+
+        T(t) = cos(t) (dw1 - w2^w3) + sin(t) (dw2 + w1^w3) + (dw3 + w1^w2),
+
+    the dx^dy coefficient of d(d 2theta) after substituting the affine
+    expression for d(2 theta).  The guards record into status when one is
+    given.
+    """
     g = []
     for t2 in _PROBES_2T:
         tx, ty = _closedness_solve(phi, 0.5 * t2, status)
         g.append((2.0 * tx, 2.0 * ty))
-    w1 = tuple(0.5 * (g[0][i] - g[2][i]) for i in range(2))
-    w3 = tuple(0.5 * (g[0][i] + g[2][i]) for i in range(2))
-    w2 = tuple(g[1][i] - w3[i] for i in range(2))
-    return w1, w2, w3
+    w1, w2, w3 = zip(*(_affine_from_probes(*(gt[i] for gt in g))
+                       for i in range(2)))
+    k = phi.order - 2
+
+    def d(w):
+        # exterior derivative coefficient of w = wx dx + wy dy
+        return w[1].deriv("x") - w[0].deriv("y")
+
+    def wedge(u, v):
+        return (u[0] * v[1] - u[1] * v[0]).truncate(k)
+
+    cos_part = d(w1) - wedge(w2, w3)
+    sin_part = d(w2) + wedge(w1, w3)
+    const_part = d(w3) + wedge(w1, w2)
+    A = _affine_from_probes(*(math.cos(t2) * cos_part + math.sin(t2) * sin_part
+                              + const_part for t2 in _PROBES_2T))
+    return (w1, w2, w3), A
 
 
 def compatibility_extract(phi: Jet, status: BatchStatus | None = None
                           ) -> CompatibilityData:
     """Recover the affine data (w_i, A_i) of the angle compatibility system.
 
-    w_i come from probing d(2 theta) at 2 theta in {0, pi/2, pi}; the
-    obstruction coefficients come from probing the total 2-form
-
-        T(t) = cos(t) (dw1 - w2^w3) + sin(t) (dw2 + w1^w3) + (dw3 + w1^w2)
-
-    at the same angles, which is exactly the dx^dy coefficient of
-    d(d 2theta) after substituting the affine expression for d(2 theta).
-    For a batch phi every field holds one entry per element; with a status,
-    guards record and mask instead of raising.
+    The values of :func:`_obstruction_jets` run on phi's 2-jet; higher
+    derivatives of phi do not enter.  For a batch phi every field holds one
+    entry per element; with a status, guards record and mask instead of
+    raising.
     """
     if phi.order < 2:
         raise ParamViolation("phi jet must carry second derivatives")
-    w1, w2, w3 = _omega_jets(phi, status)
-
-    def d_of(w):
-        # exterior derivative coefficient of w = wx dx + wy dy
-        return w[1].dx - w[0].dy
-
-    def wedge(u, v):
-        return u[0].value * v[1].value - u[1].value * v[0].value
-
-    t_at = {}
-    for t2 in _PROBES_2T:
-        t_at[t2] = (math.cos(t2) * (d_of(w1) - wedge(w2, w3))
-                    + math.sin(t2) * (d_of(w2) + wedge(w1, w3))
-                    + (d_of(w3) + wedge(w1, w2)))
-    A1 = 0.5 * (t_at[0.0] - t_at[math.pi])
-    A3 = 0.5 * (t_at[0.0] + t_at[math.pi])
-    A2 = t_at[0.5 * math.pi] - A3
-
-    def vals(w):
-        return (w[0].value, w[1].value)
-
-    return CompatibilityData(vals(w1), vals(w2), vals(w3), A1, A2, A3)
+    w, A = _obstruction_jets(phi.truncate(2), status)
+    return CompatibilityData(*((wx.value, wy.value) for wx, wy in w),
+                             *(a.value for a in A))
 
 
 def two_theta_candidates(phi: Jet) -> list[float]:
@@ -356,6 +369,19 @@ def candidates_batch(phi: Jet) -> list:
     return [c if err is None else err for c, err in zip(cands, status.errors)]
 
 
+def _branch_angles(base, beta):
+    """The ten angles (base + sign beta)/2 + k pi as (sign, angle) pairs.
+
+    sign runs over (1, -1) and k over -2..2, in this fixed order, which both
+    branch searches rely on; base and beta are floats, or arrays with one
+    entry per element of a batch.
+    """
+    for sign in (1.0, -1.0):
+        t2 = base + sign * beta
+        for k in (-2, -1, 0, 1, 2):
+            yield sign, 0.5 * t2 + k * math.pi
+
+
 def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
                                  status: BatchStatus | None = None) -> list:
     """Range-filtered solutions of A1 cos(2th) + A2 sin(2th) + A3 = 0.
@@ -375,17 +401,15 @@ def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
     base = m.atan2(A2, A1)
     beta = m.acos(m.maximum(-1.0, m.minimum(1.0, -A3 / amp)))
     half_window = math.pi / 2.0 - phi_value
-    # the ten angles in a fixed order; each is kept when it lies in the
-    # window and is not within 1e-9 of an angle kept before it
+    # each angle is kept when it lies in the window and is not within 1e-9
+    # of an angle kept before it
     ths, keeps = [], []
-    for t2 in (base + beta, base - beta):
-        for k in (-2, -1, 0, 1, 2):
-            th = 0.5 * t2 + k * math.pi
-            keep = real & (abs(th) < half_window)
-            for o, kept in zip(ths, keeps):
-                keep = keep & (~kept | (abs(th - o) > 1e-9))
-            ths.append(th)
-            keeps.append(keep)
+    for _, th in _branch_angles(base, beta):
+        keep = real & (abs(th) < half_window)
+        for o, kept in zip(ths, keeps):
+            keep = keep & (~kept | (abs(th - o) > 1e-9))
+        ths.append(th)
+        keeps.append(keep)
     if not batch:
         out = sorted(th for th, kept in zip(ths, keeps) if kept)
         guard(len(out) > 2, ParamViolation, "impossible candidate count {}", len(out))
@@ -412,49 +436,24 @@ def third_order_residual(phi: Jet, theta_branch: float) -> tuple[float, float]:
     """
     if phi.order < 3:
         raise ParamViolation("phi jet must carry third derivatives")
-
-    # obstruction coefficients as order-1 jets: rebuild the probe pipeline
-    # one order higher, so each T(probe) is itself a jet
-    w1, w2, w3 = _omega_jets(phi)          # order-2 component jets
-
-    def d_of_jet(w):
-        return w[1].deriv("x") - w[0].deriv("y")
-
-    def wedge_jet(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    t_jets = {}
-    for t2 in _PROBES_2T:
-        t_jets[t2] = (math.cos(t2) * (d_of_jet(w1) - wedge_jet(w2, w3).truncate(1))
-                      + math.sin(t2) * (d_of_jet(w2) + wedge_jet(w1, w3).truncate(1))
-                      + (d_of_jet(w3) + wedge_jet(w1, w2).truncate(1)))
-    A1 = 0.5 * (t_jets[0.0] - t_jets[math.pi])
-    A3 = 0.5 * (t_jets[0.0] + t_jets[math.pi])
-    A2 = t_jets[0.5 * math.pi] - A3
+    (w1, w2, w3), (A1, A2, A3) = _obstruction_jets(phi)
 
     amp2 = A1 * A1 + A2 * A2
-    if amp2.value < TOL_SING:
-        raise DegenerateAllZero("A1 = A2 = 0 within tolerance")
+    guard(amp2.value < TOL_SING, DegenerateAllZero, "A1 = A2 = 0 within tolerance")
     amp = jet_sqrt(amp2)
     ratio = -A3 / amp
-    if 1.0 - ratio.value ** 2 < 1e-10:
-        raise BranchCollision("candidate branches merge (acos argument at +-1)")
+    guard(1.0 - ratio.value ** 2 < 1e-10, BranchCollision,
+          "candidate branches merge (acos argument at +-1)")
     base = jet_atan2(A2, A1)
     beta = jet_acos(ratio)
 
-    # pick the branch matching the requested angle value
-    best = None
-    for sign in (1.0, -1.0):
-        t2_jet = base + sign * beta
-        for k in (-2, -1, 0, 1, 2):
-            th = 0.5 * t2_jet.value + k * math.pi
-            err = abs(th - theta_branch)
-            if best is None or err < best[0]:
-                best = (err, t2_jet)
-    if best[0] > 1e-6:
-        raise ParamViolation(
-            f"theta_branch {theta_branch} is not a candidate of this jet")
-    t2_jet = best[1]
+    # the branch whose angle lies nearest the requested one (first if tied)
+    err, sign = min(((abs(th - theta_branch), sign)
+                     for sign, th in _branch_angles(base.value, beta.value)),
+                    key=lambda pick: pick[0])
+    guard(err > 1e-6, ParamViolation,
+          "theta_branch {} is not a candidate of this jet", theta_branch)
+    t2_jet = base + sign * beta
 
     c2, s2 = math.cos(t2_jet.value), math.sin(t2_jet.value)
     rx = t2_jet.dx - (c2 * w1[0].value + s2 * w2[0].value + w3[0].value)

@@ -291,9 +291,6 @@ class Jet:
                        self.dyyy, order=self.order - 1)
         raise ValueError(f"unknown coordinate {name!r}")
 
-    def gradient(self) -> tuple[float, float]:
-        return self.dx, self.dy
-
 
 # ----------------------------------------------------------------------
 # elementary functions on jets

@@ -537,7 +537,7 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     # floating spectral factorization
     Gf = G.to_float()
     w, V = np.linalg.eigh(Gf)
-    rank = G.rank()
+    rank = len(steps)  # the PSD elimination stops at the rank
     order = np.argsort(w)[::-1]
     comps_f = []
     for idx in order[:rank]:

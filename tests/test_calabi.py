@@ -24,6 +24,9 @@ PROBE_JET = dict(value=math.pi / 8, dx=0.1, dy=0.0, dxx=0.0, dxy=0.0, dyy=0.04)
 # frozen from the first exact-probing run of compatibility_extract
 PROBE_A = (0.96000000000000996, 0.080000000000018778, -0.50911688245432418)
 PROBE_CANDIDATES = (-0.46541227489846387, 0.54855350678692372)
+# third_order_residual of the order-3 probe jet, one pair per candidate
+PROBE_RESIDUALS = ((1.3479016785797233, 1.0904389757489537),
+                   (0.40106383866160494, 1.0240541299233676))
 
 
 def probe_jet(order=3):
@@ -200,6 +203,19 @@ def test_compatibility_extract_probe_fixture():
     assert max(abs(a) for a in PROBE_A) > 1e-3  # genuinely nonzero obstruction
 
 
+def test_compatibility_extract_reads_only_the_two_jet():
+    def bits(data):
+        return [v.hex() for v in (*data.omega1, *data.omega2, *data.omega3,
+                                  data.A1, data.A2, data.A3)]
+
+    rng = random.Random(303)
+    for _ in range(20):
+        phij = Jet(rng.uniform(0.15, math.pi / 4 - 0.15),
+                   *(rng.uniform(-0.3, 0.3) for _ in range(9)), order=3)
+        assert bits(cb.compatibility_extract(phij)) == \
+            bits(cb.compatibility_extract(phij.truncate(2)))
+
+
 def test_gradient_holonomy_matches_obstruction():
     # Green's-theorem oracle: transporting theta around a small square picks
     # up (A1 cos 2th + A2 sin 2th + A3) * area / 2 to leading order
@@ -322,6 +338,13 @@ def test_third_order_residual_generic_probe():
     assert any(abs(rx) + abs(ry) > 1e-6 for rx, ry in residuals)
 
 
+def test_third_order_residual_probe_fixture():
+    phij = probe_jet(order=3)
+    got = tuple(cb.third_order_residual(phij, th)
+                for th in cb.two_theta_candidates(phij))
+    assert got == PROBE_RESIDUALS
+
+
 def test_third_order_residual_stable_under_jet_perturbation():
     phij = probe_jet(order=3)
     th = cb.two_theta_candidates(phij)[0]
@@ -337,6 +360,11 @@ def test_third_order_residual_stable_under_jet_perturbation():
 def test_third_order_residual_rejects_foreign_angle():
     with pytest.raises(ParamViolation):
         cb.third_order_residual(probe_jet(order=3), 1.5)
+
+
+def test_third_order_residual_constant_phi_is_degenerate():
+    with pytest.raises(DegenerateAllZero):
+        cb.third_order_residual(Jet(math.pi / 8, order=3), 0.1)
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_emit_field_csv_matches_density(tmp_path):
                  "nx": 5, "ny": 4}})
     path = cli.emit_field_csv(sc, "F", tmp_path / "f.csv")
     fam = mg.HeliCatenoid(math.pi / 4)
-    rows = list(csv.DictReader(path.open()))
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert rows, "csv should have data rows"
     prev_y = None
     for row in rows:
@@ -111,7 +111,7 @@ def test_emit_field_json_matches_csv(tmp_path):
     csv_path = cli.emit_field_csv(sc, "F", tmp_path / "f.csv")
     json_path = cli.emit_field_json(sc, "F", tmp_path / "f.json")
     doc = json.loads(json_path.read_text())
-    csv_rows = list(csv.DictReader(csv_path.open()))
+    csv_rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(doc["rows"]) == len(csv_rows) == 12
     for (x, y, v), row in zip(doc["rows"], csv_rows):
         assert x == pytest.approx(float(row["x"]))
@@ -125,7 +125,7 @@ def test_emit_field_csv_constant_family(tmp_path):
         "grid": {"x_min": -1, "x_max": 1, "y_min": -1, "y_max": 1,
                  "nx": 4, "ny": 4}})
     path = cli.emit_field_csv(sc, "F", tmp_path / "c.csv")
-    values = {row["F"] for row in csv.DictReader(path.open())}
+    values = {row["F"] for row in csv.DictReader(path.read_text().splitlines())}
     assert values == {"2.5"}
 
 
@@ -137,7 +137,7 @@ def test_emit_field_csv_discriminant_positive(tmp_path):
         "grid": {"x_min": -2.0, "x_max": 2.0, "y_min": 0.0,
                  "y_max": 2 * math.pi, "nx": 12, "ny": 12}})
     path = cli.emit_field_csv(sc, "P", tmp_path / "p.csv")
-    rows = list(csv.DictReader(path.open()))
+    rows = list(csv.DictReader(path.read_text().splitlines()))
     assert rows
     assert all(float(r["P"]) > 0.0 for r in rows)
 
