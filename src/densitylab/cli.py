@@ -38,7 +38,7 @@ import numpy as np
 
 from . import calabi, harmonic, minimal_graphs as mg, sphere_maps as sm
 from .errors import DensityLabError, UsageError
-from .jets import Jet
+from .jets import BatchStatus, Jet, masked_errstate
 
 SUITES = {
     "families": ("verify", "sample", "period", "winding"),
@@ -121,6 +121,27 @@ def _grid_points(grid: dict, defaults: tuple[float, float, float, float, int, in
     return xs, ys
 
 
+def _numbers(name: str, value, length: int | None = None) -> list:
+    """value itself if it is a non-empty list of real numbers (of the given
+    length); UsageError otherwise."""
+    ok = (isinstance(value, (list, tuple)) and len(value) > 0
+          and (length is None or len(value) == length)
+          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in value))
+    if not ok:
+        size = "a non-empty list" if length is None else f"a list of {length}"
+        raise UsageError(f"{name} must be {size} real numbers, got {value!r}")
+    return value
+
+
+def _pairs(params: dict) -> list:
+    """The (a, c) pairs of a period or winding scenario, checked."""
+    pairs = params.get("pairs", [[1.0, 1.0], [0.8, 0.5]])
+    if not (isinstance(pairs, (list, tuple)) and pairs):
+        raise UsageError(f"pairs must be a non-empty list of [a, c], got {pairs!r}")
+    return [_numbers("each pair", pair, 2) for pair in pairs]
+
+
 def _family_from_params(params: dict) -> mg.DensityFamily:
     kind = params.get("family", "scherk")
     if kind == "constant":
@@ -139,54 +160,66 @@ def _family_from_params(params: dict) -> mg.DensityFamily:
 # families suite
 # ----------------------------------------------------------------------
 
+def _grid(*axes) -> list[np.ndarray]:
+    """The points of the product grid of the axes, the last axis fastest."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
 def _families_verify(sc: Scenario) -> list[dict]:
     tol = sc.tolerances
     checks = []
-    # Scherk: closed-form jets on a grid, density identity and residual
+    # Scherk: closed-form jets on a psi x x x y grid, as one batch
     xs, ys = _grid_points(sc.grid, (0.5, 3.0, 0.0, 2.0 * math.pi, 25, 25))
-    psis = sc.params.get("psi_values", [0.0, 0.7, 1.4, 2.1, 2.8])
-    worst_res, worst_den, at = 0.0, 0.0, None
-    for psi in psis:
-        for x in xs:
-            for y in ys:
-                uj = mg.scherk_u_jet(x, y, psi, order=2)
-                r = abs(mg.minimal_residual(uj))
-                d = abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - 1.0 / math.tanh(x) ** 2)
-                if r > worst_res:
-                    worst_res, at = r, (psi, x, y)
-                worst_den = max(worst_den, d)
+    psis = _numbers("psi_values",
+                    sc.params.get("psi_values", [0.0, 0.7, 1.4, 2.1, 2.8]))
+    psi, x, y = _grid(psis, xs, ys)
+    uj = mg.scherk_u_jet(x, y, psi, order=2)
+    r = np.abs(mg.minimal_residual(uj))
+    d = np.abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - 1.0 / np.tanh(x) ** 2)
+    # the first largest residual in psi, x, y loop order; none if all are 0
+    k = int(np.argmax(r))
+    worst_res, worst_den = float(r[k]), float(np.max(d))
+    at = None
+    if worst_res > 0.0:
+        i, j, l = np.unravel_index(k, (len(psis), len(xs), len(ys)))
+        at = (psis[i], xs[j], ys[l])
     checks.append(_check("scherk_minimal_residual", worst_res < tol["algebraic"],
                          worst_res, witness=str(at)))
     checks.append(_check("scherk_density_identity", worst_den < 1e-10, worst_den))
 
-    # doubly periodic: first integrals and closure system on a grid
+    # doubly periodic: first integrals and closure system on the grid points
+    # of the domain, as one batch
     fam = mg.DoublyPeriodic(float(sc.params.get("a", 1.0)),
                             float(sc.params.get("c", 1.0)))
-    vals = []
-    worst_sys = 0.0
-    for x in [0.2 + 0.15 * i for i in range(12)]:
-        for y in [-1.0 + 0.17 * j for j in range(12)]:
-            if not fam.contains(x, y):
-                continue
-            C = mg.family_C_jet(fam, x, y)
-            fi = mg.first_integrals(C)
-            vals.append((fi.a1, fi.a2, fi.a3))
-            worst_sys = max(worst_sys, max(abs(v) for v in mg.c_system_residual(C)))
-    spread = max(max(v) - min(v) for v in zip(*vals))
-    checks.append(_check("dp_first_integral_spread",
-                         spread < tol["integral_spread"], spread))
-    checks.append(_check("dp_closure_system", worst_sys < 1e-10, worst_sys))
+    fam.validate()
+    x, y = _grid([0.2 + 0.15 * i for i in range(12)],
+                 [-1.0 + 0.17 * j for j in range(12)])
+    inside = fam.contains(x, y)
+    if inside.any():
+        C = mg.family_C_jet(fam, x[inside], y[inside])
+        fi = mg.first_integrals(C)
+        spread = max(float(np.ptp(v)) for v in (fi.a1, fi.a2, fi.a3))
+        worst_sys = max(float(np.max(np.abs(v))) for v in mg.c_system_residual(C))
+        checks.append(_check("dp_first_integral_spread",
+                             spread < tol["integral_spread"], spread))
+        checks.append(_check("dp_closure_system", worst_sys < 1e-10, worst_sys))
+    else:
+        empty = "no point of the 12 x 12 grid lies in the domain"
+        checks.append(_check("dp_first_integral_spread", False, witness=empty))
+        checks.append(_check("dp_closure_system", False, witness=empty))
 
-    # heli-catenoid: both branches solve the slope relation on probes
+    # heli-catenoid: both branches solve the slope relation on four probes,
+    # as one batch; validating first keeps the scalar loop's error order
     heli = mg.HeliCatenoid(float(sc.params.get("phi", math.pi / 4)))
+    heli.validate()
+    mj = mg.mu_jet(heli, np.array([1.0, 0.8, 1.4, 2.0]),
+                   np.array([0.2, -0.5, 1.0, 0.0]))
+    data = mg.compatibility_data(mj)
     worst_plug = 0.0
-    for (x, y) in [(1.0, 0.2), (0.8, -0.5), (1.4, 1.0), (2.0, 0.0)]:
-        mj = mg.mu_jet(heli, x, y)
-        data = mg.compatibility_data(mj)
-        for c2, s2 in mg.two_theta_solutions(mj):
-            plug = abs(data.coef_cos * c2 + data.coef_sin * s2 - data.rhs)
-            unit = abs(c2 * c2 + s2 * s2 - 1.0)
-            worst_plug = max(worst_plug, plug, unit)
+    for c2, s2 in mg.two_theta_solutions(mj):
+        plug = np.abs(data.coef_cos * c2 + data.coef_sin * s2 - data.rhs)
+        unit = np.abs(c2 * c2 + s2 * s2 - 1.0)
+        worst_plug = max(worst_plug, float(np.max(plug)), float(np.max(unit)))
     checks.append(_check("heli_branch_residual", worst_plug < tol["algebraic"],
                          worst_plug))
     return checks
@@ -194,7 +227,7 @@ def _families_verify(sc: Scenario) -> list[dict]:
 
 def _families_period(sc: Scenario) -> list[dict]:
     tol = sc.tolerances
-    pairs = sc.params.get("pairs", [[1.0, 1.0], [0.8, 0.5]])
+    pairs = _pairs(sc.params)
     checks = []
     for (a, c) in pairs:
         tag = f"a={a},c={c}"
@@ -217,7 +250,7 @@ def _families_period(sc: Scenario) -> list[dict]:
 
 def _families_winding(sc: Scenario) -> list[dict]:
     tol = sc.tolerances
-    pairs = sc.params.get("pairs", [[1.0, 1.0], [0.8, 0.5]])
+    pairs = _pairs(sc.params)
     R = float(sc.params.get("rectangle_half_width", 8.0))
     checks = []
     for (a, c) in pairs:
@@ -236,46 +269,53 @@ def _families_winding(sc: Scenario) -> list[dict]:
     return checks
 
 
-def _field_value(fam: mg.DensityFamily, name: str, x: float, y: float):
-    if not fam.contains(x, y):
-        return None
+_SLOPE_FIELDS = {"cos2theta_plus": (0, 0), "sin2theta_plus": (0, 1),
+                 "cos2theta_minus": (1, 0), "sin2theta_minus": (1, 1)}
+_FIELDS = ("F", "P", "Delta", *_SLOPE_FIELDS)
+
+
+def _field_values(fam: mg.DensityFamily, name: str, x: np.ndarray, y: np.ndarray,
+                  status: BatchStatus) -> np.ndarray:
+    """The field at domain points, as one batch; status masks the points
+    where a guard fails."""
     if name == "F":
-        return mg.density_value(fam, x, y)
-    if name in ("P", "Delta", "cos2theta_plus", "sin2theta_plus",
-                "cos2theta_minus", "sin2theta_minus"):
-        mj = mg.mu_jet(fam, x, y)
-        data = mg.compatibility_data(mj)
-        if name == "P":
-            return data.P
-        if name == "Delta":
-            return data.Delta
-        try:
-            plus, minus = mg.two_theta_solutions(mj)
-        except DensityLabError:
-            return None
-        pick = {"cos2theta_plus": plus[0], "sin2theta_plus": plus[1],
-                "cos2theta_minus": minus[0], "sin2theta_minus": minus[1]}
-        return pick[name]
-    raise UsageError(f"unknown field {name!r}")
+        values = mg.density_value(fam, x, y)
+    else:
+        mj = mg.mu_jet(fam, x, y, status=status)
+        if name in _SLOPE_FIELDS:
+            branch, part = _SLOPE_FIELDS[name]
+            values = mg.two_theta_solutions(mj, status)[branch][part]
+        else:
+            with masked_errstate(status):
+                data = mg.compatibility_data(mj)
+            values = data.P if name == "P" else data.Delta
+    return np.broadcast_to(values, x.shape)
 
 
-def _field_rows(sc: Scenario, field_name: str) -> list[list[float]]:
-    """[x, y, value] over the scenario grid in y-major order, where defined."""
+def _field_rows(sc: Scenario, field_name: str) -> tuple[list[list[float]], Counter]:
+    """[x, y, value] over the scenario grid in y-major order, where defined,
+    and the number of dropped grid points per reason."""
+    if field_name not in _FIELDS:
+        raise UsageError(f"unknown field {field_name!r}")
     fam = _family_from_params(sc.params)
     xs, ys = _grid_points(sc.grid, (0.5, 3.0, 0.0, 2.0 * math.pi, 40, 40))
-    rows = []
-    for y in ys:
-        for x in xs:
-            v = _field_value(fam, field_name, x, y)
-            if v is not None:
-                rows.append([x, y, v])
-    return rows
+    y, x = _grid(ys, xs)
+    inside = np.broadcast_to(fam.contains(x, y), x.shape)
+    x, y = x[inside], y[inside]
+    status = BatchStatus(x.size)
+    values = _field_values(fam, field_name, x, y, status)
+    ok = ~status.failed
+    rows = np.column_stack((x[ok], y[ok], values[ok])).tolist()
+    dropped = Counter({"outside the domain": int(np.sum(~inside))})
+    dropped.update(err.__name__ for err in status.errors if err is not None)
+    return rows, +dropped
 
 
-def emit_field_csv(sc: Scenario, field_name: str, out_path: Path) -> Path:
-    """Write a grid field as CSV (columns x, y, value; y-major rows)."""
-    rows = _field_rows(sc, field_name)
+def _write_field(rows: list, field_name: str, out_path: Path, fmt: str) -> Path:
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    if fmt == "json":
+        out_path.write_text(json.dumps({"field": field_name, "rows": rows}) + "\n")
+        return out_path
     with out_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", field_name])
@@ -284,22 +324,27 @@ def emit_field_csv(sc: Scenario, field_name: str, out_path: Path) -> Path:
     return out_path
 
 
+def emit_field_csv(sc: Scenario, field_name: str, out_path: Path) -> Path:
+    """Write a grid field as CSV (columns x, y, value; y-major rows)."""
+    return _write_field(_field_rows(sc, field_name)[0], field_name, out_path, "csv")
+
+
 def emit_field_json(sc: Scenario, field_name: str, out_path: Path) -> Path:
     """Same grid field as a JSON document (rows in y-major order)."""
-    rows = _field_rows(sc, field_name)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps({"field": field_name, "rows": rows}) + "\n")
-    return out_path
+    return _write_field(_field_rows(sc, field_name)[0], field_name, out_path, "json")
 
 
 def _families_sample(sc: Scenario, out_dir: Path,
                      fmt: str = "csv") -> tuple[list[dict], list[str]]:
     name = sc.params.get("field", "F")
-    if fmt == "json":
-        path = emit_field_json(sc, name, out_dir / f"field_{name}.json")
-    else:
-        path = emit_field_csv(sc, name, out_dir / f"field_{name}.csv")
-    return [_check(f"sample_emitted[{name}]", True, witness=str(path))], [str(path)]
+    fmt = "json" if fmt == "json" else "csv"
+    rows, dropped = _field_rows(sc, name)
+    path = _write_field(rows, name, out_dir / f"field_{name}.{fmt}", fmt)
+    witness = f"{path}; {sum(dropped.values())} grid points dropped"
+    if dropped:
+        witness += " (" + ", ".join(f"{reason} {k}" for reason, k
+                                    in sorted(dropped.items())) + ")"
+    return [_check(f"sample_emitted[{name}]", True, witness=witness)], [str(path)]
 
 
 # ----------------------------------------------------------------------

@@ -26,13 +26,17 @@ abort the others, so every guard that sees jet values goes through
 that fails, the exception class the scalar call would raise, and masks the
 element: its outcome stays fixed at that first failure, later guards skip
 it, and its numbers, which may be inf or nan from then on, are never
-reported.  Without a status the guard raises, on floats as always and on a
-batch as soon as any element fails (with that element's scalar message).
+reported (:func:`masked_errstate` silences numpy's warnings about them).
+The status also keeps each failed element's scalar exception, message
+included (:meth:`BatchStatus.exception`).  Without a status the guard raises,
+on floats as always and on a batch as soon as any element fails (with that
+element's scalar message).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,22 +44,22 @@ import numpy as np
 _SLOTS = ("value", "dx", "dy", "dxx", "dxy", "dyy", "dxxx", "dxxy", "dxyy", "dyyy")
 
 _MATH = SimpleNamespace(
-    sin=math.sin, cos=math.cos, sinh=math.sinh, cosh=math.cosh, exp=math.exp,
-    log=math.log, sqrt=math.sqrt, asinh=math.asinh, atan=math.atan,
-    acos=math.acos, atan2=math.atan2, hypot=math.hypot, maximum=max,
-    minimum=min)
+    sin=math.sin, cos=math.cos, sinh=math.sinh, cosh=math.cosh, tanh=math.tanh,
+    exp=math.exp, log=math.log, sqrt=math.sqrt, asinh=math.asinh,
+    atan=math.atan, acos=math.acos, atan2=math.atan2, hypot=math.hypot,
+    fmod=math.fmod, maximum=max, minimum=min)
 _NUMPY = SimpleNamespace(
-    sin=np.sin, cos=np.cos, sinh=np.sinh, cosh=np.cosh, exp=np.exp,
-    log=np.log, sqrt=np.sqrt, asinh=np.arcsinh, atan=np.arctan,
-    acos=np.arccos, atan2=np.arctan2, hypot=np.hypot, maximum=np.maximum,
-    minimum=np.minimum)
+    sin=np.sin, cos=np.cos, sinh=np.sinh, cosh=np.cosh, tanh=np.tanh,
+    exp=np.exp, log=np.log, sqrt=np.sqrt, asinh=np.arcsinh, atan=np.arctan,
+    acos=np.arccos, atan2=np.arctan2, hypot=np.hypot, fmod=np.fmod,
+    maximum=np.maximum, minimum=np.minimum)
 
 
 def math_for(*values):
     """The elementary functions for these values: numpy if any is an array.
 
-    Both namespaces offer sin, cos, sinh, cosh, exp, log, sqrt, asinh, atan,
-    acos, atan2, hypot and two-argument maximum and minimum.
+    Both namespaces offer sin, cos, sinh, cosh, tanh, exp, log, sqrt, asinh,
+    atan, acos, atan2, hypot, fmod and two-argument maximum and minimum.
     """
     for v in values:
         if isinstance(v, np.ndarray):
@@ -70,17 +74,44 @@ class BatchStatus:
     its first failed guard afterwards; ``failed`` is the matching mask.
     """
 
-    __slots__ = ("failed", "errors")
+    __slots__ = ("failed", "errors", "_guards")
 
     def __init__(self, n: int):
         self.failed = np.zeros(n, dtype=bool)
         self.errors: list = [None] * n
+        # (elements, exc, message, args) of each guard that failed elements
+        self._guards: list = []
 
-    def record(self, bad, exc: type) -> None:
+    def record(self, bad, exc: type, message: str, args: tuple) -> None:
         new = np.flatnonzero(bad & ~self.failed)
         for i in new:
             self.errors[i] = exc
         self.failed[new] = True
+        if new.size:
+            self._guards.append((new, exc, message, args))
+
+    def exception(self, i: int) -> Exception:
+        """The exception, with its message, that element i raises on its own."""
+        for elements, exc, message, args in self._guards:
+            if i in elements:
+                return exc(_message_at(message, args, i))
+        raise ValueError(f"element {i} failed no guard")
+
+
+def _message_at(message: str, args: tuple, i: int) -> str:
+    """The guard message with the array arguments taken at element i."""
+    return message.format(*(a[i] if isinstance(a, np.ndarray) else a
+                            for a in args))
+
+
+def masked_errstate(status: BatchStatus | None):
+    """Context for the arithmetic that follows guards with this status.
+
+    Masked elements carry on and may turn inf or nan; with a status this
+    silences numpy's warnings about them (as an errstate, not a warning
+    filter).  Without one nothing is masked and nothing is silenced.
+    """
+    return np.errstate(all="ignore") if status is not None else nullcontext()
 
 
 def guard(bad, exc: type, message: str, *args, status: BatchStatus | None = None
@@ -94,12 +125,10 @@ def guard(bad, exc: type, message: str, *args, status: BatchStatus | None = None
     arguments taken at the first failing element.
     """
     if status is not None:
-        status.record(bad, exc)
+        status.record(bad, exc, message, args)
     elif isinstance(bad, np.ndarray):
         if bad.any():
-            i = int(np.argmax(bad))
-            raise exc(message.format(
-                *(a[i] if isinstance(a, np.ndarray) else a for a in args)))
+            raise exc(_message_at(message, args, int(np.argmax(bad))))
     elif bad:
         raise exc(message.format(*args))
 
@@ -143,16 +172,21 @@ class Jet:
         return Jet(v if isinstance(v, np.ndarray) else float(v), order=order)
 
     @staticmethod
-    def coordinate(name: str, at: float, order: int = 3) -> "Jet":
-        """The jet of the coordinate function x or y at the given value."""
+    def coordinate(name: str, at, order: int = 3) -> "Jet":
+        """The jet of the coordinate function x or y at the given value.
+
+        An array of values gives the batch of those jets.
+        """
+        at = np.asarray(at, dtype=float) if isinstance(at, np.ndarray) else float(at)
         if name == "x":
-            return Jet(float(at), dx=1.0, order=order)
+            return Jet(at, dx=1.0, order=order)
         if name == "y":
-            return Jet(float(at), dy=1.0, order=order)
+            return Jet(at, dy=1.0, order=order)
         raise ValueError(f"unknown coordinate {name!r}")
 
     @staticmethod
-    def variables(x: float, y: float, order: int = 3) -> tuple["Jet", "Jet"]:
+    def variables(x, y, order: int = 3) -> tuple["Jet", "Jet"]:
+        """The coordinate jets X and Y at a point, or at arrays of points."""
         return Jet.coordinate("x", x, order), Jet.coordinate("y", y, order)
 
     # ------------------------------------------------------------------

@@ -20,12 +20,24 @@ and the doubly periodic family C = a cosh x + c cos y.
 
 Everything is a pure function; jets are supplied analytically through the
 Taylor algebra in :mod:`densitylab.jets`.
+
+Grids run as batches.  The point functions take arrays of coordinates as
+well as floats, and then return the batch of results, one per element: the
+jet kernels build array-valued jets, and their guards go through
+:func:`densitylab.jets.guard`, which raises the scalar call's exception or,
+given a :class:`~densitylab.jets.BatchStatus`, records it per element.
+Likewise a :class:`SurfacePoint` whose fields hold arrays is a whole sampled
+path, and the angle lift and the throat period run over it in one numpy
+pass.  Floats take ``math`` and give the same bits as one point at a time
+always did; arrays take numpy, whose functions may differ in the last digit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DegenerateDelta,
@@ -37,7 +49,19 @@ from .errors import (
     QuadratureFailure,
     Singularity,
 )
-from .jets import Jet, jet_asinh, jet_cos, jet_cosh, jet_log, jet_sinh, jet_sqrt
+from .jets import (
+    BatchStatus,
+    Jet,
+    guard,
+    jet_asinh,
+    jet_cos,
+    jet_cosh,
+    jet_log,
+    jet_sinh,
+    jet_sqrt,
+    masked_errstate,
+    math_for,
+)
 
 # Default tolerances (double precision headroom; see module docstrings).
 TOL_ALG = 1e-9        # algebraic residuals on analytic jets
@@ -54,7 +78,11 @@ MAX_PERIOD_NODES = 2 ** 15  # node cap of the throat-period refinement
 # ----------------------------------------------------------------------
 
 class DensityFamily:
-    """Base class for the four closed-form area-density families."""
+    """Base class for the four closed-form area-density families.
+
+    contains and density take floats or arrays of points; a result that is
+    the same at every point may stay a float.
+    """
 
     def validate(self) -> None:
         raise NotImplementedError
@@ -98,7 +126,11 @@ class ConstantPlane(DensityFamily):
 
     def C_jet(self, X: Jet, Y: Jet) -> Jet:
         c2 = self.c * self.c
-        return Jet.constant((c2 + 1.0) / (c2 - 1.0), X.order)
+        C = (c2 + 1.0) / (c2 - 1.0)
+        # a batch gets one entry per point, so that its guards act per point
+        if isinstance(X.value, np.ndarray):
+            C = np.full(X.value.shape, C)
+        return Jet.constant(C, X.order)
 
     def closed_slope(self, x: float, y: float, branch: int, psi: float
                      ) -> tuple[float, float, float]:
@@ -118,7 +150,7 @@ class ScherkFifth(DensityFamily):
         return x >= DOMAIN_MARGIN
 
     def density(self, x: float, y: float) -> float:
-        return 1.0 / math.tanh(x)
+        return 1.0 / math_for(x).tanh(x)
 
     def C_jet(self, X: Jet, Y: Jet) -> Jet:
         return jet_cosh(2.0 * X)
@@ -151,8 +183,8 @@ class HeliCatenoid(DensityFamily):
 
     def density(self, x: float, y: float) -> float:
         r2 = x * x + y * y
-        return math.sqrt((r2 + math.cos(self.phi) ** 2)
-                         / (r2 - math.sin(self.phi) ** 2))
+        return math_for(r2).sqrt((r2 + math.cos(self.phi) ** 2)
+                                 / (r2 - math.sin(self.phi) ** 2))
 
     def C_jet(self, X: Jet, Y: Jet) -> Jet:
         return 2.0 * (X * X + Y * Y) + math.cos(2.0 * self.phi)
@@ -172,11 +204,13 @@ class DoublyPeriodic(DensityFamily):
                 f"need a, c > 0 with |a-c| < 1 < a+c, got a={a}, c={c}")
 
     def contains(self, x: float, y: float) -> bool:
-        return self.a * math.cosh(x) + self.c * math.cos(y) >= 1.0 + DOMAIN_MARGIN
+        m = math_for(x, y)
+        return self.a * m.cosh(x) + self.c * m.cos(y) >= 1.0 + DOMAIN_MARGIN
 
     def density(self, x: float, y: float) -> float:
-        C = self.a * math.cosh(x) + self.c * math.cos(y)
-        return math.sqrt((C + 1.0) / (C - 1.0))
+        m = math_for(x, y)
+        C = self.a * m.cosh(x) + self.c * m.cos(y)
+        return m.sqrt((C + 1.0) / (C - 1.0))
 
     def C_jet(self, X: Jet, Y: Jet) -> Jet:
         return self.a * jet_cosh(X) + self.c * jet_cos(Y)
@@ -184,27 +218,36 @@ class DoublyPeriodic(DensityFamily):
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """Point (x, y, z) of the surface z^2 = a cosh x + c cos y - 1."""
+    """Point (x, y, z) of the surface z^2 = a cosh x + c cos y - 1.
+
+    The fields may also hold equal-length arrays, as the slots of a batch
+    jet do: the point is then a sampled path, one sample per entry, and a
+    field that is the same for every sample may stay a float.
+    """
 
     x: float
     y: float
     z: float
 
     def surface_residual(self, a: float, c: float) -> float:
-        return self.z * self.z - (a * math.cosh(self.x) + c * math.cos(self.y) - 1.0)
+        m = math_for(self.x, self.y)
+        return self.z * self.z - (a * m.cosh(self.x) + c * m.cos(self.y) - 1.0)
 
 
 @dataclass
 class LiftedAngle:
-    """A sampled path together with a continuously lifted angle theta."""
+    """A sampled path together with a continuously lifted angle theta.
+
+    theta is an array with one entry per sample.
+    """
 
     path: list
-    theta: list[float] = field(default_factory=list)
+    theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     branch_sign: int = 1
 
     @property
     def winding(self) -> float:
-        return self.theta[-1] - self.theta[0]
+        return float(self.theta[-1] - self.theta[0])
 
 
 @dataclass(frozen=True)
@@ -221,8 +264,8 @@ class FirstIntegrals:
 def density_value(family: DensityFamily, x: float, y: float) -> float:
     """Area density F(x, y) >= 1 of the family at a point of its domain."""
     family.validate()
-    if not family.contains(x, y):
-        raise DomainViolation(f"({x}, {y}) outside the domain of {family}")
+    guard(np.logical_not(family.contains(x, y)), DomainViolation,
+          "({}, {}) outside the domain of {}", x, y, family)
     return family.density(x, y)
 
 
@@ -245,18 +288,20 @@ def family_C_jet(family: DensityFamily, x: float, y: float, order: int = 3) -> J
     return family.C_jet(*Jet.variables(x, y, order))
 
 
-def mu_jet_from_C(C: Jet) -> Jet:
+def mu_jet_from_C(C: Jet, status: BatchStatus | None = None) -> Jet:
     """Jet of mu = arccosh(C)/2; requires C > 1."""
-    if not C.value > 1.0 + TOL_SING:
-        raise DomainViolation(f"need C > 1, got {C.value}")
-    return 0.5 * jet_log(C + jet_sqrt(C * C - 1.0))
+    guard(np.logical_not(C.value > 1.0 + TOL_SING), DomainViolation,
+          "need C > 1, got {}", C.value, status=status)
+    with masked_errstate(status):
+        return 0.5 * jet_log(C + jet_sqrt(C * C - 1.0))
 
 
-def mu_jet(family: DensityFamily, x: float, y: float, order: int = 3) -> Jet:
+def mu_jet(family: DensityFamily, x: float, y: float, order: int = 3,
+           status: BatchStatus | None = None) -> Jet:
     """Analytic jet of mu for the family at an interior domain point."""
-    if not family.contains(x, y):
-        raise DomainViolation(f"({x}, {y}) outside the domain of {family}")
-    return mu_jet_from_C(family_C_jet(family, x, y, order))
+    guard(np.logical_not(family.contains(x, y)), DomainViolation,
+          "({}, {}) outside the domain of {}", x, y, family, status=status)
+    return mu_jet_from_C(family_C_jet(family, x, y, order), status)
 
 
 # ----------------------------------------------------------------------
@@ -301,36 +346,42 @@ def compatibility_data(mu: Jet) -> CompatibilityData:
         raise ParamViolation("mu jet must carry second derivatives")
     coef_cos = mu.dxx - mu.dyy
     coef_sin = 2.0 * mu.dxy
-    rhs = (mu.dxx + mu.dyy) * math.cosh(2.0 * mu.value)
+    rhs = (mu.dxx + mu.dyy) * math_for(mu.value).cosh(2.0 * mu.value)
     delta = coef_cos * coef_cos + coef_sin * coef_sin
     return CompatibilityData(coef_cos, coef_sin, rhs, delta - rhs * rhs, delta)
 
 
-def two_theta_solutions(mu: Jet) -> tuple[tuple[float, float], tuple[float, float]]:
+def two_theta_solutions(mu: Jet, status: BatchStatus | None = None
+                        ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The two (cos 2theta, sin 2theta) pairs solving the slope relation.
 
     The "+" branch carries +sqrt(P); for the doubly periodic family it is
     exactly the upper sheet z = +sqrt(C-1) of the double cover (the rotation
     identity in :func:`abeq_fields` makes this algebraic, not empirical).
+    A negative P within TOL_ALG of the larger of Delta and rhs^2 is rounding
+    and counts as 0.
     """
-    data = compatibility_data(mu)
-    if data.Delta <= TOL_SING:
-        raise DegenerateDelta(f"Delta = {data.Delta} below tolerance")
+    with masked_errstate(status):
+        data = compatibility_data(mu)
+    guard(data.Delta <= TOL_SING, DegenerateDelta, "Delta = {} below tolerance",
+          data.Delta, status=status)
+    m = math_for(data.P, data.Delta)
     P = data.P
-    if P < 0.0:
-        if P > -TOL_ALG * max(data.Delta, data.rhs ** 2):
-            P = 0.0
-        else:
-            raise NoRealSolution(f"discriminant P = {P} is negative")
-    root = math.sqrt(P)
-    base_c = data.coef_cos * data.rhs / data.Delta
-    base_s = data.coef_sin * data.rhs / data.Delta
-    perp_c = -data.coef_sin * root / data.Delta
-    perp_s = data.coef_cos * root / data.Delta
+    # past the Delta guard the floor is negative, so only P < 0 can fail it
+    floor = -TOL_ALG * m.maximum(data.Delta, data.rhs ** 2)
+    guard(P <= floor, NoRealSolution, "discriminant P = {} is negative", P,
+          status=status)
+    with masked_errstate(status):
+        root = m.sqrt(m.maximum(P, 0.0))
+        base_c = data.coef_cos * data.rhs / data.Delta
+        base_s = data.coef_sin * data.rhs / data.Delta
+        perp_c = -data.coef_sin * root / data.Delta
+        perp_s = data.coef_cos * root / data.Delta
     return (base_c + perp_c, base_s + perp_s), (base_c - perp_c, base_s - perp_s)
 
 
-def c_system_residual(C: Jet) -> tuple[float, float, float, float]:
+def c_system_residual(C: Jet, status: BatchStatus | None = None
+                      ) -> tuple[float, float, float, float]:
     """Residuals of the closed third-order system satisfied by C = cosh 2mu.
 
     All four vanish identically on the solution families; a generic cubic
@@ -338,24 +389,26 @@ def c_system_residual(C: Jet) -> tuple[float, float, float, float]:
     """
     if C.order < 3:
         raise ParamViolation("C jet must carry third derivatives")
-    if abs(C.value) < TOL_SING:
-        raise Singularity("C is zero within tolerance")
+    guard(abs(C.value) < TOL_SING, Singularity, "C is zero within tolerance",
+          status=status)
     v = C.value
-    r1 = C.dxxx - (C.dx * C.dxx - C.dx * C.dyy + C.dy * C.dxy) / v
-    r2 = C.dxxy - (C.dx * C.dxy) / v
-    r3 = C.dxyy - (C.dy * C.dxy) / v
-    r4 = C.dyyy - (C.dy * C.dyy - C.dy * C.dxx + C.dx * C.dxy) / v
+    with masked_errstate(status):
+        r1 = C.dxxx - (C.dx * C.dxx - C.dx * C.dyy + C.dy * C.dxy) / v
+        r2 = C.dxxy - (C.dx * C.dxy) / v
+        r3 = C.dxyy - (C.dy * C.dxy) / v
+        r4 = C.dyyy - (C.dy * C.dyy - C.dy * C.dxx + C.dx * C.dxy) / v
     return r1, r2, r3, r4
 
 
-def first_integrals(C: Jet) -> FirstIntegrals:
+def first_integrals(C: Jet, status: BatchStatus | None = None) -> FirstIntegrals:
     """Three quantities constant along every solution of the C system."""
     if C.order < 2:
         raise ParamViolation("C jet must carry second derivatives")
-    if abs(C.value) < TOL_SING:
-        raise Singularity("C is zero within tolerance")
-    a1 = C.dxy / C.value
-    a2 = (C.dxx - C.dyy) / C.value
+    guard(abs(C.value) < TOL_SING, Singularity, "C is zero within tolerance",
+          status=status)
+    with masked_errstate(status):
+        a1 = C.dxy / C.value
+        a2 = (C.dxx - C.dyy) / C.value
     a3 = C.value * (C.dxx + C.dyy) - C.dx ** 2 - C.dy ** 2
     return FirstIntegrals(a1, a2, a3)
 
@@ -384,12 +437,14 @@ def scherk_closed_form(x: float, y: float, psi: float = 0.0) -> tuple[float, flo
     return u, theta
 
 
-def scherk_u_jet(x: float, y: float, psi: float = 0.0, order: int = 3) -> Jet:
+def scherk_u_jet(x: float, y: float, psi: float = 0.0, order: int = 3,
+                 status: BatchStatus | None = None) -> Jet:
     """Analytic jet of the Scherk height u = asinh(cos(y+psi)/sinh x)."""
-    if not x > 0.0:
-        raise DomainViolation(f"need x > 0, got {x}")
+    guard(np.logical_not(x > 0.0), DomainViolation, "need x > 0, got {}", x,
+          status=status)
     X, Y = Jet.variables(x, y, order)
-    return jet_asinh(jet_cos(Y + psi) / jet_sinh(X))
+    with masked_errstate(status):
+        return jet_asinh(jet_cos(Y + psi) / jet_sinh(X))
 
 
 # ----------------------------------------------------------------------
@@ -417,73 +472,96 @@ def _q_factor(a: float, c: float) -> float:
 def _abeq_fields(a: float, c: float, q_factor: float, x: float, y: float
                  ) -> tuple[float, float, float, float]:
     """:func:`abeq_fields` for a validated pair, given its :func:`_q_factor`."""
-    ch, co = math.cosh(x), math.cos(y)
+    m = math_for(x, y)
+    ch, co = m.cosh(x), m.cos(y)
     A = c * c + 2.0 * a * c * ch * co + a * a - 1.0
-    B = 2.0 * a * c * math.sinh(x) * math.sin(y)
+    B = 2.0 * a * c * m.sinh(x) * m.sin(y)
     E = a * (a * a - c * c - 1.0) * ch + c * (a * a - c * c + 1.0) * co
-    Q = math.sqrt(q_factor * (a * ch + c * co + 1.0))
+    Q = m.sqrt(q_factor * (a * ch + c * co + 1.0))
     return A, B, E, Q
 
 
 def cos_sin_two_theta(a: float, c: float, p: SurfacePoint, *,
-                      q_factor: float | None = None) -> tuple[float, float]:
-    """(cos 2theta, sin 2theta) at a point of the double cover.
+                      q_factor: float | None = None,
+                      status: BatchStatus | None = None) -> tuple[float, float]:
+    """(cos 2theta, sin 2theta) at a point of the double cover, or on a path.
 
-    A caller that evaluates many points of one validated pair passes that
-    pair's ``_q_factor(a, c)``; without it the pair is validated here.
+    For a path (a SurfacePoint with array fields) both results are arrays
+    with one entry per sample, and the guards act per sample (see
+    :func:`densitylab.jets.guard`).  A caller that evaluates many points of
+    one validated pair passes that pair's ``_q_factor(a, c)``; without it
+    the pair is validated here.
     """
     residual = p.surface_residual(a, c)
-    if abs(residual) > TOL_SURFACE:
-        raise DomainViolation(f"{p} is not on the surface (residual "
-                              f"{residual:.3g})")
+    # the message spells out the dataclass repr, so that a path reports the
+    # sample that failed
+    guard(abs(residual) > TOL_SURFACE, DomainViolation,
+          "SurfacePoint(x={}, y={}, z={}) is not on the surface (residual {:.3g})",
+          p.x, p.y, p.z, residual, status=status)
     if q_factor is None:
         DoublyPeriodic(a, c).validate()
         q_factor = _q_factor(a, c)
-    A, B, E, Q = _abeq_fields(a, c, q_factor, p.x, p.y)
-    d = A * A + B * B
-    if d < TOL_SING:
-        raise Singularity("A^2 + B^2 vanished; fields undefined here")
-    return (A * E - B * Q * p.z) / d, (B * E + A * Q * p.z) / d
+    with masked_errstate(status):
+        A, B, E, Q = _abeq_fields(a, c, q_factor, p.x, p.y)
+        d = A * A + B * B
+    guard(d < TOL_SING, Singularity, "A^2 + B^2 vanished; fields undefined here",
+          status=status)
+    with masked_errstate(status):
+        return (A * E - B * Q * p.z) / d, (B * E + A * Q * p.z) / d
 
 
 def _wrap_pi(angle: float) -> float:
-    """Wrap to (-pi, pi]."""
-    w = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
+    """Wrap to (-pi, pi]; angle is a float or an array."""
+    w = math_for(angle).fmod(angle + math.pi, 2.0 * math.pi)
+    # adds 2 pi where w <= 0 and exactly 0.0 elsewhere
+    return w + 2.0 * math.pi * (w <= 0.0) - math.pi
 
 
-def lift_theta_along(path: list[SurfacePoint], a: float, c: float,
-                     seed_sign: int = 1) -> LiftedAngle:
+def _as_path(path) -> SurfacePoint:
+    """A sequence of surface points as one SurfacePoint with array fields."""
+    if isinstance(path, SurfacePoint):
+        return path
+    return SurfacePoint(*(np.array([getattr(p, f) for p in path])
+                          for f in ("x", "y", "z")))
+
+
+def lift_theta_along(path, a: float, c: float, seed_sign: int = 1) -> LiftedAngle:
     """Continuously lift theta along a sampled path on the double cover.
 
+    path is a sequence of SurfacePoints or one SurfacePoint holding arrays.
     The doubled angle is unwrapped sample to sample; a principal step of
     pi/2 or more raises LiftAmbiguity instead of guessing, since the
     winding arguments need a genuine lift.  seed_sign = -1 starts on the
     other half-angle branch, flipping (cos theta, sin theta) globally.
+
+    The whole path is one numpy pass.  Its error is the one a walk along
+    the samples meets first: at sample i, a point off the surface, then
+    vanishing fields, then the step from sample i-1 to i.
     """
     if seed_sign not in (1, -1):
         raise ParamViolation("seed_sign must be +1 or -1")
-    if len(path) < 2:
+    pts = _as_path(path)
+    n = np.broadcast(pts.x, pts.y, pts.z).size
+    if n < 2:
         raise ParamViolation("path needs at least two samples")
     DoublyPeriodic(a, c).validate()
-    q_factor = _q_factor(a, c)
-    lifted2 = []
-    for i, pt in enumerate(path):
-        c2, s2 = cos_sin_two_theta(a, c, pt, q_factor=q_factor)
-        ang = math.atan2(s2, c2)
-        if i == 0:
-            lifted2.append(ang)
-            continue
-        step = _wrap_pi(ang - lifted2[-1])
-        if abs(step) >= math.pi / 2.0:
-            raise LiftAmbiguity(
-                f"2-theta step {step:.3f} >= pi/2 between samples {i-1} and {i}")
-        lifted2.append(lifted2[-1] + step)
+    status = BatchStatus(n)
+    c2, s2 = cos_sin_two_theta(a, c, pts, q_factor=_q_factor(a, c), status=status)
+    with masked_errstate(status):
+        ang = np.arctan2(s2, c2)
+        step = _wrap_pi(np.diff(ang))
+        failed = status.failed.copy()
+        failed[1:] |= np.abs(step) >= math.pi / 2.0
+    if failed.any():
+        i = int(np.argmax(failed))
+        if status.failed[i]:
+            raise status.exception(i)
+        raise LiftAmbiguity(
+            f"2-theta step {step[i - 1]:.3f} >= pi/2 between samples {i-1} and {i}")
+    lifted2 = np.add.accumulate(np.concatenate((ang[:1], step)))
     offset = 0.0 if seed_sign == 1 else math.pi
-    theta = [0.5 * t2 + offset for t2 in lifted2]
-    return LiftedAngle(path=list(path), theta=theta, branch_sign=seed_sign)
+    return LiftedAngle(path=path if pts is path else list(path),
+                       theta=0.5 * lifted2 + offset, branch_sign=seed_sign)
 
 
 def zeta_form(point: SurfacePoint, theta: float, a: float, c: float
@@ -500,9 +578,16 @@ def zeta_form(point: SurfacePoint, theta: float, a: float, c: float
     return math.cos(theta) / denom, math.sin(theta) / denom
 
 
+def _loop_rho(n: int) -> np.ndarray:
+    """The n+1 nodes rho_k = 2 pi k / n of the section loop's chart."""
+    return 2.0 * math.pi * np.arange(n + 1) / n
+
+
 def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
-               ) -> list[SurfacePoint]:
+               ) -> SurfacePoint:
     """Closed x = x_section section of the surface, sampled at n+1 points.
+
+    The samples come as one SurfacePoint whose y and z are arrays.
 
     Parametrized by rho in [0, 2 pi]: cos y = g(rho) with
     g = (1 - a')/c + (a' + c - 1) cos^2(rho)/c, a' = a cosh(x_section), and
@@ -517,36 +602,31 @@ def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
     if not ap - c < 1.0:
         raise ParamViolation(
             f"x = {x_section} section has no fold: a cosh(x0) - c = {ap - c} >= 1")
-    pts = []
     zmax = math.sqrt(ap + c - 1.0)
     half = math.sqrt((ap + c - 1.0) / (2.0 * c))
-    for k in range(n + 1):
-        rho = 2.0 * math.pi * k / n
-        y = 2.0 * math.asin(max(-1.0, min(1.0, half * math.sin(rho))))
-        z = zmax * math.cos(rho)
-        pts.append(SurfacePoint(x_section, y, z))
-    return pts
+    rho = _loop_rho(n)
+    y = 2.0 * np.arcsin(np.clip(half * np.sin(rho), -1.0, 1.0))
+    return SurfacePoint(x_section, y, zmax * np.cos(rho))
 
 
 def gamma_rectangle(a: float, c: float, R: float, n_per_edge: int = 1200
-                    ) -> list[SurfacePoint]:
-    """Counterclockwise boundary of [-R, R] x [0, 2 pi] on the upper sheet."""
+                    ) -> SurfacePoint:
+    """Counterclockwise boundary of [-R, R] x [0, 2 pi] on the upper sheet.
+
+    The 4 n_per_edge + 1 samples come as one SurfacePoint of arrays.
+    """
     DoublyPeriodic(a, c).validate()
-
-    def lift(x, y):
-        C = a * math.cosh(x) + c * math.cos(y)
-        return SurfacePoint(x, y, math.sqrt(C - 1.0))
-
-    pts = []
-    for k in range(n_per_edge + 1):
-        pts.append(lift(-R + 2.0 * R * k / n_per_edge, 0.0))
-    for k in range(1, n_per_edge + 1):
-        pts.append(lift(R, 2.0 * math.pi * k / n_per_edge))
-    for k in range(1, n_per_edge + 1):
-        pts.append(lift(R - 2.0 * R * k / n_per_edge, 2.0 * math.pi))
-    for k in range(1, n_per_edge + 1):
-        pts.append(lift(-R, 2.0 * math.pi * (1.0 - k / n_per_edge)))
-    return pts
+    n = n_per_edge
+    k = np.arange(n + 1)
+    edge = np.ones(n)
+    x = np.concatenate((-R + 2.0 * R * k / n, R * edge, R - 2.0 * R * k[1:] / n,
+                        -R * edge))
+    y = np.concatenate((np.zeros(n + 1), 2.0 * math.pi * k[1:] / n,
+                        2.0 * math.pi * edge, 2.0 * math.pi * (1.0 - k[1:] / n)))
+    w = a * np.cosh(x) + c * np.cos(y) - 1.0
+    guard(w < 0.0, DomainViolation, "rectangle point ({}, {}) has C - 1 = {} < 0",
+          x, y, w)
+    return SurfacePoint(x, y, np.sqrt(w))
 
 
 def period_sigma(a: float, c: float, seed_sign: int = 1,
@@ -582,11 +662,9 @@ def period_sigma(a: float, c: float, seed_sign: int = 1,
             raise LiftAmbiguity(
                 f"angle lift failed to close around the section loop "
                 f"(winding residue {residue:.3g})")
-        total = 0.0
-        for k in range(n):
-            rho = 2.0 * math.pi * k / n
-            total += math.sin(theta[k]) / math.sqrt(
-                c + 1.0 - ap + (ap + c - 1.0) * math.cos(rho) ** 2)
+        rho = _loop_rho(n)[:n]
+        total = float(np.sum(np.sin(theta[:n]) / np.sqrt(
+            c + 1.0 - ap + (ap + c - 1.0) * np.cos(rho) ** 2)))
         value = 2.0 * math.sqrt(2.0) * 2.0 * math.pi * total / n
         if prev is not None and abs(value - prev) < tol:
             return value

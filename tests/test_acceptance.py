@@ -40,17 +40,14 @@ def report(criterion, ok, detail):
 
 def test_criterion_01_scherk_grid():
     t0 = time.perf_counter()
-    worst_res = worst_den = 0.0
-    for psi in (0.0, 0.7, 1.4, 2.1, 2.8):
-        for i in range(50):
-            x = 0.5 + 2.5 * i / 49
-            coth2 = 1.0 / math.tanh(x) ** 2
-            for j in range(50):
-                y = 2.0 * math.pi * j / 49
-                uj = mg.scherk_u_jet(x, y, psi, order=2)
-                worst_res = max(worst_res, abs(mg.minimal_residual(uj)))
-                worst_den = max(worst_den,
-                                abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - coth2))
+    # the 5 x 50 x 50 grid of (psi, x, y) as one batch of jets
+    psi, x, y = (g.ravel() for g in np.meshgrid(
+        [0.0, 0.7, 1.4, 2.1, 2.8], 0.5 + 2.5 * np.arange(50) / 49,
+        2.0 * math.pi * np.arange(50) / 49, indexing="ij"))
+    uj = mg.scherk_u_jet(x, y, psi, order=2)
+    coth2 = 1.0 / np.tanh(x) ** 2
+    worst_res = float(np.max(np.abs(mg.minimal_residual(uj))))
+    worst_den = float(np.max(np.abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - coth2)))
     elapsed = time.perf_counter() - t0
     report(1, worst_res < 1e-9 and worst_den < 1e-10 and elapsed < 5.0,
            f"scherk 50x50x5: residual {worst_res:.2e}, density {worst_den:.2e}, "
@@ -69,24 +66,20 @@ def test_criterion_02_first_integrals():
         (mg.DoublyPeriodic(0.8, 0.5), (0.0, 1.0, 0.8 ** 2 - 0.5 ** 2)),
     ]
     worst_spread = worst_sys = worst_val = 0.0
+    # the 20 x 20 grid as one batch of jets, masked to the domain
+    x, y = (g.ravel() for g in np.meshgrid(0.6 + 0.07 * np.arange(20),
+                                           -0.9 + 0.09 * np.arange(20),
+                                           indexing="ij"))
     for fam, expected in cases:
-        vals = []
-        for i in range(20):
-            for j in range(20):
-                x = 0.6 + 0.07 * i
-                y = -0.9 + 0.09 * j
-                if not fam.contains(x, y):
-                    continue
-                C = mg.family_C_jet(fam, x, y)
-                fi = mg.first_integrals(C)
-                vals.append((fi.a1, fi.a2, fi.a3))
-                worst_sys = max(worst_sys,
-                                max(abs(v) for v in mg.c_system_residual(C)))
-        spread = max(max(c) - min(c) for c in zip(*vals))
-        worst_spread = max(worst_spread, spread)
-        mean = [sum(c) / len(c) for c in zip(*vals)]
-        worst_val = max(worst_val,
-                        max(abs(m - e) for m, e in zip(mean, expected)))
+        inside = fam.contains(x, y)
+        C = mg.family_C_jet(fam, x[inside], y[inside])
+        fi = mg.first_integrals(C)
+        vals = [np.broadcast_to(v, C.value.shape) for v in (fi.a1, fi.a2, fi.a3)]
+        worst_sys = max(worst_sys, *(float(np.max(np.abs(v)))
+                                     for v in mg.c_system_residual(C)))
+        worst_spread = max(worst_spread, *(float(np.ptp(v)) for v in vals))
+        worst_val = max(worst_val, *(abs(float(np.mean(v)) - e)
+                                     for v, e in zip(vals, expected)))
     elapsed = time.perf_counter() - t0
     report(2, worst_spread < 1e-9 and worst_sys < 1e-10
            and worst_val < 1e-9 and elapsed < 2.0,

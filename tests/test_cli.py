@@ -1,5 +1,6 @@
 """Scenario runner: dispatch, artifacts, exit codes, determinism."""
 
+import ast
 import csv
 import json
 import math
@@ -206,3 +207,109 @@ def test_main_reports_failures(tmp_path):
     statuses = {c["name"]: c["status"] for c in report["checks"]}
     assert statuses["period_nonzero[a=1.0,c=1.0]"] == "pass"
     assert any(v == "fail" for v in statuses.values())
+
+
+def test_families_verify_witness_reads_python_floats():
+    sc = cli.Scenario.from_config({"suite": "families", "mode": "verify",
+                                   "grid": {"nx": 6, "ny": 5}})
+    check = cli.run(sc)["checks"][0]
+    assert check["name"] == "scherk_minimal_residual"
+    psi, x, y = ast.literal_eval(check["witness"])
+    assert all(type(v) is float for v in (psi, x, y))
+    assert "np." not in check["witness"]
+
+
+def _main_error(tmp_path, capsys, suite, mode, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, suite=suite, mode=mode)))
+    rc = cli.main([suite, mode, "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    return rc, err
+
+
+def test_families_verify_refuses_an_empty_psi_list(tmp_path, capsys):
+    with pytest.raises(UsageError, match="psi_values"):
+        cli.run(cli.Scenario.from_config({"suite": "families", "mode": "verify",
+                                          "params": {"psi_values": []}}))
+    rc, err = _main_error(tmp_path, capsys, "families", "verify",
+                          {"params": {"psi_values": []}})
+    assert rc == 2 and err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+def test_families_verify_fails_when_no_grid_point_is_in_the_domain():
+    # a valid pair whose C stays below 1 + 1e-6 on the whole 12 x 12 grid
+    fam = mg.DoublyPeriodic(1e-5, 0.9999901)
+    fam.validate()
+    sc = cli.Scenario.from_config({"suite": "families", "mode": "verify",
+                                   "params": {"a": fam.a, "c": fam.c},
+                                   "grid": {"nx": 4, "ny": 4}})
+    report = cli.run(sc)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["overall"] == "fail"
+    for name in ("dp_first_integral_spread", "dp_closure_system"):
+        assert checks[name]["status"] == "fail"
+        assert checks[name]["witness"] == \
+            "no point of the 12 x 12 grid lies in the domain"
+    assert checks["scherk_minimal_residual"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("mode", ["period", "winding"])
+@pytest.mark.parametrize("pairs", [[[1.0]], [["a", 1]], [], [[1.0, True]],
+                                   "1.0, 1.0", [[1.0, 1.0, 2.0]]])
+def test_malformed_pairs_exit_2_in_one_line(tmp_path, capsys, mode, pairs):
+    rc, err = _main_error(tmp_path, capsys, "families", mode,
+                          {"params": {"pairs": pairs}})
+    assert rc == 2
+    assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+def test_families_sample_counts_dropped_points(tmp_path):
+    # Scherk's slope relation is degenerate (Delta = 0) at every point, and
+    # x < 1e-6 lies outside its domain: every point is dropped, per reason
+    sc = cli.Scenario.from_config({
+        "suite": "families", "mode": "sample",
+        "params": {"family": "scherk", "field": "cos2theta_plus"},
+        "grid": {"x_min": -1.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0,
+                 "nx": 5, "ny": 3}})
+    (check,) = cli.run(sc, tmp_path)["checks"]
+    assert check["status"] == "pass"
+    assert check["witness"].endswith(
+        "field_cos2theta_plus.csv; 15 grid points dropped "
+        "(DegenerateDelta 6, outside the domain 9)")
+    # a constant density degenerates everywhere too
+    sc = cli.Scenario.from_config({
+        "suite": "families", "mode": "sample",
+        "params": {"family": "constant", "c": 2.0, "field": "sin2theta_minus"},
+        "grid": {"nx": 3, "ny": 2}})
+    (check,) = cli.run(sc, tmp_path)["checks"]
+    assert check["witness"].endswith("; 6 grid points dropped (DegenerateDelta 6)")
+    sc = cli.Scenario.from_config({
+        "suite": "families", "mode": "sample",
+        "params": {"family": "doubly_periodic", "a": 1.0, "c": 1.0,
+                   "field": "sin2theta_minus"},
+        "grid": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 3.0,
+                 "nx": 5, "ny": 4}})
+    (check,) = cli.run(sc, tmp_path)["checks"]
+    dropped = sum(not mg.DoublyPeriodic(1.0, 1.0).contains(x, y)
+                  for x in (0.0, 0.25, 0.5, 0.75, 1.0) for y in (0.0, 1.0, 2.0, 3.0))
+    assert dropped > 0
+    assert check["witness"].endswith(
+        f"; {dropped} grid points dropped (outside the domain {dropped})")
+    rows = list(csv.DictReader(
+        (tmp_path / "field_sin2theta_minus.csv").read_text().splitlines()))
+    assert len(rows) == 20 - dropped
+
+
+def test_families_sample_matches_the_scalar_slope_solutions(tmp_path):
+    sc = cli.Scenario.from_config({
+        "suite": "families", "mode": "sample",
+        "params": {"family": "helicatenoid", "phi": 0.7, "field": "cos2theta_minus"},
+        "grid": {"x_min": 0.2, "x_max": 1.6, "y_min": -1.0, "y_max": 1.0,
+                 "nx": 6, "ny": 5}})
+    path = cli.emit_field_json(sc, "cos2theta_minus", tmp_path / "f.json")
+    rows = json.loads(path.read_text())["rows"]
+    fam = mg.HeliCatenoid(0.7)
+    assert 0 < len(rows) < 30
+    for x, y, v in rows:
+        assert v == pytest.approx(mg.two_theta_solutions(mg.mu_jet(fam, x, y))[1][0],
+                                  abs=1e-12)

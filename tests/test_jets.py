@@ -259,3 +259,28 @@ def test_guard_without_status_raises():
     with pytest.raises(RangeViolation, match="got 3.0"):
         guard(np.array([False, True]), RangeViolation, "got {}",
               np.array([1.0, 3.0]))
+
+
+def test_coordinate_jets_of_arrays_are_batches():
+    X, Y = Jet.variables(np.array([0.5, 1]), np.array([2.0, -1.0]), order=2)
+    assert X.value.dtype == float and X.value.tolist() == [0.5, 1.0]
+    assert (X.dx, X.dy, Y.dx, Y.dy) == (1.0, 0.0, 0.0, 1.0)
+    f = jet_sin(X * Y)
+    for i in range(2):
+        x, y = Jet.variables(X.value[i], Y.value[i], 2)
+        s = jet_sin(x * y)
+        for slot in SLOTS2:
+            assert getattr(f, slot)[i] == pytest.approx(getattr(s, slot), abs=1e-15)
+
+
+def test_status_keeps_each_elements_scalar_exception():
+    status = BatchStatus(3)
+    values = np.array([1.0, 2.5, 3.5])
+    guard(values > 3.0, RangeViolation, "got {} of {}", values, "x", status=status)
+    guard(values > 2.0, ZeroDivisionError, "over {}", values, status=status)
+    exc = status.exception(2)
+    assert type(exc) is RangeViolation and str(exc) == "got 3.5 of x"
+    exc = status.exception(1)
+    assert type(exc) is ZeroDivisionError and str(exc) == "over 2.5"
+    with pytest.raises(ValueError):
+        status.exception(0)
