@@ -121,25 +121,41 @@ def _grid_points(grid: dict, defaults: tuple[float, float, float, float, int, in
     return xs, ys
 
 
-def _numbers(name: str, value, length: int | None = None) -> list:
-    """value itself if it is a non-empty list of real numbers (of the given
-    length); UsageError otherwise."""
+def _numbers(name: str, value, length: int | None = None,
+             integers: bool = False) -> list:
+    """value itself if it is a non-empty list of real numbers, or of
+    integers (of the given length); UsageError otherwise.  Bools are
+    refused."""
+    kinds = int if integers else (int, float)
     ok = (isinstance(value, (list, tuple)) and len(value) > 0
           and (length is None or len(value) == length)
-          and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+          and all(isinstance(v, kinds) and not isinstance(v, bool)
                   for v in value))
     if not ok:
         size = "a non-empty list" if length is None else f"a list of {length}"
-        raise UsageError(f"{name} must be {size} real numbers, got {value!r}")
+        kind = "integers" if integers else "real numbers"
+        raise UsageError(f"{name} must be {size} {kind}, got {value!r}")
     return value
 
 
-def _pairs(params: dict) -> list:
-    """The (a, c) pairs of a period or winding scenario, checked."""
-    pairs = params.get("pairs", [[1.0, 1.0], [0.8, 0.5]])
+def _integer(params: dict, key: str, default: int) -> int:
+    """The integer parameter params[key] (default if absent); UsageError
+    for anything else, bools included."""
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _pairs(params: dict, key: str = "pairs", default=([1.0, 1.0], [0.8, 0.5]),
+           names: str = "a, c", integers: bool = False) -> list:
+    """The pairs params[key] (default if absent), checked: the (a, c) of a
+    period or winding scenario, or the integer (n_ambient, m) cases of
+    maps kernel."""
+    pairs = params.get(key, default)
     if not (isinstance(pairs, (list, tuple)) and pairs):
-        raise UsageError(f"pairs must be a non-empty list of [a, c], got {pairs!r}")
-    return [_numbers("each pair", pair, 2) for pair in pairs]
+        raise UsageError(f"{key} must be a non-empty list of [{names}], got {pairs!r}")
+    return [_numbers(f"each entry of {key}", pair, 2, integers) for pair in pairs]
 
 
 def _family_from_params(params: dict) -> mg.DensityFamily:
@@ -493,7 +509,8 @@ def _brute_harmonic_dim(n_amb: int, m: int) -> int:
 
 def _maps_kernel(sc: Scenario) -> list[dict]:
     checks = []
-    for (n_amb, m) in sc.params.get("cases", [[4, 1], [4, 2]]):
+    for (n_amb, m) in _pairs(sc.params, "cases", ([4, 1], [4, 2]),
+                             "n_ambient, m", integers=True):
         rep = sm.nonuniqueness_report(n_amb, m)
         name = f"kernel[n_ambient={n_amb},m={m}]"
         checks.append(_check(name, True, exact=True,
@@ -502,8 +519,8 @@ def _maps_kernel(sc: Scenario) -> list[dict]:
 
 
 def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
-    n_amb = int(sc.params.get("n_ambient", 4))
-    m = int(sc.params.get("m", 2))
+    n_amb = _integer(sc.params, "n_ambient", 4)
+    m = _integer(sc.params, "m", 2)
     checks = []
     if (m == 1) or (n_amb, m) == (4, 2):
         the_map = sm.canonical_exact_map(n_amb, m)
@@ -527,8 +544,8 @@ def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
 
 
 def _maps_verify(sc: Scenario) -> list[dict]:
-    n_amb = int(sc.params.get("n_ambient", 4))
-    m = int(sc.params.get("m", 2))
+    n_amb = _integer(sc.params, "n_ambient", 4)
+    m = _integer(sc.params, "m", 2)
     basis = sm.basis_Hm(n_amb, m)
     G0, kernel = sm.solve_h_equals_Rm(n_amb, m, basis)
     checks = []

@@ -28,6 +28,7 @@ m, which is the eigenvalue quantization used by the sphere-map module.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,21 +119,12 @@ class Poly:
         return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        # integer numerators over the product of the two common denominators;
-        # a key whose running sum cancels is dropped and re-enters at the end
+        # integer numerators over the product of the two common denominators
         den1, nums1 = _numerators(self.terms)
         den2, nums2 = _numerators(other.terms)
-        out: dict = {}
-        for e1, a in nums1:
-            for e2, b in nums2:
-                e = tuple(map(add, e1, e2))
-                s = out.get(e, 0) + a * b
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
         den = den1 * den2
-        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in out.items()})
+        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in
+                                      _product_numerators(nums1, nums2).items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars \
@@ -244,6 +236,23 @@ def _numerators(terms: dict) -> tuple[int, list[tuple[tuple, int]]]:
             den = den * q // gcd(den, q)
     return den, [(e, c.numerator * (den // c.denominator))
                  for e, c in terms.items()]
+
+
+def _product_numerators(nums1: list, nums2: list) -> dict:
+    """The product of two (exponent, integer) term lists, as exponent -> int.
+
+    A key whose running sum cancels is dropped and re-enters at the end.
+    """
+    out: dict = {}
+    for e1, a in nums1:
+        for e2, b in nums2:
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + a * b
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 def laplacian(p: Poly) -> Poly:
@@ -490,8 +499,16 @@ def b_coeff(params: SpectralParams, m: int) -> Fraction:
     return Fraction(num, (n + 2 * m) * (n + 2 * m - 2))
 
 
+def _require_integers(**values) -> None:
+    """ParamViolation unless every value is an integer (bools refused)."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ParamViolation(f"{name} must be an integer, got {v!r}")
+
+
 def dim_harmonics(n_ambient: int, m: int) -> int:
     """Dimension of degree-m harmonic polynomials on R^n_ambient."""
+    _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 1:
         raise ParamViolation("ambient dimension must be positive")
     if m < 0:
@@ -553,6 +570,9 @@ def admissible_lambda(params: SpectralParams) -> Optional[int]:
 
 def monomial_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent multi-indices of the given total degree, graded-lex order."""
+    _require_integers(nvars=nvars, degree=degree)
+    if nvars < 1:
+        raise ParamViolation("number of variables must be positive")
     out: list[tuple[int, ...]] = []
 
     def rec(prefix, remaining, slots):

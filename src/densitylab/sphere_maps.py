@@ -9,9 +9,13 @@ and its energy density is the eigenvalue m(m+n-1).  Fixing an orthogonal
 basis {h_a} of the degree-m harmonic polynomials, quadratic expressions
 h(M) = sum M^{ab} h_a h_b with symmetric M realize all candidate sums of
 squares, so the solution set is the affine space h^{-1}(R^m).  Its exact
-kernel (computed by rational elimination) measures the failure of
-uniqueness: once the kernel dimension exceeds dim SO(n+1), inequivalent
-maps with identical energy density are guaranteed.
+kernel measures the failure of uniqueness: once the kernel dimension
+exceeds dim SO(n+1), inequivalent maps with identical energy density are
+guaranteed.  The kernel comes from fraction-free Gauss-Jordan elimination
+on Python integers (Bareiss), one parity block of the matrix of h at a
+time, and is certified by one exact product per block: block matrix times
+integer kernel block = 0.  The same elimination core serves rref,
+nullspace and the independence test of basis_Hm.
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
@@ -38,6 +42,9 @@ from .errors import (
 from .harmonic import (
     HarmonicElement,
     Poly,
+    _numerators,
+    _product_numerators,
+    _require_integers,
     dim_harmonics,
     harmonic_decompose,
     inner,
@@ -48,32 +55,82 @@ FLOAT_COEFF_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------
-# exact linear algebra helpers
+# exact linear algebra: one fraction-free elimination core
 # ----------------------------------------------------------------------
 
+class _IntegerRref:
+    """Fraction-free Gauss-Jordan elimination on integer rows (Bareiss).
+
+    Rows are added one at a time.  The kept rows are always d times the
+    reduced row echelon form of the rows added so far: kept row k holds
+    the integer d at its pivot column pivots[k] and 0 at every other
+    pivot column, so the rref is rows / d.  A new row x reduces to
+    y = d x - sum_k x[pivots[k]] rows[k], which is zero exactly when x is
+    in the span of the kept rows.  Otherwise the first nonzero column c
+    of y becomes a pivot, every kept row is updated as
+    (piv row - row[c] y) // d with piv = y[c], and d becomes piv.  Every
+    entry is a minor of the rows added, so each division is exact
+    (Bareiss, Math. Comp. 22 (1968) 565-578) and no Fraction is built.
+    """
+
+    __slots__ = ("rows", "pivots", "d")
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self.d = 1
+
+    def add(self, x: Sequence[int]) -> bool:
+        """Keep x and return True if it is independent of the kept rows."""
+        d = self.d
+        y = [d * v for v in x]
+        for row, p in zip(self.rows, self.pivots):
+            f = x[p]
+            if f:
+                y = [a - f * b for a, b in zip(y, row)]
+        c = next((j for j, v in enumerate(y) if v), None)
+        if c is None:
+            return False
+        piv = y[c]
+        rows = self.rows
+        for k, row in enumerate(rows):
+            f = row[c]
+            rows[k] = [(piv * a - f * b) // d for a, b in zip(row, y)] if f \
+                else [piv * a // d for a in row]
+        rows.append(y)
+        self.pivots.append(c)
+        self.d = piv
+        return True
+
+    def kernel(self, ncols: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """(f, nonzero (column, entry) pairs of d times the rref kernel
+        vector of f) for each free column f < ncols, in order of f."""
+        pivot_cols = set(self.pivots)
+        return [(f, [(f, self.d)] + [(p, -row[f]) for row, p
+                                     in zip(self.rows, self.pivots) if row[f]])
+                for f in range(ncols) if f not in pivot_cols]
+
+
+def _eliminate(rows: Sequence[Sequence]) -> _IntegerRref:
+    """The core run on rational rows, each scaled to integers first
+    (scaling a row does not change the rref)."""
+    core = _IntegerRref()
+    for row in rows:
+        core.add([v for _, v in _numerators(dict(enumerate(row)))[1]])
+    return core
+
+
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot cols)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+    """Reduced row echelon form over Fractions; returns (rows, pivot cols).
+
+    The nonzero rows in pivot order, then one zero row per dependent row.
+    """
+    core = _eliminate(rows)
+    order = sorted(range(len(core.pivots)), key=core.pivots.__getitem__)
+    out = [[Fraction(v, core.d) for v in core.rows[k]] for k in order]
+    ncols = len(rows[0]) if rows else 0
+    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(out))]
+    return out, [core.pivots[k] for k in order]
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -83,16 +140,12 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     free columns.  Its other entries sit at pivot columns left of f, so its
     last nonzero entry is at f.
     """
-    if not rows:
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    core = _eliminate(rows)
     basis = []
-    for fc in free:
+    for _, entries in core.kernel(ncols):
         vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for c, w in entries:
+            vec[c] = Fraction(w, core.d)
         basis.append(vec)
     return basis
 
@@ -211,7 +264,12 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    """Exact basis of symmetric matrices with h(G) = 0."""
+    """Exact basis of symmetric matrices with h(G) = 0.
+
+    The basis is read off the fraction-free elimination of the matrix of h
+    and certified by one exact integer product per parity block (see
+    solve_h_equals_Rm); it is the rref kernel basis, in free-column order.
+    """
 
     basis: tuple[GramMatrix, ...]
     dimension: int
@@ -277,6 +335,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     Gram-Schmidt orthogonalized (without normalization) and rescaled to
     primitive integer coefficients.  Norms squared are recorded exactly.
     """
+    _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 3:
         raise ParamViolation("ambient dimension must be >= 3")
     if m < 0:
@@ -285,22 +344,21 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     index = {e: i for i, e in enumerate(monos)}
     target = dim_harmonics(n_ambient, m)
 
-    # harmonic parts of monomials, kept if independent of predecessors
+    # harmonic parts of monomials, kept if independent of predecessors:
+    # each is reduced once against the integer rows kept so far
     chosen: list[Poly] = []
-    reduced_rows: list[list[Fraction]] = []
+    core = _IntegerRref()
     for e in monos:
         h, _ = harmonic_decompose(Poly(n_ambient, {e: 1}), m)
         if h.poly.is_zero():
             continue
-        row = [Fraction(0)] * len(monos)
-        for exp, c in h.poly.terms.items():
+        row = [0] * len(monos)
+        for exp, c in _numerators(h.poly.terms)[1]:
             row[index[exp]] = c
-        red, pivots = rref(reduced_rows + [row])
-        if len(pivots) > len(reduced_rows):
-            reduced_rows = red
+        if core.add(row):
             chosen.append(h.poly)
-        if len(chosen) == target:
-            break
+            if len(chosen) == target:
+                break
     if len(chosen) != target:
         raise ParamViolation("failed to build a full harmonic basis")
 
@@ -381,9 +439,11 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
                       ) -> tuple[GramMatrix, KernelCertificate]:
     """Particular PSD solution of h(G) = R^m plus the exact kernel of h.
 
-    The kernel is computed by exact rational elimination on the matrix of
-    h over the symmetric-pair basis; its dimension is D(D+1)/2 - rank(h).
-    Every returned kernel element satisfies h(k) = 0 exactly.
+    The kernel is computed by fraction-free integer elimination of the
+    matrix of h over the symmetric-pair basis; its dimension is
+    D(D+1)/2 - rank(h).  It is certified by one exact product per block:
+    the integer block matrix times its integer kernel vectors is zero,
+    else ParamViolation.  So every returned element satisfies h(k) = 0.
 
     The matrix is block-diagonal by parity.  Each basis element has one
     parity pattern in Z_2^n (the Fischer pairing of different parities is
@@ -393,6 +453,13 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     exactly when it is free in its block, and the block's kernel vector
     for a free column is the whole matrix's, so the basis below is the one
     read off the rref of the whole matrix, in the same order.
+
+    Column E_ab holds the integer numerators of h_a h_b (times 2 when
+    a != b) over den_ab, the product of the two elements' common
+    denominators (1 for every basis_Hm element, whose coefficients are
+    integers).  Scaling columns keeps the pivot columns, and the rref
+    kernel vector of free column f has entry den_j w_j / (den_f d) at j,
+    where w is d times the kernel vector of the integer block.
     """
     if n_ambient < 4:
         raise ParamViolation("need ambient dimension >= 4 (sphere dim > 2)")
@@ -412,39 +479,50 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
         rows_of = block_rows.setdefault(_parity(e), {})
         rows_of[e] = len(rows_of)
 
-    found: list[tuple[int, list[Fraction]]] = []  # (free column, vector)
+    nums = [_numerators(el.poly.terms) for el in basis.elements]
+    found: list[tuple[int, dict]] = []  # (free column, {(a, b): entry})
     for key, cols in block_cols.items():
         row_index = block_rows[key]
-        rows = [[Fraction(0)] * len(cols) for _ in row_index]
-        for k, j in enumerate(cols):
+        sparse: list[list[tuple[int, int]]] = []  # (row, numerator) per column
+        dens: list[int] = []
+        for j in cols:
             a, b = pairs[j]
-            prod = basis.elements[a].poly * basis.elements[b].poly
-            if a != b:
-                prod = prod.scale(2)
-            for e, c in prod.terms.items():
-                rows[row_index[e]][k] = c
-        for block_vec in nullspace(rows, len(cols)):
-            vec = [Fraction(0)] * len(pairs)
-            for j, v in zip(cols, block_vec):
-                vec[j] = v
-            fc = max(k for k, v in enumerate(block_vec) if v)
-            found.append((cols[fc], vec))
+            (den_a, nums_a), (den_b, nums_b) = nums[a], nums[b]
+            twice = 1 if a == b else 2
+            sparse.append([(row_index[e], twice * v) for e, v
+                           in _product_numerators(nums_a, nums_b).items()])
+            dens.append(den_a * den_b)
+        rows = [[0] * len(cols) for _ in row_index]
+        for k, col in enumerate(sparse):
+            for i, v in col:
+                rows[i][k] = v
+        core = _IntegerRref()
+        for row in rows:
+            core.add(row)
+        for fc, w in core.kernel(len(cols)):
+            acc = [0] * len(rows)
+            for k, wk in w:
+                for i, v in sparse[k]:
+                    acc[i] += wk * v
+            if any(acc):
+                raise ParamViolation("kernel verification failed (internal)")
+            scale = dens[fc] * core.d
+            found.append((cols[fc], {pairs[cols[k]]: Fraction(dens[k] * wk, scale)
+                                     for k, wk in w}))
     found.sort(key=lambda item: item[0])
-    kernel_vecs = [vec for _, vec in found]
 
-    def vec_to_gram(vec: list[Fraction]) -> GramMatrix:
-        M = [[Fraction(0)] * D for _ in range(D)]
-        for (a, b), v in zip(pairs, vec):
-            M[a][b] = M[b][a] = v
+    zero_row = (Fraction(0),) * D
+
+    def gram(entries: dict) -> GramMatrix:
         # symmetric Fractions by construction: no from_rows re-conversion
-        return GramMatrix(tuple(map(tuple, M)))
+        M: dict[int, list[Fraction]] = {}
+        for (a, b), v in entries.items():
+            M.setdefault(a, list(zero_row))[b] = v
+            M.setdefault(b, list(zero_row))[a] = v
+        return GramMatrix(tuple(tuple(M[i]) if i in M else zero_row
+                                for i in range(D)))
 
-    kernel = []
-    for vec in kernel_vecs:
-        g = vec_to_gram(vec)
-        if not h_of_G(g, basis).is_zero():
-            raise ParamViolation("kernel verification failed (internal)")
-        kernel.append(g)
+    kernel = [gram(entries) for _, entries in found]
     G0 = scaled_identity_gram(basis)
     return G0, KernelCertificate(tuple(kernel), len(kernel))
 

@@ -263,6 +263,25 @@ def test_malformed_pairs_exit_2_in_one_line(tmp_path, capsys, mode, pairs):
     assert err.startswith("error: UsageError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cases", [[[4]], "ab", [[4.5, 2]], [[4, True]], [],
+                                   [["4", 2]], [[4, 2, 1]]])
+def test_malformed_maps_cases_exit_2_in_one_line(tmp_path, capsys, cases):
+    rc, err = _main_error(tmp_path, capsys, "maps", "kernel",
+                          {"params": {"cases": cases}})
+    assert rc == 2
+    assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["verify", "construct", "export"])
+@pytest.mark.parametrize("params", [{"n_ambient": "x"}, {"m": 2.0},
+                                    {"m": True}, {"n_ambient": [4]}])
+def test_non_integer_maps_sizes_exit_2_in_one_line(tmp_path, capsys, mode,
+                                                   params):
+    rc, err = _main_error(tmp_path, capsys, "maps", mode, {"params": params})
+    assert rc == 2
+    assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
 def test_families_sample_counts_dropped_points(tmp_path):
     # Scherk's slope relation is degenerate (Delta = 0) at every point, and
     # x < 1e-6 lies outside its domain: every point is dropped, per reason

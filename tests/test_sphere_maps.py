@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densitylab import sphere_maps as sm
 from densitylab.errors import DimensionMismatch, NotOnSphere, NotPSD, ParamViolation
@@ -14,6 +15,105 @@ from densitylab.harmonic import (
     inner,
     monomial_exponents,
 )
+
+
+# ----------------------------------------------------------------------
+# the fraction-free elimination core against the Fraction reference
+# ----------------------------------------------------------------------
+
+def reference_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions; returns (rows, pivot cols)."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def reference_nullspace(rows, ncols):
+    if not rows:
+        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+ENTRIES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                    st.integers(-10**40, 10**40).map(Fraction),
+                    st.fractions(min_value=-1, max_value=1,
+                                 max_denominator=10**20))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices with zero rows and columns, dependent rows,
+    large entries, and no rows or no columns at all."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        coefs = draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+        combo = [sum((c * row[j] for c, row in zip(coefs, rows)), Fraction(0))
+                 for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    return [[Fraction(0) if j in zero_cols else v for j, v in enumerate(row)]
+            for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_and_nullspace_match_the_fraction_reference(rows):
+    ncols = len(rows[0]) if rows else 3
+    red, pivots = sm.rref(rows)
+    assert (red, pivots) == reference_rref(rows)
+    assert all(type(v) is Fraction for row in red for v in row)
+    assert sm.nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+def test_kernel_certificate_catches_one_wrong_numerator(monkeypatch):
+    kernel = sm._IntegerRref.kernel
+    spoiled = []
+
+    def off_by_one(self, ncols):
+        # one entry at a pivot column, whose block column is not zero
+        out = kernel(self, ncols)
+        for f, entries in out:
+            if len(entries) > 1 and not spoiled:
+                c, w = entries[1]
+                entries[1] = (c, w + 1)
+                spoiled.append((f, c))
+        return out
+
+    monkeypatch.setattr(sm._IntegerRref, "kernel", off_by_one)
+    with pytest.raises(ParamViolation, match="kernel verification failed"):
+        sm.solve_h_equals_Rm(4, 2)
+    assert len(spoiled) == 1
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +256,27 @@ def test_block_kernel_equals_whole_matrix_nullspace(n_amb, m):
     pairs = sm._sym_pairs(b.dim)
     got = [[k.entries[a][bb] for a, bb in pairs] for k in ker.basis]
     assert got == whole_matrix_kernel(b)  # entry for entry, in order
+    assert all(sm.GramMatrix.from_rows(k.entries) == k for k in ker.basis)
     assert G0 == sm.scaled_identity_gram(b)
 
 
+def test_block_kernel_of_a_basis_with_fraction_coefficients():
+    # columns over a denominator: scaling h_a scales the columns E_ab
+    b = sm.basis_Hm(4, 2)
+    els, norms = list(b.elements), list(b.norms)
+    for i, s in ((3, Fraction(2, 3)), (5, Fraction(1, 5))):
+        els[i] = HarmonicElement(els[i].poly.scale(s), 2)
+        norms[i] *= s * s
+    scaled = sm.HarmonicBasis(4, 2, tuple(els), tuple(norms), b.invariant_c)
+    _, ker = sm.solve_h_equals_Rm(4, 2, scaled)
+    pairs = sm._sym_pairs(b.dim)
+    got = [[k.entries[a][bb] for a, bb in pairs] for k in ker.basis]
+    assert got == whole_matrix_kernel(scaled)
+    assert all(sm.h_of_G(k, scaled).is_zero() for k in ker.basis)
+
+
 @pytest.mark.parametrize("n_amb,m", [(4, 1), (4, 2), (5, 2), (6, 2), (4, 3),
-                                     (4, 4), (5, 3)])
+                                     (4, 4), (5, 3), (6, 3), (5, 4), (7, 3)])
 def test_kernel_dimension_oracle(n_amb, m):
     # h is onto the degree-2m polynomials, so its kernel has dimension
     # D(D+1)/2 - dim P_2m(R^n)
@@ -183,6 +299,17 @@ def test_solve_refuses_a_mixed_parity_basis():
                            b.invariant_c)
     with pytest.raises(ParamViolation, match="parity"):
         sm.solve_h_equals_Rm(4, 1, bad)
+
+
+@pytest.mark.parametrize("fn,args", [
+    (monomial_exponents, (4.5, 2)), (monomial_exponents, (4, 2.0)),
+    (monomial_exponents, (True, 2)), (monomial_exponents, (0, 2)),
+    (dim_harmonics, (4.5, 2)), (dim_harmonics, (4, True)),
+    (sm.basis_Hm, (4.5, 2)), (sm.basis_Hm, (4, "2")), (sm.basis_Hm, (False, 2)),
+], ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__)
+def test_dimension_and_degree_must_be_integers(fn, args):
+    with pytest.raises(ParamViolation):
+        fn(*args)
 
 
 def test_solve_requires_ambient_four():
