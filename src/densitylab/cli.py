@@ -7,14 +7,12 @@ A scenario is a single JSON document:
               "nx": ..., "ny": ...},
      "tolerances": {...}, "seed": 42}
 
-Command verbs map onto (suite, mode):
+The command is ``densitylab <suite> <mode>``.  ``_MODES`` declares each
+mode's handler, parameters {name: (kind, default)} and grid keys; documents
+are checked against it, and the report echoes the document as written.
 
-    densitylab families verify|sample|period|winding
-    densitylab calabi   residual|branches|extract
-    densitylab harmonic identities|spectrum|dims
-    densitylab maps     kernel|construct|verify|export
-
-Exit codes: 0 all checks pass, 1 some check failed, 2 invalid usage.
+Exit codes: 0 all checks pass, 1 some check failed, 2 invalid usage (one
+stderr line, ``error: <class>: <message>``).
 Reports are deterministic for a fixed scenario and seed: the report body
 (everything except the runtime field) is byte-identical across runs.
 Rational numbers are serialized as "numerator/denominator" strings.
@@ -30,22 +28,17 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import calabi, harmonic, minimal_graphs as mg, sphere_maps as sm
 from .errors import DensityLabError, UsageError
 from .jets import BatchStatus, Jet, masked_errstate
-
-SUITES = {
-    "families": ("verify", "sample", "period", "winding"),
-    "calabi": ("residual", "branches", "extract"),
-    "harmonic": ("identities", "spectrum", "dims"),
-    "maps": ("kernel", "construct", "verify", "export"),
-}
 
 DEFAULT_TOLERANCES = {
     "algebraic": mg.TOL_ALG,
@@ -55,6 +48,55 @@ DEFAULT_TOLERANCES = {
     "winding": 1e-3,
     "energy": 1e-9,
 }
+
+
+class Kind(NamedTuple):
+    """A kind of scenario value: its name, its test, how handlers read it."""
+    text: str
+    accepts: Callable[[object], bool]
+    read: Callable = lambda value: value
+
+
+INTEGER = Kind("integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+REAL = Kind("real", lambda v: isinstance(v, float) or INTEGER.accepts(v), float)
+
+
+def _at_least(low: int) -> Kind:
+    return Kind(f"integer >= {low}", lambda v: INTEGER.accepts(v) and v >= low)
+
+
+def _list_of(kind: Kind, length: int | None = None) -> Kind:
+    """A non-empty list of kind, of the given length if one is given.  It is
+    read as written, so labels built from its entries echo the document."""
+    text = (f"[{', '.join([kind.text] * length)}]" if length
+            else f"non-empty list of {kind.text}")
+    return Kind(text, lambda v: (isinstance(v, (list, tuple)) and len(v) > 0
+                                 and len(v) == (length or len(v))
+                                 and all(map(kind.accepts, v))))
+
+
+def _one_of(*names: str) -> Kind:
+    return Kind(f"one of {', '.join(names)}",
+                lambda v: isinstance(v, str) and v in names)
+
+
+_OBJECT = Kind("JSON object", lambda v: isinstance(v, dict))
+
+
+def _read(where: str, doc, spec: dict) -> dict:
+    """doc read against spec {name: (kind, default)}, defaults filled in;
+    UsageError for an unknown key or a value of the wrong kind."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{where} must be a JSON object, got {doc!r}")
+    for name, value in doc.items():
+        if name not in spec:
+            raise UsageError(f"{where}: unknown key {name!r}; "
+                             f"expected {', '.join(spec) or 'none'}")
+        if not spec[name][0].accepts(value):
+            raise UsageError(f"{where}: {name} is {value!r}; "
+                             f"expected {spec[name][0].text}")
+    return {name: kind.read(doc[name]) if name in doc else default
+            for name, (kind, default) in spec.items()}
 
 
 @dataclass
@@ -67,35 +109,27 @@ class Scenario:
     seed: int = 0
 
     @staticmethod
-    def from_config(doc: dict) -> "Scenario":
-        suite = doc.get("suite")
-        if suite not in SUITES:
-            raise UsageError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-        mode = doc.get("mode", SUITES[suite][0])
+    def from_config(doc) -> "Scenario":
+        """The scenario of a document checked against the mode table."""
+        top = _read("scenario", doc, _SCENARIO)
+        suite = top["suite"]
+        if suite is None:
+            raise UsageError(f"scenario has no suite; expected {', '.join(SUITES)}")
+        mode = SUITES[suite][0] if top["mode"] is None else top["mode"]
         if mode not in SUITES[suite]:
             raise UsageError(f"unknown mode {mode!r} for suite {suite!r}")
-        grid = doc.get("grid", {})
-        if grid:
-            for key in ("nx", "ny"):
-                if key in grid and grid[key] < 2:
-                    raise UsageError(f"grid counts must be >= 2, got {grid[key]}")
-        tol = dict(DEFAULT_TOLERANCES)
-        for k, v in doc.get("tolerances", {}).items():
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise UsageError(f"tolerance override {k!r} must be positive")
-            tol[k] = float(v)
-        seed = int(doc.get("seed", 0))
-        return Scenario(suite, mode, doc.get("params", {}), grid, tol, seed)
+        tol = _read("tolerances", top["tolerances"], _TOLERANCES)
+        sc = Scenario(suite, mode, dict(top["params"]), dict(top["grid"]), tol,
+                      top["seed"])  # copies: the defaults in _SCENARIO are shared
+        sc.args  # reads params and grid now, so a bad value fails here
+        return sc
 
-    def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "mode": self.mode,
-            "params": self.params,
-            "grid": self.grid,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
+    @cached_property
+    def args(self) -> dict:
+        """params and grid read against the mode's declaration."""
+        mode, where = _MODES[(self.suite, self.mode)], f"{self.suite} {self.mode}"
+        return {**_read(f"params of {where}", self.params, mode.params),
+                **_read(f"grid of {where}", self.grid, mode.grid)}
 
 
 def _check(name: str, passed: bool, max_residual=None, exact=None, witness=None):
@@ -109,67 +143,35 @@ def _check(name: str, passed: bool, max_residual=None, exact=None, witness=None)
     return rec
 
 
-def _grid_points(grid: dict, defaults: tuple[float, float, float, float, int, int]):
-    x0 = grid.get("x_min", defaults[0])
-    x1 = grid.get("x_max", defaults[1])
-    y0 = grid.get("y_min", defaults[2])
-    y1 = grid.get("y_max", defaults[3])
-    nx = int(grid.get("nx", defaults[4]))
-    ny = int(grid.get("ny", defaults[5]))
+def _tally(counts: Counter) -> str:
+    """' (name count, ...)' in name order; empty when there are none."""
+    return " (" + ", ".join(f"{n} {k}" for n, k in sorted(counts.items())) + ")" \
+        if counts else ""
+
+
+def _grid_keys(count: int) -> dict:
+    """The grid of a mode that reads one: x and y ranges, count x count points."""
+    return {"x_min": (REAL, 0.5), "x_max": (REAL, 3.0), "y_min": (REAL, 0.0),
+            "y_max": (REAL, 2.0 * math.pi),
+            "nx": (_at_least(2), count), "ny": (_at_least(2), count)}
+
+
+def _grid_points(p: dict) -> tuple[list[float], list[float]]:
+    x0, x1, nx = p["x_min"], p["x_max"], p["nx"]
+    y0, y1, ny = p["y_min"], p["y_max"], p["ny"]
     xs = [x0 + (x1 - x0) * i / (nx - 1) for i in range(nx)]
     ys = [y0 + (y1 - y0) * j / (ny - 1) for j in range(ny)]
     return xs, ys
 
 
-def _numbers(name: str, value, length: int | None = None,
-             integers: bool = False) -> list:
-    """value itself if it is a non-empty list of real numbers, or of
-    integers (of the given length); UsageError otherwise.  Bools are
-    refused."""
-    kinds = int if integers else (int, float)
-    ok = (isinstance(value, (list, tuple)) and len(value) > 0
-          and (length is None or len(value) == length)
-          and all(isinstance(v, kinds) and not isinstance(v, bool)
-                  for v in value))
-    if not ok:
-        size = "a non-empty list" if length is None else f"a list of {length}"
-        kind = "integers" if integers else "real numbers"
-        raise UsageError(f"{name} must be {size} {kind}, got {value!r}")
-    return value
-
-
-def _integer(params: dict, key: str, default: int) -> int:
-    """The integer parameter params[key] (default if absent); UsageError
-    for anything else, bools included."""
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _pairs(params: dict, key: str = "pairs", default=([1.0, 1.0], [0.8, 0.5]),
-           names: str = "a, c", integers: bool = False) -> list:
-    """The pairs params[key] (default if absent), checked: the (a, c) of a
-    period or winding scenario, or the integer (n_ambient, m) cases of
-    maps kernel."""
-    pairs = params.get(key, default)
-    if not (isinstance(pairs, (list, tuple)) and pairs):
-        raise UsageError(f"{key} must be a non-empty list of [{names}], got {pairs!r}")
-    return [_numbers(f"each entry of {key}", pair, 2, integers) for pair in pairs]
-
-
-def _family_from_params(params: dict) -> mg.DensityFamily:
-    kind = params.get("family", "scherk")
-    if kind == "constant":
-        return mg.ConstantPlane(float(params.get("c", 2.0)))
-    if kind == "scherk":
-        return mg.ScherkFifth()
-    if kind == "helicatenoid":
-        return mg.HeliCatenoid(float(params.get("phi", math.pi / 4)))
-    if kind == "doubly_periodic":
-        return mg.DoublyPeriodic(float(params.get("a", 1.0)),
-                                 float(params.get("c", 1.0)))
-    raise UsageError(f"unknown family {kind!r}")
+# family name -> the family of a sample scenario; c defaults per family
+_FAMILIES = {
+    "constant": lambda p: mg.ConstantPlane(2.0 if p["c"] is None else p["c"]),
+    "scherk": lambda p: mg.ScherkFifth(),
+    "helicatenoid": lambda p: mg.HeliCatenoid(p["phi"]),
+    "doubly_periodic": lambda p: mg.DoublyPeriodic(
+        p["a"], 1.0 if p["c"] is None else p["c"]),
+}
 
 
 # ----------------------------------------------------------------------
@@ -182,12 +184,11 @@ def _grid(*axes) -> list[np.ndarray]:
 
 
 def _families_verify(sc: Scenario) -> list[dict]:
-    tol = sc.tolerances
+    p, tol = sc.args, sc.tolerances
     checks = []
     # Scherk: closed-form jets on a psi x x x y grid, as one batch
-    xs, ys = _grid_points(sc.grid, (0.5, 3.0, 0.0, 2.0 * math.pi, 25, 25))
-    psis = _numbers("psi_values",
-                    sc.params.get("psi_values", [0.0, 0.7, 1.4, 2.1, 2.8]))
+    xs, ys = _grid_points(p)
+    psis = p["psi_values"]
     psi, x, y = _grid(psis, xs, ys)
     uj = mg.scherk_u_jet(x, y, psi, order=2)
     r = np.abs(mg.minimal_residual(uj))
@@ -205,8 +206,7 @@ def _families_verify(sc: Scenario) -> list[dict]:
 
     # doubly periodic: first integrals and closure system on the grid points
     # of the domain, as one batch
-    fam = mg.DoublyPeriodic(float(sc.params.get("a", 1.0)),
-                            float(sc.params.get("c", 1.0)))
+    fam = mg.DoublyPeriodic(p["a"], p["c"])
     fam.validate()
     x, y = _grid([0.2 + 0.15 * i for i in range(12)],
                  [-1.0 + 0.17 * j for j in range(12)])
@@ -226,7 +226,7 @@ def _families_verify(sc: Scenario) -> list[dict]:
 
     # heli-catenoid: both branches solve the slope relation on four probes,
     # as one batch; validating first keeps the scalar loop's error order
-    heli = mg.HeliCatenoid(float(sc.params.get("phi", math.pi / 4)))
+    heli = mg.HeliCatenoid(p["phi"])
     heli.validate()
     mj = mg.mu_jet(heli, np.array([1.0, 0.8, 1.4, 2.0]),
                    np.array([0.2, -0.5, 1.0, 0.0]))
@@ -243,9 +243,8 @@ def _families_verify(sc: Scenario) -> list[dict]:
 
 def _families_period(sc: Scenario) -> list[dict]:
     tol = sc.tolerances
-    pairs = _pairs(sc.params)
     checks = []
-    for (a, c) in pairs:
+    for (a, c) in sc.args["pairs"]:
         tag = f"a={a},c={c}"
         try:
             lam = mg.period_sigma(a, c, tol=tol["quadrature"])
@@ -266,10 +265,9 @@ def _families_period(sc: Scenario) -> list[dict]:
 
 def _families_winding(sc: Scenario) -> list[dict]:
     tol = sc.tolerances
-    pairs = _pairs(sc.params)
-    R = float(sc.params.get("rectangle_half_width", 8.0))
+    R = sc.args["rectangle_half_width"]
     checks = []
-    for (a, c) in pairs:
+    for (a, c) in sc.args["pairs"]:
         tag = f"a={a},c={c}"
         try:
             lift = mg.lift_theta_along(mg.gamma_rectangle(a, c, R), a, c)
@@ -308,25 +306,6 @@ def _field_values(fam: mg.DensityFamily, name: str, x: np.ndarray, y: np.ndarray
     return np.broadcast_to(values, x.shape)
 
 
-def _field_rows(sc: Scenario, field_name: str) -> tuple[list[list[float]], Counter]:
-    """[x, y, value] over the scenario grid in y-major order, where defined,
-    and the number of dropped grid points per reason."""
-    if field_name not in _FIELDS:
-        raise UsageError(f"unknown field {field_name!r}")
-    fam = _family_from_params(sc.params)
-    xs, ys = _grid_points(sc.grid, (0.5, 3.0, 0.0, 2.0 * math.pi, 40, 40))
-    y, x = _grid(ys, xs)
-    inside = np.broadcast_to(fam.contains(x, y), x.shape)
-    x, y = x[inside], y[inside]
-    status = BatchStatus(x.size)
-    values = _field_values(fam, field_name, x, y, status)
-    ok = ~status.failed
-    rows = np.column_stack((x[ok], y[ok], values[ok])).tolist()
-    dropped = Counter({"outside the domain": int(np.sum(~inside))})
-    dropped.update(err.__name__ for err in status.errors if err is not None)
-    return rows, +dropped
-
-
 def _write_field(rows: list, field_name: str, out_path: Path, fmt: str) -> Path:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
@@ -340,26 +319,25 @@ def _write_field(rows: list, field_name: str, out_path: Path, fmt: str) -> Path:
     return out_path
 
 
-def emit_field_csv(sc: Scenario, field_name: str, out_path: Path) -> Path:
-    """Write a grid field as CSV (columns x, y, value; y-major rows)."""
-    return _write_field(_field_rows(sc, field_name)[0], field_name, out_path, "csv")
-
-
-def emit_field_json(sc: Scenario, field_name: str, out_path: Path) -> Path:
-    """Same grid field as a JSON document (rows in y-major order)."""
-    return _write_field(_field_rows(sc, field_name)[0], field_name, out_path, "json")
-
-
 def _families_sample(sc: Scenario, out_dir: Path,
                      fmt: str = "csv") -> tuple[list[dict], list[str]]:
-    name = sc.params.get("field", "F")
+    """The field over the scenario grid, [x, y, value] in y-major order where
+    defined, written as a table; the witness counts dropped points per reason."""
+    p, name = sc.args, sc.args["field"]
+    fam = _FAMILIES[p["family"]](p)
+    xs, ys = _grid_points(p)
+    y, x = _grid(ys, xs)
+    inside = np.broadcast_to(fam.contains(x, y), x.shape)
+    x, y = x[inside], y[inside]
+    status = BatchStatus(x.size)
+    values = _field_values(fam, name, x, y, status)
+    ok = ~status.failed
+    rows = np.column_stack((x[ok], y[ok], values[ok])).tolist()
+    dropped = +Counter({"outside the domain": int(np.sum(~inside))})
+    dropped.update(err.__name__ for err in status.errors if err is not None)
     fmt = "json" if fmt == "json" else "csv"
-    rows, dropped = _field_rows(sc, name)
     path = _write_field(rows, name, out_dir / f"field_{name}.{fmt}", fmt)
-    witness = f"{path}; {sum(dropped.values())} grid points dropped"
-    if dropped:
-        witness += " (" + ", ".join(f"{reason} {k}" for reason, k
-                                    in sorted(dropped.items())) + ")"
+    witness = f"{path}; {sum(dropped.values())} grid points dropped{_tally(dropped)}"
     return [_check(f"sample_emitted[{name}]", True, witness=witness)], [str(path)]
 
 
@@ -374,7 +352,7 @@ def _calabi_residual(sc: Scenario) -> list[dict]:
     checks.append(_check("linear_extremal_exact", r == 0.0, abs(r), exact=True))
     rng = random.Random(sc.seed)
     worst = 0.0
-    for _ in range(int(sc.params.get("probes", 25))):
+    for _ in range(sc.args["probes"]):
         phi = rng.uniform(0.1, math.pi / 4 - 0.1)
         th = rng.uniform(-0.3, 0.3)
         gp = calabi.ellipse_param(phi, th)
@@ -386,7 +364,7 @@ def _calabi_residual(sc: Scenario) -> list[dict]:
 
 def _calabi_branches(sc: Scenario) -> list[dict]:
     rng = random.Random(sc.seed)
-    n = int(sc.params.get("trials", 500))
+    n = sc.args["trials"]
     # per trial, in this order: phi's value, dx, dy, dxx, dxy, dyy
     draws = [[rng.uniform(0.15, math.pi / 4 - 0.15)]
              + [rng.uniform(-0.3, 0.3) for _ in range(5)] for _ in range(n)]
@@ -396,10 +374,7 @@ def _calabi_branches(sc: Scenario) -> list[dict]:
     skipped = Counter(o.__name__ for o in outcomes if isinstance(o, type))
     max_count = max(counts, default=0)
     witness = (f"max count {max_count} over {n} trials; {len(counts)} used, "
-               f"{sum(skipped.values())} skipped")
-    if skipped:
-        witness += " (" + ", ".join(f"{name} {k}" for name, k
-                                    in sorted(skipped.items())) + ")"
+               f"{sum(skipped.values())} skipped{_tally(skipped)}")
     return [_check("at_most_two_candidates", bool(counts) and max_count <= 2,
                    witness=witness)]
 
@@ -426,12 +401,11 @@ def _calabi_extract(sc: Scenario) -> list[dict]:
 
 def _harmonic_identities(sc: Scenario) -> list[dict]:
     # default scenario: n = 3, d <= 3, 50 trials; widen via params
-    checks = []
-    trials = int(sc.params.get("trials", 50))
-    for n in sc.params.get("dims", [3]):
-        for d in range(1, int(sc.params.get("max_degree", 3)) + 1):
+    p, checks = sc.args, []
+    for n in p["dims"]:
+        for d in range(1, p["max_degree"] + 1):
             try:
-                harmonic.identity_suite(n, d, trials, seed=sc.seed)
+                harmonic.identity_suite(n, d, p["trials"], seed=sc.seed)
                 checks.append(_check(f"identities[n={n},d={d}]", True, exact=True))
             except harmonic.IdentityFailure as exc:
                 checks.append(_check(f"identities[n={n},d={d}]", False,
@@ -445,16 +419,14 @@ def _harmonic_identities(sc: Scenario) -> list[dict]:
 
 
 def _harmonic_spectrum(sc: Scenario) -> list[dict]:
-    checks = []
-    lam_max = int(sc.params.get("lambda_max", 40))
-    m_max = int(sc.params.get("m_max", 15))
-    for n in sc.params.get("dims", [3, 4, 5]):
+    p, checks = sc.args, []
+    for n in p["dims"]:
         ok = True
         witness = None
-        for lam in range(lam_max + 1):
-            p = harmonic.SpectralParams(n, Fraction(1), Fraction(lam))
-            m = harmonic.admissible_lambda(p)
-            seq = harmonic.a_sequence(p, m_max)
+        for lam in range(p["lambda_max"] + 1):
+            spec = harmonic.SpectralParams(n, Fraction(1), Fraction(lam))
+            m = harmonic.admissible_lambda(spec)
+            seq = harmonic.a_sequence(spec, p["m_max"])
             if m is not None:
                 good = (seq.first_negative is None
                         and seq.first_zero == m + 1
@@ -474,8 +446,8 @@ def _harmonic_dims(sc: Scenario) -> list[dict]:
     checks = []
     worst = None
     ok = True
-    for n_amb in sc.params.get("ambient_dims", [3, 4, 5]):
-        for m in range(0, int(sc.params.get("max_degree", 6)) + 1):
+    for n_amb in sc.args["ambient_dims"]:
+        for m in range(0, sc.args["max_degree"] + 1):
             formula = harmonic.dim_harmonics(n_amb, m)
             brute = _brute_harmonic_dim(n_amb, m)
             if formula != brute:
@@ -509,8 +481,7 @@ def _brute_harmonic_dim(n_amb: int, m: int) -> int:
 
 def _maps_kernel(sc: Scenario) -> list[dict]:
     checks = []
-    for (n_amb, m) in _pairs(sc.params, "cases", ([4, 1], [4, 2]),
-                             "n_ambient, m", integers=True):
+    for (n_amb, m) in sc.args["cases"]:
         rep = sm.nonuniqueness_report(n_amb, m)
         name = f"kernel[n_ambient={n_amb},m={m}]"
         checks.append(_check(name, True, exact=True,
@@ -519,8 +490,7 @@ def _maps_kernel(sc: Scenario) -> list[dict]:
 
 
 def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
-    n_amb = _integer(sc.params, "n_ambient", 4)
-    m = _integer(sc.params, "m", 2)
+    n_amb, m = sc.args["n_ambient"], sc.args["m"]
     checks = []
     if (m == 1) or (n_amb, m) == (4, 2):
         the_map = sm.canonical_exact_map(n_amb, m)
@@ -535,7 +505,7 @@ def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
         the_map = sm.construct_map(G0, basis)
         checks.append(_check("map_constructed", True, exact=the_map.exact))
     lam = the_map.eigenvalue
-    pts = sm.random_sphere_points(n_amb, int(sc.params.get("points", 100)), sc.seed)
+    pts = sm.random_sphere_points(n_amb, sc.args["points"], sc.seed)
     worst = max(abs(sm.energy_density(the_map, p) - lam) for p in pts)
     checks.append(_check("energy_density_constant",
                          worst < sc.tolerances["energy"], worst,
@@ -544,8 +514,7 @@ def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
 
 
 def _maps_verify(sc: Scenario) -> list[dict]:
-    n_amb = _integer(sc.params, "n_ambient", 4)
-    m = _integer(sc.params, "m", 2)
+    n_amb, m = sc.args["n_ambient"], sc.args["m"]
     basis = sm.basis_Hm(n_amb, m)
     G0, kernel = sm.solve_h_equals_Rm(n_amb, m, basis)
     checks = []
@@ -600,36 +569,71 @@ def _maps_export(sc: Scenario, out_dir: Path,
     return checks, [str(path)]
 
 
-def _no_artifacts(mode_fn):
-    return lambda sc, out_dir, fmt: (mode_fn(sc), [])
+class _Mode(NamedTuple):
+    run: Callable       # f(scenario, out_dir, fmt) -> (checks, artifact paths)
+    params: dict        # name -> (kind, default)
+    grid: dict = {}     # grid key -> (kind, default); empty: the mode reads no grid
 
 
-# (suite, mode) -> f(scenario, out_dir, fmt) -> (checks, artifact paths)
+def _checks(mode_fn, params: dict, grid: dict = {}) -> _Mode:
+    """A mode that writes no artifacts: mode_fn(scenario) -> checks."""
+    return _Mode(lambda sc, out_dir, fmt: (mode_fn(sc), []), params, grid)
+
+
+_PAIRS = {"pairs": (_list_of(_list_of(REAL, 2)), [[1.0, 1.0], [0.8, 0.5]])}
+_MAP = {"n_ambient": (_at_least(1), 4), "m": (INTEGER, 2)}
+_MAP_POINTS = {**_MAP, "points": (_at_least(1), 100)}
+
+# (suite, mode) -> handler, declared parameters and grid; the one table that
+# dispatch, validation and the command line read
 _MODES = {
-    ("families", "verify"): _no_artifacts(_families_verify),
-    ("families", "sample"): _families_sample,
-    ("families", "period"): _no_artifacts(_families_period),
-    ("families", "winding"): _no_artifacts(_families_winding),
-    ("calabi", "residual"): _no_artifacts(_calabi_residual),
-    ("calabi", "branches"): _no_artifacts(_calabi_branches),
-    ("calabi", "extract"): _no_artifacts(_calabi_extract),
-    ("harmonic", "identities"): _no_artifacts(_harmonic_identities),
-    ("harmonic", "spectrum"): _no_artifacts(_harmonic_spectrum),
-    ("harmonic", "dims"): _no_artifacts(_harmonic_dims),
-    ("maps", "kernel"): _no_artifacts(_maps_kernel),
-    ("maps", "construct"): _no_artifacts(lambda sc: _maps_construct(sc)[0]),
-    ("maps", "verify"): _no_artifacts(_maps_verify),
-    ("maps", "export"): _maps_export,
+    ("families", "verify"): _checks(_families_verify, {
+        "psi_values": (_list_of(REAL), [0.0, 0.7, 1.4, 2.1, 2.8]),
+        "a": (REAL, 1.0), "c": (REAL, 1.0), "phi": (REAL, math.pi / 4)},
+        _grid_keys(25)),
+    ("families", "sample"): _Mode(_families_sample, {
+        "family": (_one_of(*_FAMILIES), "scherk"), "field": (_one_of(*_FIELDS), "F"),
+        "a": (REAL, 1.0), "c": (REAL, None), "phi": (REAL, math.pi / 4)},
+        _grid_keys(40)),
+    ("families", "period"): _checks(_families_period, _PAIRS),
+    ("families", "winding"): _checks(_families_winding, {
+        **_PAIRS, "rectangle_half_width": (REAL, 8.0)}),
+    ("calabi", "residual"): _checks(_calabi_residual, {"probes": (INTEGER, 25)}),
+    ("calabi", "branches"): _checks(_calabi_branches, {"trials": (INTEGER, 500)}),
+    ("calabi", "extract"): _checks(_calabi_extract, {}),
+    ("harmonic", "identities"): _checks(_harmonic_identities, {
+        "dims": (_list_of(INTEGER), [3]), "max_degree": (INTEGER, 3),
+        "trials": (INTEGER, 50)}),
+    ("harmonic", "spectrum"): _checks(_harmonic_spectrum, {
+        "dims": (_list_of(INTEGER), [3, 4, 5]), "lambda_max": (INTEGER, 40),
+        "m_max": (INTEGER, 15)}),
+    ("harmonic", "dims"): _checks(_harmonic_dims, {
+        "ambient_dims": (_list_of(INTEGER), [3, 4, 5]), "max_degree": (INTEGER, 6)}),
+    ("maps", "kernel"): _checks(_maps_kernel, {
+        "cases": (_list_of(_list_of(INTEGER, 2)), [[4, 1], [4, 2]])}),
+    ("maps", "construct"): _checks(lambda sc: _maps_construct(sc)[0], _MAP_POINTS),
+    ("maps", "verify"): _checks(_maps_verify, _MAP),
+    ("maps", "export"): _Mode(_maps_export, _MAP_POINTS),
 }
+
+# suite -> its modes, the first being the default
+SUITES = {suite: tuple(m for s, m in _MODES if s == suite) for suite, _ in _MODES}
+
+_SCENARIO = {"suite": (_one_of(*SUITES), None),
+             "mode": (Kind("string", lambda v: isinstance(v, str)), None),
+             "params": (_OBJECT, {}), "grid": (_OBJECT, {}),
+             "tolerances": (_OBJECT, {}), "seed": (INTEGER, 0)}
+_POSITIVE = Kind("real > 0", lambda v: REAL.accepts(v) and v > 0, float)
+_TOLERANCES = {name: (_POSITIVE, value) for name, value in DEFAULT_TOLERANCES.items()}
 
 
 def run(sc: Scenario, out_dir: Path | None = None, fmt: str = "csv") -> dict:
     """Execute a scenario and assemble its report."""
     out_dir = Path(out_dir) if out_dir else Path(".")
     t0 = time.perf_counter()
-    checks, artifacts = _MODES[(sc.suite, sc.mode)](sc, out_dir, fmt)
+    checks, artifacts = _MODES[(sc.suite, sc.mode)].run(sc, out_dir, fmt)
     report = {
-        "scenario": sc.echo(),
+        "scenario": asdict(sc),
         "seed": sc.seed,
         "checks": checks,
         "overall": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
@@ -666,20 +670,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             try:
                 doc = json.loads(args.config.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 raise UsageError(f"cannot read config {args.config}: {exc}")
-        doc.setdefault("suite", args.suite)
-        doc.setdefault("mode", args.mode)
-        if doc["suite"] != args.suite or doc["mode"] != args.mode:
-            raise UsageError("config suite/mode disagree with command line")
-        if args.seed is not None:
-            doc["seed"] = args.seed
+        if isinstance(doc, dict):   # from_config refuses any other document
+            doc = {"suite": args.suite, "mode": args.mode, **doc}
+            if (doc["suite"], doc["mode"]) != (args.suite, args.mode):
+                raise UsageError("config suite/mode disagree with command line")
+            if args.seed is not None:
+                doc["seed"] = args.seed
         sc = Scenario.from_config(doc)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report = run(sc, args.out, fmt=args.fmt)
     except DensityLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -582,5 +582,6 @@ def monomial_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
         for k in range(remaining, -1, -1):
             rec(prefix + [k], remaining - k, slots - 1)
 
-    rec([], degree, nvars)
+    if degree >= 0:
+        rec([], degree, nvars)
     return out

@@ -4,9 +4,11 @@ import ast
 import csv
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densitylab import cli, minimal_graphs as mg, sphere_maps as sm
 from densitylab.errors import UsageError
@@ -84,13 +86,19 @@ def test_calabi_branches_fails_when_no_trial_is_used(monkeypatch):
                                 "20 skipped (RangeViolation 20)")
 
 
+def _sample(tmp_path, cfg: dict, fmt: str = "csv") -> Path:
+    """The field table that families sample writes for cfg."""
+    sc = cli.Scenario.from_config(cfg)
+    (path,) = cli.run(sc, tmp_path, fmt)["artifacts"]
+    return Path(path)
+
+
 def test_emit_field_csv_matches_density(tmp_path):
-    sc = cli.Scenario.from_config({
+    path = _sample(tmp_path, {
         "suite": "families", "mode": "sample",
         "params": {"family": "helicatenoid", "phi": math.pi / 4, "field": "F"},
         "grid": {"x_min": 0.8, "x_max": 1.6, "y_min": 0.0, "y_max": 0.8,
                  "nx": 5, "ny": 4}})
-    path = cli.emit_field_csv(sc, "F", tmp_path / "f.csv")
     fam = mg.HeliCatenoid(math.pi / 4)
     rows = list(csv.DictReader(path.read_text().splitlines()))
     assert rows, "csv should have data rows"
@@ -108,9 +116,8 @@ def test_emit_field_json_matches_csv(tmp_path):
            "params": {"family": "scherk", "field": "F"},
            "grid": {"x_min": 0.5, "x_max": 1.5, "y_min": 0.0, "y_max": 1.0,
                     "nx": 4, "ny": 3}}
-    sc = cli.Scenario.from_config(cfg)
-    csv_path = cli.emit_field_csv(sc, "F", tmp_path / "f.csv")
-    json_path = cli.emit_field_json(sc, "F", tmp_path / "f.json")
+    csv_path = _sample(tmp_path, cfg, "csv")
+    json_path = _sample(tmp_path, cfg, "json")
     doc = json.loads(json_path.read_text())
     csv_rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(doc["rows"]) == len(csv_rows) == 12
@@ -120,24 +127,35 @@ def test_emit_field_json_matches_csv(tmp_path):
 
 
 def test_emit_field_csv_constant_family(tmp_path):
-    sc = cli.Scenario.from_config({
+    path = _sample(tmp_path, {
         "suite": "families", "mode": "sample",
         "params": {"family": "constant", "c": 2.5, "field": "F"},
         "grid": {"x_min": -1, "x_max": 1, "y_min": -1, "y_max": 1,
                  "nx": 4, "ny": 4}})
-    path = cli.emit_field_csv(sc, "F", tmp_path / "c.csv")
     values = {row["F"] for row in csv.DictReader(path.read_text().splitlines())}
     assert values == {"2.5"}
 
 
+def test_sample_c_defaults_per_family(tmp_path):
+    # c is 2.0 for the constant plane and 1.0 for the doubly periodic family
+    grid = {"x_min": 0.5, "x_max": 1.5, "y_min": -1.0, "y_max": 1.0, "nx": 4, "ny": 3}
+    path = _sample(tmp_path / "c", {"suite": "families", "mode": "sample",
+                                    "params": {"family": "constant"}, "grid": grid})
+    assert {r["F"] for r in csv.DictReader(path.read_text().splitlines())} == {"2"}
+    tables = [_sample(tmp_path / f"dp{i}", {
+        "suite": "families", "mode": "sample",
+        "params": {"family": "doubly_periodic", "field": "P", **params},
+        "grid": grid}).read_text() for i, params in enumerate([{}, {"c": 1.0}])]
+    assert tables[0] == tables[1] and tables[0].count("\n") > 1
+
+
 def test_emit_field_csv_discriminant_positive(tmp_path):
-    sc = cli.Scenario.from_config({
+    path = _sample(tmp_path, {
         "suite": "families", "mode": "sample",
         "params": {"family": "doubly_periodic", "a": 1.0, "c": 1.0,
                    "field": "P"},
         "grid": {"x_min": -2.0, "x_max": 2.0, "y_min": 0.0,
                  "y_max": 2 * math.pi, "nx": 12, "ny": 12}})
-    path = cli.emit_field_csv(sc, "P", tmp_path / "p.csv")
     rows = list(csv.DictReader(path.read_text().splitlines()))
     assert rows
     assert all(float(r["P"]) > 0.0 for r in rows)
@@ -220,8 +238,12 @@ def test_families_verify_witness_reads_python_floats():
 
 
 def _main_error(tmp_path, capsys, suite, mode, doc):
+    """cli.main on doc (given suite and mode, if doc is an object): exit code
+    and stderr."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(doc, suite=suite, mode=mode)))
+    if isinstance(doc, dict):
+        doc = dict(doc, suite=suite, mode=mode)
+    cfg.write_text(json.dumps(doc))
     rc = cli.main([suite, mode, "--config", str(cfg), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     return rc, err
@@ -320,15 +342,83 @@ def test_families_sample_counts_dropped_points(tmp_path):
 
 
 def test_families_sample_matches_the_scalar_slope_solutions(tmp_path):
-    sc = cli.Scenario.from_config({
+    path = _sample(tmp_path, {
         "suite": "families", "mode": "sample",
         "params": {"family": "helicatenoid", "phi": 0.7, "field": "cos2theta_minus"},
         "grid": {"x_min": 0.2, "x_max": 1.6, "y_min": -1.0, "y_max": 1.0,
-                 "nx": 6, "ny": 5}})
-    path = cli.emit_field_json(sc, "cos2theta_minus", tmp_path / "f.json")
+                 "nx": 6, "ny": 5}}, "json")
     rows = json.loads(path.read_text())["rows"]
     fam = mg.HeliCatenoid(0.7)
     assert 0 < len(rows) < 30
     for x, y, v in rows:
         assert v == pytest.approx(mg.two_theta_solutions(mg.mu_jet(fam, x, y))[1][0],
                                   abs=1e-12)
+
+
+@pytest.mark.parametrize("suite,mode,doc", [
+    ("calabi", "branches", {"params": {"trials": "abc"}}),
+    ("families", "verify", {"grid": {"nx": "5"}}),
+    ("calabi", "branches", {"seed": "x"}),
+    ("calabi", "branches", [1, 2]),
+    ("harmonic", "identities", {"params": {"dims": "3"}}),
+    ("calabi", "branches", {"params": {"trails": 20}}),
+    ("families", "verify", {"params": {"pairs": [[1.0, 1.0]]}}),
+    ("maps", "construct", {"params": {"points": "x"}}),
+    ("maps", "construct", {"params": {"points": 0}}),
+    ("calabi", "branches", {"tolerances": {"algebriac": 1e-9}}),
+], ids=["trials-text", "grid-count-text", "seed-text", "top-level-array", "dims-text",
+        "params-typo", "stray-pairs", "points-text", "points-zero", "tolerance-typo"])
+def test_malformed_documents_exit_2_in_one_line(tmp_path, capsys, suite, mode, doc):
+    rc, err = _main_error(tmp_path, capsys, suite, mode, doc)
+    assert rc == 2
+    assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite,mode", list(cli._MODES))
+def test_default_scenarios_exit_0(tmp_path, capsys, suite, mode):
+    assert cli.main([suite, mode, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+_KEYS = sorted({k for m in cli._MODES.values() for k in [*m.params, *m.grid]})
+_SECTION = st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=3) | _JSON
+_DOCS = st.fixed_dictionaries(
+    {"suite": st.sampled_from(list(cli.SUITES))},
+    optional={"mode": st.sampled_from(sorted({m for _, m in cli._MODES})) | _JSON,
+              "params": _SECTION, "grid": _SECTION, "seed": _JSON,
+              "tolerances": st.dictionaries(st.sampled_from(list(cli.DEFAULT_TOLERANCES)),
+                                            _JSON, max_size=2) | _JSON})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _DOCS)
+def test_from_config_returns_a_scenario_or_raises_usage_error(doc):
+    try:
+        sc = cli.Scenario.from_config(doc)
+    except UsageError:
+        return
+    assert isinstance(sc, cli.Scenario)
+    assert sc.args.keys() == {**cli._MODES[(sc.suite, sc.mode)].params,
+                              **cli._MODES[(sc.suite, sc.mode)].grid}.keys()
+
+
+def test_readme_parameter_table_matches_the_mode_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("|") and tuple(cells[0].split()) in cli._MODES:
+            for name in cells[1].split(","):
+                listed[(cells[0], name.strip(" `"))] = cells[2]
+    declared = {}
+    for (suite, mode), spec in cli._MODES.items():
+        grid = {f"grid.{k}": v for k, v in spec.grid.items()}
+        empty = {"none": (cli.Kind("", None), None)}
+        for name, (kind, _) in ({**spec.params, **grid} or empty).items():
+            declared[(f"{suite} {mode}", name)] = kind.text
+    assert listed == declared

@@ -446,3 +446,9 @@ def test_dim_matches_ambient_shell_sum():
         for m in range(6):
             total = sum(ha.dim_harmonics(n, k) for k in range(m + 1))
             assert total == ha.dim_harmonics(n + 1, m)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [-1, -2])
+def test_monomial_exponents_empty_for_negative_degree(nvars, degree):
+    assert ha.monomial_exponents(nvars, degree) == []
