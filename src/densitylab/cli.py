@@ -28,7 +28,7 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -266,6 +266,8 @@ def _families_period(sc: Scenario) -> list[dict]:
 def _families_winding(sc: Scenario) -> list[dict]:
     tol = sc.tolerances
     R = sc.args["rectangle_half_width"]
+    for (a, _) in sc.args["pairs"]:
+        mg.require_rectangle(a, R)   # a rectangle no float can sample: exit 2
     checks = []
     for (a, c) in sc.args["pairs"]:
         tag = f"a={a},c={c}"
@@ -633,7 +635,7 @@ def run(sc: Scenario, out_dir: Path | None = None, fmt: str = "csv") -> dict:
     t0 = time.perf_counter()
     checks, artifacts = _MODES[(sc.suite, sc.mode)].run(sc, out_dir, fmt)
     report = {
-        "scenario": asdict(sc),
+        "scenario": {f.name: getattr(sc, f.name) for f in fields(sc)},
         "seed": sc.seed,
         "checks": checks,
         "overall": "pass" if all(c["status"] == "pass" for c in checks) else "fail",

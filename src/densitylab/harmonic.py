@@ -1,7 +1,11 @@
 """Exact rational calculus of harmonic polynomials on R^n.
 
-Polynomials are stored as {exponent multi-index: Fraction} maps, so every
-identity in this module is checked by exact arithmetic, never by tolerance.
+A polynomial is stored as integer numerators over one shared denominator,
+{exponent multi-index: int} and den, in a canonical form (see Poly), so
+arithmetic runs on Python integers and no Fraction is built per term.  Every
+identity in this module is an exact rational statement, checked by exact
+arithmetic, never by tolerance; equality of polynomials is equality of
+their numerators and denominators.
 The sign convention is pinned to the geometer's Laplacian, the negative of
 the trace of the Hessian, so (-Delta)^d below is the d-th power of the
 analyst's sum of pure second partials.
@@ -46,107 +50,134 @@ from .errors import (
 
 
 class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients.
 
-    __slots__ = ("nvars", "terms")
+    Stored as integer numerators over one denominator: the coefficient of
+    x^e is nums[e] / den.  The form is canonical: den > 0, every numerator
+    is nonzero, gcd(den, *nums) == 1, and the zero polynomial has den 1.
+    So two polynomials are equal exactly when their dens and nums are.
+    """
+
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
+        # den is the lcm of the reduced denominators, which makes the
+        # numerators coprime to it: the canonical form without a gcd pass
+        coefs = {}
+        den = 1
+        for exp, coef in (terms or {}).items():
+            c = Fraction(coef)
+            if c:
+                coefs[tuple(exp)] = c
+                q = c.denominator
+                if den % q:
+                    den = den * q // gcd(den, q)
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exp, coef in terms.items():
-                c = Fraction(coef)
-                if c:
-                    self.terms[tuple(exp)] = c
+        self.den = den
+        self.nums = {e: c.numerator * (den // c.denominator)
+                     for e, c in coefs.items()}
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "Poly":
-        """Wrap terms that are already tuple -> nonzero Fraction, unchecked."""
+    def _make(cls, nvars: int, den: int, nums: dict) -> "Poly":
+        """nums / den in canonical form; nums maps tuples to nonzero ints
+        and den > 0.  Every internal result is built here."""
+        if den != 1:
+            g = gcd(den, *nums.values())   # den itself when nums is empty
+            if g != 1:
+                den //= g
+                nums = {e: v // g for e, v in nums.items()}
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.den = den
+        p.nums = nums
         return p
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as {exponent: Fraction}, in term order: a view
+        built afresh from nums, so editing it changes nothing."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        return Poly._make(nvars, 1, {})
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: 1})
+        return Poly._make(nvars, 1, {(0,) * nvars: 1})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return Poly(nvars, {tuple(e): 1})
+        return Poly._make(nvars, 1, {_unit(nvars, i, 1): 1})
 
     @staticmethod
     def radius_squared(nvars: int) -> "Poly":
-        p = Poly(nvars)
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = 2
-            p.terms[tuple(e)] = Fraction(1)
-        return p
+        return Poly._make(nvars, 1, {_unit(nvars, i, 2): 1 for i in range(nvars)})
 
     # -- ring structure --------------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            if s is None:
-                out[exp] = c
-                continue
-            s += c
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other: other's terms folded into a copy of self's;
+        a key whose sum cancels is dropped and re-enters at the end."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, out, m2 = d1, dict(self.nums), sign
+        else:
+            den = d1 * d2 // gcd(d1, d2)
+            m1 = den // d1
+            out = {e: v * m1 for e, v in self.nums.items()}
+            m2 = sign * (den // d2)
+        for e, v in other.nums.items():
+            s = out.get(e, 0) + v * m2
             if s:
-                out[exp] = s
+                out[e] = s
             else:
-                del out[exp]
-        return Poly._raw(self.nvars, out)
+                del out[e]
+        return Poly._make(self.nvars, den, out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {e: -v for e, v in self.terms.items()})
+        return Poly._make(self.nvars, self.den, {e: -v for e, v in self.nums.items()})
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         if not c:
-            return Poly(self.nvars)
-        return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return Poly.zero(self.nvars)
+        k = c.numerator
+        return Poly._make(self.nvars, self.den * c.denominator,
+                          {e: v * k for e, v in self.nums.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        # integer numerators over the product of the two common denominators
-        den1, nums1 = _numerators(self.terms)
-        den2, nums2 = _numerators(other.terms)
-        den = den1 * den2
-        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in
-                                      _product_numerators(nums1, nums2).items()})
+        return Poly._make(self.nvars, self.den * other.den,
+                          _product_numerators(self.nums.items(), other.nums.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars \
-            and self.terms == other.terms
+            and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     # -- degree bookkeeping ----------------------------------------------
     def degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def homogeneous_degree(self) -> int:
         """Degree if homogeneous; raises NotHomogeneous otherwise."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(e) for e in self.nums}
         if len(degs) != 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degs)}")
         return degs.pop()
@@ -154,29 +185,40 @@ class Poly:
     # -- calculus ----------------------------------------------------------
     def diff(self, i: int) -> "Poly":
         out: dict = {}
-        for e, c in self.terms.items():
-            if e[i]:
+        for e, v in self.nums.items():
+            k = e[i]
+            if k:
                 e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return Poly._raw(self.nvars, out)
+                e2[i] = k - 1
+                out[tuple(e2)] = v * k
+        return Poly._make(self.nvars, self.den, out)
 
     def analyst_laplacian(self) -> "Poly":
-        out = Poly(self.nvars)
+        """sum_i d_i d_i, summed a variable at a time, each over the terms."""
+        out: dict = {}
         for i in range(self.nvars):
-            out = out + self.diff(i).diff(i)
-        return out
+            for e, v in self.nums.items():
+                k = e[i]
+                if k > 1:
+                    e2 = list(e)
+                    e2[i] = k - 2
+                    e2 = tuple(e2)
+                    s = out.get(e2, 0) + v * k * (k - 1)
+                    if s:
+                        out[e2] = s
+                    else:
+                        del out[e2]
+        return Poly._make(self.nvars, self.den, out)
 
     def directional(self, xi: "Poly") -> "Poly":
         """Directional derivative along the linear form xi (metric-dual).
 
         One pass over the terms, summing sum_i xi_i d_i f in the order of
-        xi's terms, with integer numerators as in ``__mul__``.
+        xi's terms.
         """
-        den1, nums = _numerators(self.terms)
-        den2, xnums = _numerators(xi.terms)
+        nums = self.nums.items()
         out: dict = {}
-        for ex, b in xnums:
+        for ex, b in xi.nums.items():
             i = next(j for j, k in enumerate(ex) if k)
             for e, a in nums:
                 k = e[i]
@@ -189,8 +231,7 @@ class Poly:
                         out[e2] = s
                     else:
                         del out[e2]
-        den = den1 * den2
-        return Poly._raw(self.nvars, {e: Fraction(v, den) for e, v in out.items()})
+        return Poly._make(self.nvars, self.den * xi.den, out)
 
     def eval(self, point) -> float:
         total = 0.0
@@ -205,11 +246,12 @@ class Poly:
         return [self.diff(i).eval(point) for i in range(self.nvars)]
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        if set(self.terms) != {(0,) * self.nvars}:
+        const = (0,) * self.nvars
+        if set(self.nums) != {const}:
             raise NotHomogeneous("polynomial is not constant")
-        return self.terms[(0,) * self.nvars]
+        return Fraction(self.nums[const], self.den)
 
     def sorted_terms(self):
         """Graded lexicographic term order (deterministic serialization)."""
@@ -217,29 +259,25 @@ class Poly:
                       reverse=True)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "Poly(0)"
         bits = []
         for e, c in self.sorted_terms()[:6]:
             mono = "*".join(f"x{i}^{k}" for i, k in enumerate(e) if k) or "1"
             bits.append(f"{c}*{mono}")
-        more = "" if len(self.terms) <= 6 else f" +{len(self.terms)-6} terms"
+        more = "" if len(self.nums) <= 6 else f" +{len(self.nums)-6} terms"
         return f"Poly({' + '.join(bits)}{more})"
 
 
-def _numerators(terms: dict) -> tuple[int, list[tuple[tuple, int]]]:
-    """Common denominator D and (exponent, c * D) integer pairs, in order."""
-    den = 1
-    for c in terms.values():
-        q = c.denominator
-        if den % q:
-            den = den * q // gcd(den, q)
-    return den, [(e, c.numerator * (den // c.denominator))
-                 for e, c in terms.items()]
+def _unit(nvars: int, i: int, k: int) -> tuple[int, ...]:
+    """The exponent of x_i^k."""
+    e = [0] * nvars
+    e[i] = k
+    return tuple(e)
 
 
-def _product_numerators(nums1: list, nums2: list) -> dict:
-    """The product of two (exponent, integer) term lists, as exponent -> int.
+def _product_numerators(nums1, nums2) -> dict:
+    """The product of two (exponent, integer) term sequences, as exponent -> int.
 
     A key whose running sum cancels is dropped and re-enters at the end.
     """
@@ -380,13 +418,13 @@ def inner(f: HarmonicElement, g: HarmonicElement) -> Fraction:
     """
     if f.degree != g.degree:
         raise DegreeMismatch(f"degrees {f.degree} != {g.degree}")
-    gterms = g.poly.terms
-    total = Fraction(0)
-    for e, c in f.poly.terms.items():
-        c2 = gterms.get(e)
-        if c2 is not None:
-            total += math.prod(map(factorial, e)) * c * c2
-    return total
+    gnums = g.poly.nums
+    total = 0
+    for e, a in f.poly.nums.items():
+        b = gnums.get(e)
+        if b is not None:
+            total += math.prod(map(factorial, e)) * a * b
+    return Fraction(total, f.poly.den * g.poly.den)
 
 
 def brace(f: HarmonicElement, g: HarmonicElement) -> HarmonicElement:
@@ -415,13 +453,13 @@ def norm_squared(alpha: HarmonicElement) -> Fraction:
 def random_harmonic(nvars: int, degree: int, rng: random.Random,
                     span: int = 4) -> HarmonicElement:
     """Harmonic part of a random small-integer homogeneous polynomial."""
-    p = Poly.zero(nvars)
-    for e in monomial_exponents(nvars, degree):
+    monos = monomial_exponents(nvars, degree)
+    nums = {}
+    for e in monos:
         c = rng.randint(-span, span)
         if c:
-            p = p + Poly(nvars, {e: c})
-    if p.is_zero():
-        p = Poly(nvars, {next(iter(monomial_exponents(nvars, degree))): 1})
+            nums[e] = c
+    p = Poly._make(nvars, 1, nums or {monos[0]: 1})
     h, _ = harmonic_decompose(p)
     if h.poly.is_zero():
         # R-multiples only; retry deterministically with a shifted seed
@@ -433,10 +471,8 @@ def random_linear(nvars: int, rng: random.Random, span: int = 4) -> HarmonicElem
     coefs = [rng.randint(-span, span) for _ in range(nvars)]
     if not any(coefs):
         coefs[0] = 1
-    p = Poly.zero(nvars)
-    for i, c in enumerate(coefs):
-        if c:
-            p = p + Poly.variable(nvars, i).scale(c)
+    p = Poly._make(nvars, 1, {_unit(nvars, i, 1): c
+                              for i, c in enumerate(coefs) if c})
     return HarmonicElement(p, 1)
 
 
@@ -465,23 +501,26 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
         b = random_linear(n, rng)
         g = random_harmonic(n, d + 1, rng)
         rot = so_action(a, b, f)
+        # each pairing of f once per trial; the identities share them
+        fva, fvb = vee(f, a), vee(f, b)
+        fda, fdb = dot(f, a), dot(f, b)
 
-        lhs1 = dot(vee(f, a), b).poly - dot(vee(f, b), a).poly
+        lhs1 = dot(fva, b).poly - dot(fvb, a).poly
         if lhs1 != rot.poly.scale(n + 2 * d):
             raise IdentityFailure(f"degree-raise/lower commutator at trial {t}: "
                                   f"f={f.poly!r} a={a.poly!r} b={b.poly!r}")
 
-        lhs2 = vee(dot(f, a), b).poly - vee(dot(f, b), a).poly
+        lhs2 = vee(fda, b).poly - vee(fdb, a).poly
         if lhs2 != rot.poly.scale(-(n + 2 * d - 4)):
             raise IdentityFailure(f"lower/raise commutator at trial {t}")
 
         scale3 = (n + 2 * d - 2) if not corrupt else (n + 2 * d - 1)
-        lhs3 = dot(vee(f, a), a).poly - vee(dot(f, a), a).poly
+        lhs3 = dot(fva, a).poly - vee(fda, a).poly
         if lhs3 != f.poly.scale(Fraction(scale3) * norm_squared(a)):
             raise IdentityFailure(f"vee/dot contraction at trial {t}: "
                                   f"f={f.poly!r} a={a.poly!r}")
 
-        if inner(vee(f, a), g) != (n + 2 * d - 2) * inner(f, dot(g, a)):
+        if inner(fva, g) != (n + 2 * d - 2) * inner(f, dot(g, a)):
             raise IdentityFailure(f"adjointness at trial {t}")
         checked += 1
     return {"n": n, "d": d, "trials": checked, "seed": seed, "all_exact": True}

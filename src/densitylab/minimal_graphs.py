@@ -609,6 +609,19 @@ def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
     return SurfacePoint(x_section, y, zmax * np.cos(rho))
 
 
+def require_rectangle(a: float, R: float) -> None:
+    """ParamViolation unless a cosh(R), the largest a cosh(x) on the
+    rectangle |x| <= R, is a finite float."""
+    try:
+        top = a * math.cosh(R)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ParamViolation(
+            f"rectangle half-width {R} gives a cosh(R) = {top} at a = {a}; "
+            "it must be finite")
+
+
 def gamma_rectangle(a: float, c: float, R: float, n_per_edge: int = 1200
                     ) -> SurfacePoint:
     """Counterclockwise boundary of [-R, R] x [0, 2 pi] on the upper sheet.
@@ -616,6 +629,7 @@ def gamma_rectangle(a: float, c: float, R: float, n_per_edge: int = 1200
     The 4 n_per_edge + 1 samples come as one SurfacePoint of arrays.
     """
     DoublyPeriodic(a, c).validate()
+    require_rectangle(a, R)
     n = n_per_edge
     k = np.arange(n + 1)
     edge = np.ones(n)

@@ -42,7 +42,6 @@ from .errors import (
 from .harmonic import (
     HarmonicElement,
     Poly,
-    _numerators,
     _product_numerators,
     _require_integers,
     dim_harmonics,
@@ -116,7 +115,8 @@ def _eliminate(rows: Sequence[Sequence]) -> _IntegerRref:
     (scaling a row does not change the rref)."""
     core = _IntegerRref()
     for row in rows:
-        core.add([v for _, v in _numerators(dict(enumerate(row)))[1]])
+        den = math.lcm(*(v.denominator for v in row))
+        core.add([v.numerator * (den // v.denominator) for v in row])
     return core
 
 
@@ -314,17 +314,11 @@ def _primitive(p: Poly) -> Poly:
     """Scale to coprime integer coefficients with positive leading term."""
     if p.is_zero():
         return p
-    dens = 1
-    for c in p.terms.values():
-        dens = dens * c.denominator // math.gcd(dens, c.denominator)
-    nums = 0
-    for c in p.terms.values():
-        nums = math.gcd(nums, abs(c.numerator * (dens // c.denominator)))
-    out = p.scale(Fraction(dens, nums))
-    lead = out.sorted_terms()[0][1]
-    if lead < 0:
-        out = out.scale(-1)
-    return out
+    g = math.gcd(*p.nums.values())
+    lead = max(p.nums, key=lambda e: (sum(e), e))   # first in sorted_terms
+    if p.nums[lead] < 0:
+        g = -g
+    return Poly._make(p.nvars, 1, {e: v // g for e, v in p.nums.items()})
 
 
 def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
@@ -353,7 +347,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
         if h.poly.is_zero():
             continue
         row = [0] * len(monos)
-        for exp, c in _numerators(h.poly.terms)[1]:
+        for exp, c in h.poly.nums.items():
             row[index[exp]] = c
         if core.add(row):
             chosen.append(h.poly)
@@ -381,8 +375,8 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     for el, n2 in zip(ortho, norms):
         acc = acc + (el.poly * el.poly).scale(Fraction(1, 1) / n2)
     rm = radius_power(n_ambient, m)
-    lead_exp = next(iter(rm.terms))
-    c = acc.terms.get(lead_exp, Fraction(0)) / rm.terms[lead_exp]
+    lead_exp = next(iter(rm.nums))
+    c = Fraction(acc.nums.get(lead_exp, 0) * rm.den, acc.den * rm.nums[lead_exp])
     if acc != rm.scale(c):
         raise ParamViolation("basis reproducing identity failed (internal)")
     return HarmonicBasis(n_ambient, m, tuple(ortho), tuple(norms), c)
@@ -427,7 +421,7 @@ def _parity(e: tuple[int, ...]) -> tuple[int, ...]:
 
 def _element_parity(p: Poly) -> tuple[int, ...]:
     """The one parity pattern in Z_2^n shared by every monomial of p."""
-    parities = {_parity(e) for e in p.terms}
+    parities = {_parity(e) for e in p.nums}
     if len(parities) != 1:
         raise ParamViolation(
             f"basis element has {len(parities)} parity patterns (internal)")
@@ -455,9 +449,8 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     read off the rref of the whole matrix, in the same order.
 
     Column E_ab holds the integer numerators of h_a h_b (times 2 when
-    a != b) over den_ab, the product of the two elements' common
-    denominators (1 for every basis_Hm element, whose coefficients are
-    integers).  Scaling columns keeps the pivot columns, and the rref
+    a != b) over den_ab, the product of the two elements' denominators
+    (1 for every basis_Hm element, whose coefficients are integers).  Scaling columns keeps the pivot columns, and the rref
     kernel vector of free column f has entry den_j w_j / (den_f d) at j,
     where w is d times the kernel vector of the integer block.
     """
@@ -479,7 +472,7 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
         rows_of = block_rows.setdefault(_parity(e), {})
         rows_of[e] = len(rows_of)
 
-    nums = [_numerators(el.poly.terms) for el in basis.elements]
+    polys = [el.poly for el in basis.elements]
     found: list[tuple[int, dict]] = []  # (free column, {(a, b): entry})
     for key, cols in block_cols.items():
         row_index = block_rows[key]
@@ -487,11 +480,11 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
         dens: list[int] = []
         for j in cols:
             a, b = pairs[j]
-            (den_a, nums_a), (den_b, nums_b) = nums[a], nums[b]
+            pa, pb = polys[a], polys[b]
             twice = 1 if a == b else 2
-            sparse.append([(row_index[e], twice * v) for e, v
-                           in _product_numerators(nums_a, nums_b).items()])
-            dens.append(den_a * den_b)
+            sparse.append([(row_index[e], twice * v) for e, v in
+                           _product_numerators(pa.nums.items(), pb.nums.items()).items()])
+            dens.append(pa.den * pb.den)
         rows = [[0] * len(cols) for _ in row_index]
         for k, col in enumerate(sparse):
             for i, v in col:
@@ -714,6 +707,9 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
     all components harmonic, so the scaled components give an exact map
     S^3 -> S^7 of constant energy density 8.
     """
+    _require_integers(n_ambient=n_ambient, m=m)
+    if n_ambient < 1:
+        raise ParamViolation(f"n_ambient must be >= 1, got {n_ambient}")
     if m == 1:
         comps = tuple(Poly.variable(n_ambient, i) for i in range(n_ambient))
         return SphericalHarmonicMap(n_ambient, 1, comps, True)
@@ -797,6 +793,10 @@ def energy_density(m: SphericalHarmonicMap, point) -> float:
 
 
 def random_sphere_points(n_ambient: int, count: int, seed: int) -> list[list[float]]:
+    """count Gaussian-drawn unit vectors in R^n_ambient (n_ambient >= 1)."""
+    _require_integers(n_ambient=n_ambient, count=count)
+    if n_ambient < 1:
+        raise ParamViolation(f"n_ambient must be >= 1, got {n_ambient}")
     rng = random.Random(seed)
     pts = []
     while len(pts) < count:

@@ -4,6 +4,7 @@ import ast
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitylab import cli, minimal_graphs as mg, sphere_maps as sm
-from densitylab.errors import UsageError
+from densitylab.errors import ParamViolation, UsageError
 
 
 def test_scenario_validation():
@@ -283,6 +284,23 @@ def test_malformed_pairs_exit_2_in_one_line(tmp_path, capsys, mode, pairs):
                           {"params": {"pairs": pairs}})
     assert rc == 2
     assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("half_width", [1e9, math.inf])
+def test_winding_rectangle_too_wide_exits_2_in_one_line(tmp_path, capsys,
+                                                       half_width):
+    # a cosh(R) overflows: refused before any array work, so numpy warns of
+    # nothing (a warning is an error under this suite's filter, and is also
+    # recorded here)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = _main_error(tmp_path, capsys, "families", "winding",
+                              {"params": {"rectangle_half_width": half_width}})
+    assert rc == 2 and caught == []
+    assert err.startswith("error: ParamViolation: rectangle half-width")
+    assert err.count("\n") == 1 and "Warning" not in err
+    with pytest.raises(ParamViolation, match="rectangle half-width"):
+        mg.gamma_rectangle(1.0, 1.0, half_width)
 
 
 @pytest.mark.parametrize("cases", [[[4]], "ab", [[4.5, 2]], [[4, True]], [],

@@ -233,6 +233,119 @@ def test_mul_cancelled_term_reenters_at_the_end():
     assert (p * q).terms[(1, 1, 1)] == 1
 
 
+# ----------------------------------------------------------------------
+# the representation: integer numerators over one canonical denominator
+# ----------------------------------------------------------------------
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    if not p.nums:
+        assert p.den == 1
+
+
+def ref_add(p, q, sign=1):
+    """q's terms folded into a copy of p's over Fractions; a cancelled key
+    is dropped and re-enters at the end."""
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, Fraction(0)) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def ref_diff(p, i):
+    out = {}
+    for e, c in p.items():
+        if e[i]:
+            e2 = list(e)
+            e2[i] -= 1
+            out[tuple(e2)] = c * e[i]
+    return out
+
+
+def ref_laplacian(p, n):
+    """sum_i d_i d_i p, a variable at a time, each over p's terms."""
+    out = {}
+    for i in range(n):
+        out = ref_add(out, ref_diff(ref_diff(p, i), i))
+    return out
+
+
+def ref_inner(p, q):
+    return sum((math.prod(map(math.factorial, e)) * c * q[e]
+                for e, c in p.items() if e in q), Fraction(0))
+
+
+COEFS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def rational_polys(draw, n, max_exp=3, linear=False):
+    if linear:
+        exps = draw(st.permutations([tuple(int(j == i) for j in range(n))
+                                     for i in range(n)]))
+    else:
+        exps = draw(st.lists(st.tuples(*[st.integers(0, max_exp)] * n),
+                             max_size=8, unique=True))
+    coefs = draw(st.lists(COEFS, min_size=len(exps), max_size=len(exps)))
+    return dict(zip(exps, coefs))
+
+
+@given(st.data(), st.integers(2, 4), COEFS)
+@settings(max_examples=150, deadline=None)
+def test_poly_matches_a_fraction_reference(data, n, c):
+    tp, tq = data.draw(rational_polys(n)), data.draw(rational_polys(n))
+    txi = data.draw(rational_polys(n, linear=True))
+    p, q, xi = Poly(n, tp), Poly(n, tq), Poly(n, txi)
+    P = {e: v for e, v in tp.items() if v}
+    Q = {e: v for e, v in tq.items() if v}
+    XI = {e: v for e, v in txi.items() if v}
+    # the view is the input, zeros dropped, in the input's order
+    assert list(p.terms.items()) == list(P.items())
+    cases = [(p + q, ref_add(P, Q)), (p - q, ref_add(P, Q, -1)),
+             (-p, {e: -v for e, v in P.items()}),
+             (p.scale(c), {e: v * c for e, v in P.items()} if c else {}),
+             (p * q, naive_mul(p, q)),
+             (p.directional(xi), naive_directional(p, xi)),
+             (p.analyst_laplacian(), ref_laplacian(P, n))]
+    cases += [(p.diff(i), ref_diff(P, i)) for i in range(n)]
+    for got, want in cases + [(p, P), (q, Q), (xi, XI)]:
+        assert list(got.terms.items()) == list(want.items())
+        assert_canonical(got)
+    assert ha.inner(HarmonicElement(p, 0), HarmonicElement(q, 0)) == ref_inner(P, Q)
+    # equality is equality of the rational coefficients
+    assert (p == q) == (P == Q)
+    assert (p - p).is_zero() and (p - p).den == 1
+
+
+@given(st.data(), st.integers(2, 4))
+@settings(max_examples=100, deadline=None)
+def test_scale_round_trip_is_the_same_poly(data, n):
+    p = Poly(n, data.draw(rational_polys(n)))
+    q = p.scale(3).scale(Fraction(1, 3))
+    assert q == p and hash(q) == hash(p)
+    assert (q.den, list(q.nums.items())) == (p.den, list(p.nums.items()))
+    assert_canonical(p.scale(3))
+
+
+def test_canonical_form_examples():
+    p = Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    assert (p.den, p.nums) == (6, {(1, 0): 3, (0, 1): 2})
+    two_x = p + Poly(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(-1, 3)})
+    assert (two_x.den, two_x.nums) == (1, {(1, 0): 2})
+    assert (Poly.zero(2).den, Poly.zero(2).nums) == (1, {})
+    assert (p.scale(0).den, (p * Poly.zero(2)).den) == (1, 1)
+    # the view is a copy, not the storage
+    view = p.terms
+    view.clear()
+    assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}
+
+
 def test_inner_positive_definite_on_basis_sweep():
     from densitylab.sphere_maps import basis_Hm
     for (n, d) in [(3, 2), (3, 3), (4, 2)]:
@@ -309,6 +422,15 @@ def test_identity_suite_zero_linear_form():
 def test_identity_suite_mutation_detected():
     with pytest.raises(IdentityFailure):
         ha.identity_suite(3, 2, 5, seed=42, corrupt=True)
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (4, 3), (5, 2)])
+def test_identity_suite_canary_fires_at_the_contraction(n, d):
+    # identities 1 and 2 hold on the corrupted run; the shared pairings of
+    # f must still reach identity 3, which the miscaling breaks at trial 0
+    assert ha.identity_suite(n, d, 3, seed=7)["trials"] == 3
+    with pytest.raises(IdentityFailure, match="vee/dot contraction at trial 0"):
+        ha.identity_suite(n, d, 3, seed=7, corrupt=True)
 
 
 def test_identity_suite_requires_n3():

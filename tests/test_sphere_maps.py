@@ -363,6 +363,22 @@ def test_identity_map():
         assert sm.energy_density(m, p) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: sm.random_sphere_points(0, 1, 0), "n_ambient"),
+    (lambda: sm.random_sphere_points(-3, 2, 0), "n_ambient"),
+    (lambda: sm.random_sphere_points(4.0, 2, 0), "n_ambient"),
+    (lambda: sm.random_sphere_points(4, 2.5, 0), "count"),
+    (lambda: sm.canonical_exact_map(0, 1), "n_ambient"),
+    (lambda: sm.canonical_exact_map(-1, 1), "n_ambient"),
+    (lambda: sm.canonical_exact_map(True, 1), "n_ambient"),
+    (lambda: sm.canonical_exact_map(4, 2.0), "m"),
+], ids=["points-zero", "points-negative", "points-float", "count-float",
+        "map-zero", "map-negative", "map-bool", "map-float-m"])
+def test_sphere_sizes_are_refused(call, name):
+    with pytest.raises(ParamViolation, match=name):
+        call()
+
+
 def test_canonical_exact_quadratic_map():
     m = sm.canonical_exact_map(4, 2)
     assert m.exact and len(m.components) == 8
