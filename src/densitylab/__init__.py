@@ -10,74 +10,52 @@ wherever a statement is exact; everything else is checked against stated
 double-precision tolerances.
 """
 
-from .errors import DensityLabError
-from .jets import Jet
-from .minimal_graphs import (
-    ConstantPlane,
-    DensityFamily,
-    DoublyPeriodic,
-    FirstIntegrals,
-    HeliCatenoid,
-    LiftedAngle,
-    ScherkFifth,
-    SurfacePoint,
-    c_system_residual,
-    compatibility_data,
-    density_value,
-    first_integrals,
-    lift_theta_along,
-    minimal_residual,
-    mu_C_from_F,
-    period_sigma,
-    reconstruct_u,
-    scherk_closed_form,
-    theta_gradient,
-    two_theta_solutions,
-    zeta_form,
-)
-from .calabi import (
-    CompatibilityData,
-    GradientPair,
-    band_metric,
-    candidates_batch,
-    compatibility_extract,
-    el_residual,
-    ellipse_param,
-    lagrangian_L,
-    psi_components,
-    theta_gradient_calabi,
-    third_order_residual,
-    two_theta_candidates,
-)
-from .harmonic import (
-    HarmonicElement,
-    Poly,
-    SpectralParams,
-    a_sequence,
-    admissible_lambda,
-    b_coeff,
-    brace,
-    dim_harmonics,
-    dot,
-    harmonic_decompose,
-    identity_suite,
-    inner,
-    laplacian,
-    so_action,
-    vee,
-)
-from .sphere_maps import (
-    GramMatrix,
-    HarmonicBasis,
-    KernelCertificate,
-    SphericalHarmonicMap,
-    basis_Hm,
-    canonical_exact_map,
-    construct_map,
-    energy_density,
-    h_of_G,
-    nonuniqueness_report,
-    solve_h_equals_Rm,
-)
+# module -> the names the package exports from it.  A name is imported with
+# its module on first access (PEP 562), so `from densitylab import cli` or
+# `densitylab.Poly` loads no suite it does not use.
+_EXPORTS = {
+    "errors": ("DensityLabError",),
+    "jets": ("Jet",),
+    "minimal_graphs": (
+        "ConstantPlane", "DensityFamily", "DoublyPeriodic", "FirstIntegrals",
+        "HeliCatenoid", "LiftedAngle", "ScherkFifth", "SurfacePoint",
+        "c_system_residual", "compatibility_data", "density_value",
+        "first_integrals", "lift_theta_along", "minimal_residual", "mu_C_from_F",
+        "period_sigma", "reconstruct_u", "scherk_closed_form", "theta_gradient",
+        "two_theta_solutions", "zeta_form",
+    ),
+    "calabi": (
+        "CompatibilityData", "GradientPair", "band_metric", "candidates_batch",
+        "compatibility_extract", "el_residual", "ellipse_param", "lagrangian_L",
+        "psi_components", "theta_gradient_calabi", "third_order_residual",
+        "two_theta_candidates",
+    ),
+    "harmonic": (
+        "HarmonicElement", "Poly", "SpectralParams", "a_sequence",
+        "admissible_lambda", "b_coeff", "brace", "dim_harmonics", "dot",
+        "harmonic_decompose", "identity_suite", "inner", "laplacian", "so_action",
+        "vee",
+    ),
+    "sphere_maps": (
+        "GramMatrix", "HarmonicBasis", "KernelCertificate", "SphericalHarmonicMap",
+        "basis_Hm", "canonical_exact_map", "construct_map", "energy_density",
+        "h_of_G", "nonuniqueness_report", "solve_h_equals_Rm",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value   # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

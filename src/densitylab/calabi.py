@@ -57,8 +57,7 @@ from .jets import (
     jet_sqrt,
     math_for,
 )
-
-TOL_SING = 1e-12
+from .tolerances import TOL_SING
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ stderr line, ``error: <class>: <message>``).
 Reports are deterministic for a fixed scenario and seed: the report body
 (everything except the runtime field) is byte-identical across runs.
 Rational numbers are serialized as "numerator/denominator" strings.
+
+Each handler imports the suite module it runs, and numpy where it makes
+arrays.  ``Scenario.from_config`` imports the module of the document's
+suite, so a fresh process pays for that import before its first verdict,
+and for no other suite's.
 """
 
 from __future__ import annotations
@@ -31,20 +36,18 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import calabi, harmonic, minimal_graphs as mg, sphere_maps as sm
 from .errors import DensityLabError, UsageError
-from .jets import BatchStatus, Jet, masked_errstate
+from .tolerances import TOL_ALG, TOL_INTEGRAL, TOL_QUAD, TOL_SING
 
 DEFAULT_TOLERANCES = {
-    "algebraic": mg.TOL_ALG,
-    "quadrature": mg.TOL_QUAD,
-    "integral_spread": mg.TOL_INTEGRAL,
-    "singular": mg.TOL_SING,
+    "algebraic": TOL_ALG,
+    "quadrature": TOL_QUAD,
+    "integral_spread": TOL_INTEGRAL,
+    "singular": TOL_SING,
     "winding": 1e-3,
     "energy": 1e-9,
 }
@@ -122,6 +125,9 @@ class Scenario:
         sc = Scenario(suite, mode, dict(top["params"]), dict(top["grid"]), tol,
                       top["seed"])  # copies: the defaults in _SCENARIO are shared
         sc.args  # reads params and grid now, so a bad value fails here
+        module = f"{__package__}.{_SUITE_MODULES[suite]}"
+        if module not in sys.modules:   # set-up, not a verdict, pays for it
+            import_module(module)
         return sc
 
     @cached_property
@@ -164,12 +170,13 @@ def _grid_points(p: dict) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-# family name -> the family of a sample scenario; c defaults per family
+# family name -> the family of a sample scenario, made by minimal_graphs;
+# c defaults per family
 _FAMILIES = {
-    "constant": lambda p: mg.ConstantPlane(2.0 if p["c"] is None else p["c"]),
-    "scherk": lambda p: mg.ScherkFifth(),
-    "helicatenoid": lambda p: mg.HeliCatenoid(p["phi"]),
-    "doubly_periodic": lambda p: mg.DoublyPeriodic(
+    "constant": lambda mg, p: mg.ConstantPlane(2.0 if p["c"] is None else p["c"]),
+    "scherk": lambda mg, p: mg.ScherkFifth(),
+    "helicatenoid": lambda mg, p: mg.HeliCatenoid(p["phi"]),
+    "doubly_periodic": lambda mg, p: mg.DoublyPeriodic(
         p["a"], 1.0 if p["c"] is None else p["c"]),
 }
 
@@ -180,10 +187,13 @@ _FAMILIES = {
 
 def _grid(*axes) -> list[np.ndarray]:
     """The points of the product grid of the axes, the last axis fastest."""
+    import numpy as np
     return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
 def _families_verify(sc: Scenario) -> list[dict]:
+    import numpy as np
+    from . import minimal_graphs as mg
     p, tol = sc.args, sc.tolerances
     checks = []
     # Scherk: closed-form jets on a psi x x x y grid, as one batch
@@ -242,6 +252,7 @@ def _families_verify(sc: Scenario) -> list[dict]:
 
 
 def _families_period(sc: Scenario) -> list[dict]:
+    from . import minimal_graphs as mg
     tol = sc.tolerances
     checks = []
     for (a, c) in sc.args["pairs"]:
@@ -264,6 +275,7 @@ def _families_period(sc: Scenario) -> list[dict]:
 
 
 def _families_winding(sc: Scenario) -> list[dict]:
+    from . import minimal_graphs as mg
     tol = sc.tolerances
     R = sc.args["rectangle_half_width"]
     for (a, _) in sc.args["pairs"]:
@@ -294,6 +306,9 @@ def _field_values(fam: mg.DensityFamily, name: str, x: np.ndarray, y: np.ndarray
                   status: BatchStatus) -> np.ndarray:
     """The field at domain points, as one batch; status masks the points
     where a guard fails."""
+    import numpy as np
+    from . import minimal_graphs as mg
+    from .jets import masked_errstate
     if name == "F":
         values = mg.density_value(fam, x, y)
     else:
@@ -325,8 +340,11 @@ def _families_sample(sc: Scenario, out_dir: Path,
                      fmt: str = "csv") -> tuple[list[dict], list[str]]:
     """The field over the scenario grid, [x, y, value] in y-major order where
     defined, written as a table; the witness counts dropped points per reason."""
+    import numpy as np
+    from . import minimal_graphs as mg
+    from .jets import BatchStatus
     p, name = sc.args, sc.args["field"]
-    fam = _FAMILIES[p["family"]](p)
+    fam = _FAMILIES[p["family"]](mg, p)
     xs, ys = _grid_points(p)
     y, x = _grid(ys, xs)
     inside = np.broadcast_to(fam.contains(x, y), x.shape)
@@ -348,6 +366,8 @@ def _families_sample(sc: Scenario, out_dir: Path,
 # ----------------------------------------------------------------------
 
 def _calabi_residual(sc: Scenario) -> list[dict]:
+    from . import calabi
+    from .jets import Jet
     checks = []
     z_lin = Jet(0.3, dx=0.9, dy=0.8, order=2)
     r = calabi.el_residual(z_lin)
@@ -365,6 +385,9 @@ def _calabi_residual(sc: Scenario) -> list[dict]:
 
 
 def _calabi_branches(sc: Scenario) -> list[dict]:
+    import numpy as np
+    from . import calabi
+    from .jets import Jet
     rng = random.Random(sc.seed)
     n = sc.args["trials"]
     # per trial, in this order: phi's value, dx, dy, dxx, dxy, dyy
@@ -382,6 +405,8 @@ def _calabi_branches(sc: Scenario) -> list[dict]:
 
 
 def _calabi_extract(sc: Scenario) -> list[dict]:
+    from . import calabi
+    from .jets import Jet
     checks = []
     const = calabi.compatibility_extract(Jet(math.pi / 8, order=2))
     worst = max(abs(const.A1), abs(const.A2), abs(const.A3))
@@ -403,6 +428,7 @@ def _calabi_extract(sc: Scenario) -> list[dict]:
 
 def _harmonic_identities(sc: Scenario) -> list[dict]:
     # default scenario: n = 3, d <= 3, 50 trials; widen via params
+    from . import harmonic
     p, checks = sc.args, []
     for n in p["dims"]:
         for d in range(1, p["max_degree"] + 1):
@@ -421,6 +447,7 @@ def _harmonic_identities(sc: Scenario) -> list[dict]:
 
 
 def _harmonic_spectrum(sc: Scenario) -> list[dict]:
+    from . import harmonic
     p, checks = sc.args, []
     for n in p["dims"]:
         ok = True
@@ -445,6 +472,7 @@ def _harmonic_spectrum(sc: Scenario) -> list[dict]:
 
 
 def _harmonic_dims(sc: Scenario) -> list[dict]:
+    from . import harmonic
     checks = []
     worst = None
     ok = True
@@ -460,6 +488,8 @@ def _harmonic_dims(sc: Scenario) -> list[dict]:
 
 
 def _brute_harmonic_dim(n_amb: int, m: int) -> int:
+    # the one harmonic mode that loads sphere_maps, and with it numpy
+    from . import harmonic, sphere_maps as sm
     monos = harmonic.monomial_exponents(n_amb, m)
     if m < 2:
         return len(monos)
@@ -482,6 +512,7 @@ def _brute_harmonic_dim(n_amb: int, m: int) -> int:
 # ----------------------------------------------------------------------
 
 def _maps_kernel(sc: Scenario) -> list[dict]:
+    from . import sphere_maps as sm
     checks = []
     for (n_amb, m) in sc.args["cases"]:
         rep = sm.nonuniqueness_report(n_amb, m)
@@ -492,6 +523,7 @@ def _maps_kernel(sc: Scenario) -> list[dict]:
 
 
 def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
+    from . import sphere_maps as sm
     n_amb, m = sc.args["n_ambient"], sc.args["m"]
     checks = []
     if (m == 1) or (n_amb, m) == (4, 2):
@@ -516,6 +548,7 @@ def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
 
 
 def _maps_verify(sc: Scenario) -> list[dict]:
+    from . import sphere_maps as sm
     n_amb, m = sc.args["n_ambient"], sc.args["m"]
     basis = sm.basis_Hm(n_amb, m)
     G0, kernel = sm.solve_h_equals_Rm(n_amb, m, basis)
@@ -537,6 +570,7 @@ def _maps_verify(sc: Scenario) -> list[dict]:
 
 def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
     """Serialize a map; rational coefficients as "num/den" strings."""
+    from . import harmonic
     comps = []
     for comp in the_map.components:
         entry = {}
@@ -600,17 +634,17 @@ _MODES = {
     ("families", "period"): _checks(_families_period, _PAIRS),
     ("families", "winding"): _checks(_families_winding, {
         **_PAIRS, "rectangle_half_width": (REAL, 8.0)}),
-    ("calabi", "residual"): _checks(_calabi_residual, {"probes": (INTEGER, 25)}),
+    ("calabi", "residual"): _checks(_calabi_residual, {"probes": (_at_least(1), 25)}),
     ("calabi", "branches"): _checks(_calabi_branches, {"trials": (INTEGER, 500)}),
     ("calabi", "extract"): _checks(_calabi_extract, {}),
     ("harmonic", "identities"): _checks(_harmonic_identities, {
-        "dims": (_list_of(INTEGER), [3]), "max_degree": (INTEGER, 3),
-        "trials": (INTEGER, 50)}),
+        "dims": (_list_of(INTEGER), [3]), "max_degree": (_at_least(1), 3),
+        "trials": (_at_least(1), 50)}),
     ("harmonic", "spectrum"): _checks(_harmonic_spectrum, {
-        "dims": (_list_of(INTEGER), [3, 4, 5]), "lambda_max": (INTEGER, 40),
+        "dims": (_list_of(INTEGER), [3, 4, 5]), "lambda_max": (_at_least(0), 40),
         "m_max": (INTEGER, 15)}),
     ("harmonic", "dims"): _checks(_harmonic_dims, {
-        "ambient_dims": (_list_of(INTEGER), [3, 4, 5]), "max_degree": (INTEGER, 6)}),
+        "ambient_dims": (_list_of(INTEGER), [3, 4, 5]), "max_degree": (_at_least(0), 6)}),
     ("maps", "kernel"): _checks(_maps_kernel, {
         "cases": (_list_of(_list_of(INTEGER, 2)), [[4, 1], [4, 2]])}),
     ("maps", "construct"): _checks(lambda sc: _maps_construct(sc)[0], _MAP_POINTS),
@@ -620,6 +654,9 @@ _MODES = {
 
 # suite -> its modes, the first being the default
 SUITES = {suite: tuple(m for s, m in _MODES if s == suite) for suite, _ in _MODES}
+# suite -> the module its verdicts run, imported by Scenario.from_config
+_SUITE_MODULES = {"families": "minimal_graphs", "calabi": "calabi",
+                  "harmonic": "harmonic", "maps": "sphere_maps"}
 
 _SCENARIO = {"suite": (_one_of(*SUITES), None),
              "mode": (Kind("string", lambda v: isinstance(v, str)), None),

@@ -491,8 +491,13 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
     first exact mismatch.  `corrupt` deliberately miscales identity 3 to
     demonstrate the suite has teeth.  Returns a report dict.
     """
+    _require_integers(n=n, d=d, trials=trials)
     if n < 3:
         raise ParamViolation("n must be >= 3")
+    if d < 0:
+        raise ParamViolation(f"degree d must be >= 0, got {d}")
+    if trials < 1:
+        raise ParamViolation(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     checked = 0
     for t in range(trials):

@@ -62,12 +62,8 @@ from .jets import (
     masked_errstate,
     math_for,
 )
+from .tolerances import TOL_ALG, TOL_INTEGRAL, TOL_QUAD, TOL_SING
 
-# Default tolerances (double precision headroom; see module docstrings).
-TOL_ALG = 1e-9        # algebraic residuals on analytic jets
-TOL_QUAD = 1e-8       # throat period: |T_N - T_2N| of the trapezoid rule
-TOL_INTEGRAL = 1e-7   # first-integral point spread
-TOL_SING = 1e-12      # singularity guards
 DOMAIN_MARGIN = 1e-6  # open domains are shrunk by this margin
 TOL_SURFACE = 1e-9    # on-surface residual for sample points
 MAX_PERIOD_NODES = 2 ** 15  # node cap of the throat-period refinement

@@ -392,6 +392,24 @@ def test_malformed_documents_exit_2_in_one_line(tmp_path, capsys, suite, mode, d
     assert err.startswith("error: UsageError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite,mode,params", [
+    ("harmonic", "identities", {"trials": 0}),
+    ("harmonic", "identities", {"trials": -3}),
+    ("harmonic", "identities", {"max_degree": 0}),
+    ("calabi", "residual", {"probes": 0}),
+    ("harmonic", "spectrum", {"lambda_max": -1}),
+    ("harmonic", "dims", {"max_degree": -1}),
+], ids=["trials-zero", "trials-negative", "degree-zero", "probes-zero",
+        "lambda-negative", "dims-degree-negative"])
+def test_counts_that_check_nothing_exit_2_in_one_line(tmp_path, capsys, suite, mode,
+                                                      params):
+    # each of these would otherwise report a pass with nothing checked
+    rc, err = _main_error(tmp_path, capsys, suite, mode, {"params": params})
+    assert rc == 2
+    assert err.startswith("error: UsageError:") and err.count("\n") == 1
+    assert f"{next(iter(params))} is " in err
+
+
 @pytest.mark.parametrize("suite,mode", list(cli._MODES))
 def test_default_scenarios_exit_0(tmp_path, capsys, suite, mode):
     assert cli.main([suite, mode, "--out", str(tmp_path)]) == 0

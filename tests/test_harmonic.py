@@ -438,6 +438,24 @@ def test_identity_suite_requires_n3():
         ha.identity_suite(2, 2, 5)
 
 
+def test_identity_suite_refuses_a_negative_degree():
+    with pytest.raises(ParamViolation, match="degree d must be >= 0"):
+        ha.identity_suite(3, -1, 1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_identity_suite_refuses_fewer_than_one_trial(trials):
+    # with no trial nothing would be checked, yet every identity would pass
+    with pytest.raises(ParamViolation, match="trials must be >= 1"):
+        ha.identity_suite(3, 2, trials)
+
+
+@pytest.mark.parametrize("n,d,trials", [(3, 2.0, 1), (3, 2, True), (3.0, 2, 1)])
+def test_identity_suite_refuses_non_integers(n, d, trials):
+    with pytest.raises(ParamViolation, match="must be an integer"):
+        ha.identity_suite(n, d, trials)
+
+
 # ----------------------------------------------------------------------
 # spectral sequences
 # ----------------------------------------------------------------------
