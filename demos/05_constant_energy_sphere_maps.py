@@ -36,7 +36,7 @@ for f in cmap.components:
 resid = sm._sum_sq_minus_Rm_exact(cmap.components, 4, 2)
 print(f"   sum of squares minus R^2: {'exact zero' if resid.is_zero() else resid!r}")
 pts = sm.random_sphere_points(4, 5, 99)
-energies = [sm.energy_density(cmap, p) for p in pts]
+energies = sm.energy_density(cmap, pts).tolist()
 print(f"   energy density at 5 random sphere points: "
       f"{[round(e, 12) for e in energies]}")
 print()

@@ -535,12 +535,12 @@ def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
         checks.append(_check("components_harmonic", harm, exact=True))
     else:
         basis = sm.basis_Hm(n_amb, m)
-        G0, _ = sm.solve_h_equals_Rm(n_amb, m, basis)
-        the_map = sm.construct_map(G0, basis)
+        sm._require_sphere_dim_above_2(n_amb)
+        the_map = sm.construct_map(sm.scaled_identity_gram(basis), basis)
         checks.append(_check("map_constructed", True, exact=the_map.exact))
     lam = the_map.eigenvalue
     pts = sm.random_sphere_points(n_amb, sc.args["points"], sc.seed)
-    worst = max(abs(sm.energy_density(the_map, p) - lam) for p in pts)
+    worst = abs(sm.energy_density(the_map, pts) - lam).max()
     checks.append(_check("energy_density_constant",
                          worst < sc.tolerances["energy"], worst,
                          witness=f"eigenvalue {lam}"))
@@ -561,26 +561,20 @@ def _maps_verify(sc: Scenario) -> list[dict]:
                          witness=f"dimension {kernel.dimension}"))
     the_map = sm.construct_map(G0, basis)
     pts = sm.random_sphere_points(n_amb, 50, sc.seed)
-    worst = max(abs(sm.energy_density(the_map, p) - the_map.eigenvalue)
-                for p in pts)
+    worst = abs(sm.energy_density(the_map, pts) - the_map.eigenvalue).max()
     checks.append(_check("constructed_energy", worst < sc.tolerances["energy"],
                          worst))
     return checks
 
 
 def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
-    """Serialize a map; rational coefficients as "num/den" strings."""
-    from . import harmonic
-    comps = []
-    for comp in the_map.components:
-        entry = {}
-        if isinstance(comp, harmonic.Poly):
-            for e, c in comp.sorted_terms():
-                entry[",".join(map(str, e))] = f"{c.numerator}/{c.denominator}"
-        else:
-            for e in sorted(comp, key=lambda t: (sum(t), t), reverse=True):
-                entry[",".join(map(str, e))] = repr(comp[e])
-        comps.append(entry)
+    """Serialize a map: coefficients as "num/den" strings on the exact
+    route, as the decimals of their floats on the floating route."""
+    def text(c: Fraction) -> str:
+        return f"{c.numerator}/{c.denominator}" if the_map.exact else repr(float(c))
+
+    comps = [{",".join(map(str, e)): text(c) for e, c in comp.sorted_terms()}
+             for comp in the_map.components]
     doc = {
         "n": the_map.sphere_dim,
         "m": the_map.m,

@@ -233,18 +233,6 @@ class Poly:
                         del out[e2]
         return Poly._make(self.nvars, self.den * xi.den, out)
 
-    def eval(self, point) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for xi, k in zip(point, e):
-                v *= xi ** k
-            total += v
-        return total
-
-    def grad_eval(self, point) -> list[float]:
-        return [self.diff(i).eval(point) for i in range(self.nvars)]
-
     def constant_value(self) -> Fraction:
         if not self.nums:
             return Fraction(0)

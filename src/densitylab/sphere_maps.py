@@ -21,6 +21,12 @@ Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
 picture corresponds to the rational diagonal matrix diag(1/(c n_a)), where
 sum h_a^2 / n_a = c R^m is the exact reproducing identity of the basis.
+
+A map's components are always exact polynomials (Poly).  When the Gram
+matrix has no rational square root, the components come from a floating
+spectral factorization and hold the binary rationals of those floats
+exactly; the map's exact flag is then False.  energy_density evaluates the
+components at many points in one numpy pass.
 """
 
 from __future__ import annotations
@@ -428,6 +434,12 @@ def _element_parity(p: Poly) -> tuple[int, ...]:
     return parities.pop()
 
 
+def _require_sphere_dim_above_2(n_ambient: int) -> None:
+    """ParamViolation unless the domain sphere S^(n_ambient-1) has dim > 2."""
+    if n_ambient < 4:
+        raise ParamViolation("need ambient dimension >= 4 (sphere dim > 2)")
+
+
 def solve_h_equals_Rm(n_ambient: int, m: int,
                       basis: Optional[HarmonicBasis] = None
                       ) -> tuple[GramMatrix, KernelCertificate]:
@@ -454,8 +466,7 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     kernel vector of free column f has entry den_j w_j / (den_f d) at j,
     where w is d times the kernel vector of the integer block.
     """
-    if n_ambient < 4:
-        raise ParamViolation("need ambient dimension >= 4 (sphere dim > 2)")
+    _require_sphere_dim_above_2(n_ambient)
     if basis is None:
         basis = basis_Hm(n_ambient, m)
     D = basis.dim
@@ -530,8 +541,8 @@ class SphericalHarmonicMap:
 
     n_ambient: int
     m: int
-    components: tuple      # Poly (exact) or {exponents: float} dicts
-    exact: bool
+    components: tuple[Poly, ...]
+    exact: bool            # False: binary-rational components from floats
 
     @property
     def sphere_dim(self) -> int:
@@ -540,28 +551,6 @@ class SphericalHarmonicMap:
     @property
     def eigenvalue(self) -> int:
         return self.m * (self.m + self.sphere_dim - 1)
-
-    def component_eval(self, i: int, point) -> float:
-        comp = self.components[i]
-        if isinstance(comp, Poly):
-            return comp.eval(point)
-        return sum(c * math.prod(x ** k for x, k in zip(point, e))
-                   for e, c in comp.items())
-
-    def component_grad(self, i: int, point) -> list[float]:
-        comp = self.components[i]
-        if isinstance(comp, Poly):
-            return comp.grad_eval(point)
-        grad = [0.0] * self.n_ambient
-        for e, c in comp.items():
-            for j, k in enumerate(e):
-                if k:
-                    v = c * k
-                    for jj, kk in enumerate(e):
-                        pw = kk - 1 if jj == j else kk
-                        v *= point[jj] ** pw
-                    grad[j] += v
-        return grad
 
 
 def _sum_sq_minus_Rm_exact(components: Sequence[Poly], n_ambient: int,
@@ -578,9 +567,11 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     Tries the exact route first: pivoted rational LDL^T; when every pivot
     is the square of a rational, S is rational and the sum of squares is
     R^m as an exact polynomial identity.  Otherwise falls back to a
-    floating spectral square root, verified to coefficient tolerance
-    1e-10, with the exact flag cleared.  The number of components equals
-    rank(G).  Raises NotPSD (with an exact witness) for indefinite G.
+    floating spectral square root, with the exact flag cleared: its
+    float coefficients are kept as the binary rationals they are, and the
+    exact sum of squares minus R^m must have every coefficient within
+    1e-10.  The number of components equals rank(G).  Raises NotPSD (with
+    an exact witness) for indefinite G.
     """
     if G.dim != basis.dim:
         raise DimensionMismatch("Gram matrix does not match basis")
@@ -619,8 +610,11 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
             if coef:
                 for e, c in el.poly.terms.items():
                     cd[e] = cd.get(e, 0.0) + coef * float(c)
-        comps_f.append({e: c for e, c in cd.items() if abs(c) > 1e-15})
-    worst = _sum_sq_residual_float(comps_f, basis.n_ambient, basis.m)
+        # Fraction(float) is exact: the float sums become binary rationals
+        comps_f.append(Poly(basis.n_ambient,
+                            {e: c for e, c in cd.items() if abs(c) > 1e-15}))
+    resid = _sum_sq_minus_Rm_exact(comps_f, basis.n_ambient, basis.m)
+    worst = max(map(abs, resid.nums.values()), default=0) / resid.den
     if worst > FLOAT_COEFF_TOL:
         raise ParamViolation(
             f"floating factorization residual {worst:.3g} exceeds tolerance")
@@ -648,18 +642,6 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _sum_sq_residual_float(comps: list[dict], n_ambient: int, m: int) -> float:
-    acc: dict = {}
-    for comp in comps:
-        for e1, c1 in comp.items():
-            for e2, c2 in comp.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0.0) + c1 * c2
-    for e, c in radius_power(n_ambient, m).terms.items():
-        acc[e] = acc.get(e, 0.0) - float(c)
-    return max((abs(v) for v in acc.values()), default=0.0)
 
 
 def gram_of_components(components: Sequence[Poly], basis: HarmonicBasis
@@ -774,22 +756,45 @@ def psd_point_on_line(G0: GramMatrix, k: GramMatrix, basis: HarmonicBasis,
 # verification operations
 # ----------------------------------------------------------------------
 
-def energy_density(m: SphericalHarmonicMap, point) -> float:
-    """Energy density of the restricted map at a unit vector.
+def energy_density(m: SphericalHarmonicMap, points):
+    """Energy density of the restricted map at unit vectors.
 
-    Uses the Euler identity x . grad F = m F for homogeneous components:
-    the tangential energy is sum_a |grad F^a|^2 - m^2 (F^a)^2, and equals
-    m(m + n - 1) for every valid map on the unit sphere.
+    points is one point or a sequence of points; the result is a float, or
+    an array with one entry per point.  Uses the Euler identity
+    x . grad F = m F for homogeneous components: the tangential energy is
+    sum_a |grad F^a|^2 - m^2 (F^a)^2, and equals m(m + n - 1) for every
+    valid map on the unit sphere.  Every component and every partial
+    derivative is evaluated at all points in one numpy pass.
     """
-    r2 = sum(x * x for x in point)
-    if abs(r2 - 1.0) > 1e-12:
-        raise NotOnSphere(f"|point|^2 = {r2}")
-    total = 0.0
-    for i in range(len(m.components)):
-        grad = m.component_grad(i, point)
-        val = m.component_eval(i, point)
-        total += sum(g * g for g in grad) - (m.m * val) ** 2
-    return total
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None]
+    if pts.ndim != 2 or pts.shape[1] != m.n_ambient:
+        raise DimensionMismatch(
+            f"points of shape {np.shape(points)} for a map on R^{m.n_ambient}")
+    for p in pts.tolist():
+        r2 = sum(x * x for x in p)
+        if abs(r2 - 1.0) > 1e-12:
+            raise NotOnSphere(f"|point|^2 = {r2}")
+    values = _eval_many(m.components, pts)
+    grads = _eval_many([f.diff(j) for f in m.components
+                        for j in range(m.n_ambient)], pts)
+    grad_sq = (grads ** 2).reshape(len(pts), len(m.components), m.n_ambient)
+    energy = (grad_sq.sum(axis=2) - (m.m * values) ** 2).sum(axis=1)
+    return float(energy[0]) if single else energy
+
+
+def _eval_many(polys: Sequence[Poly], pts: np.ndarray) -> np.ndarray:
+    """Values of every poly at every point, as an array (points, polys)."""
+    exps = sorted({e for f in polys for e in f.nums})
+    coefs = np.array([[f.nums.get(e, 0) / f.den for e in exps] for f in polys],
+                     dtype=float).reshape(len(polys), len(exps))
+    powers = np.array(exps, dtype=int).reshape(len(exps), pts.shape[1])
+    monos = np.ones((len(pts), len(exps)))
+    for i in range(pts.shape[1]):
+        monos *= pts[:, i:i + 1] ** powers[:, i]
+    return np.einsum("pe,ae->pa", monos, coefs)
 
 
 def random_sphere_points(n_ambient: int, count: int, seed: int) -> list[list[float]]:

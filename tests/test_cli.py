@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -185,6 +186,10 @@ def test_export_map_json_float(tmp_path):
     sample = next(iter(doc["components"][0].values()))
     float(sample)  # decimal string, parseable
     assert "/" not in sample
+    # each decimal is exactly its binary-rational coefficient
+    for comp, entry in zip(m.components, doc["components"]):
+        assert {k: Fraction(float(v)) for k, v in entry.items()} == \
+            {",".join(map(str, e)): c for e, c in comp.terms.items()}
 
 
 def test_report_body_deterministic():
@@ -320,6 +325,14 @@ def test_non_integer_maps_sizes_exit_2_in_one_line(tmp_path, capsys, mode,
     rc, err = _main_error(tmp_path, capsys, "maps", mode, {"params": params})
     assert rc == 2
     assert err.startswith("error: UsageError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["construct", "verify"])
+def test_maps_below_ambient_dimension_4_exit_2(tmp_path, capsys, mode):
+    rc, err = _main_error(tmp_path, capsys, "maps", mode,
+                          {"params": {"n_ambient": 3, "m": 2}})
+    assert rc == 2
+    assert err == "error: ParamViolation: need ambient dimension >= 4 (sphere dim > 2)\n"
 
 
 def test_families_sample_counts_dropped_points(tmp_path):

@@ -357,6 +357,7 @@ def test_identity_map():
     G0, _ = sm.solve_h_equals_Rm(4, 1, b)
     m = sm.construct_map(G0, b)
     assert m.exact and len(m.components) == 4
+    assert all(isinstance(f, Poly) for f in m.components)
     assert {tuple(c.terms) for c in m.components} == \
         {((1, 0, 0, 0),), ((0, 1, 0, 0),), ((0, 0, 1, 0),), ((0, 0, 0, 1),)}
     for p in sm.random_sphere_points(4, 10, 0):
@@ -421,7 +422,11 @@ def test_float_route_map():
     m = sm.construct_map(G0, b)
     assert not m.exact
     assert len(m.components) == G0.rank() == 9
-    assert sm._sum_sq_residual_float(list(m.components), 4, 2) < 1e-10
+    # the float coefficients, kept exactly: binary rationals
+    assert all(isinstance(f, Poly) and f.den & (f.den - 1) == 0
+               for f in m.components)
+    resid = sm._sum_sq_minus_Rm_exact(m.components, 4, 2)
+    assert max(abs(c) for c in resid.terms.values()) < 1e-10
     for p in sm.random_sphere_points(4, 20, 5):
         assert sm.energy_density(m, p) == pytest.approx(8.0, abs=1e-9)
 
@@ -442,6 +447,54 @@ def test_energy_density_guards_sphere():
     m = sm.canonical_exact_map(4, 1)
     with pytest.raises(NotOnSphere):
         sm.energy_density(m, [1.0, 1.0, 0.0, 0.0])
+
+
+def test_energy_density_batch_names_the_first_point_off_the_sphere():
+    m = sm.canonical_exact_map(4, 2)
+    pts = sm.random_sphere_points(4, 6, 1)
+    pts[3] = [0.5, 0.5, 0.5, 0.75]
+    with pytest.raises(NotOnSphere, match=r"^\|point\|\^2 = 1\.3125$"):
+        sm.energy_density(m, pts)
+    pts[5] = [1.0, 1.0, 0.0, 0.0]
+    with pytest.raises(NotOnSphere, match=r"^\|point\|\^2 = 1\.3125$"):
+        sm.energy_density(m, pts)
+
+
+def test_energy_density_refuses_points_of_another_dimension():
+    m = sm.canonical_exact_map(4, 1)
+    for points in ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], 1.0):
+        with pytest.raises(DimensionMismatch):
+            sm.energy_density(m, points)
+
+
+def exact_energy(m: sm.SphericalHarmonicMap, point) -> Fraction:
+    """The energy density at the float point, in exact rationals."""
+    x = [Fraction(v) for v in point]
+
+    def value(f: Poly) -> Fraction:
+        return sum((c * math.prod(xi ** k for xi, k in zip(x, e))
+                    for e, c in f.terms.items()), Fraction(0))
+
+    return sum(sum(value(f.diff(j)) ** 2 for j in range(m.n_ambient))
+               - (m.m * value(f)) ** 2 for f in m.components)
+
+
+@pytest.mark.parametrize("n_amb,deg", [(4, 1), (4, 2), (5, 2), (4, 3)])
+def test_energy_density_batch_matches_points_and_exact_values(n_amb, deg):
+    if (n_amb, deg) in ((4, 1), (4, 2)):
+        m = sm.canonical_exact_map(n_amb, deg)
+    else:
+        b = sm.basis_Hm(n_amb, deg)
+        m = sm.construct_map(sm.scaled_identity_gram(b), b)
+    pts = sm.random_sphere_points(n_amb, 12, 11)
+    batch = sm.energy_density(m, pts)
+    assert batch.shape == (12,)
+    for p, e in zip(pts, batch):
+        one = sm.energy_density(m, p)
+        assert type(one) is float
+        assert abs(one - e) <= 1e-12
+        assert abs(Fraction(e) - exact_energy(m, p)) <= 1e-12
+        assert abs(e - m.eigenvalue) <= 1e-11
 
 
 def test_nonuniqueness_margins():
