@@ -27,7 +27,12 @@ The pipeline from phi's jet to the candidate angles is one implementation
 for a single jet and for a batch (a jet whose slots are arrays, see
 :mod:`densitylab.jets`): :func:`candidates_batch` runs it once over the
 batch, and each element that a guard rejects ends as the exception class the
-single-jet call raises, without stopping the others.
+single-jet call raises, without stopping the others.  On a batch the three
+probes are one stacked closedness solve: theta is the column of the three
+probe angles, which broadcasts against phi's slots.  Its guards run in probe
+order (probe 0's radicand and determinant, then probe 1's, and so on), so
+each element meets the exception, message included, that three separate
+solves would give it.  A float jet runs the three solves one by one.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .errors import (
     SingularSystem,
 )
 from .jets import (
+    _SLOTS,
     BatchStatus,
     Jet,
     guard,
@@ -100,15 +106,15 @@ class CompatibilityData:
     A3: float
 
 
-def _radicand(p, q):
-    """(2pq)^2 - (p^2+q^2-1)^2, on jets or floats."""
-    return 4.0 * p * p * q * q - (p * p + q * q - 1.0) ** 2
+def _radicand(p, q, p2, q2):
+    """(2pq)^2 - (p^2+q^2-1)^2, on jets or floats, given p2 = p*p, q2 = q*q."""
+    return 4.0 * p * p * q * q - (p2 + q2 - 1.0) ** 2
 
 
 def lagrangian_L(g: GradientPair) -> float:
     """Band-metric area density 2pq/sqrt((2pq)^2 - (p^2+q^2-1)^2) >= 1."""
     g.validate()
-    r = _radicand(g.p, g.q)
+    r = _radicand(g.p, g.q, g.p * g.p, g.q * g.q)
     if r <= TOL_SING:
         raise Singularity(f"radicand {r} at the boundary conic")
     return 2.0 * g.p * g.q / math.sqrt(r)
@@ -129,7 +135,7 @@ def band_metric(F: Jet) -> tuple[float, float]:
           "F_x F_y vanishes; band metric undefined")
     f = (1.0 - fx * fx - fy * fy) / (2.0 * fx * fy)
     guard(abs(f) >= 1.0, NotPositiveDefinite, "|f| = {} >= 1", abs(f))
-    r = _radicand(fx, fy)
+    r = _radicand(fx, fy, fx * fx, fy * fy)
     density = 2.0 * fx * fy / math.sqrt(r)
     return f, density
 
@@ -162,19 +168,19 @@ def psi_components(g: GradientPair) -> tuple[float, float]:
     return px, py
 
 
-def _psi_numerators(p, q):
-    """The numerators (N1, N2) of psi, on jets or floats."""
-    n1 = (p ** 4 - q ** 4 - 2.0 * p * p + 1.0) * p
-    n2 = -(q ** 4 - p ** 4 - 2.0 * q * q + 1.0) * q
+def _psi_numerators(p, q, p4, q4):
+    """The numerators (N1, N2) of psi, on jets or floats, given p4 = p**4, q4 = q**4."""
+    n1 = (p4 - q4 - 2.0 * p * p + 1.0) * p
+    n2 = -(q4 - p4 - 2.0 * q * q + 1.0) * q
     return n1, n2
 
 
 def _psi_raw(p, q):
     """psi components on jets or floats, no range guard."""
-    r = _radicand(p, q)
+    r = _radicand(p, q, p * p, q * q)
     rv = r.value if isinstance(r, Jet) else r
     guard(rv <= TOL_SING, Singularity, "radicand {} at the boundary conic", rv)
-    n1, n2 = _psi_numerators(p, q)
+    n1, n2 = _psi_numerators(p, q, p ** 4, q ** 4)
     if isinstance(r, Jet):
         den = jet_sqrt(r)
         den3 = den * den * den
@@ -201,11 +207,16 @@ def el_residual(z: Jet) -> float:
     return psi_y.dx - psi_x.dy
 
 
-def _closedness_solve(phi: Jet, theta: float, status: BatchStatus | None = None):
+def _closedness_solve(phi: Jet, theta, status: BatchStatus | None = None):
     """Solve the two closedness conditions for the theta-gradient jets.
 
-    Returns (theta_x, theta_y) as jets of order phi.order - 1; the guards
-    record into status when one is given.  The two
+    Returns (theta_x, theta_y) as jets of order phi.order - 1.  theta is one
+    probe angle, or, for a batch phi, a column of probe angles, shape
+    (P, 1), that broadcasts against phi's (N,) slots: the solve is then
+    stacked, and row k of each result slot belongs to probe k.  The guards
+    record into status when one is given, and run in the order P separate
+    solves would run them: probe 0's radicand, probe 0's determinant,
+    probe 1's radicand, and so on.  The two
     scalar equations are closedness of p dx + q dy and closedness of psi,
     expanded by the chain rule with theta held at the probe value:
 
@@ -221,37 +232,43 @@ def _closedness_solve(phi: Jet, theta: float, status: BatchStatus | None = None)
           "phi value must lie in (0, pi/4), got {}", v, status=status)
     k = phi.order - 1
     ph = phi.truncate(k)
-    # coefficient fields of the chain rule, as jets of order k
-    s2 = jet_sin(2.0 * ph)
-    c_m = jet_cos(Jet.constant(theta, k) - ph)   # cos(theta - phi)
-    s_m = jet_sin(Jet.constant(theta, k) - ph)
-    c_p = jet_cos(Jet.constant(theta, k) + ph)
-    s_p = jet_sin(Jet.constant(theta, k) + ph)
-    c2 = jet_cos(2.0 * ph)
-    p = c_m / s2
-    q = c_p / s2
-    p_th = -s_m / s2
-    q_th = -s_p / s2
-    p_ph = s_m / s2 - 2.0 * c2 * c_m / (s2 * s2)
-    q_ph = -s_p / s2 - 2.0 * c2 * c_p / (s2 * s2)
+    # coefficient fields of the chain rule, as jets of order k.  Each shared
+    # jet is built once; x / y is x * y._reciprocal(), so multiplying by a
+    # shared reciprocal rounds exactly as the quotient did.
+    th = Jet.constant(theta, k)
+    t_m, t_p, two_ph = th - ph, th + ph, 2.0 * ph
+    s2 = jet_sin(two_ph)
+    c_m, s_m = jet_cos(t_m), jet_sin(t_m)   # cos, sin(theta - phi)
+    c_p, s_p = jet_cos(t_p), jet_sin(t_p)
+    two_c2 = 2.0 * jet_cos(two_ph)
+    inv_s2 = s2._reciprocal()
+    inv_s2_sq = (s2 * s2)._reciprocal()
+    p = c_m * inv_s2
+    q = c_p * inv_s2
+    p_th = -s_m * inv_s2
+    q_th = -s_p * inv_s2
+    p_ph = s_m * inv_s2 - two_c2 * c_m * inv_s2_sq
+    q_ph = q_th - two_c2 * c_p * inv_s2_sq
 
     # psi partials in (p, q), as jets through the field jets p, q
-    r = _radicand(p, q)
-    guard(r.value <= TOL_SING, Singularity, "radicand vanished along the probe",
+    p2, q2, p4, q4 = p * p, q * q, p ** 4, q ** 4
+    r = _radicand(p, q, p2, q2)
+    r_bad = _by_probe(r.value <= TOL_SING, theta)
+    guard(r_bad[0], Singularity, "radicand vanished along the probe",
           status=status)
-    n1, n2 = _psi_numerators(p, q)
-    n1_p = 5.0 * p ** 4 - q ** 4 - 6.0 * p * p + 1.0
+    n1, n2 = _psi_numerators(p, q, p4, q4)
+    n1_p = 5.0 * p4 - q4 - 6.0 * p * p + 1.0
     n1_q = -4.0 * q ** 3 * p
     n2_p = 4.0 * p ** 3 * q
-    n2_q = -(5.0 * q ** 4 - p ** 4 - 6.0 * q * q + 1.0)
-    r_p = 4.0 * p * (q * q - p * p + 1.0)
-    r_q = 4.0 * q * (p * p - q * q + 1.0)
+    n2_q = -(5.0 * q4 - p4 - 6.0 * q * q + 1.0)
+    r_p = 4.0 * p * (q2 - p2 + 1.0)
+    r_q = 4.0 * q * (p2 - q2 + 1.0)
     den = jet_sqrt(r)
-    r52 = den * den * den * den * den
-    psi_x_p = (n1_p * r - 1.5 * n1 * r_p) / r52
-    psi_x_q = (n1_q * r - 1.5 * n1 * r_q) / r52
-    psi_y_p = (n2_p * r - 1.5 * n2 * r_p) / r52
-    psi_y_q = (n2_q * r - 1.5 * n2 * r_q) / r52
+    inv_r52 = (den * den * den * den * den)._reciprocal()
+    psi_x_p = (n1_p * r - 1.5 * n1 * r_p) * inv_r52
+    psi_x_q = (n1_q * r - 1.5 * n1 * r_q) * inv_r52
+    psi_y_p = (n2_p * r - 1.5 * n2 * r_p) * inv_r52
+    psi_y_q = (n2_q * r - 1.5 * n2 * r_q) * inv_r52
 
     alpha = psi_y_p * p_th + psi_y_q * q_th
     beta = psi_x_p * p_th + psi_x_q * q_th
@@ -263,12 +280,26 @@ def _closedness_solve(phi: Jet, theta: float, status: BatchStatus | None = None)
     b1 = q_ph * phx - p_ph * phy
     b2 = -gamma * phx + delta * phy
 
-    det = (-q_th) * (-beta) - p_th * alpha
-    guard(abs(det.value) < TOL_SING, SingularSystem,
-          "closedness system determinant {}", det.value, status=status)
-    tx = (b1 * (-beta) - p_th * b2) / det
-    ty = ((-q_th) * b2 - alpha * b1) / det
+    neg_q_th, neg_beta = -q_th, -beta
+    det = neg_q_th * neg_beta - p_th * alpha
+    # each later probe's radicand guard runs after the determinant guards
+    # of the probes before it
+    det_v = _by_probe(det.value, theta)
+    for i, bad in enumerate(r_bad):
+        if i:
+            guard(bad, Singularity, "radicand vanished along the probe",
+                  status=status)
+        guard(abs(det_v[i]) < TOL_SING, SingularSystem,
+              "closedness system determinant {}", det_v[i], status=status)
+    inv_det = det._reciprocal()
+    tx = (b1 * neg_beta - p_th * b2) * inv_det
+    ty = (neg_q_th * b2 - alpha * b1) * inv_det
     return tx, ty
+
+
+def _by_probe(a, theta):
+    """The rows of a value array, one per probe angle in theta."""
+    return a if isinstance(theta, np.ndarray) else (a,)
 
 
 def theta_gradient_calabi(phi: Jet, theta: float) -> tuple[float, float]:
@@ -282,6 +313,14 @@ def theta_gradient_calabi(phi: Jet, theta: float) -> tuple[float, float]:
 
 
 _PROBES_2T = (0.0, 0.5 * math.pi, math.pi)  # probe values of 2*theta
+# the probe values of theta as a column, for the stacked solve on a batch
+_PROBE_COLUMN = 0.5 * np.array(_PROBES_2T).reshape(-1, 1)
+
+
+def _probe(jet: Jet, i: int) -> Jet:
+    """Probe i of a stacked solve's jet: row i of each slot that has rows."""
+    return Jet(*(s[i] if np.ndim(s) == 2 else s
+                 for s in (getattr(jet, name) for name in _SLOTS)), order=jet.order)
 
 
 def _affine_from_probes(at_0, at_half_pi, at_pi):
@@ -303,10 +342,12 @@ def _obstruction_jets(phi: Jet, status: BatchStatus | None = None):
     expression for d(2 theta).  The guards record into status when one is
     given.
     """
-    g = []
-    for t2 in _PROBES_2T:
-        tx, ty = _closedness_solve(phi, 0.5 * t2, status)
-        g.append((2.0 * tx, 2.0 * ty))
+    if isinstance(phi.value, np.ndarray):
+        tx, ty = _closedness_solve(phi, _PROBE_COLUMN, status)
+        solves = [(_probe(tx, i), _probe(ty, i)) for i in range(len(_PROBES_2T))]
+    else:
+        solves = [_closedness_solve(phi, 0.5 * t2, status) for t2 in _PROBES_2T]
+    g = [(2.0 * tx, 2.0 * ty) for tx, ty in solves]
     w1, w2, w3 = zip(*(_affine_from_probes(*(gt[i] for gt in g))
                        for i in range(2)))
     k = phi.order - 2

@@ -575,15 +575,17 @@ def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
 
     comps = [{",".join(map(str, e)): text(c) for e, c in comp.sorted_terms()}
              for comp in the_map.components]
+    # top-level keys in alphabetical order; each component's monomials in
+    # sorted_terms() order, which sort_keys would lose
     doc = {
-        "n": the_map.sphere_dim,
-        "m": the_map.m,
-        "lambda": the_map.eigenvalue,
-        "exact": the_map.exact,
         "components": comps,
+        "exact": the_map.exact,
+        "lambda": the_map.eigenvalue,
+        "m": the_map.m,
+        "n": the_map.sphere_dim,
     }
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    out_path.write_text(json.dumps(doc, indent=2) + "\n")
     return out_path
 
 
@@ -629,7 +631,7 @@ _MODES = {
     ("families", "winding"): _checks(_families_winding, {
         **_PAIRS, "rectangle_half_width": (REAL, 8.0)}),
     ("calabi", "residual"): _checks(_calabi_residual, {"probes": (_at_least(1), 25)}),
-    ("calabi", "branches"): _checks(_calabi_branches, {"trials": (INTEGER, 500)}),
+    ("calabi", "branches"): _checks(_calabi_branches, {"trials": (_at_least(1), 500)}),
     ("calabi", "extract"): _checks(_calabi_extract, {}),
     ("harmonic", "identities"): _checks(_harmonic_identities, {
         "dims": (_list_of(INTEGER), [3]), "max_degree": (_at_least(1), 3),

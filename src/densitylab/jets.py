@@ -268,8 +268,9 @@ class Jet:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def _reciprocal(self) -> "Jet":

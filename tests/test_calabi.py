@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -458,3 +459,128 @@ def test_batch_of_third_order_jets_matches_scalar():
     outcomes = cb.candidates_batch(batch_of(rows, 3))
     for i, got in enumerate(outcomes):
         assert_same_outcome(got, scalar_outcome(rows, i, 3), i)
+
+
+# ----------------------------------------------------------------------
+# the stacked closedness solve against the per-probe loop it replaced
+# ----------------------------------------------------------------------
+
+def reference_obstruction_jets(phi, status=None):
+    """The loop _obstruction_jets ran, one closedness solve per probe, verbatim."""
+    g = []
+    for t2 in cb._PROBES_2T:
+        tx, ty = cb._closedness_solve(phi, 0.5 * t2, status)
+        g.append((2.0 * tx, 2.0 * ty))
+    w1, w2, w3 = zip(*(cb._affine_from_probes(*(gt[i] for gt in g))
+                       for i in range(2)))
+    k = phi.order - 2
+
+    def d(w):
+        # exterior derivative coefficient of w = wx dx + wy dy
+        return w[1].deriv("x") - w[0].deriv("y")
+
+    def wedge(u, v):
+        return (u[0] * v[1] - u[1] * v[0]).truncate(k)
+
+    cos_part = d(w1) - wedge(w2, w3)
+    sin_part = d(w2) + wedge(w1, w3)
+    const_part = d(w3) + wedge(w1, w2)
+    A = cb._affine_from_probes(*(math.cos(t2) * cos_part + math.sin(t2) * sin_part
+                                 + const_part for t2 in cb._PROBES_2T))
+    return (w1, w2, w3), A
+
+
+SLOTS = ("value", "dx", "dy", "dxx", "dxy", "dyy", "dxxx", "dxxy", "dxyy", "dyyy")
+
+
+def obstruction_bits(w, A):
+    """The bytes of every slot of w1, w2, w3 and A1, A2, A3."""
+    jets = [j for pair in w for j in pair] + list(A)
+    return [np.asarray(getattr(j, s), dtype=float).tobytes()
+            for j in jets for s in SLOTS]
+
+
+def raised_with_warnings(call):
+    """(class, message) raised by call, or None, and the warning texts seen."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            call()
+            outcome = None
+        except DensityLabError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, {str(w.message) for w in seen}
+
+
+def random_rows(rng, n, order):
+    # the distribution of the calabi branches scenario
+    return [[rng.uniform(0.15, math.pi / 4 - 0.15)]
+            + [rng.uniform(-0.3, 0.3) for _ in range(5 if order == 2 else 9)]
+            for _ in range(n)]
+
+
+def test_stacked_solve_matches_the_per_probe_loop_bit_for_bit():
+    # GUARDED_ROWS' SingularSystem row fails the determinant at the first
+    # probe and the radicand at the second, and its Singularity row fails
+    # the radicand at the second probe only, so the guard order shows
+    rng = random.Random(1313)
+    guarded = [row for row, _ in GUARDED_ROWS]
+    batches = [(random_rows(rng, 2000, 2), 2), (random_rows(rng, 2000, 3), 3),
+               (guarded + random_rows(rng, 10, 2), 2),
+               ([row + [0.0] * 4 for row in guarded[::-1]], 3)]
+    for rows, order in batches:
+        phi = batch_of(rows, order)
+        got_status, want_status = BatchStatus(len(rows)), BatchStatus(len(rows))
+        with np.errstate(all="ignore"):
+            got = cb._obstruction_jets(phi, got_status)
+            want = reference_obstruction_jets(phi, want_status)
+        assert obstruction_bits(*got) == obstruction_bits(*want)
+        assert got_status.errors == want_status.errors
+        for i, err in enumerate(want_status.errors):
+            if err is not None:
+                assert str(got_status.exception(i)) == str(want_status.exception(i))
+    # the last batch is GUARDED_ROWS reversed; the candidate step, not the
+    # solve, refuses the constant phi
+    assert want_status.errors == [None if cls is DegenerateAllZero else cls
+                                  for _, cls in GUARDED_ROWS[::-1]]
+
+
+GOOD_ROW = [0.3, 0.2, -0.1, 0.05, 0.1, -0.2]
+LATER_RADICAND_ROW = GUARDED_ROWS[3][0]   # fails the radicand at probe 1 only
+MIXED_ROW = GUARDED_ROWS[4][0]            # determinant at 0, radicand at 1
+
+
+@pytest.mark.parametrize("rows", [
+    [GOOD_ROW, LATER_RADICAND_ROW], [GOOD_ROW, MIXED_ROW],
+    [LATER_RADICAND_ROW, MIXED_ROW], [MIXED_ROW, LATER_RADICAND_ROW],
+    [LATER_RADICAND_ROW, GOOD_ROW, LATER_RADICAND_ROW]],
+    ids=["later-radicand", "mixed", "later-radicand-then-mixed",
+         "mixed-then-later-radicand", "later-radicand-twice"])
+def test_stacked_solve_without_status_raises_what_the_loop_raised(rows):
+    # without a status the first guard, in probe order, that any element
+    # fails raises at its first failing element; the stacked solve may warn
+    # only where the loop warned
+    phi = batch_of(rows, 2)
+    got, got_warnings = raised_with_warnings(lambda: cb._obstruction_jets(phi))
+    want, want_warnings = raised_with_warnings(lambda: reference_obstruction_jets(phi))
+    assert want is not None and got == want
+    assert got_warnings <= want_warnings
+
+
+def test_the_closedness_solve_runs_once_per_batch_and_once_per_probe_on_floats(
+        monkeypatch):
+    calls = []
+    solve = cb._closedness_solve
+
+    def counted(phi, theta, status=None):
+        calls.append(theta)
+        return solve(phi, theta, status)
+
+    monkeypatch.setattr(cb, "_closedness_solve", counted)
+    rows = random_rows(random.Random(5), 20, 2)
+    cb.compatibility_extract(batch_of(rows, 2))
+    assert len(calls) == 1
+    cb.candidates_batch(batch_of(rows, 2))
+    assert len(calls) == 2
+    cb.compatibility_extract(probe_jet(order=2))
+    assert len(calls) == 5 and all(isinstance(t, float) for t in calls[2:])

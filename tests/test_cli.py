@@ -192,6 +192,17 @@ def test_export_map_json_float(tmp_path):
             {",".join(map(str, e)): c for e, c in comp.terms.items()}
 
 
+def test_export_map_json_lists_monomials_in_sorted_terms_order(tmp_path):
+    b = sm.basis_Hm(4, 2)
+    G0, _ = sm.solve_h_equals_Rm(4, 2, b)
+    m = sm.construct_map(G0, b)
+    assert not m.exact
+    doc = json.loads(cli.export_map_json(m, tmp_path / "f.json").read_text())
+    assert list(doc) == ["components", "exact", "lambda", "m", "n"]
+    for comp, entry in zip(m.components, doc["components"]):
+        assert list(entry) == [",".join(map(str, e)) for e, _ in comp.sorted_terms()]
+
+
 def test_report_body_deterministic():
     cfg = {"suite": "harmonic", "mode": "identities",
            "params": {"dims": [3], "max_degree": 2, "trials": 8}, "seed": 42}
@@ -412,8 +423,11 @@ def test_malformed_documents_exit_2_in_one_line(tmp_path, capsys, suite, mode, d
     ("calabi", "residual", {"probes": 0}),
     ("harmonic", "spectrum", {"lambda_max": -1}),
     ("harmonic", "dims", {"max_degree": -1}),
+    ("calabi", "branches", {"trials": 0}),
+    ("calabi", "branches", {"trials": -3}),
 ], ids=["trials-zero", "trials-negative", "degree-zero", "probes-zero",
-        "lambda-negative", "dims-degree-negative"])
+        "lambda-negative", "dims-degree-negative", "branches-trials-zero",
+        "branches-trials-negative"])
 def test_counts_that_check_nothing_exit_2_in_one_line(tmp_path, capsys, suite, mode,
                                                       params):
     # each of these would otherwise report a pass with nothing checked
