@@ -396,11 +396,15 @@ def assert_same_outcome(got, want, i):
         assert np.allclose(got, want[1], rtol=0.0, atol=1e-12), (i, got, want)
 
 
-def test_batch_matches_scalar_on_random_jets():
+def random_rows(rng, n, order):
     # the distribution of the calabi branches scenario
-    rng = random.Random(4242)
-    rows = [[rng.uniform(0.15, math.pi / 4 - 0.15)]
-            + [rng.uniform(-0.3, 0.3) for _ in range(5)] for _ in range(2000)]
+    return [[rng.uniform(0.15, math.pi / 4 - 0.15)]
+            + [rng.uniform(-0.3, 0.3) for _ in range(5 if order == 2 else 9)]
+            for _ in range(n)]
+
+
+def test_batch_matches_scalar_on_random_jets():
+    rows = random_rows(random.Random(4242), 2000, 2)
     phi = batch_of(rows, 2)
     outcomes = cb.candidates_batch(phi)
     status = BatchStatus(len(rows))
@@ -453,9 +457,7 @@ def test_batch_without_status_raises_the_first_failure():
 
 
 def test_batch_of_third_order_jets_matches_scalar():
-    rng = random.Random(77)
-    rows = [[rng.uniform(0.15, math.pi / 4 - 0.15)]
-            + [rng.uniform(-0.3, 0.3) for _ in range(9)] for _ in range(50)]
+    rows = random_rows(random.Random(77), 50, 3)
     outcomes = cb.candidates_batch(batch_of(rows, 3))
     for i, got in enumerate(outcomes):
         assert_same_outcome(got, scalar_outcome(rows, i, 3), i)
@@ -510,13 +512,6 @@ def raised_with_warnings(call):
         except DensityLabError as exc:
             outcome = (type(exc), str(exc))
     return outcome, {str(w.message) for w in seen}
-
-
-def random_rows(rng, n, order):
-    # the distribution of the calabi branches scenario
-    return [[rng.uniform(0.15, math.pi / 4 - 0.15)]
-            + [rng.uniform(-0.3, 0.3) for _ in range(5 if order == 2 else 9)]
-            for _ in range(n)]
 
 
 def test_stacked_solve_matches_the_per_probe_loop_bit_for_bit():

@@ -186,20 +186,12 @@ def test_export_map_json_float(tmp_path):
     sample = next(iter(doc["components"][0].values()))
     float(sample)  # decimal string, parseable
     assert "/" not in sample
-    # each decimal is exactly its binary-rational coefficient
+    assert list(doc) == ["components", "exact", "lambda", "m", "n"]
+    # each decimal is exactly its binary-rational coefficient, and the
+    # monomials come in sorted_terms() order
     for comp, entry in zip(m.components, doc["components"]):
         assert {k: Fraction(float(v)) for k, v in entry.items()} == \
             {",".join(map(str, e)): c for e, c in comp.terms.items()}
-
-
-def test_export_map_json_lists_monomials_in_sorted_terms_order(tmp_path):
-    b = sm.basis_Hm(4, 2)
-    G0, _ = sm.solve_h_equals_Rm(4, 2, b)
-    m = sm.construct_map(G0, b)
-    assert not m.exact
-    doc = json.loads(cli.export_map_json(m, tmp_path / "f.json").read_text())
-    assert list(doc) == ["components", "exact", "lambda", "m", "n"]
-    for comp, entry in zip(m.components, doc["components"]):
         assert list(entry) == [",".join(map(str, e)) for e, _ in comp.sorted_terms()]
 
 
