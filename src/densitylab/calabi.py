@@ -65,6 +65,10 @@ from .jets import (
 )
 from .tolerances import TOL_SING
 
+# Smallest phi the closedness solve takes: below it (sin 2 phi)^2 raised to
+# the fourth power, a slot of its reciprocal's jet, underflows to 0.0.
+PHI_FLOOR = 1e-40
+
 
 @dataclass(frozen=True)
 class GradientPair:
@@ -230,6 +234,9 @@ def _closedness_solve(phi: Jet, theta, status: BatchStatus | None = None):
     v = phi.value
     guard(np.logical_not((0.0 < v) & (v < math.pi / 4.0)), RangeViolation,
           "phi value must lie in (0, pi/4), got {}", v, status=status)
+    guard(v <= PHI_FLOOR, Singularity,
+          "phi value {} is at or below {}, where powers of 1/sin(2 phi) leave the float range",
+          v, PHI_FLOOR, status=status)
     k = phi.order - 1
     ph = phi.truncate(k)
     # coefficient fields of the chain rule, as jets of order k.  Each shared

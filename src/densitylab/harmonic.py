@@ -1,11 +1,22 @@
 """Exact rational calculus of harmonic polynomials on R^n.
 
 A polynomial is stored as integer numerators over one shared denominator,
-{exponent multi-index: int} and den, in a canonical form (see Poly), so
-arithmetic runs on Python integers and no Fraction is built per term.  Every
-identity in this module is an exact rational statement, checked by exact
-arithmetic, never by tolerance; equality of polynomials is equality of
-their numerators and denominators.
+{exponent key: int} and den, in a canonical form (see Poly), so arithmetic
+runs on Python integers and no Fraction is built per term.  An exponent
+vector (e_0, ..., e_{n-1}) is packed into one integer key with a fixed
+SLOT_BITS-bit slot per variable, x_0 in the most significant slot:
+
+    key = e_0 << (SLOT_BITS (n-1)) | e_1 << (SLOT_BITS (n-2)) | ... | e_{n-1}.
+
+Integer order of keys is then the lexicographic order of the tuples, the
+exponents of a product add as integers (key1 + key2), and a partial
+derivative subtracts 1 << shift from the key.  A product whose operands
+reach the top bit of any slot raises DegreeViolation, so a carry from one
+slot into the next never happens silently.  Tuples appear only at the
+edges: Poly(nvars, terms) takes them, and terms, sorted_terms and repr give
+them back.  Every identity in this module is an exact rational statement,
+checked by exact arithmetic, never by tolerance; equality of polynomials is
+equality of their numerators and denominators.
 The sign convention is pinned to the geometer's Laplacian, the negative of
 the trace of the Hessian, so (-Delta)^d below is the d-th power of the
 analyst's sum of pure second partials.
@@ -31,13 +42,13 @@ m, which is the eigenvalue quantization used by the sphere-map module.
 
 from __future__ import annotations
 
-import math
 import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import comb, factorial, gcd
-from operator import add
+from operator import or_
 from typing import Optional
 
 from .errors import (
@@ -48,14 +59,89 @@ from .errors import (
     ParamViolation,
 )
 
+# ----------------------------------------------------------------------
+# packed exponent keys
+# ----------------------------------------------------------------------
+
+SLOT_BITS = 16                        # bits per exponent slot of a key
+_SLOT_MASK = (1 << SLOT_BITS) - 1     # the largest exponent a key holds
+_SLOT_TOP = 1 << (SLOT_BITS - 1)      # a product operand must stay below it
+
+
+@lru_cache(maxsize=64)
+def _shifts(nvars: int) -> tuple[int, ...]:
+    """The bit offset of each variable's slot, x_0's (the highest) first."""
+    return tuple(SLOT_BITS * (nvars - 1 - i) for i in range(nvars))
+
+
+@lru_cache(maxsize=64)
+def _every_slot(nvars: int, bit: int) -> int:
+    """bit placed in each of the nvars slots: with bit 1 the mask of each
+    exponent's parity, with _SLOT_TOP the overflow mask of a product."""
+    return sum(bit << s for s in _shifts(nvars))
+
+
+def _pack(nvars: int, exp) -> int:
+    """The key of an exponent vector of length nvars.
+
+    ParamViolation for a wrong length, a negative or a non-integer entry
+    (bools refused); DegreeViolation for an entry above the slot's range.
+    """
+    exp = tuple(exp)
+    if len(exp) != nvars:
+        raise ParamViolation(f"exponent {exp!r} has length {len(exp)}, not {nvars}")
+    key = 0
+    for k in exp:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ParamViolation(f"exponent {exp!r} has a non-integer entry {k!r}")
+        if k < 0:
+            raise ParamViolation(f"exponent {exp!r} has a negative entry")
+        if k > _SLOT_MASK:
+            raise DegreeViolation(
+                f"exponent {exp!r} has an entry above {_SLOT_MASK}, "
+                f"the range of a {SLOT_BITS}-bit slot")
+        key = (key << SLOT_BITS) | int(k)
+    return key
+
+
+def _unpack(key: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponent tuple of a key, given _shifts(nvars)."""
+    return tuple((key >> s) & _SLOT_MASK for s in shifts)
+
+
+def _slot_sum(key: int) -> int:
+    """The total degree of a key: the sum of its slots."""
+    total = 0
+    while key:
+        total += key & _SLOT_MASK
+        key >>= SLOT_BITS
+    return total
+
+
+def _fischer_weight(key: int) -> int:
+    """alpha! for the exponent alpha of a key, read slot by slot."""
+    w = 1
+    while key:
+        k = key & _SLOT_MASK
+        if k > 1:
+            w *= factorial(k)
+        key >>= SLOT_BITS
+    return w
+
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Stored as integer numerators over one denominator: the coefficient of
-    x^e is nums[e] / den.  The form is canonical: den > 0, every numerator
-    is nonzero, gcd(den, *nums) == 1, and the zero polynomial has den 1.
-    So two polynomials are equal exactly when their dens and nums are.
+    x^e is nums[key(e)] / den, where key(e) packs the exponent vector e into
+    one integer, SLOT_BITS = 16 bits per variable and x_0 in the most
+    significant slot (see the module docstring), so integer order of keys
+    is lexicographic order of exponents.  A slot holds exponents up to
+    2^16 - 1; a product raises DegreeViolation when an operand's exponent
+    reaches 2^15, the top bit of its slot, so sums never carry between
+    slots.  The form is canonical: den > 0, every numerator is nonzero,
+    gcd(den, *nums) == 1, and the zero polynomial has den 1.  So two
+    polynomials are equal exactly when their dens and nums are.
     """
 
     __slots__ = ("nvars", "den", "nums")
@@ -66,9 +152,10 @@ class Poly:
         coefs = {}
         den = 1
         for exp, coef in (terms or {}).items():
+            key = _pack(nvars, exp)
             c = Fraction(coef)
             if c:
-                coefs[tuple(exp)] = c
+                coefs[key] = c
                 q = c.denominator
                 if den % q:
                     den = den * q // gcd(den, q)
@@ -79,7 +166,7 @@ class Poly:
 
     @classmethod
     def _make(cls, nvars: int, den: int, nums: dict) -> "Poly":
-        """nums / den in canonical form; nums maps tuples to nonzero ints
+        """nums / den in canonical form; nums maps keys to nonzero ints
         and den > 0.  Every internal result is built here."""
         if den != 1:
             g = gcd(den, *nums.values())   # den itself when nums is empty
@@ -94,10 +181,11 @@ class Poly:
 
     @property
     def terms(self) -> dict:
-        """The coefficients as {exponent: Fraction}, in term order: a view
-        built afresh from nums, so editing it changes nothing."""
+        """The coefficients as {exponent tuple: Fraction}, in term order: a
+        view built afresh from nums, so editing it changes nothing."""
         den = self.den
-        return {e: Fraction(v, den) for e, v in self.nums.items()}
+        shifts = _shifts(self.nvars)
+        return {_unpack(e, shifts): Fraction(v, den) for e, v in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -106,7 +194,7 @@ class Poly:
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return Poly._make(nvars, 1, {(0,) * nvars: 1})
+        return Poly._make(nvars, 1, {0: 1})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
@@ -114,7 +202,7 @@ class Poly:
 
     @staticmethod
     def radius_squared(nvars: int) -> "Poly":
-        return Poly._make(nvars, 1, {_unit(nvars, i, 2): 1 for i in range(nvars)})
+        return Poly._make(nvars, 1, {2 << s: 1 for s in _shifts(nvars)})
 
     # -- ring structure --------------------------------------------------
     def _combine(self, other: "Poly", sign: int) -> "Poly":
@@ -155,7 +243,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly._make(self.nvars, self.den * other.den,
-                          _product_numerators(self.nums.items(), other.nums.items()))
+                          _product_numerators(self.nums, other.nums, self.nvars))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars \
@@ -171,41 +259,41 @@ class Poly:
     def degree(self) -> int:
         if not self.nums:
             return -1
-        return max(sum(e) for e in self.nums)
+        return max(map(_slot_sum, self.nums))
 
     def homogeneous_degree(self) -> int:
         """Degree if homogeneous; raises NotHomogeneous otherwise."""
         if not self.nums:
             return -1
-        degs = {sum(e) for e in self.nums}
+        degs = set(map(_slot_sum, self.nums))
         if len(degs) != 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degs)}")
         return degs.pop()
 
     # -- calculus ----------------------------------------------------------
     def diff(self, i: int) -> "Poly":
+        s = _shifts(self.nvars)[i]
+        one = 1 << s
         out: dict = {}
         for e, v in self.nums.items():
-            k = e[i]
+            k = (e >> s) & _SLOT_MASK
             if k:
-                e2 = list(e)
-                e2[i] = k - 1
-                out[tuple(e2)] = v * k
+                out[e - one] = v * k
         return Poly._make(self.nvars, self.den, out)
 
     def analyst_laplacian(self) -> "Poly":
         """sum_i d_i d_i, summed a variable at a time, each over the terms."""
+        nums = self.nums.items()
         out: dict = {}
-        for i in range(self.nvars):
-            for e, v in self.nums.items():
-                k = e[i]
+        for s in _shifts(self.nvars):
+            two = 2 << s
+            for e, v in nums:
+                k = (e >> s) & _SLOT_MASK
                 if k > 1:
-                    e2 = list(e)
-                    e2[i] = k - 2
-                    e2 = tuple(e2)
-                    s = out.get(e2, 0) + v * k * (k - 1)
-                    if s:
-                        out[e2] = s
+                    e2 = e - two
+                    s2 = out.get(e2, 0) + v * k * (k - 1)
+                    if s2:
+                        out[e2] = s2
                     else:
                         del out[e2]
         return Poly._make(self.nvars, self.den, out)
@@ -214,37 +302,40 @@ class Poly:
         """Directional derivative along the linear form xi (metric-dual).
 
         One pass over the terms, summing sum_i xi_i d_i f in the order of
-        xi's terms.
+        xi's terms; the variable of a term of xi is its highest nonzero
+        slot.
         """
         nums = self.nums.items()
         out: dict = {}
         for ex, b in xi.nums.items():
-            i = next(j for j, k in enumerate(ex) if k)
+            if not ex:
+                raise DegreeViolation("xi has a constant term; it must be linear")
+            s = (ex.bit_length() - 1) // SLOT_BITS * SLOT_BITS
+            one = 1 << s
             for e, a in nums:
-                k = e[i]
+                k = (e >> s) & _SLOT_MASK
                 if k:
-                    e2 = list(e)
-                    e2[i] = k - 1
-                    e2 = tuple(e2)
-                    s = out.get(e2, 0) + a * k * b
-                    if s:
-                        out[e2] = s
+                    e2 = e - one
+                    s2 = out.get(e2, 0) + a * k * b
+                    if s2:
+                        out[e2] = s2
                     else:
                         del out[e2]
         return Poly._make(self.nvars, self.den * xi.den, out)
 
     def constant_value(self) -> Fraction:
-        if not self.nums:
+        nums = self.nums
+        if not nums:
             return Fraction(0)
-        const = (0,) * self.nvars
-        if set(self.nums) != {const}:
+        if len(nums) != 1 or 0 not in nums:
             raise NotHomogeneous("polynomial is not constant")
-        return Fraction(self.nums[const], self.den)
+        return Fraction(nums[0], self.den)
 
     def sorted_terms(self):
         """Graded lexicographic term order (deterministic serialization)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
-                      reverse=True)
+        nums, den, shifts = self.nums, self.den, _shifts(self.nvars)
+        keys = sorted(nums, key=lambda e: (_slot_sum(e), e), reverse=True)
+        return [(_unpack(e, shifts), Fraction(nums[e], den)) for e in keys]
 
     def __repr__(self):
         if not self.nums:
@@ -257,22 +348,28 @@ class Poly:
         return f"Poly({' + '.join(bits)}{more})"
 
 
-def _unit(nvars: int, i: int, k: int) -> tuple[int, ...]:
-    """The exponent of x_i^k."""
-    e = [0] * nvars
-    e[i] = k
-    return tuple(e)
+def _unit(nvars: int, i: int, k: int) -> int:
+    """The key of x_i^k."""
+    return k << _shifts(nvars)[i]
 
 
-def _product_numerators(nums1, nums2) -> dict:
-    """The product of two (exponent, integer) term sequences, as exponent -> int.
+def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
+    """The product of two key -> integer term dicts, as key -> int.
 
-    A key whose running sum cancels is dropped and re-enters at the end.
+    Keys add as integers.  DegreeViolation when either operand has an
+    exponent at or above 2^(SLOT_BITS - 1), where the sum could carry into
+    the next slot.  A key whose running sum cancels is dropped and
+    re-enters at the end.
     """
+    if (reduce(or_, nums1, 0) | reduce(or_, nums2, 0)) & _every_slot(nvars, _SLOT_TOP):
+        raise DegreeViolation(
+            f"product of exponents at or above {_SLOT_TOP} could overflow "
+            f"a {SLOT_BITS}-bit slot")
     out: dict = {}
-    for e1, a in nums1:
-        for e2, b in nums2:
-            e = tuple(map(add, e1, e2))
+    items2 = nums2.items()
+    for e1, a in nums1.items():
+        for e2, b in items2:
+            e = e1 + e2
             s = out.get(e, 0) + a * b
             if s:
                 out[e] = s
@@ -317,9 +414,9 @@ def harmonic_decompose(p: Poly, degree: Optional[int] = None
                        ) -> tuple[HarmonicElement, Poly]:
     """Split a homogeneous p uniquely as p = h + R r with h harmonic.
 
-    Works by peeling the expansion p = sum_k R^k p_k (p_k harmonic) from
-    the top using L^j (R^k p_k) = c_{jk} R^(k-j) p_k; everything stays in
-    exact rationals and no linear systems are solved.
+    h is the first of the harmonic shells of p (see _harmonic_shells) and
+    r = sum_{k >= 1} R^(k-1) p_k; everything stays in exact rationals and
+    no linear systems are solved.
     """
     d = p.homogeneous_degree() if degree is None else degree
     if degree is not None and not p.is_zero() and p.homogeneous_degree() != degree:
@@ -327,6 +424,27 @@ def harmonic_decompose(p: Poly, degree: Optional[int] = None
     n = p.nvars
     if p.is_zero():
         return HarmonicElement(p, max(d, 0)), Poly.zero(n)
+    comps = _harmonic_shells(p, d)
+    R = Poly.radius_squared(n)
+    r = Poly.zero(n)
+    for k in range(1, len(comps)):
+        term = comps[k]
+        for _ in range(k - 1):
+            term = R * term
+        r = r + term
+    return HarmonicElement(comps[0], d), r
+
+
+def _harmonic_shells(p: Poly, d: int) -> list[Poly]:
+    """The harmonic p_k of the expansion p = sum_k R^k p_k, k = 0..d // 2.
+
+    p is nonzero and homogeneous of degree d (not checked).  The shells
+    are peeled from the top using L^j (R^k p_k) = c_{jk} R^(k-j) p_k, where
+    L is the analyst's Laplacian: L^k p minus the higher shells' share is
+    c_{kk} p_k.  R^(kk-k) p_kk is kept from one k to the next, so each
+    R-product is built once.
+    """
+    n = p.nvars
     K = d // 2
     powers = [p]
     for _ in range(K):
@@ -340,25 +458,17 @@ def harmonic_decompose(p: Poly, degree: Optional[int] = None
             out *= 2 * (k - i) * (n + 2 * m + 2 * (k - i) - 2)
         return out
 
-    comps: dict[int, Poly] = {}
+    comps: list = [None] * (K + 1)
+    lifted: dict[int, Poly] = {}    # kk -> R^(kk - k) p_kk at the current k
     R = Poly.radius_squared(n)
     for k in range(K, -1, -1):
         residue = powers[k]
         for kk in range(k + 1, K + 1):
             # subtract the contribution of higher shells: L^k(R^kk p_kk)
-            term = comps[kk]
-            for _ in range(kk - k):
-                term = R * term
-            residue = residue - term.scale(c_factor(k, kk))
+            lifted[kk] = R * lifted.get(kk, comps[kk])
+            residue = residue - lifted[kk].scale(c_factor(k, kk))
         comps[k] = residue.scale(Fraction(1, c_factor(k, k)))
-    h = comps[0]
-    r = Poly.zero(n)
-    for k in range(1, K + 1):
-        term = comps[k]
-        for _ in range(k - 1):
-            term = R * term
-        r = r + term
-    return HarmonicElement(h, d), r
+    return comps
 
 
 # ----------------------------------------------------------------------
@@ -376,14 +486,24 @@ def dot(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
     return HarmonicElement(f.poly.directional(xi.poly), max(f.degree - 1, 0))
 
 
+def _vee(f: Poly, d: int, xi: Poly, f_dot_xi: Poly) -> Poly:
+    """f vee xi = (n + 2d - 2) xi f - R (f . xi) for f of degree d, given
+    f . xi: the one place the formula lives."""
+    n = f.nvars
+    return (xi * f).scale(n + 2 * d - 2) - Poly.radius_squared(n) * f_dot_xi
+
+
 def vee(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
     """Degree-raising pairing from (n + 2d - 2) xi f = f vee xi + R (f . xi)."""
     _require_linear(xi)
-    n = f.poly.nvars
     d = f.degree
-    prod = (xi.poly * f.poly).scale(n + 2 * d - 2)
-    correction = Poly.radius_squared(n) * f.poly.directional(xi.poly)
-    return HarmonicElement(prod - correction, d + 1)
+    return HarmonicElement(_vee(f.poly, d, xi.poly, f.poly.directional(xi.poly)),
+                           d + 1)
+
+
+def _rotation(alpha: Poly, beta: Poly, f_dot_alpha: Poly, f_dot_beta: Poly) -> Poly:
+    """alpha (f . beta) - beta (f . alpha), given both pairings of f."""
+    return alpha * f_dot_beta - beta * f_dot_alpha
 
 
 def so_action(alpha: HarmonicElement, beta: HarmonicElement,
@@ -391,8 +511,8 @@ def so_action(alpha: HarmonicElement, beta: HarmonicElement,
     """Derived rotation action (alpha ^ beta) . f = alpha (f.beta) - beta (f.alpha)."""
     _require_linear(alpha)
     _require_linear(beta)
-    out = alpha.poly * f.poly.directional(beta.poly) \
-        - beta.poly * f.poly.directional(alpha.poly)
+    out = _rotation(alpha.poly, beta.poly, f.poly.directional(alpha.poly),
+                    f.poly.directional(beta.poly))
     return HarmonicElement(out, f.degree)
 
 
@@ -411,7 +531,7 @@ def inner(f: HarmonicElement, g: HarmonicElement) -> Fraction:
     for e, a in f.poly.nums.items():
         b = gnums.get(e)
         if b is not None:
-            total += math.prod(map(factorial, e)) * a * b
+            total += _fischer_weight(e) * a * b
     return Fraction(total, f.poly.den * g.poly.den)
 
 
@@ -441,18 +561,18 @@ def norm_squared(alpha: HarmonicElement) -> Fraction:
 def random_harmonic(nvars: int, degree: int, rng: random.Random,
                     span: int = 4) -> HarmonicElement:
     """Harmonic part of a random small-integer homogeneous polynomial."""
-    monos = monomial_exponents(nvars, degree)
+    monos = _packed_monomials(nvars, degree)
     nums = {}
     for e in monos:
         c = rng.randint(-span, span)
         if c:
             nums[e] = c
     p = Poly._make(nvars, 1, nums or {monos[0]: 1})
-    h, _ = harmonic_decompose(p)
-    if h.poly.is_zero():
+    h = _harmonic_shells(p, degree)[0]
+    if h.is_zero():
         # R-multiples only; retry deterministically with a shifted seed
         return random_harmonic(nvars, degree, rng, span + 1)
-    return h
+    return HarmonicElement(h, degree)
 
 
 def random_linear(nvars: int, rng: random.Random, span: int = 4) -> HarmonicElement:
@@ -493,18 +613,20 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
         a = random_linear(n, rng)
         b = random_linear(n, rng)
         g = random_harmonic(n, d + 1, rng)
-        rot = so_action(a, b, f)
-        # each pairing of f once per trial; the identities share them
-        fva, fvb = vee(f, a), vee(f, b)
+        # f . a and f . b once per trial: the rotation and both f vee xi
+        # are built from them, and the identities share all of these
         fda, fdb = dot(f, a), dot(f, b)
+        rot = _rotation(a.poly, b.poly, fda.poly, fdb.poly)
+        fva = HarmonicElement(_vee(f.poly, d, a.poly, fda.poly), d + 1)
+        fvb = HarmonicElement(_vee(f.poly, d, b.poly, fdb.poly), d + 1)
 
         lhs1 = dot(fva, b).poly - dot(fvb, a).poly
-        if lhs1 != rot.poly.scale(n + 2 * d):
+        if lhs1 != rot.scale(n + 2 * d):
             raise IdentityFailure(f"degree-raise/lower commutator at trial {t}: "
                                   f"f={f.poly!r} a={a.poly!r} b={b.poly!r}")
 
         lhs2 = vee(fda, b).poly - vee(fdb, a).poly
-        if lhs2 != rot.poly.scale(-(n + 2 * d - 4)):
+        if lhs2 != rot.scale(-(n + 2 * d - 4)):
             raise IdentityFailure(f"lower/raise commutator at trial {t}")
 
         scale3 = (n + 2 * d - 2) if not corrupt else (n + 2 * d - 1)
@@ -599,6 +721,12 @@ def admissible_lambda(params: SpectralParams) -> Optional[int]:
 # ----------------------------------------------------------------------
 # monomial bookkeeping shared with the sphere-map module
 # ----------------------------------------------------------------------
+
+@lru_cache(maxsize=64, typed=True)
+def _packed_monomials(nvars: int, degree: int) -> tuple[int, ...]:
+    """The keys of monomial_exponents(nvars, degree), in the same order."""
+    return tuple(_pack(nvars, e) for e in monomial_exponents(nvars, degree))
+
 
 def monomial_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent multi-indices of the given total degree, graded-lex order."""

@@ -48,12 +48,16 @@ from .errors import (
 from .harmonic import (
     HarmonicElement,
     Poly,
+    _every_slot,
+    _harmonic_shells,
+    _packed_monomials,
     _product_numerators,
     _require_integers,
+    _shifts,
+    _slot_sum,
+    _unpack,
     dim_harmonics,
-    harmonic_decompose,
     inner,
-    monomial_exponents,
 )
 
 FLOAT_COEFF_TOL = 1e-10
@@ -321,7 +325,7 @@ def _primitive(p: Poly) -> Poly:
     if p.is_zero():
         return p
     g = math.gcd(*p.nums.values())
-    lead = max(p.nums, key=lambda e: (sum(e), e))   # first in sorted_terms
+    lead = max(p.nums, key=lambda e: (_slot_sum(e), e))   # first in sorted_terms
     if p.nums[lead] < 0:
         g = -g
     return Poly._make(p.nvars, 1, {e: v // g for e, v in p.nums.items()})
@@ -340,7 +344,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
         raise ParamViolation("ambient dimension must be >= 3")
     if m < 0:
         raise ParamViolation("degree must be nonnegative")
-    monos = monomial_exponents(n_ambient, m)
+    monos = _packed_monomials(n_ambient, m)
     index = {e: i for i, e in enumerate(monos)}
     target = dim_harmonics(n_ambient, m)
 
@@ -349,14 +353,14 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     chosen: list[Poly] = []
     core = _IntegerRref()
     for e in monos:
-        h, _ = harmonic_decompose(Poly(n_ambient, {e: 1}), m)
-        if h.poly.is_zero():
+        h = _harmonic_shells(Poly._make(n_ambient, 1, {e: 1}), m)[0]
+        if h.is_zero():
             continue
         row = [0] * len(monos)
-        for exp, c in h.poly.nums.items():
+        for exp, c in h.nums.items():
             row[index[exp]] = c
         if core.add(row):
-            chosen.append(h.poly)
+            chosen.append(h)
             if len(chosen) == target:
                 break
     if len(chosen) != target:
@@ -421,13 +425,11 @@ def _sym_pairs(D: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(D) for b in range(a, D)]
 
 
-def _parity(e: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k & 1 for k in e)
-
-
-def _element_parity(p: Poly) -> tuple[int, ...]:
-    """The one parity pattern in Z_2^n shared by every monomial of p."""
-    parities = {_parity(e) for e in p.nums}
+def _element_parity(p: Poly) -> int:
+    """The one parity pattern in Z_2^n shared by every monomial of p, as
+    the low bit of each slot of its keys."""
+    low = _every_slot(p.nvars, 1)
+    parities = {e & low for e in p.nums}
     if len(parities) != 1:
         raise ParamViolation(
             f"basis element has {len(parities)} parity patterns (internal)")
@@ -473,14 +475,14 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     pairs = _sym_pairs(D)
     parity = [_element_parity(el.poly) for el in basis.elements]
     # columns: E_{ab}, grouped by parity in column order
-    block_cols: dict[tuple[int, ...], list[int]] = {}
+    block_cols: dict[int, list[int]] = {}
     for j, (a, b) in enumerate(pairs):
-        key = tuple(x ^ y for x, y in zip(parity[a], parity[b]))
-        block_cols.setdefault(key, []).append(j)
+        block_cols.setdefault(parity[a] ^ parity[b], []).append(j)
     # rows: coefficients of the degree-2m monomials, grouped by parity
-    block_rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for e in monomial_exponents(n_ambient, 2 * m):
-        rows_of = block_rows.setdefault(_parity(e), {})
+    low = _every_slot(n_ambient, 1)
+    block_rows: dict[int, dict[int, int]] = {}
+    for e in _packed_monomials(n_ambient, 2 * m):
+        rows_of = block_rows.setdefault(e & low, {})
         rows_of[e] = len(rows_of)
 
     polys = [el.poly for el in basis.elements]
@@ -494,7 +496,7 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
             pa, pb = polys[a], polys[b]
             twice = 1 if a == b else 2
             sparse.append([(row_index[e], twice * v) for e, v in
-                           _product_numerators(pa.nums.items(), pb.nums.items()).items()])
+                           _product_numerators(pa.nums, pb.nums, n_ambient).items()])
             dens.append(pa.den * pb.den)
         rows = [[0] * len(cols) for _ in row_index]
         for k, col in enumerate(sparse):
@@ -647,19 +649,19 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 def gram_of_components(components: Sequence[Poly], basis: HarmonicBasis
                        ) -> GramMatrix:
     """Exact Gram matrix T^T T of rational components in basis coordinates."""
-    monos = monomial_exponents(basis.n_ambient, basis.m)
+    monos = _packed_monomials(basis.n_ambient, basis.m)
     index = {e: i for i, e in enumerate(monos)}
-    brows = []
-    for el in basis.elements:
+
+    def coords(p: Poly) -> list[Fraction]:
         row = [Fraction(0)] * len(monos)
-        for e, c in el.poly.terms.items():
-            row[index[e]] = c
-        brows.append(row)
+        for e, v in p.nums.items():
+            row[index[e]] = Fraction(v, p.den)
+        return row
+
+    brows = [coords(el.poly) for el in basis.elements]
     T: list[list[Fraction]] = []
     for f in components:
-        target = [Fraction(0)] * len(monos)
-        for e, c in f.terms.items():
-            target[index[e]] = c
+        target = coords(f)
         # solve sum_a t_a h_a = f by elimination on the transpose system
         mat = [[brows[a][i] for a in range(basis.dim)] + [target[i]]
                for i in range(len(monos))]
@@ -790,7 +792,9 @@ def _eval_many(polys: Sequence[Poly], pts: np.ndarray) -> np.ndarray:
     exps = sorted({e for f in polys for e in f.nums})
     coefs = np.array([[f.nums.get(e, 0) / f.den for e in exps] for f in polys],
                      dtype=float).reshape(len(polys), len(exps))
-    powers = np.array(exps, dtype=int).reshape(len(exps), pts.shape[1])
+    shifts = _shifts(pts.shape[1])
+    powers = np.array([_unpack(e, shifts) for e in exps],
+                      dtype=int).reshape(len(exps), pts.shape[1])
     monos = np.ones((len(pts), len(exps)))
     for i in range(pts.shape[1]):
         monos *= pts[:, i:i + 1] ** powers[:, i]

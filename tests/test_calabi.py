@@ -456,6 +456,22 @@ def test_batch_without_status_raises_the_first_failure():
             cb.compatibility_extract(batch_of(rows, 2))
 
 
+@pytest.mark.parametrize("v", [1e-40, 1e-41, 1e-80, 1e-160, 1e-200])
+def test_phi_at_or_below_the_floor_is_one_singularity_on_both_routes(v):
+    # below about 1e-41 the float route used to raise ZeroDivisionError, and
+    # the batch route gave Singularity or an empty candidate list
+    row = [v, 0.1, 0.2, 0.0, 0.0, 0.0]
+    with pytest.raises(Singularity, match="at or below 1e-40") as scalar:
+        cb.two_theta_candidates(Jet(*row, order=2))
+    rows = [row, [0.3, 0.2, -0.1, 0.05, 0.1, -0.2]]
+    outcomes = cb.candidates_batch(batch_of(rows, 2))
+    assert outcomes[0] is Singularity and isinstance(outcomes[1], list)
+    status = BatchStatus(len(rows))
+    with np.errstate(all="ignore"):
+        cb.compatibility_extract(batch_of(rows, 2), status)
+    assert str(status.exception(0)) == str(scalar.value)
+
+
 def test_batch_of_third_order_jets_matches_scalar():
     rows = random_rows(random.Random(77), 50, 3)
     outcomes = cb.candidates_batch(batch_of(rows, 3))

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from densitylab import harmonic as ha
 from densitylab.errors import (
     DegreeMismatch,
+    DegreeViolation,
+    DensityLabError,
     IdentityFailure,
     NotHomogeneous,
     ParamViolation,
@@ -334,16 +336,112 @@ def test_scale_round_trip_is_the_same_poly(data, n):
 
 
 def test_canonical_form_examples():
+    # nums is keyed by packed exponents: x0 in the high slot, x1 in the low
+    x0, x1 = 1 << ha.SLOT_BITS, 1
     p = Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-    assert (p.den, p.nums) == (6, {(1, 0): 3, (0, 1): 2})
+    assert (p.den, p.nums) == (6, {x0: 3, x1: 2})
     two_x = p + Poly(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(-1, 3)})
-    assert (two_x.den, two_x.nums) == (1, {(1, 0): 2})
+    assert (two_x.den, two_x.nums) == (1, {x0: 2})
     assert (Poly.zero(2).den, Poly.zero(2).nums) == (1, {})
     assert (p.scale(0).den, (p * Poly.zero(2)).den) == (1, 1)
     # the view is a copy, not the storage
     view = p.terms
     view.clear()
     assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}
+
+
+@given(st.data(), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_key_order_is_lexicographic_order(data, n):
+    top = (1 << ha.SLOT_BITS) - 1
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=20))
+    assert sorted(ha._pack(n, e) for e in exps) == [ha._pack(n, e) for e in sorted(exps)]
+    shifts = ha._shifts(n)
+    assert [ha._unpack(ha._pack(n, e), shifts) for e in exps] == exps
+
+
+def test_product_that_could_carry_between_slots_raises():
+    top = 1 << (ha.SLOT_BITS - 1)
+    below = Poly(2, {(top - 1, 0): 1, (0, top - 1): 1})
+    square = below * below      # 2 (2^15 - 1) still fits a slot
+    assert square.terms == {(2 * top - 2, 0): 1, (top - 1, top - 1): 2,
+                            (0, 2 * top - 2): 1}
+    # x1^(2^15) squared would carry into x0's slot: refused, as is any
+    # product with an operand at or above 2^15 in some slot
+    high = Poly(2, {(0, top): 1})
+    for p, q in [(high, high), (high, Poly.one(2)), (Poly.variable(2, 0), square)]:
+        with pytest.raises(DegreeViolation):
+            p * q
+
+
+@pytest.mark.parametrize("exp,exc", [
+    ((1, 2), ParamViolation),               # wrong length
+    ((1, -1, 0), ParamViolation),           # negative entry
+    ((1.5, 0, 0), ParamViolation),          # non-integer entry
+    ((True, 0, 0), ParamViolation),         # bools are refused
+    ((1 << 16, 0, 0), DegreeViolation),     # above a 16-bit slot
+])
+def test_malformed_exponents_are_refused(exp, exc):
+    with pytest.raises(exc):
+        Poly(3, {exp: 1})
+    with pytest.raises(exc):
+        Poly(3, {exp: 0})       # a zero coefficient does not excuse the key
+    assert issubclass(exc, DensityLabError)    # so the CLI exits 2 on it
+    assert Poly(3, {((1 << 16) - 1, 0, 0): 1}).degree() == (1 << 16) - 1
+
+
+def test_directional_along_a_constant_term_is_refused():
+    # a term of xi with no variable has no slot to differentiate along
+    with pytest.raises(DegreeViolation, match="constant term"):
+        ha.dot(x(0), HarmonicElement(Poly.one(3), 1))
+
+
+# ----------------------------------------------------------------------
+# how much work the suite does, counted through wrappers
+# ----------------------------------------------------------------------
+
+def recording(monkeypatch, owner, name):
+    """Wrap owner.name so that each call's arguments are appended to the
+    returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_one_identity_trial_takes_nine_directional_derivatives(monkeypatch):
+    calls = recording(monkeypatch, Poly, "directional")
+    ha.identity_suite(4, 3, 1, seed=5)
+    assert len(calls) == 9
+    ha.identity_suite(3, 2, 2, seed=6)
+    assert len(calls) == 9 + 18
+
+
+def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
+    from densitylab import sphere_maps as sm
+    decompositions = recording(monkeypatch, ha, "harmonic_decompose")
+    peels = recording(monkeypatch, ha, "_harmonic_shells")
+    monkeypatch.setattr(sm, "_harmonic_shells", ha._harmonic_shells)
+    products = recording(monkeypatch, Poly, "__mul__")
+    rng = random.Random(3)
+    for n, d in [(3, 4), (4, 5), (5, 4), (3, 2)]:
+        ha.random_harmonic(n, d, rng)
+    # peeling takes K(K + 1)/2 products by R for K = d // 2; building the
+    # remainder would take K(K - 1)/2 more
+    r_products = [a for a in products if a[0] == Poly.radius_squared(a[0].nvars)]
+    assert len(r_products) == sum((d // 2) * (d // 2 + 1) // 2 for _, d in peels) > 0
+    sm.basis_Hm(4, 4)
+    assert decompositions == [] and len(peels) > 4
+    # the public routine still returns both parts, from the same peel
+    p = Poly(3, {e: i - 7 for i, e in enumerate(ha.monomial_exponents(3, 4))})
+    h, r = ha.harmonic_decompose(p)
+    assert h.poly == ha._harmonic_shells(p, 4)[0]
+    assert h.poly + Poly.radius_squared(3) * r == p
 
 
 def test_inner_positive_definite_on_basis_sweep():
