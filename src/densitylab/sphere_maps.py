@@ -14,8 +14,11 @@ exceeds dim SO(n+1), inequivalent maps with identical energy density are
 guaranteed.  The kernel comes from fraction-free Gauss-Jordan elimination
 on Python integers (Bareiss), one parity block of the matrix of h at a
 time, and is certified by one exact product per block: block matrix times
-integer kernel block = 0.  The same elimination core serves rref,
-nullspace and the independence test of basis_Hm.
+integer kernel block = 0.  The elimination keeps its rows sparse, as
+{column: nonzero int}, and the same core serves rref, nullspace and the
+independence test of basis_Hm.  Kernel elements stay sparse too, as
+integer numerators over one denominator; a dense GramMatrix is built only
+when a caller reads KernelCertificate.basis.
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,6 +65,7 @@ from .harmonic import (
 )
 
 FLOAT_COEFF_TOL = 1e-10
+_ZERO = Fraction(0)   # immutable, so one object serves every zero entry
 
 
 # ----------------------------------------------------------------------
@@ -68,44 +73,66 @@ FLOAT_COEFF_TOL = 1e-10
 # ----------------------------------------------------------------------
 
 class _IntegerRref:
-    """Fraction-free Gauss-Jordan elimination on integer rows (Bareiss).
+    """Fraction-free Gauss-Jordan elimination on sparse integer rows (Bareiss).
 
-    Rows are added one at a time.  The kept rows are always d times the
+    A row is a dict {column: nonzero int}; a column it does not name holds
+    0.  Rows are added one at a time.  The kept rows are always d times the
     reduced row echelon form of the rows added so far: kept row k holds
     the integer d at its pivot column pivots[k] and 0 at every other
     pivot column, so the rref is rows / d.  A new row x reduces to
     y = d x - sum_k x[pivots[k]] rows[k], which is zero exactly when x is
-    in the span of the kept rows.  Otherwise the first nonzero column c
-    of y becomes a pivot, every kept row is updated as
+    in the span of the kept rows.  Otherwise the smallest column c with
+    y[c] != 0 becomes a pivot, every kept row is updated as
     (piv row - row[c] y) // d with piv = y[c], and d becomes piv.  Every
     entry is a minor of the rows added, so each division is exact
     (Bareiss, Math. Comp. 22 (1968) 565-578) and no Fraction is built.
+    Every row is kept without zero entries, so only nonzeros are touched
+    and no zero can become a pivot.
     """
 
     __slots__ = ("rows", "pivots", "d")
 
     def __init__(self):
-        self.rows: list[list[int]] = []
+        self.rows: list[dict[int, int]] = []
         self.pivots: list[int] = []
         self.d = 1
 
-    def add(self, x: Sequence[int]) -> bool:
-        """Keep x and return True if it is independent of the kept rows."""
+    def add(self, x: dict[int, int]) -> bool:
+        """Keep x and return True if it is independent of the kept rows.
+
+        The columns of x may come in any order; zero values are ignored."""
         d = self.d
-        y = [d * v for v in x]
+        y = {c: d * v for c, v in x.items() if v}
         for row, p in zip(self.rows, self.pivots):
-            f = x[p]
+            f = x.get(p)
             if f:
-                y = [a - f * b for a, b in zip(y, row)]
-        c = next((j for j, v in enumerate(y) if v), None)
-        if c is None:
+                for c, b in row.items():
+                    v = y.get(c, 0) - f * b
+                    if v:
+                        y[c] = v
+                    else:
+                        del y[c]
+        if not y:
             return False
+        c = min(y)
         piv = y[c]
         rows = self.rows
-        for k, row in enumerate(rows):
-            f = row[c]
-            rows[k] = [(piv * a - f * b) // d for a, b in zip(row, y)] if f \
-                else [piv * a // d for a in row]
+        for row in rows:   # updated in place
+            f = row.get(c)
+            if f:
+                for j in row:
+                    row[j] *= piv
+                for j, b in y.items():
+                    v = row.get(j, 0) - f * b
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                for j in row:
+                    row[j] //= d
+            else:
+                for j in row:
+                    row[j] = piv * row[j] // d
         rows.append(y)
         self.pivots.append(c)
         self.d = piv
@@ -116,17 +143,18 @@ class _IntegerRref:
         vector of f) for each free column f < ncols, in order of f."""
         pivot_cols = set(self.pivots)
         return [(f, [(f, self.d)] + [(p, -row[f]) for row, p
-                                     in zip(self.rows, self.pivots) if row[f]])
+                                     in zip(self.rows, self.pivots) if f in row])
                 for f in range(ncols) if f not in pivot_cols]
 
 
 def _eliminate(rows: Sequence[Sequence]) -> _IntegerRref:
-    """The core run on rational rows, each scaled to integers first
-    (scaling a row does not change the rref)."""
+    """The core run on dense rational rows, each scaled to integers first
+    (scaling a row does not change the rref) and passed as its nonzeros."""
     core = _IntegerRref()
     for row in rows:
         den = math.lcm(*(v.denominator for v in row))
-        core.add([v.numerator * (den // v.denominator) for v in row])
+        core.add({j: v.numerator * (den // v.denominator)
+                  for j, v in enumerate(row) if v})
     return core
 
 
@@ -137,9 +165,14 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """
     core = _eliminate(rows)
     order = sorted(range(len(core.pivots)), key=core.pivots.__getitem__)
-    out = [[Fraction(v, core.d) for v in core.rows[k]] for k in order]
     ncols = len(rows[0]) if rows else 0
-    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(out))]
+    out = []
+    for k in order:
+        dense = [_ZERO] * ncols
+        for j, v in core.rows[k].items():
+            dense[j] = Fraction(v, core.d)
+        out.append(dense)
+    out += [[_ZERO] * ncols for _ in range(len(rows) - len(out))]
     return out, [core.pivots[k] for k in order]
 
 
@@ -153,7 +186,7 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     core = _eliminate(rows)
     basis = []
     for _, entries in core.kernel(ncols):
-        vec = [Fraction(0)] * ncols
+        vec = [_ZERO] * ncols
         for c, w in entries:
             vec[c] = Fraction(w, core.d)
         basis.append(vec)
@@ -191,7 +224,7 @@ class GramMatrix:
     def diagonal(values: Sequence) -> "GramMatrix":
         d = len(values)
         return GramMatrix(tuple(
-            tuple(Fraction(values[i]) if i == j else Fraction(0)
+            tuple(Fraction(values[i]) if i == j else _ZERO
                   for j in range(d)) for i in range(d)))
 
     def add(self, other: "GramMatrix", scale=1) -> "GramMatrix":
@@ -251,12 +284,13 @@ class GramMatrix:
             steps.append((k, row, piv))
             active.remove(k)
             for i in active:
-                fi = M[i][k] / piv
-                if fi:
+                if M[i][k]:
+                    fi = M[i][k] / piv
                     for j in active:
-                        M[i][j] -= fi * row[j]
+                        if row[j]:
+                            M[i][j] -= fi * row[j]
             for i in active:
-                M[i][k] = M[k][i] = Fraction(0)
+                M[i][k] = M[k][i] = _ZERO
         return steps, None
 
     def psd_certificate(self) -> tuple[bool, Optional[list[Fraction]]]:
@@ -274,15 +308,36 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    """Exact basis of symmetric matrices with h(G) = 0.
+    """Exact basis of symmetric D x D matrices with h(G) = 0, held sparse.
 
     The basis is read off the fraction-free elimination of the matrix of h
     and certified by one exact integer product per parity block (see
     solve_h_equals_Rm); it is the rref kernel basis, in free-column order.
+    Each element is a pair (den, entries) of integer numerators over one
+    denominator: entries holds ((a, b), num) with a <= b for every nonzero
+    entry, the one at (a, b) and at (b, a) being num / den.  basis builds
+    the dense GramMatrix of each element on first use and keeps them.
     """
 
-    basis: tuple[GramMatrix, ...]
-    dimension: int
+    D: int
+    elements: tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.elements)
+
+    @cached_property
+    def basis(self) -> tuple[GramMatrix, ...]:
+        return tuple(_kernel_gram(self.D, den, entries)
+                     for den, entries in self.elements)
+
+
+def _kernel_gram(D: int, den: int, entries) -> GramMatrix:
+    """The symmetric D x D GramMatrix of one sparse kernel element."""
+    M = [[_ZERO] * D for _ in range(D)]
+    for (a, b), num in entries:
+        M[a][b] = M[b][a] = Fraction(num, den)
+    return GramMatrix(tuple(map(tuple, M)))
 
 
 # ----------------------------------------------------------------------
@@ -356,22 +411,22 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
         h = _harmonic_shells(Poly._make(n_ambient, 1, {e: 1}), m)[0]
         if h.is_zero():
             continue
-        row = [0] * len(monos)
-        for exp, c in h.nums.items():
-            row[index[exp]] = c
-        if core.add(row):
+        if core.add({index[exp]: c for exp, c in h.nums.items()}):
             chosen.append(h)
             if len(chosen) == target:
                 break
     if len(chosen) != target:
         raise ParamViolation("failed to build a full harmonic basis")
 
-    # exact Gram-Schmidt without normalization
+    # exact Gram-Schmidt without normalization, within each parity class:
+    # the Fischer pairing of two different parities is 0
     ortho: list[HarmonicElement] = []
     norms: list[Fraction] = []
+    classes: dict[int, list[tuple[HarmonicElement, Fraction]]] = {}
     for p in chosen:
+        earlier = classes.setdefault(_element_parity(p), [])
         cur = p
-        for g, n2 in zip(ortho, norms):
+        for g, n2 in earlier:
             coef = inner(HarmonicElement(cur, m), g) / n2
             if coef:
                 cur = cur - g.poly.scale(coef)
@@ -379,6 +434,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
         el = HarmonicElement(cur, m)
         ortho.append(el)
         norms.append(inner(el, el))
+        earlier.append((el, norms[-1]))
 
     # reproducing identity sum h_a^2/n_a = c R^m, verified exactly
     acc = Poly.zero(n_ambient)
@@ -486,22 +542,22 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
         rows_of[e] = len(rows_of)
 
     polys = [el.poly for el in basis.elements]
-    found: list[tuple[int, dict]] = []  # (free column, {(a, b): entry})
+    found: list[tuple[int, tuple]] = []  # (free column, sparse element)
     for key, cols in block_cols.items():
         row_index = block_rows[key]
         sparse: list[list[tuple[int, int]]] = []  # (row, numerator) per column
         dens: list[int] = []
-        for j in cols:
+        rows: list[dict[int, int]] = [{} for _ in row_index]
+        for k, j in enumerate(cols):
             a, b = pairs[j]
             pa, pb = polys[a], polys[b]
             twice = 1 if a == b else 2
-            sparse.append([(row_index[e], twice * v) for e, v in
-                           _product_numerators(pa.nums, pb.nums, n_ambient).items()])
-            dens.append(pa.den * pb.den)
-        rows = [[0] * len(cols) for _ in row_index]
-        for k, col in enumerate(sparse):
+            col = [(row_index[e], twice * v) for e, v in
+                   _product_numerators(pa.nums, pb.nums, n_ambient).items()]
             for i, v in col:
                 rows[i][k] = v
+            sparse.append(col)
+            dens.append(pa.den * pb.den)
         core = _IntegerRref()
         for row in rows:
             core.add(row)
@@ -512,25 +568,15 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
                     acc[i] += wk * v
             if any(acc):
                 raise ParamViolation("kernel verification failed (internal)")
-            scale = dens[fc] * core.d
-            found.append((cols[fc], {pairs[cols[k]]: Fraction(dens[k] * wk, scale)
-                                     for k, wk in w}))
+            # tuples from lists, not generators: a tuple grown from a
+            # generator is reallocated as it grows, and that churn let
+            # the heap, and so peak RSS, creep up over repeated solves
+            found.append((cols[fc], (dens[fc] * core.d,
+                                     tuple([(pairs[cols[k]], dens[k] * wk)
+                                            for k, wk in w]))))
     found.sort(key=lambda item: item[0])
-
-    zero_row = (Fraction(0),) * D
-
-    def gram(entries: dict) -> GramMatrix:
-        # symmetric Fractions by construction: no from_rows re-conversion
-        M: dict[int, list[Fraction]] = {}
-        for (a, b), v in entries.items():
-            M.setdefault(a, list(zero_row))[b] = v
-            M.setdefault(b, list(zero_row))[a] = v
-        return GramMatrix(tuple(tuple(M[i]) if i in M else zero_row
-                                for i in range(D)))
-
-    kernel = [gram(entries) for _, entries in found]
     G0 = scaled_identity_gram(basis)
-    return G0, KernelCertificate(tuple(kernel), len(kernel))
+    return G0, KernelCertificate(D, tuple([element for _, element in found]))
 
 
 # ----------------------------------------------------------------------

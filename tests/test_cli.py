@@ -338,6 +338,21 @@ def test_maps_below_ambient_dimension_4_exit_2(tmp_path, capsys, mode):
     assert err == "error: ParamViolation: need ambient dimension >= 4 (sphere dim > 2)\n"
 
 
+def test_maps_kernel_and_verify_build_no_dense_kernel_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense kernel GramMatrix was built")
+
+    monkeypatch.setattr(sm, "_kernel_gram", refuse)
+    with pytest.raises(AssertionError, match="dense kernel"):
+        sm.solve_h_equals_Rm(4, 2)[1].basis   # the hook is the one used
+    for mode, params in [("kernel", {"cases": [[4, 2], [4, 3]]}),
+                         ("verify", {"n_ambient": 4, "m": 2})]:
+        sc = cli.Scenario.from_config({"suite": "maps", "mode": mode,
+                                       "params": params})
+        report = cli.run(sc)
+        assert report["overall"] == "pass", report["checks"]
+
+
 def test_families_sample_counts_dropped_points(tmp_path):
     # Scherk's slope relation is degenerate (Delta = 0) at every point, and
     # x < 1e-6 lies outside its domain: every point is dropped, per reason

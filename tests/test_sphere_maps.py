@@ -96,6 +96,22 @@ def test_rref_and_nullspace_match_the_fraction_reference(rows):
     assert sm.nullspace(rows, ncols) == reference_nullspace(rows, ncols)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), max_size=7),
+       st.randoms(use_true_random=False))
+def test_integer_rref_add_ignores_column_order_and_explicit_zeros(rows, rnd):
+    plain, shuffled = sm._IntegerRref(), sm._IntegerRref()
+    for row in rows:
+        items = list(enumerate(row))   # explicit zeros included
+        rnd.shuffle(items)
+        assert plain.add({j: v for j, v in enumerate(row) if v}) \
+            == shuffled.add(dict(items))
+    assert (plain.rows, plain.pivots, plain.d) \
+        == (shuffled.rows, shuffled.pivots, shuffled.d)
+    assert all(v for row in shuffled.rows for v in row.values())
+    assert plain.kernel(5) == shuffled.kernel(5)
+
+
 def test_kernel_certificate_catches_one_wrong_numerator(monkeypatch):
     kernel = sm._IntegerRref.kernel
     spoiled = []
@@ -246,10 +262,10 @@ def whole_matrix_kernel(basis):
         prod = basis.elements[a].poly * basis.elements[b].poly
         for e, c in prod.terms.items():
             rows[idx[e]][j] = c if a == b else 2 * c
-    return sm.nullspace(rows, len(pairs))
+    return reference_nullspace(rows, len(pairs))
 
 
-@pytest.mark.parametrize("n_amb,m", [(4, 2), (5, 2), (4, 3)])
+@pytest.mark.parametrize("n_amb,m", [(4, 2), (5, 2), (6, 2), (4, 3)])
 def test_block_kernel_equals_whole_matrix_nullspace(n_amb, m):
     b = sm.basis_Hm(n_amb, m)
     G0, ker = sm.solve_h_equals_Rm(n_amb, m, b)
@@ -258,6 +274,22 @@ def test_block_kernel_equals_whole_matrix_nullspace(n_amb, m):
     assert got == whole_matrix_kernel(b)  # entry for entry, in order
     assert all(sm.GramMatrix.from_rows(k.entries) == k for k in ker.basis)
     assert G0 == sm.scaled_identity_gram(b)
+
+
+def test_kernel_basis_is_built_once_on_demand(monkeypatch):
+    built = []
+
+    def counting(D, den, entries):
+        built.append(den)
+        return gram(D, den, entries)
+
+    gram = sm._kernel_gram
+    monkeypatch.setattr(sm, "_kernel_gram", counting)
+    _, ker = sm.solve_h_equals_Rm(4, 2)
+    assert built == [] and ker.dimension == 10
+    first = ker.basis
+    assert len(built) == len(first) == ker.dimension
+    assert ker.basis is first and len(built) == ker.dimension
 
 
 def test_block_kernel_of_a_basis_with_fraction_coefficients():
@@ -332,6 +364,30 @@ def test_psd_certificate_accepts_and_rejects():
     hidden = sm.GramMatrix.from_rows([[0, 1], [1, 0]])  # minors are 0, 0
     ok, w = hidden.psd_certificate()
     assert not ok and hidden.quadratic_form(w) < 0
+
+
+F = Fraction
+_V1, _V2 = (1, 2, 0, 1), (0, 1, 1, -1)
+
+
+@pytest.mark.parametrize("rows,steps,witness", [
+    ([[4, 2, 0], [2, 5, F(1, 2)], [0, F(1, 2), 3]],      # PSD
+     [(1, [2, 5, F(1, 2)], 5), (0, [F(16, 5), 0, F(-1, 5)], F(16, 5)),
+      (2, [0, 0, F(47, 16)], F(47, 16))], None),
+    ([[a * b + c * e for b, e in zip(_V1, _V2)]          # PSD of rank 2
+      for a, c in zip(_V1, _V2)],
+     [(1, [2, 5, 1, 1], 5), (3, [F(3, 5), 0, F(-6, 5), F(9, 5)], F(9, 5))], None),
+    ([[2, 3, 0], [3, 2, 1], [0, 1, 1]],                 # indefinite
+     [(0, [2, 3, 0], 2), (2, [0, 1, 1], 1)], [F(-3, 2), 1, -1]),
+], ids=["psd", "singular", "indefinite"])
+def test_ldlt_steps_and_witness_are_pinned(rows, steps, witness):
+    # skipping zero entries must leave every step and the witness as pinned
+    G = sm.GramMatrix.from_rows(rows)
+    got_steps, got_witness = G.ldlt()
+    assert got_steps == steps
+    assert got_witness == witness
+    if witness is not None:
+        assert G.quadratic_form(got_witness) < 0
 
 
 def test_construct_map_rejects_indefinite():
