@@ -367,15 +367,13 @@ def test_psd_certificate_accepts_and_rejects():
 
 
 F = Fraction
-_V1, _V2 = (1, 2, 0, 1), (0, 1, 1, -1)
 
 
 @pytest.mark.parametrize("rows,steps,witness", [
     ([[4, 2, 0], [2, 5, F(1, 2)], [0, F(1, 2), 3]],      # PSD
      [(1, [2, 5, F(1, 2)], 5), (0, [F(16, 5), 0, F(-1, 5)], F(16, 5)),
       (2, [0, 0, F(47, 16)], F(47, 16))], None),
-    ([[a * b + c * e for b, e in zip(_V1, _V2)]          # PSD of rank 2
-      for a, c in zip(_V1, _V2)],
+    ([[1, 2, 0, 1], [2, 5, 1, 1], [0, 1, 1, -1], [1, 1, -1, 2]],  # PSD, rank 2
      [(1, [2, 5, 1, 1], 5), (3, [F(3, 5), 0, F(-6, 5), F(9, 5)], F(9, 5))], None),
     ([[2, 3, 0], [3, 2, 1], [0, 1, 1]],                 # indefinite
      [(0, [2, 3, 0], 2), (2, [0, 1, 1], 1)], [F(-3, 2), 1, -1]),
