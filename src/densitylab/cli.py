@@ -490,21 +490,20 @@ def _harmonic_dims(sc: Scenario) -> list[dict]:
 def _brute_harmonic_dim(n_amb: int, m: int) -> int:
     # the one harmonic mode that loads sphere_maps, and with it numpy
     from . import harmonic, sphere_maps as sm
-    monos = harmonic.monomial_exponents(n_amb, m)
+    monos = harmonic._packed_monomials(n_amb, m)
     if m < 2:
         return len(monos)
-    target = harmonic.monomial_exponents(n_amb, m - 2)
-    tindex = {e: i for i, e in enumerate(target)}
-    rows = []
-    for e in monos:
-        lap = harmonic.Poly(n_amb, {e: 1}).analyst_laplacian()
-        row = [Fraction(0)] * len(target)
-        for ee, c in lap.terms.items():
-            row[tindex[ee]] = c
-        rows.append(row)
-    cols = [[rows[i][j] for i in range(len(monos))] for j in range(len(target))]
-    _, pivots = sm.rref(cols)
-    return len(monos) - len(pivots)
+    # column j: the Laplacian of monomial j, whose coefficients are integers;
+    # the kernel dimension is the column count minus the exact rank
+    tindex = {e: i for i, e in enumerate(harmonic._packed_monomials(n_amb, m - 2))}
+    rows, cols, values = [], [], []
+    for j, e in enumerate(monos):
+        lap = harmonic.Poly._make(n_amb, 1, {e: 1}).analyst_laplacian()
+        rows += map(tindex.__getitem__, lap.nums)
+        cols += [j] * len(lap.nums)
+        values += lap.nums.values()
+    (rank,) = sm._ranks((len(tindex), len(monos)), [(rows, cols, values)])
+    return len(monos) - rank
 
 
 # ----------------------------------------------------------------------
@@ -553,13 +552,17 @@ def _maps_verify(sc: Scenario) -> list[dict]:
     basis = sm.basis_Hm(n_amb, m)
     G0, kernel = sm.solve_h_equals_Rm(n_amb, m, basis)
     checks = []
-    rm = sm.h_of_G(G0, basis)
-    checks.append(_check("base_point_exact", rm == sm.radius_power(n_amb, m),
-                         exact=True))
-    # solve_h_equals_Rm raises unless h(k) = 0 exactly for every element
+    base_ok = sm.h_of_G(G0, basis) == sm.radius_power(n_amb, m)
+    checks.append(_check("base_point_exact", base_ok, exact=True))
+    # the dimension is certified by exact block ranks; each kernel element,
+    # built only on request, is certified by h(k) = 0 exactly
     checks.append(_check("kernel_annihilates", True, exact=True,
                          witness=f"dimension {kernel.dimension}"))
-    the_map = sm.construct_map(G0, basis)
+    if not base_ok:   # construct_map refuses such a G0
+        checks.append(_check("constructed_energy", False,
+                             witness="not run: h(G0) != R^m"))
+        return checks
+    the_map = sm._construct_map(G0, basis, base_checked=True)
     pts = sm.random_sphere_points(n_amb, 50, sc.seed)
     worst = abs(sm.energy_density(the_map, pts) - the_map.eigenvalue).max()
     checks.append(_check("constructed_energy", worst < sc.tolerances["energy"],
@@ -642,7 +645,8 @@ _MODES = {
     ("harmonic", "dims"): _checks(_harmonic_dims, {
         "ambient_dims": (_list_of(INTEGER), [3, 4, 5]), "max_degree": (_at_least(0), 6)}),
     ("maps", "kernel"): _checks(_maps_kernel, {
-        "cases": (_list_of(_list_of(INTEGER, 2)), [[4, 1], [4, 2]])}),
+        "cases": (_list_of(_list_of(INTEGER, 2)),
+                  [[4, 1], [4, 2], [5, 4], [6, 3], [6, 4], [7, 4], [9, 3]])}),
     ("maps", "construct"): _checks(lambda sc: _maps_construct(sc)[0], _MAP_POINTS),
     ("maps", "verify"): _checks(_maps_verify, _MAP),
     ("maps", "export"): _Mode(_maps_export, _MAP_POINTS),

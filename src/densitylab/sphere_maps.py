@@ -11,14 +11,18 @@ h(M) = sum M^{ab} h_a h_b with symmetric M realize all candidate sums of
 squares, so the solution set is the affine space h^{-1}(R^m).  Its exact
 kernel measures the failure of uniqueness: once the kernel dimension
 exceeds dim SO(n+1), inequivalent maps with identical energy density are
-guaranteed.  The kernel comes from fraction-free Gauss-Jordan elimination
-on Python integers (Bareiss), one parity block of the matrix of h at a
-time, and is certified by one exact product per block: block matrix times
-integer kernel block = 0.  The elimination keeps its rows sparse, as
-{column: nonzero int}, and the same core serves rref, nullspace and the
-independence test of basis_Hm.  Kernel elements stay sparse too, as
-integer numerators over one denominator; a dense GramMatrix is built only
-when a caller reads KernelCertificate.basis.
+guaranteed.  The matrix of h is block-diagonal by parity, and the kernel
+dimension is certified from the rank of each block modulo a fixed 31-bit
+prime, in numpy int64: blocks of one shape are eliminated together, and
+full row rank modulo p is full row rank over Q (a block that falls short
+is retried modulo further primes, then ranked exactly).  The kernel
+elements are built only on request, by fraction-free Gauss-Jordan
+elimination on Python integers (Bareiss), one block at a time, and are
+certified by one exact product per block: block matrix times integer
+kernel block = 0.  That elimination keeps its rows sparse, as {column:
+nonzero int}, and also serves the independence test of basis_Hm.  Kernel
+elements stay sparse too, as integer numerators over one denominator; a
+dense GramMatrix is built only when a caller reads KernelCertificate.basis.
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -147,50 +151,68 @@ class _IntegerRref:
                 for f in range(ncols) if f not in pivot_cols]
 
 
-def _eliminate(rows: Sequence[Sequence]) -> _IntegerRref:
-    """The core run on dense rational rows, each scaled to integers first
-    (scaling a row does not change the rref) and passed as its nonzeros."""
-    core = _IntegerRref()
-    for row in rows:
-        den = math.lcm(*(v.denominator for v in row))
-        core.add({j: v.numerator * (den // v.denominator)
-                  for j, v in enumerate(row) if v})
-    return core
+# fixed primes just below 2^31: a product of two residues stays below 2^62
+_PRIMES = (2_147_483_629, 2_147_483_587, 2_147_483_579)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot cols).
+def _full_row_rank_mod(A: np.ndarray, p: int) -> np.ndarray:
+    """For a stack A of B matrices r x c (int64 entries in [0, p)), True
+    where the matrix has rank r modulo p.
 
-    The nonzero rows in pivot order, then one zero row per dependent row.
+    Step i takes row i of every matrix: its first nonzero column is the
+    pivot, and each later row becomes (piv row_k - f row_i) mod p with f
+    its entry at that column, so no modular inverse is needed.  A row that
+    is zero when its step comes is a combination of the rows above it.
+    Every factor is below p < 2^31, so no product overflows int64.
     """
-    core = _eliminate(rows)
-    order = sorted(range(len(core.pivots)), key=core.pivots.__getitem__)
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    for k in order:
-        dense = [_ZERO] * ncols
-        for j, v in core.rows[k].items():
-            dense[j] = Fraction(v, core.d)
-        out.append(dense)
-    out += [[_ZERO] * ncols for _ in range(len(rows) - len(out))]
-    return out, [core.pivots[k] for k in order]
+    B, r, _ = A.shape
+    full = np.ones(B, dtype=bool)
+    at = np.arange(B)
+    for i in range(r):
+        row = A[:, i, :]
+        col = (row != 0).argmax(axis=1)
+        piv = row[at, col]
+        full &= piv != 0
+        rest = A[:, i + 1:, :]
+        f = A[at, i + 1:, col]
+        rest *= piv[:, None, None]
+        rest -= f[:, :, None] * row[:, None, :]
+        rest %= p
+    return full
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact kernel basis of the matrix (rows of length ncols).
+def _ranks(shape: tuple[int, int], blocks: Sequence[tuple[list, list, list]]
+           ) -> list[int]:
+    """The exact rank of each integer matrix of the given shape (r, c).
 
-    One vector per free column f, in order of f: 1 at f, 0 at the other
-    free columns.  Its other entries sit at pivot columns left of f, so its
-    last nonzero entry is at f.
+    A block is (rows, cols, values): the nonzero entries, at distinct
+    positions, as Python ints.  The blocks are reduced modulo _PRIMES[0]
+    and eliminated together.  Rank r modulo p means a nonzero r x r minor
+    modulo p, hence a nonzero integer minor: rank r over Q.  A block that
+    falls short is retried modulo the next prime, and after the last one
+    its rank comes from the exact elimination of _IntegerRref.
     """
-    core = _eliminate(rows)
-    basis = []
-    for _, entries in core.kernel(ncols):
-        vec = [_ZERO] * ncols
-        for c, w in entries:
-            vec[c] = Fraction(w, core.d)
-        basis.append(vec)
-    return basis
+    r, c = shape
+    ranks = [r] * len(blocks)
+    short = list(range(len(blocks)))
+    for p in _PRIMES if r <= c else ():   # r > c: short over Q as well
+        A = np.zeros((len(short), r, c), dtype=np.int64)
+        for k, b in enumerate(short):
+            rows, cols, values = blocks[b]
+            A[k, rows, cols] = [v % p for v in values]
+        full = _full_row_rank_mod(A, p)
+        short = [b for b, ok in zip(short, full.tolist()) if not ok]
+        if not short:
+            break
+    for b in short:
+        rows_of: list[dict[int, int]] = [{} for _ in range(r)]
+        for i, j, v in zip(*blocks[b]):
+            rows_of[i][j] = v
+        core = _IntegerRref()
+        for row in rows_of:
+            core.add(row)
+        ranks[b] = len(core.pivots)
+    return ranks
 
 
 # ----------------------------------------------------------------------
@@ -298,33 +320,38 @@ class GramMatrix:
         _, witness = self.ldlt()
         return witness is None, witness
 
-    def rank(self) -> int:
-        red, pivots = rref([list(r) for r in self.entries])
-        return len(pivots)
-
     def to_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
 
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    """Exact basis of symmetric D x D matrices with h(G) = 0, held sparse.
+    """The kernel of h on symmetric D x D matrices: its certified dimension,
+    and its exact basis built on request.
 
-    The basis is read off the fraction-free elimination of the matrix of h
-    and certified by one exact integer product per parity block (see
-    solve_h_equals_Rm); it is the rref kernel basis, in free-column order.
-    Each element is a pair (den, entries) of integer numerators over one
-    denominator: entries holds ((a, b), num) with a <= b for every nonzero
-    entry, the one at (a, b) and at (b, a) being num / den.  basis builds
-    the dense GramMatrix of each element on first use and keeps them.
+    dimension is exact: it comes from the rank of each parity block of the
+    matrix of h (see solve_h_equals_Rm).  elements is the rref kernel
+    basis, in free-column order, read off the fraction-free elimination of
+    each block on first use and certified by one exact integer product per
+    block; its count must equal dimension.  Each element is a pair (den,
+    entries) of integer numerators over one denominator: entries holds
+    ((a, b), num) with a <= b for every nonzero entry, the one at (a, b)
+    and at (b, a) being num / den.  basis builds the dense GramMatrix of
+    each element on first use.  Both are kept once built.
     """
 
     D: int
-    elements: tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]
+    dimension: int
+    harmonics: HarmonicBasis = field(repr=False, compare=False)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]:
+        elements = _kernel_elements(self.harmonics)
+        if len(elements) != self.dimension:
+            raise ParamViolation(
+                f"{len(elements)} kernel elements against certified dimension "
+                f"{self.dimension} (internal)")
+        return elements
 
     @cached_property
     def basis(self) -> tuple[GramMatrix, ...]:
@@ -498,66 +525,109 @@ def _require_sphere_dim_above_2(n_ambient: int) -> None:
         raise ParamViolation("need ambient dimension >= 4 (sphere dim > 2)")
 
 
+def _h_blocks(basis: HarmonicBasis
+              ) -> tuple[list[tuple[int, int]], list[tuple[dict[int, int], list[int]]]]:
+    """The symmetric pairs, and each parity block of the matrix of h as
+    (row index {degree-2m monomial key: row}, its columns as indices into
+    the pairs, in column order).
+
+    Each basis element has one parity pattern in Z_2^n (the Fischer
+    pairing of different parities is 0, so Gram-Schmidt never mixes them),
+    so every monomial of h_a h_b has the parity par(h_a) XOR par(h_b): the
+    column E_ab meets only the rows of that parity.
+    """
+    pairs = _sym_pairs(basis.dim)
+    parity = [_element_parity(el.poly) for el in basis.elements]
+    block_cols: dict[int, list[int]] = {}
+    for j, (a, b) in enumerate(pairs):
+        block_cols.setdefault(parity[a] ^ parity[b], []).append(j)
+    low = _every_slot(basis.n_ambient, 1)
+    block_rows: dict[int, dict[int, int]] = {}
+    for e in _packed_monomials(basis.n_ambient, 2 * basis.m):
+        rows_of = block_rows.setdefault(e & low, {})
+        rows_of[e] = len(rows_of)
+    return pairs, [(block_rows[key], cols) for key, cols in block_cols.items()]
+
+
+def _block_entries(basis: HarmonicBasis, pairs: list[tuple[int, int]],
+                   row_index: dict[int, int], cols: list[int]
+                   ) -> tuple[list[int], list[int], list[int]]:
+    """The nonzero entries (rows, columns, values) of one parity block.
+
+    Column k, for E_ab with (a, b) = pairs[cols[k]], holds the integer
+    numerators of h_a h_b, times 2 when a != b.
+    """
+    polys = [el.poly for el in basis.elements]
+    rows: list[int] = []
+    ks: list[int] = []
+    values: list[int] = []
+    for k, j in enumerate(cols):
+        a, b = pairs[j]
+        prod = _product_numerators(polys[a].nums, polys[b].nums, basis.n_ambient)
+        rows += map(row_index.__getitem__, prod)
+        ks += [k] * len(prod)
+        values += prod.values() if a == b else [2 * v for v in prod.values()]
+    return rows, ks, values
+
+
 def solve_h_equals_Rm(n_ambient: int, m: int,
                       basis: Optional[HarmonicBasis] = None
                       ) -> tuple[GramMatrix, KernelCertificate]:
     """Particular PSD solution of h(G) = R^m plus the exact kernel of h.
 
-    The kernel is computed by fraction-free integer elimination of the
-    matrix of h over the symmetric-pair basis; its dimension is
-    D(D+1)/2 - rank(h).  It is certified by one exact product per block:
-    the integer block matrix times its integer kernel vectors is zero,
-    else ParamViolation.  So every returned element satisfies h(k) = 0.
-
-    The matrix is block-diagonal by parity.  Each basis element has one
-    parity pattern in Z_2^n (the Fischer pairing of different parities is
-    0, so Gram-Schmidt never mixes them), so every monomial of h_a h_b has
-    the parity par(h_a) XOR par(h_b): the column E_ab meets only the rows
-    of that parity.  Each block is eliminated on its own.  A column is free
-    exactly when it is free in its block, and the block's kernel vector
-    for a free column is the whole matrix's, so the basis below is the one
-    read off the rref of the whole matrix, in the same order.
-
-    Column E_ab holds the integer numerators of h_a h_b (times 2 when
-    a != b) over den_ab, the product of the two elements' denominators
-    (1 for every basis_Hm element, whose coefficients are integers).  Scaling columns keeps the pivot columns, and the rref
-    kernel vector of free column f has entry den_j w_j / (den_f d) at j,
-    where w is d times the kernel vector of the integer block.
+    The matrix of h over the symmetric-pair basis is block-diagonal by
+    parity (see _h_blocks), so its kernel has dimension sum(cols - rank)
+    over the blocks.  Each rank is exact (see _ranks): every block is
+    reduced modulo a fixed prime, blocks of the same shape are eliminated
+    together, and a block of full row rank modulo p has full row rank over
+    Q.  When every block has full row rank, h maps onto the degree-2m
+    polynomials and the dimension is the do Carmo-Wallach count
+    D(D+1)/2 - dim P_2m.  No kernel element is built here; see
+    KernelCertificate.elements.
     """
     _require_sphere_dim_above_2(n_ambient)
     if basis is None:
         basis = basis_Hm(n_ambient, m)
-    D = basis.dim
-    pairs = _sym_pairs(D)
-    parity = [_element_parity(el.poly) for el in basis.elements]
-    # columns: E_{ab}, grouped by parity in column order
-    block_cols: dict[int, list[int]] = {}
-    for j, (a, b) in enumerate(pairs):
-        block_cols.setdefault(parity[a] ^ parity[b], []).append(j)
-    # rows: coefficients of the degree-2m monomials, grouped by parity
-    low = _every_slot(n_ambient, 1)
-    block_rows: dict[int, dict[int, int]] = {}
-    for e in _packed_monomials(n_ambient, 2 * m):
-        rows_of = block_rows.setdefault(e & low, {})
-        rows_of[e] = len(rows_of)
+    pairs, blocks = _h_blocks(basis)
+    by_shape: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
+    for row_index, cols in blocks:
+        by_shape.setdefault((len(row_index), len(cols)), []).append((row_index, cols))
+    dimension = 0
+    for (r, c), group in by_shape.items():
+        ranks = _ranks((r, c), [_block_entries(basis, pairs, row_index, cols)
+                                for row_index, cols in group])
+        dimension += sum(c - rank for rank in ranks)
+    return scaled_identity_gram(basis), KernelCertificate(basis.dim, dimension, basis)
 
+
+def _kernel_elements(basis: HarmonicBasis
+                     ) -> tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]:
+    """The rref kernel basis of h, sparse, certified by exact products.
+
+    Each parity block is eliminated on its own by _IntegerRref.  A column
+    is free exactly when it is free in its block, and the block's kernel
+    vector for a free column is the whole matrix's, so the basis is the
+    one read off the rref of the whole matrix, in the same order.  Each is
+    certified by one exact product: the integer block matrix times its
+    integer kernel vectors is zero, else ParamViolation.
+
+    Column E_ab holds the integer numerators of h_a h_b (times 2 when
+    a != b) over den_ab, the product of the two elements' denominators
+    (1 for every basis_Hm element, whose coefficients are integers).
+    Scaling columns keeps the pivot columns, and the rref kernel vector of
+    free column f has entry den_j w_j / (den_f d) at j, where w is d times
+    the kernel vector of the integer block.
+    """
+    pairs, blocks = _h_blocks(basis)
     polys = [el.poly for el in basis.elements]
     found: list[tuple[int, tuple]] = []  # (free column, sparse element)
-    for key, cols in block_cols.items():
-        row_index = block_rows[key]
-        sparse: list[list[tuple[int, int]]] = []  # (row, numerator) per column
-        dens: list[int] = []
+    for row_index, cols in blocks:
         rows: list[dict[int, int]] = [{} for _ in row_index]
-        for k, j in enumerate(cols):
-            a, b = pairs[j]
-            pa, pb = polys[a], polys[b]
-            twice = 1 if a == b else 2
-            col = [(row_index[e], twice * v) for e, v in
-                   _product_numerators(pa.nums, pb.nums, n_ambient).items()]
-            for i, v in col:
-                rows[i][k] = v
-            sparse.append(col)
-            dens.append(pa.den * pb.den)
+        sparse: list[list[tuple[int, int]]] = [[] for _ in cols]  # per column
+        for i, k, v in zip(*_block_entries(basis, pairs, row_index, cols)):
+            rows[i][k] = v
+            sparse[k].append((i, v))
+        dens = [polys[a].den * polys[b].den for a, b in map(pairs.__getitem__, cols)]
         core = _IntegerRref()
         for row in rows:
             core.add(row)
@@ -575,8 +645,7 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
                                      tuple([(pairs[cols[k]], dens[k] * wk)
                                             for k, wk in w]))))
     found.sort(key=lambda item: item[0])
-    G0 = scaled_identity_gram(basis)
-    return G0, KernelCertificate(D, tuple([element for _, element in found]))
+    return tuple([element for _, element in found])
 
 
 # ----------------------------------------------------------------------
@@ -621,12 +690,18 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     1e-10.  The number of components equals rank(G).  Raises NotPSD (with
     an exact witness) for indefinite G.
     """
+    return _construct_map(G, basis, base_checked=False)
+
+
+def _construct_map(G: GramMatrix, basis: HarmonicBasis,
+                   base_checked: bool) -> SphericalHarmonicMap:
+    """construct_map; base_checked: the caller has found h(G) = R^m exactly."""
     if G.dim != basis.dim:
         raise DimensionMismatch("Gram matrix does not match basis")
     steps, witness = G.ldlt()
     if witness is not None:
         raise NotPSD("Gram matrix is not positive semidefinite", witness)
-    if not (h_of_G(G, basis) == radius_power(basis.n_ambient, basis.m)):
+    if not base_checked and h_of_G(G, basis) != radius_power(basis.n_ambient, basis.m):
         raise ParamViolation("h(G) != R^m; not a sum-of-squares certificate")
 
     exact_rows = _exact_sqrt_factor(steps)
@@ -694,29 +769,22 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 def gram_of_components(components: Sequence[Poly], basis: HarmonicBasis
                        ) -> GramMatrix:
-    """Exact Gram matrix T^T T of rational components in basis coordinates."""
-    monos = _packed_monomials(basis.n_ambient, basis.m)
-    index = {e: i for i, e in enumerate(monos)}
+    """Exact Gram matrix T^T T of rational components in basis coordinates.
 
-    def coords(p: Poly) -> list[Fraction]:
-        row = [Fraction(0)] * len(monos)
-        for e, v in p.nums.items():
-            row[index[e]] = Fraction(v, p.den)
-        return row
-
-    brows = [coords(el.poly) for el in basis.elements]
+    The basis is Fischer-orthogonal, so the coordinates of f are
+    t_a = <f, h_a> / n_a; sum t_a h_a = f is then checked exactly, and
+    ParamViolation raised when f is not in the span.
+    """
     T: list[list[Fraction]] = []
     for f in components:
-        target = coords(f)
-        # solve sum_a t_a h_a = f by elimination on the transpose system
-        mat = [[brows[a][i] for a in range(basis.dim)] + [target[i]]
-               for i in range(len(monos))]
-        red, pivots = rref(mat)
-        coeffs = [Fraction(0)] * basis.dim
-        for r, pc in enumerate(pivots):
-            if pc == basis.dim:
-                raise ParamViolation("component is not in the basis span")
-            coeffs[pc] = red[r][basis.dim]
+        fe = HarmonicElement(f, basis.m)
+        coeffs = [inner(fe, h) / n2 for h, n2 in zip(basis.elements, basis.norms)]
+        span = Poly.zero(basis.n_ambient)
+        for t, h in zip(coeffs, basis.elements):
+            if t:
+                span = span + h.poly.scale(t)
+        if span != f:
+            raise ParamViolation("component is not in the basis span")
         T.append(coeffs)
     D = basis.dim
     M = [[sum(trow[a] * trow[b] for trow in T) for b in range(D)]

@@ -339,18 +339,53 @@ def test_maps_below_ambient_dimension_4_exit_2(tmp_path, capsys, mode):
 
 
 def test_maps_kernel_and_verify_build_no_dense_kernel_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a dense kernel GramMatrix was built")
+    # nor any kernel element: the verdicts read only the certified dimension
+    def refuse(what):
+        def hook(*args):
+            raise AssertionError(f"{what} was built")
+        return hook
 
-    monkeypatch.setattr(sm, "_kernel_gram", refuse)
+    monkeypatch.setattr(sm, "_kernel_gram", refuse("a dense kernel GramMatrix"))
     with pytest.raises(AssertionError, match="dense kernel"):
         sm.solve_h_equals_Rm(4, 2)[1].basis   # the hook is the one used
+    monkeypatch.setattr(sm, "_kernel_elements", refuse("a kernel element"))
+    with pytest.raises(AssertionError, match="kernel element"):
+        sm.solve_h_equals_Rm(4, 2)[1].elements
     for mode, params in [("kernel", {"cases": [[4, 2], [4, 3]]}),
                          ("verify", {"n_ambient": 4, "m": 2})]:
         sc = cli.Scenario.from_config({"suite": "maps", "mode": mode,
                                        "params": params})
         report = cli.run(sc)
         assert report["overall"] == "pass", report["checks"]
+
+
+def test_maps_verify_builds_h_of_the_base_point_once(monkeypatch):
+    calls = []
+    h_of_G = sm.h_of_G
+
+    def counting(G, basis):
+        calls.append(G)
+        return h_of_G(G, basis)
+
+    monkeypatch.setattr(sm, "h_of_G", counting)
+    sc = cli.Scenario.from_config({"suite": "maps", "mode": "verify",
+                                   "params": {"n_ambient": 4, "m": 3}})
+    assert cli.run(sc)["overall"] == "pass"
+    assert len(calls) == 1
+
+
+def test_maps_verify_reports_a_wrong_base_point_as_failed_checks(monkeypatch):
+    scaled = sm.scaled_identity_gram
+    monkeypatch.setattr(sm, "scaled_identity_gram",
+                        lambda basis: scaled(basis).add(scaled(basis)))
+    sc = cli.Scenario.from_config({"suite": "maps", "mode": "verify",
+                                   "params": {"n_ambient": 4, "m": 2}})
+    report = cli.run(sc)
+    assert report["overall"] == "fail"
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("base_point_exact", "fail"), ("kernel_annihilates", "pass"),
+        ("constructed_energy", "fail")]
+    assert report["checks"][2]["witness"] == "not run: h(G0) != R^m"
 
 
 def test_families_sample_counts_dropped_points(tmp_path):

@@ -86,14 +86,126 @@ def rational_matrices(draw):
             for row in rows]
 
 
+def reference_rank(rows) -> int:
+    return len(reference_rref(rows)[1])
+
+
+def integer_core(rows: list[list[Fraction]]) -> "sm._IntegerRref":
+    """The core run on rational rows, each scaled to integers first (scaling
+    a row does not change the rref) and passed as its nonzeros."""
+    core = sm._IntegerRref()
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        core.add({j: v.numerator * (den // v.denominator)
+                  for j, v in enumerate(row) if v})
+    return core
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices())
 def test_rref_and_nullspace_match_the_fraction_reference(rows):
     ncols = len(rows[0]) if rows else 3
-    red, pivots = sm.rref(rows)
-    assert (red, pivots) == reference_rref(rows)
-    assert all(type(v) is Fraction for row in red for v in row)
-    assert sm.nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    core = integer_core(rows)
+    # kept rows / d in pivot order, then one zero row per dependent row
+    order = sorted(range(len(core.pivots)), key=core.pivots.__getitem__)
+    red = [[Fraction(core.rows[k].get(j, 0), core.d) for j in range(ncols)]
+           for k in order]
+    red += [[Fraction(0)] * ncols for _ in range(len(rows) - len(red))]
+    assert (red, [core.pivots[k] for k in order]) == reference_rref(rows)
+    kernel = []
+    for _, entries in core.kernel(ncols):
+        vec = [Fraction(0)] * ncols
+        for c, w in entries:
+            vec[c] = Fraction(w, core.d)
+        kernel.append(vec)
+    assert kernel == reference_nullspace(rows, ncols)
+
+
+P0, P1, P2 = sm._PRIMES
+NEAR_P = st.sampled_from([0, 1, -1, 2, -3, P0 - 1, P0 - 2, P0 + 1, -(P0 + 1),
+                          P0, -2 * P0, 5 * P0, P0 * P1, P1 - 1, P1 + 1, P1,
+                          P0 * P1 * P2, 10**30 + 7])
+
+
+@st.composite
+def integer_blocks(draw):
+    """Stacks of integer matrices of one shape, entries near the primes,
+    some rows repeated or summed so that a block falls short over Q."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        mat = draw(st.lists(st.lists(NEAR_P, min_size=c, max_size=c),
+                            min_size=r, max_size=r))
+        if r >= 2 and draw(st.booleans()):
+            mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]
+        blocks.append(mat)
+    return r, c, blocks
+
+
+def sparse_block(mat):
+    entries = [(i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v]
+    return tuple(map(list, zip(*entries))) if entries else ([], [], [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_blocks())
+def test_ranks_match_the_fraction_reference_near_the_primes(shape_and_blocks):
+    r, c, blocks = shape_and_blocks
+    got = sm._ranks((r, c), [sparse_block(mat) for mat in blocks])
+    assert got == [reference_rank([[Fraction(v) for v in row] for row in mat])
+                   for mat in blocks]
+
+
+def spy_on_ranks(monkeypatch):
+    """Record the prime and stack shape of each modular elimination, and
+    count the blocks ranked exactly."""
+    primes, exact = [], []
+    full_row_rank_mod = sm._full_row_rank_mod
+
+    def recording(A, p):
+        primes.append((p, A.shape))
+        return full_row_rank_mod(A, p)
+
+    class Counting(sm._IntegerRref):
+        def __init__(self):
+            super().__init__()
+            exact.append(self)
+
+    monkeypatch.setattr(sm, "_full_row_rank_mod", recording)
+    monkeypatch.setattr(sm, "_IntegerRref", Counting)
+    return primes, exact
+
+
+def test_ranks_retry_the_next_prime_then_eliminate_exactly(monkeypatch):
+    primes, exact = spy_on_ranks(monkeypatch)
+    full = [[P0 - 1, P0 - 2, 1], [P0 + 1, 1, P0 - 1]]   # minor 1 mod P0
+    singular_mod_p0 = [[P0, 0, 0], [0, 1, 0]]
+    zero_mod_all = [[P0 * P1 * P2, 0, 0], [0, 0, 3]]
+    short_over_q = [[2, 2 * (P0 + 1), 4], [1, P0 + 1, 2]]
+    blocks = [full, singular_mod_p0, zero_mod_all, short_over_q]
+    assert sm._ranks((2, 3), [sparse_block(m) for m in blocks]) == [2, 2, 2, 1]
+    assert primes == [(P0, (4, 2, 3)), (P1, (3, 2, 3)), (P2, (2, 2, 3))]
+    assert len(exact) == 2   # zero_mod_all and short_over_q
+    assert [reference_rank([[Fraction(v) for v in row] for row in m])
+            for m in blocks] == [2, 2, 2, 1]
+
+
+def test_ranks_of_a_tall_block_are_exact_without_a_prime(monkeypatch):
+    primes, exact = spy_on_ranks(monkeypatch)
+    assert sm._ranks((3, 2), [sparse_block([[1, 0], [0, P0], [1, 1]])]) == [2]
+    assert sm._ranks((2, 0), [([], [], [])]) == [0]
+    assert primes == [] and len(exact) == 2
+
+
+def test_kernel_dimension_comes_from_stacked_blocks(monkeypatch):
+    # (6,2): 31 parity blocks in three shapes, so 21 + 6 + 1 elimination
+    # steps where the whole matrix would take 126
+    basis = sm.basis_Hm(6, 2)   # its independence test runs _IntegerRref
+    primes, exact = spy_on_ranks(monkeypatch)
+    _, ker = sm.solve_h_equals_Rm(6, 2, basis)
+    assert ker.dimension == 84 and exact == []
+    assert {p for p, _ in primes} == {P0}
+    assert sorted(shape[:2] for _, shape in primes) == [(1, 21), (15, 1), (15, 6)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,9 +239,19 @@ def test_kernel_certificate_catches_one_wrong_numerator(monkeypatch):
         return out
 
     monkeypatch.setattr(sm._IntegerRref, "kernel", off_by_one)
+    _, ker = sm.solve_h_equals_Rm(4, 2)   # builds no element
+    assert spoiled == [] and ker.dimension == 10
     with pytest.raises(ParamViolation, match="kernel verification failed"):
-        sm.solve_h_equals_Rm(4, 2)
+        ker.elements
     assert len(spoiled) == 1
+
+
+def test_kernel_elements_must_match_the_certified_dimension(monkeypatch):
+    elements = sm._kernel_elements
+    monkeypatch.setattr(sm, "_kernel_elements", lambda basis: elements(basis)[1:])
+    _, ker = sm.solve_h_equals_Rm(4, 2)
+    with pytest.raises(ParamViolation, match="certified dimension 10"):
+        ker.elements
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +412,7 @@ def test_kernel_basis_is_built_once_on_demand(monkeypatch):
     first = ker.basis
     assert len(built) == len(first) == ker.dimension
     assert ker.basis is first and len(built) == ker.dimension
+    assert ker.elements is ker.elements
 
 
 def test_block_kernel_of_a_basis_with_fraction_coefficients():
@@ -307,15 +430,21 @@ def test_block_kernel_of_a_basis_with_fraction_coefficients():
     assert all(sm.h_of_G(k, scaled).is_zero() for k in ker.basis)
 
 
+# dimension only: the basis would be thousands of dense matrices
+DIMENSION_ONLY = {(6, 4), (8, 4), (10, 3)}
+
+
 @pytest.mark.parametrize("n_amb,m", [(4, 1), (4, 2), (5, 2), (6, 2), (4, 3),
-                                     (4, 4), (5, 3), (6, 3), (5, 4), (7, 3)])
+                                     (4, 4), (5, 3), (6, 3), (5, 4), (7, 3),
+                                     *sorted(DIMENSION_ONLY)])
 def test_kernel_dimension_oracle(n_amb, m):
     # h is onto the degree-2m polynomials, so its kernel has dimension
     # D(D+1)/2 - dim P_2m(R^n)
     D = dim_harmonics(n_amb, m)
     _, ker = sm.solve_h_equals_Rm(n_amb, m)
-    assert ker.dimension == len(ker.basis) \
-        == D * (D + 1) // 2 - math.comb(n_amb + 2 * m - 1, 2 * m)
+    assert ker.dimension == D * (D + 1) // 2 - math.comb(n_amb + 2 * m - 1, 2 * m)
+    if (n_amb, m) not in DIMENSION_ONLY:
+        assert len(ker.basis) == ker.dimension
 
 
 def test_basis_elements_have_one_parity_each():
@@ -461,7 +590,8 @@ def test_canonical_map_gram_is_in_solution_space():
     G = sm.gram_of_components(cmap.components, b)
     R = Poly.radius_squared(4)
     assert sm.h_of_G(G, b) == R * R
-    assert len(G.ldlt()[0]) == G.rank() == 8  # PSD elimination stops at the rank
+    # the PSD elimination stops at the rank
+    assert len(G.ldlt()[0]) == reference_rank(G.entries) == 8
     ok, _ = G.psd_certificate()
     assert ok
     # the pipeline reconstructs an exact map from this certificate
@@ -470,12 +600,22 @@ def test_canonical_map_gram_is_in_solution_space():
     assert sm._sum_sq_minus_Rm_exact(rebuilt.components, 4, 2).is_zero()
 
 
+def test_gram_of_components_refuses_a_component_outside_the_span():
+    b = sm.basis_Hm(4, 2)
+    x0 = Poly.variable(4, 0)
+    with pytest.raises(ParamViolation, match="not in the basis span"):
+        sm.gram_of_components([x0 * x0], b)   # not harmonic
+    G = sm.gram_of_components([b.elements[2].poly.scale(Fraction(3, 2))], b)
+    assert G == sm.GramMatrix.diagonal([Fraction(9, 4) if a == 2 else 0
+                                        for a in range(9)])
+
+
 def test_float_route_map():
     b = sm.basis_Hm(4, 2)
     G0, _ = sm.solve_h_equals_Rm(4, 2, b)
     m = sm.construct_map(G0, b)
     assert not m.exact
-    assert len(m.components) == G0.rank() == 9
+    assert len(m.components) == reference_rank(G0.entries) == 9
     # the float coefficients, kept exactly: binary rationals
     assert all(isinstance(f, Poly) and f.den & (f.den - 1) == 0
                for f in m.components)
