@@ -50,13 +50,14 @@ print(f"   basis of H_2(R^4): {basis.dim} orthogonal elements, norms "
 print(f"   invariant sum h(G0) = R^2 holds exactly; kernel dimension "
       f"{kernel.dimension}")
 m0 = sm.construct_map(G0, basis)
-print(f"   construct_map(G0): {len(m0.components)} components, exact = "
-      f"{m0.exact} (spectral square root; verified to 1e-10)")
-G1, t = sm.psd_point_on_line(G0, kernel.basis[0], basis)
+rank0 = len(G0.ldlt()[0])   # the PSD elimination stops at the rank
+print(f"   construct_map(G0): {len(m0.components)} components from rank "
+      f"{rank0}, exact sum of squares")
+G1, t = sm.psd_point_on_line(G0, kernel.basis[0])
 m1 = sm.construct_map(G1, basis)
 print(f"   deformed Gram G0 + {t} k stays PSD: a second map with the same")
 print(f"   energy density and a different Gram matrix ({len(m1.components)} "
-      f"components)")
+      f"components from rank {len(G1.ldlt()[0])})")
 print()
 
 print("4. export")

@@ -41,13 +41,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import DensityLabError, UsageError
-from .tolerances import TOL_ALG, TOL_INTEGRAL, TOL_QUAD, TOL_SING
+from .tolerances import TOL_ALG, TOL_INTEGRAL, TOL_QUAD
 
 DEFAULT_TOLERANCES = {
     "algebraic": TOL_ALG,
     "quadrature": TOL_QUAD,
     "integral_spread": TOL_INTEGRAL,
-    "singular": TOL_SING,
     "winding": 1e-3,
     "energy": 1e-9,
 }
@@ -524,19 +523,16 @@ def _maps_kernel(sc: Scenario) -> list[dict]:
 def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
     from . import sphere_maps as sm
     n_amb, m = sc.args["n_ambient"], sc.args["m"]
-    checks = []
     if (m == 1) or (n_amb, m) == (4, 2):
         the_map = sm.canonical_exact_map(n_amb, m)
-        checks.append(_check("map_exact_flag", the_map.exact, exact=the_map.exact))
-        resid = sm._sum_sq_minus_Rm_exact(the_map.components, n_amb, m)
-        checks.append(_check("sum_of_squares_exact", resid.is_zero(), exact=True))
-        harm = all(f.analyst_laplacian().is_zero() for f in the_map.components)
-        checks.append(_check("components_harmonic", harm, exact=True))
     else:
         basis = sm.basis_Hm(n_amb, m)
         sm._require_sphere_dim_above_2(n_amb)
         the_map = sm.construct_map(sm.scaled_identity_gram(basis), basis)
-        checks.append(_check("map_constructed", True, exact=the_map.exact))
+    resid = sm._sum_sq_minus_Rm_exact(the_map.components, n_amb, m)
+    harm = all(f.analyst_laplacian().is_zero() for f in the_map.components)
+    checks = [_check("sum_of_squares_exact", resid.is_zero(), exact=True),
+              _check("components_harmonic", harm, exact=True)]
     lam = the_map.eigenvalue
     pts = sm.random_sphere_points(n_amb, sc.args["points"], sc.seed)
     worst = abs(sm.energy_density(the_map, pts) - lam).max()
@@ -571,18 +567,15 @@ def _maps_verify(sc: Scenario) -> list[dict]:
 
 
 def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
-    """Serialize a map: coefficients as "num/den" strings on the exact
-    route, as the decimals of their floats on the floating route."""
-    def text(c: Fraction) -> str:
-        return f"{c.numerator}/{c.denominator}" if the_map.exact else repr(float(c))
-
-    comps = [{",".join(map(str, e)): text(c) for e, c in comp.sorted_terms()}
+    """Serialize a map: each coefficient as a "num/den" string."""
+    comps = [{",".join(map(str, e)): f"{c.numerator}/{c.denominator}"
+              for e, c in comp.sorted_terms()}
              for comp in the_map.components]
     # top-level keys in alphabetical order; each component's monomials in
     # sorted_terms() order, which sort_keys would lose
     doc = {
         "components": comps,
-        "exact": the_map.exact,
+        "exact": True,   # kept so the format keeps its keys
         "lambda": the_map.eigenvalue,
         "m": the_map.m,
         "n": the_map.sphere_dim,

@@ -29,11 +29,11 @@ Gram matrices here live in the plain coordinates of the orthogonal basis
 picture corresponds to the rational diagonal matrix diag(1/(c n_a)), where
 sum h_a^2 / n_a = c R^m is the exact reproducing identity of the basis.
 
-A map's components are always exact polynomials (Poly).  When the Gram
-matrix has no rational square root, the components come from a floating
-spectral factorization and hold the binary rationals of those floats
-exactly; the map's exact flag is then False.  energy_density evaluates the
-components at many points in one numpy pass.
+A map's components are exact polynomials (Poly) for every PSD Gram matrix.
+Each pivot piv = a/b of the pivoted LDL^T is written as a sum of the fewest
+rational squares (s_i / b)^2 with sum s_i^2 = a b, at most four by Lagrange,
+so the sum of squares of the components is R^m as an exact identity.
+energy_density evaluates the components at many points in one numpy pass.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,7 +69,6 @@ from .harmonic import (
     inner,
 )
 
-FLOAT_COEFF_TOL = 1e-10
 _ZERO = Fraction(0)   # immutable, so one object serves every zero entry
 
 
@@ -250,6 +250,9 @@ class GramMatrix:
                   for j in range(d)) for i in range(d)))
 
     def add(self, other: "GramMatrix", scale=1) -> "GramMatrix":
+        if other.dim != self.dim:
+            raise DimensionMismatch(
+                f"adding a {other.dim}x{other.dim} to a {self.dim}x{self.dim} matrix")
         s = Fraction(scale)
         return GramMatrix(tuple(
             tuple(a + s * b for a, b in zip(ra, rb))
@@ -319,9 +322,6 @@ class GramMatrix:
         """(True, None), or (False, witness) with v^T G v < 0; see ldlt."""
         _, witness = self.ldlt()
         return witness is None, witness
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries])
 
 
 @dataclass(frozen=True)
@@ -659,7 +659,6 @@ class SphericalHarmonicMap:
     n_ambient: int
     m: int
     components: tuple[Poly, ...]
-    exact: bool            # False: binary-rational components from floats
 
     @property
     def sphere_dim(self) -> int:
@@ -678,17 +677,68 @@ def _sum_sq_minus_Rm_exact(components: Sequence[Poly], n_ambient: int,
     return acc - radius_power(n_ambient, m)
 
 
-def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
-    """Factor G = S^T S and return the map with components S . h.
+# a b at or above this is refused: the search for its squares takes time
+# of order sqrt(a b), about 0.2 s at 2^40 and 2 s at 2^48
+_SQUARES_BOUND = 2 ** 40
 
-    Tries the exact route first: pivoted rational LDL^T; when every pivot
-    is the square of a rational, S is rational and the sum of squares is
-    R^m as an exact polynomial identity.  Otherwise falls back to a
-    floating spectral square root, with the exact flag cleared: its
-    float coefficients are kept as the binary rationals they are, and the
-    exact sum of squares minus R^m must have every coefficient within
-    1e-10.  The number of components equals rank(G).  Raises NotPSD (with
-    an exact witness) for indefinite G.
+
+def _fewest_squares(n: int) -> tuple[int, ...]:
+    """Positive integers s_1 >= s_2 >= ... with sum s_i^2 = n, as few as
+    possible (at most four, by Lagrange), for an integer 0 < n < 2^40.
+
+    Counts 1, 2, 3 and 4 are tried in turn, each by _squares, so the
+    result depends on n alone.  ParamViolation when n >= 2^40.
+    """
+    if n >= _SQUARES_BOUND:
+        raise ParamViolation(
+            f"pivot numerator times denominator {n} is at least 2^40, the "
+            "bound of the sum-of-squares search")
+    for k in (1, 2, 3):
+        found = _squares(n, k)
+        if found is not None:
+            return found
+    return _squares(n, 4)
+
+
+def _squares(n: int, k: int) -> Optional[tuple[int, ...]]:
+    """n >= 0 as s_1^2 + ... + s_k^2 with s_1 >= ... >= s_k >= 0, the
+    largest possible s_1 first (then s_2, ...); None if there is none.
+
+    n = 4^a (8b + 7) is no sum of three squares (Legendre), so k = 3 is
+    refused there without a search.
+    """
+    if k == 1:
+        s = math.isqrt(n)
+        return (s,) if s * s == n else None
+    if k == 3:
+        odd = n
+        while odd and odd % 4 == 0:
+            odd //= 4
+        if odd % 8 == 7:
+            return None
+    s = math.isqrt(n)
+    while k * s * s >= n:   # s_1 is the largest of the k
+        rest = _squares(n - s * s, k - 1)
+        if rest is not None:
+            return (s,) + rest
+        s -= 1
+    return None
+
+
+def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
+    """The map whose components' sum of squares is h(G) = R^m, exactly.
+
+    The pivoted rational LDL^T writes G = sum_k row_k^T row_k / piv_k, so
+    h(G) = sum_k f_k^2 piv_k with f_k = (row_k . h) / piv_k.  Each pivot
+    piv_k = a/b in lowest terms is (s_1/b)^2 + ... with the fewest integer
+    squares sum s_i^2 = a b (_fewest_squares), and step k gives the
+    components f_k s_i / b.  Their sum of squares minus R^m must be the
+    zero polynomial.  The fewest rational squares of a positive rational do
+    not depend on how it is written (Davenport-Cassels), so G fixes the
+    number of components: rank(G) when every pivot is a rational square,
+    at most 4 rank(G).  Raises NotPSD (with an exact witness) for
+    indefinite G, and ParamViolation when h(G) != R^m or a pivot has
+    a b >= 2^40.
     """
     return _construct_map(G, basis, base_checked=False)
 
@@ -703,68 +753,19 @@ def _construct_map(G: GramMatrix, basis: HarmonicBasis,
         raise NotPSD("Gram matrix is not positive semidefinite", witness)
     if not base_checked and h_of_G(G, basis) != radius_power(basis.n_ambient, basis.m):
         raise ParamViolation("h(G) != R^m; not a sum-of-squares certificate")
-
-    exact_rows = _exact_sqrt_factor(steps)
-    if exact_rows is not None:
-        comps = []
-        for row in exact_rows:
-            p = Poly.zero(basis.n_ambient)
-            for coef, el in zip(row, basis.elements):
-                if coef:
-                    p = p + el.poly.scale(coef)
-            if not p.is_zero():
-                comps.append(p)
-        resid = _sum_sq_minus_Rm_exact(comps, basis.n_ambient, basis.m)
-        if not resid.is_zero():
-            raise ParamViolation("exact factorization verification failed")
-        return SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(comps), True)
-
-    # floating spectral factorization
-    Gf = G.to_float()
-    w, V = np.linalg.eigh(Gf)
-    rank = len(steps)  # the PSD elimination stops at the rank
-    order = np.argsort(w)[::-1]
-    comps_f = []
-    for idx in order[:rank]:
-        lam = max(float(w[idx]), 0.0)
-        coefrow = [math.sqrt(lam) * float(v) for v in V[:, idx]]
-        cd: dict = {}
-        for coef, el in zip(coefrow, basis.elements):
-            if coef:
-                for e, c in el.poly.terms.items():
-                    cd[e] = cd.get(e, 0.0) + coef * float(c)
-        # Fraction(float) is exact: the float sums become binary rationals
-        comps_f.append(Poly(basis.n_ambient,
-                            {e: c for e, c in cd.items() if abs(c) > 1e-15}))
-    resid = _sum_sq_minus_Rm_exact(comps_f, basis.n_ambient, basis.m)
-    worst = max(map(abs, resid.nums.values()), default=0) / resid.den
-    if worst > FLOAT_COEFF_TOL:
-        raise ParamViolation(
-            f"floating factorization residual {worst:.3g} exceeds tolerance")
-    return SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(comps_f), False)
-
-
-def _exact_sqrt_factor(steps: list[tuple[int, list[Fraction], Fraction]]
-                       ) -> Optional[list[list[Fraction]]]:
-    """Rows row_k / sqrt(piv_k) of a rational S with G = S^T S, from the
-    steps of a PSD :meth:`GramMatrix.ldlt`; None if a pivot is not a square."""
-    rows: list[list[Fraction]] = []
+    comps = []
     for _, row, piv in steps:
-        root = _fraction_sqrt(piv)
-        if root is None:
-            return None
-        rows.append([v / root for v in row])
-    return rows
-
-
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+        f = Poly.zero(basis.n_ambient)
+        for coef, el in zip(row, basis.elements):
+            if coef:
+                f = f + el.poly.scale(coef)
+        f = f.scale(1 / piv)
+        b = piv.denominator
+        comps += [f.scale(Fraction(s, b)) for s in _fewest_squares(piv.numerator * b)]
+    resid = _sum_sq_minus_Rm_exact(comps, basis.n_ambient, basis.m)
+    if not resid.is_zero():
+        raise ParamViolation("exact factorization verification failed")
+    return SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(comps))
 
 
 def gram_of_components(components: Sequence[Poly], basis: HarmonicBasis
@@ -810,7 +811,7 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
         raise ParamViolation(f"n_ambient must be >= 1, got {n_ambient}")
     if m == 1:
         comps = tuple(Poly.variable(n_ambient, i) for i in range(n_ambient))
-        return SphericalHarmonicMap(n_ambient, 1, comps, True)
+        return SphericalHarmonicMap(n_ambient, 1, comps)
     if (n_ambient, m) == (4, 2):
         def quad(c0, c1, c2, c3, scale):
             return Poly(4, {(2, 0, 0, 0): c0, (0, 2, 0, 0): c1,
@@ -832,40 +833,29 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
         for f in comps:
             if not f.analyst_laplacian().is_zero():
                 raise ParamViolation("canonical map component not harmonic")
-        return SphericalHarmonicMap(4, 2, comps, True)
+        return SphericalHarmonicMap(4, 2, comps)
     raise ParamViolation(
         f"no canonical exact map catalogued for (n_ambient, m) = ({n_ambient}, {m})")
 
 
-def psd_point_on_line(G0: GramMatrix, k: GramMatrix, basis: HarmonicBasis,
+def psd_point_on_line(G0: GramMatrix, k: GramMatrix,
                       t_target: float = 0.5) -> tuple[GramMatrix, Fraction]:
     """A rational point G0 + t k that is exactly PSD, by line search.
 
-    Bisects on the floating minimum eigenvalue to find a safe parameter,
-    then certifies the rational choice exactly; h(G0 + t k) = R^m holds
-    automatically by linearity.
+    t starts at the exact rational value of t_target (finite, > 0) and is
+    halved until the exact LDL^T of G0 + t k finds no indefiniteness
+    witness; ParamViolation after 60 tries.  h(G0 + t k) = h(G0) holds
+    for a kernel element k by linearity.
     """
-    Gf0 = G0.to_float()
-    kf = k.to_float()
-
-    def min_eig(t: float) -> float:
-        return float(np.linalg.eigvalsh(Gf0 + t * kf).min())
-
-    t = t_target
+    if not (isinstance(t_target, Real) and 0 < t_target < math.inf):
+        raise ParamViolation(f"t_target must be finite and > 0, got {t_target!r}")
+    t = Fraction(t_target)
     for _ in range(60):
-        if min_eig(t) > 1e-9:
-            break
-        t *= 0.5
-    else:
-        raise ParamViolation("no PSD point found along the kernel line")
-    tq = Fraction(t).limit_denominator(10**6)
-    G = G0.add(k, tq)
-    ok, _ = G.psd_certificate()
-    while not ok:
-        tq = tq / 2
-        G = G0.add(k, tq)
-        ok, _ = G.psd_certificate()
-    return G, tq
+        G = G0.add(k, t)
+        if G.psd_certificate()[0]:
+            return G, t
+        t /= 2
+    raise ParamViolation("no PSD point found along the kernel line")
 
 
 # ----------------------------------------------------------------------

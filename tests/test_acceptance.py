@@ -362,7 +362,8 @@ def test_criterion_10_map_construction():
     b41 = sm.basis_Hm(4, 1)
     G0, ker1 = sm.solve_h_equals_Rm(4, 1, b41)
     ident = sm.construct_map(G0, b41)
-    id_ok = ident.exact and len(ident.components) == 4 and all(
+    id_ok = sm._sum_sq_minus_Rm_exact(ident.components, 4, 1).is_zero() \
+        and len(ident.components) == 4 and all(
         abs(sm.energy_density(ident, p) - 3.0) < 1e-12
         for p in sm.random_sphere_points(4, 20, 11))
 
@@ -373,8 +374,7 @@ def test_criterion_10_map_construction():
         sm.h_of_G(k, b42).is_zero() for k in ker2.basis)
     cmap = sm.construct_map(
         sm.gram_of_components(sm.canonical_exact_map(4, 2).components, b42), b42)
-    sos_exact = cmap.exact and sm._sum_sq_minus_Rm_exact(
-        cmap.components, 4, 2).is_zero()
+    sos_exact = sm._sum_sq_minus_Rm_exact(cmap.components, 4, 2).is_zero()
     harm = all(f.analyst_laplacian().is_zero() for f in cmap.components)
     worst_e = max(abs(sm.energy_density(cmap, p) - 8.0)
                   for p in sm.random_sphere_points(4, 100, 12))

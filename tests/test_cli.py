@@ -176,22 +176,21 @@ def test_export_map_json_exact(tmp_path):
         assert val == "1/1" and key.count(",") == 3
 
 
-def test_export_map_json_float(tmp_path):
+def test_export_map_json_scaled_identity(tmp_path):
     b = sm.basis_Hm(4, 2)
     G0, _ = sm.solve_h_equals_Rm(4, 2, b)
     m = sm.construct_map(G0, b)
-    path = cli.export_map_json(m, tmp_path / "f.json")
+    path = cli.export_map_json(m, tmp_path / "g0.json")
     doc = json.loads(path.read_text())
-    assert doc["exact"] is False and doc["lambda"] == 8
-    sample = next(iter(doc["components"][0].values()))
-    float(sample)  # decimal string, parseable
-    assert "/" not in sample
+    assert doc["exact"] is True and doc["lambda"] == 8
+    assert len(doc["components"]) == 24
     assert list(doc) == ["components", "exact", "lambda", "m", "n"]
-    # each decimal is exactly its binary-rational coefficient, and the
-    # monomials come in sorted_terms() order
+    # each "num/den" string is exactly its coefficient, and the monomials
+    # come in sorted_terms() order
     for comp, entry in zip(m.components, doc["components"]):
-        assert {k: Fraction(float(v)) for k, v in entry.items()} == \
+        assert {k: Fraction(v) for k, v in entry.items()} == \
             {",".join(map(str, e)): c for e, c in comp.terms.items()}
+        assert all(v.count("/") == 1 for v in entry.values())
         assert list(entry) == [",".join(map(str, e)) for e, _ in comp.sorted_terms()]
 
 
@@ -359,6 +358,17 @@ def test_maps_kernel_and_verify_build_no_dense_kernel_matrix(monkeypatch):
         assert report["overall"] == "pass", report["checks"]
 
 
+@pytest.mark.parametrize("size", [(4, 1), (4, 2), (5, 2)])
+def test_maps_construct_runs_one_set_of_checks_on_either_map(size):
+    # (4, 1) and (4, 2) take the catalogued map, (5, 2) construct_map(G0)
+    sc = cli.Scenario.from_config({"suite": "maps", "mode": "construct",
+                                   "params": {"n_ambient": size[0], "m": size[1]}})
+    report = cli.run(sc)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("sum_of_squares_exact", "pass"), ("components_harmonic", "pass"),
+        ("energy_density_constant", "pass")]
+
+
 def test_maps_verify_builds_h_of_the_base_point_once(monkeypatch):
     calls = []
     h_of_G = sm.h_of_G
@@ -450,8 +460,10 @@ def test_families_sample_matches_the_scalar_slope_solutions(tmp_path):
     ("maps", "construct", {"params": {"points": "x"}}),
     ("maps", "construct", {"params": {"points": 0}}),
     ("calabi", "branches", {"tolerances": {"algebriac": 1e-9}}),
+    ("families", "verify", {"tolerances": {"singular": 1e-3}}),
 ], ids=["trials-text", "grid-count-text", "seed-text", "top-level-array", "dims-text",
-        "params-typo", "stray-pairs", "points-text", "points-zero", "tolerance-typo"])
+        "params-typo", "stray-pairs", "points-text", "points-zero", "tolerance-typo",
+        "singular-tolerance"])
 def test_malformed_documents_exit_2_in_one_line(tmp_path, capsys, suite, mode, doc):
     rc, err = _main_error(tmp_path, capsys, suite, mode, doc)
     assert rc == 2

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -328,6 +329,12 @@ def test_h_dimension_guard():
         sm.h_of_G(sm.GramMatrix.diagonal([1, 1]), b)
 
 
+def test_gram_add_refuses_another_size():
+    # zipping the rows would return the 2 x 2 leading block
+    with pytest.raises(DimensionMismatch, match="2x2 to a 3x3"):
+        sm.GramMatrix.diagonal([1, 2, 3]).add(sm.GramMatrix.diagonal([1, 1]))
+
+
 # ----------------------------------------------------------------------
 # affine solution space
 # ----------------------------------------------------------------------
@@ -539,7 +546,8 @@ def test_identity_map():
     b = sm.basis_Hm(4, 1)
     G0, _ = sm.solve_h_equals_Rm(4, 1, b)
     m = sm.construct_map(G0, b)
-    assert m.exact and len(m.components) == 4
+    assert len(m.components) == 4
+    assert sm._sum_sq_minus_Rm_exact(m.components, 4, 1).is_zero()
     assert all(isinstance(f, Poly) for f in m.components)
     assert {tuple(c.terms) for c in m.components} == \
         {((1, 0, 0, 0),), ((0, 1, 0, 0),), ((0, 0, 1, 0),), ((0, 0, 0, 1),)}
@@ -565,7 +573,7 @@ def test_sphere_sizes_are_refused(call, name):
 
 def test_canonical_exact_quadratic_map():
     m = sm.canonical_exact_map(4, 2)
-    assert m.exact and len(m.components) == 8
+    assert len(m.components) == 8
     assert sm._sum_sq_minus_Rm_exact(m.components, 4, 2).is_zero()
     for f in m.components:
         assert f.analyst_laplacian().is_zero()
@@ -596,7 +604,7 @@ def test_canonical_map_gram_is_in_solution_space():
     assert ok
     # the pipeline reconstructs an exact map from this certificate
     rebuilt = sm.construct_map(G, b)
-    assert rebuilt.exact and len(rebuilt.components) == 8
+    assert len(rebuilt.components) == 8
     assert sm._sum_sq_minus_Rm_exact(rebuilt.components, 4, 2).is_zero()
 
 
@@ -610,31 +618,136 @@ def test_gram_of_components_refuses_a_component_outside_the_span():
                                         for a in range(9)])
 
 
-def test_float_route_map():
+@pytest.mark.parametrize("n_amb,m,count,rank", [
+    (4, 2, 24, 9), (5, 2, 30, 14), (4, 3, 38, 16), (5, 3, 87, 30)])
+def test_scaled_identity_map_is_exact(n_amb, m, count, rank):
+    # no pivot of G0 at these sizes is a rational square
+    b = sm.basis_Hm(n_amb, m)
+    G0, _ = sm.solve_h_equals_Rm(n_amb, m, b)
+    the_map = sm.construct_map(G0, b)
+    assert len(the_map.components) == count
+    assert reference_rank(G0.entries) == rank
+    assert sm._sum_sq_minus_Rm_exact(the_map.components, n_amb, m).is_zero()
+    for f in the_map.components:
+        assert f.analyst_laplacian().is_zero()
+    lam = m * (m + n_amb - 2)
+    pts = sm.random_sphere_points(n_amb, 20, 5)
+    assert abs(sm.energy_density(the_map, pts) - lam).max() < 1e-9
+
+
+def _oracle_square_counts(limit: int) -> list[int]:
+    """The fewest squares summing to each n < limit, by dynamic programming."""
+    counts = [0] + [4] * (limit - 1)
+    for n in range(1, limit):
+        counts[n] = 1 + min(counts[n - s * s] for s in range(1, math.isqrt(n) + 1))
+    return counts
+
+
+def test_fewest_squares_match_the_oracle():
+    counts = _oracle_square_counts(4097)
+    for n in range(1, 4097):
+        found = sm._fewest_squares(n)
+        assert sum(s * s for s in found) == n
+        assert len(found) == counts[n]
+        assert all(s > 0 for s in found) and list(found) == sorted(found, reverse=True)
+        assert sm._fewest_squares(n) == found
+
+
+def test_legendre_values_take_four_squares():
+    # a spread of n = 4^a (8b + 7) below 2^20; by brute force over a table
+    # of the sums of two squares, none is a sum of three squares
+    limit = 1 << 20
+    squares = np.arange(math.isqrt(limit) + 1) ** 2
+    two = np.zeros(limit + 1, dtype=bool)
+    for s2 in squares.tolist():
+        two[s2 + squares[squares <= limit - s2]] = True
+    for a in range(10):
+        top = (limit // 4 ** a - 7) // 8
+        for b in range(0, top + 1, max(1, top // 40)):
+            n = 4 ** a * (8 * b + 7)
+            assert not two[n - squares[squares <= n]].any()
+            found = sm._fewest_squares(n)
+            assert len(found) == 4 and sum(s * s for s in found) == n
+            assert all(s > 0 for s in found)
+            assert sm._fewest_squares(n) == found
+
+
+def test_fewest_squares_refuse_the_bound():
+    assert sm._fewest_squares((2 ** 20 - 1) ** 2) == (2 ** 20 - 1,)
+    with pytest.raises(ParamViolation, match=r"2\^40"):
+        sm._fewest_squares(2 ** 40)
+    # a PSD point whose pivots have denominators beyond the bound
     b = sm.basis_Hm(4, 2)
-    G0, _ = sm.solve_h_equals_Rm(4, 2, b)
-    m = sm.construct_map(G0, b)
-    assert not m.exact
-    assert len(m.components) == reference_rank(G0.entries) == 9
-    # the float coefficients, kept exactly: binary rationals
-    assert all(isinstance(f, Poly) and f.den & (f.den - 1) == 0
-               for f in m.components)
-    resid = sm._sum_sq_minus_Rm_exact(m.components, 4, 2)
-    assert max(abs(c) for c in resid.terms.values()) < 1e-10
-    for p in sm.random_sphere_points(4, 20, 5):
-        assert sm.energy_density(m, p) == pytest.approx(8.0, abs=1e-9)
+    G0, ker = sm.solve_h_equals_Rm(4, 2, b)
+    G, t = sm.psd_point_on_line(G0, ker.basis[0], Fraction(1, 3 ** 30))
+    assert t == Fraction(1, 3 ** 30)
+    with pytest.raises(ParamViolation, match=r"2\^40"):
+        sm.construct_map(G, b)
 
 
 def test_kernel_line_gives_inequivalent_map():
     b = sm.basis_Hm(4, 2)
     G0, ker = sm.solve_h_equals_Rm(4, 2, b)
-    G, t = sm.psd_point_on_line(G0, ker.basis[0], b)
+    G, t = sm.psd_point_on_line(G0, ker.basis[0])
     assert t > 0
     assert sm.h_of_G(G, b) == sm.h_of_G(G0, b)
     assert G.entries != G0.entries  # different Gram matrix: inequivalent data
     m = sm.construct_map(G, b)
     for p in sm.random_sphere_points(4, 10, 7):
         assert sm.energy_density(m, p) == pytest.approx(8.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_amb,m,element,t", [
+    (4, 2, 0, Fraction(1, 2)), (4, 2, 3, Fraction(1, 2)),
+    (5, 2, 0, Fraction(1, 2)), (5, 2, 11, Fraction(1, 4)),
+    (4, 3, 0, Fraction(1, 2)), (4, 3, 7, Fraction(1, 8))])
+def test_psd_point_on_line_halves_to_a_psd_point(n_amb, m, element, t):
+    b = sm.basis_Hm(n_amb, m)
+    G0, ker = sm.solve_h_equals_Rm(n_amb, m, b)
+    k = ker.basis[element]
+    G, got = sm.psd_point_on_line(G0, k)
+    assert got == t and G == G0.add(k, t)
+    assert G.psd_certificate()[0]
+    if t < Fraction(1, 2):   # the value before the last halving is refused
+        assert not G0.add(k, 2 * t).psd_certificate()[0]
+    the_map = sm.construct_map(G, b)
+    assert sm._sum_sq_minus_Rm_exact(the_map.components, n_amb, m).is_zero()
+
+
+@pytest.mark.parametrize("t_target", [0, -0.5, math.inf, math.nan, float("-inf")])
+def test_psd_point_on_line_refuses_a_bad_start(t_target):
+    b = sm.basis_Hm(4, 2)
+    G0, ker = sm.solve_h_equals_Rm(4, 2, b)
+    with pytest.raises(ParamViolation, match="t_target"):
+        sm.psd_point_on_line(G0, ker.basis[0], t_target)
+
+
+def test_psd_point_on_line_gives_up_after_sixty_halvings():
+    G0 = sm.GramMatrix.diagonal([0, 1])
+    k = sm.GramMatrix.diagonal([-1, 0])   # G0 + t k is indefinite for t > 0
+    with pytest.raises(ParamViolation, match="no PSD point"):
+        sm.psd_point_on_line(G0, k)
+
+
+def test_no_floating_eigensolver_is_needed(monkeypatch):
+    import numpy as np
+    from densitylab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("floating eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    b = sm.basis_Hm(4, 2)
+    G0, ker = sm.solve_h_equals_Rm(4, 2, b)
+    assert len(sm.construct_map(G0, b).components) == 24
+    G, _ = sm.psd_point_on_line(G0, ker.basis[0])
+    assert len(sm.construct_map(G, b).components) == 24
+    for mode, size in (("construct", (5, 2)), ("verify", (4, 3))):
+        sc = cli.Scenario.from_config({
+            "suite": "maps", "mode": mode,
+            "params": {"n_ambient": size[0], "m": size[1]}})
+        assert cli.run(sc)["overall"] == "pass"
 
 
 def test_energy_density_guards_sphere():
