@@ -47,7 +47,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, gcd
+from itertools import accumulate
+from math import comb, factorial, gcd, prod
 from operator import or_
 from typing import Optional
 
@@ -414,9 +415,9 @@ def harmonic_decompose(p: Poly, degree: Optional[int] = None
                        ) -> tuple[HarmonicElement, Poly]:
     """Split a homogeneous p uniquely as p = h + R r with h harmonic.
 
-    h is the first of the harmonic shells of p (see _harmonic_shells) and
-    r = sum_{k >= 1} R^(k-1) p_k; everything stays in exact rationals and
-    no linear systems are solved.
+    h is the first of the harmonic shells p_k of p (see _harmonic_shells)
+    and r = sum_{k >= 1} R^(k-1) p_k, by Horner; everything stays in exact
+    rationals and no linear systems are solved.
     """
     d = p.homogeneous_degree() if degree is None else degree
     if degree is not None and not p.is_zero() and p.homogeneous_degree() != degree:
@@ -424,51 +425,53 @@ def harmonic_decompose(p: Poly, degree: Optional[int] = None
     n = p.nvars
     if p.is_zero():
         return HarmonicElement(p, max(d, 0)), Poly.zero(n)
-    comps = _harmonic_shells(p, d)
+    shells = _harmonic_shells(p, d)
     R = Poly.radius_squared(n)
-    r = Poly.zero(n)
-    for k in range(1, len(comps)):
-        term = comps[k]
-        for _ in range(k - 1):
-            term = R * term
-        r = r + term
-    return HarmonicElement(comps[0], d), r
+    r = reduce(lambda acc, shell: shell + R * acc, shells[:0:-1], Poly.zero(n))
+    return HarmonicElement(shells[0], d), r
+
+
+def _laplacian_powers(p: Poly, d: int) -> list[Poly]:
+    """[p, L p, ..., L^(d // 2) p], L the analyst's Laplacian."""
+    return list(accumulate(range(d // 2), lambda q, _: q.analyst_laplacian(), initial=p))
+
+
+def _harmonic_part(powers: list[Poly], d: int) -> Poly:
+    """The harmonic projection of p, homogeneous of degree d on R^n, from
+    powers = _laplacian_powers(p, d).  In closed form (Axler, Bourdon &
+    Ramey, Harmonic Function Theory, 2nd ed., GTM 137, ch. 5),
+
+        H[p] = sum_{j <= d/2} c_j R^j L^j p,  c_0 = 1,
+        c_j = -c_{j-1} / (2j (n + 2d - 2j - 2)),
+
+    summed by Horner from j = K = d // 2 down: K products by R.  The terms
+    carry the integers C c_j, C = (-1)^K / c_K, and C is divided out once.
+    """
+    n, K = powers[0].nvars, d // 2
+    R = Poly.radius_squared(n)
+    w, C = (-1) ** K, 1
+    acc = powers[K].scale(w)
+    for j in range(K - 1, -1, -1):
+        step = 2 * (j + 1) * (n + 2 * d - 2 * j - 4)
+        w, C = -w * step, C * step
+        acc = powers[j].scale(w) + R * acc
+    return acc.scale(Fraction(1, C))
 
 
 def _harmonic_shells(p: Poly, d: int) -> list[Poly]:
     """The harmonic p_k of the expansion p = sum_k R^k p_k, k = 0..d // 2.
 
-    p is nonzero and homogeneous of degree d (not checked).  The shells
-    are peeled from the top using L^j (R^k p_k) = c_{jk} R^(k-j) p_k, where
-    L is the analyst's Laplacian: L^k p minus the higher shells' share is
-    c_{kk} p_k.  R^(kk-k) p_kk is kept from one k to the next, so each
-    R-product is built once.
+    p is nonzero and homogeneous of degree d (not checked).  L^k p is
+    sum_{kk >= k} c_{k,kk} R^(kk-k) p_kk, whose harmonic part is the kk = k
+    term: p_k = H[L^k p] / c_kk, c_kk = prod_{t=1..k} 2t (n + 2d - 4k + 2t - 2),
+    from the one list of Laplacian powers of p.
     """
-    n = p.nvars
-    K = d // 2
-    powers = [p]
-    for _ in range(K):
-        powers.append(powers[-1].analyst_laplacian())
-
-    def c_factor(j: int, k: int) -> Fraction:
-        # L^j (R^k h) = c R^(k-j) h for h harmonic of degree d - 2k
-        m = d - 2 * k
-        out = Fraction(1)
-        for i in range(j):
-            out *= 2 * (k - i) * (n + 2 * m + 2 * (k - i) - 2)
-        return out
-
-    comps: list = [None] * (K + 1)
-    lifted: dict[int, Poly] = {}    # kk -> R^(kk - k) p_kk at the current k
-    R = Poly.radius_squared(n)
-    for k in range(K, -1, -1):
-        residue = powers[k]
-        for kk in range(k + 1, K + 1):
-            # subtract the contribution of higher shells: L^k(R^kk p_kk)
-            lifted[kk] = R * lifted.get(kk, comps[kk])
-            residue = residue - lifted[kk].scale(c_factor(k, kk))
-        comps[k] = residue.scale(Fraction(1, c_factor(k, k)))
-    return comps
+    powers = _laplacian_powers(p, d)
+    shells = []
+    for k in range(d // 2 + 1):
+        c_kk = prod(2 * t * (p.nvars + 2 * d - 4 * k + 2 * t - 2) for t in range(1, k + 1))
+        shells.append(_harmonic_part(powers[k:], d - 2 * k).scale(Fraction(1, c_kk)))
+    return shells
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +571,7 @@ def random_harmonic(nvars: int, degree: int, rng: random.Random,
         if c:
             nums[e] = c
     p = Poly._make(nvars, 1, nums or {monos[0]: 1})
-    h = _harmonic_shells(p, degree)[0]
+    h = _harmonic_part(_laplacian_powers(p, degree), degree)
     if h.is_zero():
         # R-multiples only; retry deterministically with a shifted seed
         return random_harmonic(nvars, degree, rng, span + 1)

@@ -20,9 +20,9 @@ elements are built only on request, by fraction-free Gauss-Jordan
 elimination on Python integers (Bareiss), one block at a time, and are
 certified by one exact product per block: block matrix times integer
 kernel block = 0.  That elimination keeps its rows sparse, as {column:
-nonzero int}, and also serves the independence test of basis_Hm.  Kernel
-elements stay sparse too, as integer numerators over one denominator; a
-dense GramMatrix is built only when a caller reads KernelCertificate.basis.
+nonzero int}; basis_Hm needs none.  Kernel elements stay sparse too, as
+integer numerators over one denominator; a dense GramMatrix is built only
+when a caller reads KernelCertificate.basis (maps kernel builds none).
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
@@ -57,8 +57,10 @@ from .errors import (
 from .harmonic import (
     HarmonicElement,
     Poly,
+    _SLOT_MASK,
     _every_slot,
-    _harmonic_shells,
+    _harmonic_part,
+    _laplacian_powers,
     _packed_monomials,
     _product_numerators,
     _require_integers,
@@ -416,52 +418,40 @@ def _primitive(p: Poly) -> Poly:
 def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     """Deterministic orthogonal basis of degree-m harmonics on R^n_ambient.
 
-    Monomials in graded-lex order are projected to their harmonic parts,
-    reduced to an independent spanning set by exact elimination, then
-    Gram-Schmidt orthogonalized (without normalization) and rescaled to
-    primitive integer coefficients.  Norms squared are recorded exactly.
+    The harmonic part of each monomial, in graded-lex order (closed form,
+    see harmonic._harmonic_part), is Gram-Schmidt orthogonalized without
+    normalization against the kept elements of its parity class, whose
+    supports are disjoint from other classes': a zero remainder means a
+    dependent part, any other is kept with primitive integer coefficients.
+    Norms squared are recorded and the reproducing identity checked exactly.
     """
     _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 3:
         raise ParamViolation("ambient dimension must be >= 3")
     if m < 0:
         raise ParamViolation("degree must be nonnegative")
-    monos = _packed_monomials(n_ambient, m)
-    index = {e: i for i, e in enumerate(monos)}
     target = dim_harmonics(n_ambient, m)
-
-    # harmonic parts of monomials, kept if independent of predecessors:
-    # each is reduced once against the integer rows kept so far
-    chosen: list[Poly] = []
-    core = _IntegerRref()
-    for e in monos:
-        h = _harmonic_shells(Poly._make(n_ambient, 1, {e: 1}), m)[0]
-        if h.is_zero():
-            continue
-        if core.add({index[exp]: c for exp, c in h.nums.items()}):
-            chosen.append(h)
-            if len(chosen) == target:
-                break
-    if len(chosen) != target:
-        raise ParamViolation("failed to build a full harmonic basis")
-
-    # exact Gram-Schmidt without normalization, within each parity class:
-    # the Fischer pairing of two different parities is 0
     ortho: list[HarmonicElement] = []
     norms: list[Fraction] = []
     classes: dict[int, list[tuple[HarmonicElement, Fraction]]] = {}
-    for p in chosen:
-        earlier = classes.setdefault(_element_parity(p), [])
-        cur = p
+    low = _every_slot(n_ambient, 1)
+    for e in _packed_monomials(n_ambient, m):
+        cur = _harmonic_part(_laplacian_powers(Poly._make(n_ambient, 1, {e: 1}), m), m)
+        earlier = classes.setdefault(e & low, [])   # every term of cur has e's parity
         for g, n2 in earlier:
             coef = inner(HarmonicElement(cur, m), g) / n2
             if coef:
                 cur = cur - g.poly.scale(coef)
-        cur = _primitive(cur)
-        el = HarmonicElement(cur, m)
+        if cur.is_zero():
+            continue
+        el = HarmonicElement(_primitive(cur), m)
         ortho.append(el)
         norms.append(inner(el, el))
         earlier.append((el, norms[-1]))
+        if len(ortho) == target:
+            break
+    if len(ortho) != target:
+        raise ParamViolation("failed to build a full harmonic basis")
 
     # reproducing identity sum h_a^2/n_a = c R^m, verified exactly
     acc = Poly.zero(n_ambient)
@@ -585,6 +575,13 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     D(D+1)/2 - dim P_2m.  No kernel element is built here; see
     KernelCertificate.elements.
     """
+    kernel = _kernel_certificate(n_ambient, m, basis)
+    return scaled_identity_gram(kernel.harmonics), kernel
+
+
+def _kernel_certificate(n_ambient: int, m: int,
+                        basis: Optional[HarmonicBasis] = None) -> KernelCertificate:
+    """The kernel of h, certified as in solve_h_equals_Rm; no Gram matrix."""
     _require_sphere_dim_above_2(n_ambient)
     if basis is None:
         basis = basis_Hm(n_ambient, m)
@@ -597,7 +594,7 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
         ranks = _ranks((r, c), [_block_entries(basis, pairs, row_index, cols)
                                 for row_index, cols in group])
         dimension += sum(c - rank for rank in ranks)
-    return scaled_identity_gram(basis), KernelCertificate(basis.dim, dimension, basis)
+    return KernelCertificate(basis.dim, dimension, basis)
 
 
 def _kernel_elements(basis: HarmonicBasis
@@ -869,8 +866,11 @@ def energy_density(m: SphericalHarmonicMap, points):
     an array with one entry per point.  Uses the Euler identity
     x . grad F = m F for homogeneous components: the tangential energy is
     sum_a |grad F^a|^2 - m^2 (F^a)^2, and equals m(m + n - 1) for every
-    valid map on the unit sphere.  Every component and every partial
-    derivative is evaluated at all points in one numpy pass.
+    valid map on the unit sphere.  One pass over the terms v/den x^e of
+    each F^a writes v/den at (a, e), and (v k)/den at (a n + j, e - e_j) for
+    each x_j of exponent k > 0 in e: the same correctly rounded quotient as
+    the reduced coefficient of F^a.diff(j), so no derivative polynomial is
+    built.  Each table is evaluated at all points in one numpy pass.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -883,26 +883,36 @@ def energy_density(m: SphericalHarmonicMap, points):
         r2 = sum(x * x for x in p)
         if abs(r2 - 1.0) > 1e-12:
             raise NotOnSphere(f"|point|^2 = {r2}")
-    values = _eval_many(m.components, pts)
-    grads = _eval_many([f.diff(j) for f in m.components
-                        for j in range(m.n_ambient)], pts)
-    grad_sq = (grads ** 2).reshape(len(pts), len(m.components), m.n_ambient)
+    n, count, shifts = m.n_ambient, len(m.components), _shifts(m.n_ambient)
+    value, grad = [], []     # terms (row, key, float coefficient)
+    for a, f in enumerate(m.components):
+        for e, v in f.nums.items():
+            value.append((a, e, v / f.den))
+            grad += [(a * n + j, e - (1 << s), v * k / f.den)
+                     for j, s in enumerate(shifts) if (k := (e >> s) & _SLOT_MASK)]
+    values, grads = _eval_table(count, value, pts), _eval_table(count * n, grad, pts)
+    grad_sq = (grads ** 2).reshape(len(pts), count, n)
     energy = (grad_sq.sum(axis=2) - (m.m * values) ** 2).sum(axis=1)
     return float(energy[0]) if single else energy
 
 
-def _eval_many(polys: Sequence[Poly], pts: np.ndarray) -> np.ndarray:
-    """Values of every poly at every point, as an array (points, polys)."""
-    exps = sorted({e for f in polys for e in f.nums})
-    coefs = np.array([[f.nums.get(e, 0) / f.den for e in exps] for f in polys],
-                     dtype=float).reshape(len(polys), len(exps))
+def _eval_table(count: int, table: list[tuple[int, int, float]],
+                pts: np.ndarray) -> np.ndarray:
+    """Values at every point, as an array (points, count), of count
+    polynomials given by their (row, key, float coefficient) terms."""
+    exps = sorted({e for _, e, _ in table})
+    column = {e: i for i, e in enumerate(exps)}
+    rows = [[0.0] * len(exps) for _ in range(count)]
+    for row, e, c in table:
+        rows[row][column[e]] = c
+    matrix = np.array(rows).reshape(count, len(exps))
     shifts = _shifts(pts.shape[1])
     powers = np.array([_unpack(e, shifts) for e in exps],
                       dtype=int).reshape(len(exps), pts.shape[1])
     monos = np.ones((len(pts), len(exps)))
     for i in range(pts.shape[1]):
         monos *= pts[:, i:i + 1] ** powers[:, i]
-    return np.einsum("pe,ae->pa", monos, coefs)
+    return np.einsum("pe,ae->pa", monos, matrix)
 
 
 def random_sphere_points(n_ambient: int, count: int, seed: int) -> list[list[float]]:
@@ -925,9 +935,10 @@ def nonuniqueness_report(n_ambient: int, m: int) -> dict:
 
     When the affine solution space has more directions than the rotation
     group of the domain sphere can account for, inequivalent maps with the
-    same constant energy density exist.
+    same constant energy density exist.  Only the certified dimension is
+    read, so no Gram matrix is built.
     """
-    _, kernel = solve_h_equals_Rm(n_ambient, m)
+    kernel = _kernel_certificate(n_ambient, m)
     so_dim = n_ambient * (n_ambient - 1) // 2
     margin = kernel.dimension - so_dim
     return {

@@ -67,6 +67,29 @@ def test_decompose_reconstructs_exactly():
             assert h.poly.analyst_laplacian().is_zero()
 
 
+def test_every_shell_is_harmonic_and_the_shells_rebuild_p():
+    # p = sum_k R^k p_k with p_k harmonic of degree d - 2k is unique, so
+    # these exact checks prove every shell, h and r
+    rng = random.Random(18)
+    for n in range(3, 7):
+        R = Poly.radius_squared(n)
+        for d in range(9):
+            p = Poly(n, {e: rng.randint(-9, 9) for e in ha.monomial_exponents(n, d)})
+            if p.is_zero():
+                continue
+            shells = ha._harmonic_shells(p, d)
+            assert len(shells) == d // 2 + 1
+            rebuilt = Poly.zero(n)
+            for k, shell in reversed(list(enumerate(shells))):
+                assert shell.is_zero() or shell.homogeneous_degree() == d - 2 * k
+                assert shell.analyst_laplacian().is_zero()
+                rebuilt = shell + R * rebuilt
+            assert rebuilt == p
+            h, r = ha.harmonic_decompose(p)
+            assert h.poly == shells[0] and h.degree == d
+            assert h.poly + R * r == p
+
+
 def test_decompose_rejects_inhomogeneous():
     with pytest.raises(NotHomogeneous):
         ha.harmonic_decompose(Poly(3, {(1, 0, 0): 1, (0, 0, 0): 1}))
@@ -425,22 +448,23 @@ def test_one_identity_trial_takes_nine_directional_derivatives(monkeypatch):
 def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
     from densitylab import sphere_maps as sm
     decompositions = recording(monkeypatch, ha, "harmonic_decompose")
-    peels = recording(monkeypatch, ha, "_harmonic_shells")
-    monkeypatch.setattr(sm, "_harmonic_shells", ha._harmonic_shells)
+    parts = recording(monkeypatch, ha, "_harmonic_part")
+    monkeypatch.setattr(sm, "_harmonic_part", ha._harmonic_part)
     products = recording(monkeypatch, Poly, "__mul__")
     rng = random.Random(3)
     for n, d in [(3, 4), (4, 5), (5, 4), (3, 2)]:
         ha.random_harmonic(n, d, rng)
-    # peeling takes K(K + 1)/2 products by R for K = d // 2; building the
-    # remainder would take K(K - 1)/2 more
+    # the closed form by Horner takes K = d // 2 products by R, 7 here,
+    # where peeling the shells one at a time takes K(K + 1)/2, 10 here
     r_products = [a for a in products if a[0] == Poly.radius_squared(a[0].nvars)]
-    assert len(r_products) == sum((d // 2) * (d // 2 + 1) // 2 for _, d in peels) > 0
+    assert [d for _, d in parts] == [4, 5, 4, 2]
+    assert len(r_products) == sum(d // 2 for _, d in parts) == 7
     sm.basis_Hm(4, 4)
-    assert decompositions == [] and len(peels) > 4
-    # the public routine still returns both parts, from the same peel
+    assert decompositions == [] and len(parts) > 4
+    # the public routine still returns both parts
     p = Poly(3, {e: i - 7 for i, e in enumerate(ha.monomial_exponents(3, 4))})
     h, r = ha.harmonic_decompose(p)
-    assert h.poly == ha._harmonic_shells(p, 4)[0]
+    assert h.poly == ha._harmonic_part(ha._laplacian_powers(p, 4), 4)
     assert h.poly + Poly.radius_squared(3) * r == p
 
 

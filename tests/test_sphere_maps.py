@@ -1,5 +1,6 @@
 """Gram-matrix construction of constant-energy sphere maps."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from densitylab.errors import DimensionMismatch, NotOnSphere, NotPSD, ParamViola
 from densitylab.harmonic import (
     HarmonicElement,
     Poly,
+    _shifts,
+    _unpack,
     dim_harmonics,
     inner,
     monomial_exponents,
@@ -201,7 +204,7 @@ def test_ranks_of_a_tall_block_are_exact_without_a_prime(monkeypatch):
 def test_kernel_dimension_comes_from_stacked_blocks(monkeypatch):
     # (6,2): 31 parity blocks in three shapes, so 21 + 6 + 1 elimination
     # steps where the whole matrix would take 126
-    basis = sm.basis_Hm(6, 2)   # its independence test runs _IntegerRref
+    basis = sm.basis_Hm(6, 2)
     primes, exact = spy_on_ranks(monkeypatch)
     _, ker = sm.solve_h_equals_Rm(6, 2, basis)
     assert ker.dimension == 84 and exact == []
@@ -258,6 +261,28 @@ def test_kernel_elements_must_match_the_certified_dimension(monkeypatch):
 # ----------------------------------------------------------------------
 # bases
 # ----------------------------------------------------------------------
+
+BASIS_DIGESTS = {(3, 2): "2abf2fbd9d8f8ff7", (4, 2): "8d1c9b1590253a23",
+                 (4, 3): "2d2f7784058f09cc", (5, 3): "8576651a1aebb345",
+                 (4, 4): "948950536ce3edc5", (6, 3): "dd29007d5b0a771a",
+                 (5, 4): "65b30049d6fe3e19"}
+
+
+@pytest.mark.parametrize("size", sorted(BASIS_DIGESTS))
+def test_basis_is_pinned_entry_for_entry(size):
+    # every element's terms, every norm and c, in order, as first built by
+    # an exact elimination followed by Gram-Schmidt
+    b = sm.basis_Hm(*size)
+    data = [(el.poly.sorted_terms(), n2) for el, n2 in zip(b.elements, b.norms)]
+    digest = hashlib.sha256(repr(data + [b.invariant_c]).encode()).hexdigest()
+    assert digest[:16] == BASIS_DIGESTS[size]
+
+
+def test_basis_runs_no_elimination(monkeypatch):
+    primes, exact = spy_on_ranks(monkeypatch)
+    assert sm.basis_Hm(5, 3).dim == 30
+    assert primes == [] and exact == []
+
 
 def test_basis_degree_one_is_coordinates():
     b = sm.basis_Hm(4, 1)
@@ -786,7 +811,7 @@ def exact_energy(m: sm.SphericalHarmonicMap, point) -> Fraction:
                - (m.m * value(f)) ** 2 for f in m.components)
 
 
-@pytest.mark.parametrize("n_amb,deg", [(4, 1), (4, 2), (5, 2), (4, 3)])
+@pytest.mark.parametrize("n_amb,deg", [(4, 1), (4, 2), (5, 2), (4, 3), (6, 2), (5, 3)])
 def test_energy_density_batch_matches_points_and_exact_values(n_amb, deg):
     if (n_amb, deg) in ((4, 1), (4, 2)):
         m = sm.canonical_exact_map(n_amb, deg)
@@ -802,6 +827,64 @@ def test_energy_density_batch_matches_points_and_exact_values(n_amb, deg):
         assert abs(one - e) <= 1e-12
         assert abs(Fraction(e) - exact_energy(m, p)) <= 1e-12
         assert abs(e - m.eigenvalue) <= 1e-11
+
+
+def energy_through_derivative_polys(m: sm.SphericalHarmonicMap, pts) -> np.ndarray:
+    """The energy density from F.diff(j) polynomials: each list of
+    polynomials becomes a float table over its sorted keys, evaluated by
+    one einsum."""
+    shifts = _shifts(m.n_ambient)
+
+    def evaluate(polys):
+        exps = sorted({e for f in polys for e in f.nums})
+        coefs = np.array([[f.nums.get(e, 0) / f.den for e in exps] for f in polys],
+                         dtype=float).reshape(len(polys), len(exps))
+        powers = np.array([_unpack(e, shifts) for e in exps],
+                          dtype=int).reshape(len(exps), m.n_ambient)
+        monos = np.ones((len(pts), len(exps)))
+        for i in range(m.n_ambient):
+            monos *= pts[:, i:i + 1] ** powers[:, i]
+        return np.einsum("pe,ae->pa", monos, coefs)
+
+    values = evaluate(m.components)
+    grads = evaluate([f.diff(j) for f in m.components for j in range(m.n_ambient)])
+    grad_sq = (grads ** 2).reshape(len(pts), len(m.components), m.n_ambient)
+    return (grad_sq.sum(axis=2) - (m.m * values) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("n_amb,deg", [(4, 3), (5, 3)])
+def test_energy_density_builds_no_derivative_polynomial(monkeypatch, n_amb, deg):
+    b = sm.basis_Hm(n_amb, deg)
+    m = sm.construct_map(sm.scaled_identity_gram(b), b)
+    pts = np.array(sm.random_sphere_points(n_amb, 50, 23))
+    expected = energy_through_derivative_polys(m, pts)
+
+    def refuse(self, i):
+        raise AssertionError("a derivative polynomial was built")
+
+    monkeypatch.setattr(Poly, "diff", refuse)
+    got = sm.energy_density(m, pts)
+    assert got.tobytes() == expected.tobytes()   # bit for bit
+    assert abs(sm.energy_density(m, pts[7]) - expected[7]) <= 1e-12
+
+
+def test_maps_kernel_builds_no_gram_matrix(monkeypatch):
+    expected = {(4, 2): (10, 6), (5, 3): (255, 10), (6, 3): (813, 15)}
+    b = sm.basis_Hm(4, 2)
+
+    def refuse(basis):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(sm, "scaled_identity_gram", refuse)
+    for (n_amb, m), (dim, so) in expected.items():
+        assert sm.nonuniqueness_report(n_amb, m) == {
+            "n_ambient": n_amb, "m": m, "kernel_dimension": dim, "so_dimension": so,
+            "margin": dim - so, "nonuniqueness_assured": True}
+    with pytest.raises(AssertionError, match="Gram matrix"):
+        sm.solve_h_equals_Rm(4, 2, b)
+    monkeypatch.undo()
+    G0, ker = sm.solve_h_equals_Rm(4, 2, b)
+    assert G0 == sm.scaled_identity_gram(b) and ker.dimension == 10
 
 
 def test_nonuniqueness_margins():
