@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, factorial, gcd, prod
 from operator import or_
 from typing import Optional
@@ -207,8 +207,7 @@ class Poly:
 
     # -- ring structure --------------------------------------------------
     def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other: other's terms folded into a copy of self's;
-        a key whose sum cancels is dropped and re-enters at the end."""
+        """self + sign * other: other's terms folded into a copy of self's."""
         d1, d2 = self.den, other.den
         if d1 == d2:
             den, out, m2 = d1, dict(self.nums), sign
@@ -217,13 +216,7 @@ class Poly:
             m1 = den // d1
             out = {e: v * m1 for e, v in self.nums.items()}
             m2 = sign * (den // d2)
-        for e, v in other.nums.items():
-            s = out.get(e, 0) + v * m2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return Poly._make(self.nvars, den, out)
+        return Poly._make(self.nvars, den, _add_multiple(out, m2, other.nums))
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._combine(other, 1)
@@ -354,21 +347,34 @@ def _unit(nvars: int, i: int, k: int) -> int:
     return k << _shifts(nvars)[i]
 
 
-def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
-    """The product of two key -> integer term dicts, as key -> int.
+def _add_multiple(acc: dict, k: int, nums: dict) -> dict:
+    """acc + k nums for key -> integer term dicts, in place in acc, which is
+    returned; a key whose sum cancels is dropped and re-enters at the end."""
+    for e, v in nums.items():
+        s = acc.get(e, 0) + v * k
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
 
-    Keys add as integers.  DegreeViolation when either operand has an
-    exponent at or above 2^(SLOT_BITS - 1), where the sum could carry into
-    the next slot.  A key whose running sum cancels is dropped and
-    re-enters at the end.
-    """
-    if (reduce(or_, nums1, 0) | reduce(or_, nums2, 0)) & _every_slot(nvars, _SLOT_TOP):
+
+def _require_slot_room(nvars: int, *term_dicts: dict) -> None:
+    """DegreeViolation when any key of the dicts has an exponent at or
+    above 2^(SLOT_BITS - 1), where the sum of two keys could carry into the
+    next slot: the guard of every product of key -> integer term dicts."""
+    if reduce(or_, chain.from_iterable(term_dicts), 0) & _every_slot(nvars, _SLOT_TOP):
         raise DegreeViolation(
             f"product of exponents at or above {_SLOT_TOP} could overflow "
             f"a {SLOT_BITS}-bit slot")
+
+
+def _product_terms(items1, items2) -> dict:
+    """The product of two (key, integer) term sequences, as key -> int, for
+    operands that passed _require_slot_room.  Keys add as integers; a key
+    whose running sum cancels is dropped and re-enters at the end."""
     out: dict = {}
-    items2 = nums2.items()
-    for e1, a in nums1.items():
+    for e1, a in items1:
         for e2, b in items2:
             e = e1 + e2
             s = out.get(e, 0) + a * b
@@ -377,6 +383,12 @@ def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
+    """_product_terms of two key -> integer term dicts, after _require_slot_room."""
+    _require_slot_room(nvars, nums1, nums2)
+    return _product_terms(nums1.items(), nums2.items())
 
 
 def laplacian(p: Poly) -> Poly:
@@ -444,18 +456,21 @@ def _harmonic_part(powers: list[Poly], d: int) -> Poly:
         H[p] = sum_{j <= d/2} c_j R^j L^j p,  c_0 = 1,
         c_j = -c_{j-1} / (2j (n + 2d - 2j - 2)),
 
-    summed by Horner from j = K = d // 2 down: K products by R.  The terms
-    carry the integers C c_j, C = (-1)^K / c_K, and C is divided out once.
+    summed by Horner from j = K = d // 2 down on integer numerators, each
+    L^j p brought to p's denominator den: acc <- R acc + w_j L^j p with the
+    integer weights w_j = C c_j, C = (-1)^K / c_K.  That is K products by R
+    and no Poly or Fraction per step; one Poly, acc / (C den), at the end.
     """
-    n, K = powers[0].nvars, d // 2
-    R = Poly.radius_squared(n)
+    n, K, den = powers[0].nvars, d // 2, powers[0].den
+    R = Poly.radius_squared(n).nums
     w, C = (-1) ** K, 1
-    acc = powers[K].scale(w)
+    acc = _add_multiple({}, w * (den // powers[K].den), powers[K].nums)
     for j in range(K - 1, -1, -1):
         step = 2 * (j + 1) * (n + 2 * d - 2 * j - 4)
         w, C = -w * step, C * step
-        acc = powers[j].scale(w) + R * acc
-    return acc.scale(Fraction(1, C))
+        acc = _add_multiple(_product_numerators(R, acc, n),
+                            w * (den // powers[j].den), powers[j].nums)
+    return Poly._make(n, C * den, acc)
 
 
 def _harmonic_shells(p: Poly, d: int) -> list[Poly]:
@@ -522,20 +537,20 @@ def so_action(alpha: HarmonicElement, beta: HarmonicElement,
 def inner(f: HarmonicElement, g: HarmonicElement) -> Fraction:
     """Invariant inner product: the Fischer pairing sum alpha! f_alpha g_alpha.
 
-    Exact, summed over the monomials x^alpha that f and g share.
-    Precondition: f and g are harmonic of the same degree d; then this
-    equals the Laplacian form (-Delta)^d (f g) / (2^d d!).  Inputs that
-    are not harmonic get the Fischer value, not the Laplacian one.
+    Exact: the integer Fischer sum of the numerators over the product of
+    the denominators.  Precondition: f and g are harmonic of the same
+    degree d; then this equals the Laplacian form (-Delta)^d (f g) / (2^d d!).
+    Inputs that are not harmonic get the Fischer value, not the Laplacian one.
     """
     if f.degree != g.degree:
         raise DegreeMismatch(f"degrees {f.degree} != {g.degree}")
-    gnums = g.poly.nums
-    total = 0
-    for e, a in f.poly.nums.items():
-        b = gnums.get(e)
-        if b is not None:
-            total += _fischer_weight(e) * a * b
-    return Fraction(total, f.poly.den * g.poly.den)
+    return Fraction(_fischer_sum(f.poly.nums, g.poly.nums), f.poly.den * g.poly.den)
+
+
+def _fischer_sum(nums1: dict, nums2: dict) -> int:
+    """sum alpha! a_alpha b_alpha over the keys alpha that two integer term
+    dicts share: their Fischer pairing."""
+    return sum(_fischer_weight(e) * a * nums2[e] for e, a in nums1.items() if e in nums2)
 
 
 def brace(f: HarmonicElement, g: HarmonicElement) -> HarmonicElement:

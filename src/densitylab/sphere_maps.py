@@ -17,12 +17,13 @@ prime, in numpy int64: blocks of one shape are eliminated together, and
 full row rank modulo p is full row rank over Q (a block that falls short
 is retried modulo further primes, then ranked exactly).  The kernel
 elements are built only on request, by fraction-free Gauss-Jordan
-elimination on Python integers (Bareiss), one block at a time, and are
-certified by one exact product per block: block matrix times integer
-kernel block = 0.  That elimination keeps its rows sparse, as {column:
-nonzero int}; basis_Hm needs none.  Kernel elements stay sparse too, as
-integer numerators over one denominator; a dense GramMatrix is built only
-when a caller reads KernelCertificate.basis (maps kernel builds none).
+elimination on sparse Python integer rows (Bareiss), one block at a time,
+and are certified by one exact product per block: block matrix times
+integer kernel block = 0.  They stay sparse, as integer numerators over
+one denominator; a dense GramMatrix is built only when a caller reads
+KernelCertificate.basis (maps kernel builds none).  The basis {h_a} is
+fraction-free as well (see basis_Hm), and the products h_a h_b that fill
+the blocks pass one slot-overflow guard per basis.
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
@@ -59,13 +60,15 @@ from .harmonic import (
     Poly,
     _SLOT_MASK,
     _every_slot,
+    _add_multiple,
+    _fischer_sum,
     _harmonic_part,
     _laplacian_powers,
     _packed_monomials,
-    _product_numerators,
+    _product_terms,
     _require_integers,
+    _require_slot_room,
     _shifts,
-    _slot_sum,
     _unpack,
     dim_harmonics,
     inner,
@@ -397,22 +400,7 @@ class HarmonicBasis:
 
 def radius_power(n_ambient: int, m: int) -> Poly:
     """R^m with R = |x|^2 on R^n_ambient, as an exact polynomial."""
-    R = Poly.radius_squared(n_ambient)
-    out = Poly.one(n_ambient)
-    for _ in range(m):
-        out = out * R
-    return out
-
-
-def _primitive(p: Poly) -> Poly:
-    """Scale to coprime integer coefficients with positive leading term."""
-    if p.is_zero():
-        return p
-    g = math.gcd(*p.nums.values())
-    lead = max(p.nums, key=lambda e: (_slot_sum(e), e))   # first in sorted_terms
-    if p.nums[lead] < 0:
-        g = -g
-    return Poly._make(p.nvars, 1, {e: v // g for e, v in p.nums.items()})
+    return reduce(Poly.__mul__, [Poly.radius_squared(n_ambient)] * m, Poly.one(n_ambient))
 
 
 def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
@@ -421,9 +409,15 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     The harmonic part of each monomial, in graded-lex order (closed form,
     see harmonic._harmonic_part), is Gram-Schmidt orthogonalized without
     normalization against the kept elements of its parity class, whose
-    supports are disjoint from other classes': a zero remainder means a
-    dependent part, any other is kept with primitive integer coefficients.
-    Norms squared are recorded and the reproducing identity checked exactly.
+    supports are disjoint from other classes'.  The steps are fraction-free
+    on integer numerators (Erlingsson, Kaltofen & Musser, ISSAC 1996):
+    cur <- (n_g cur - <cur, g> g) / q, <., .> the integer Fischer sum,
+    n_g = <g, g> > 0 and q = gcd(n_g, <cur, g>) > 0.  By induction each cur
+    is a positive multiple of the classical remainder, and positive scaling
+    changes neither the zero test nor the primitive part: a zero remainder
+    means a dependent part, any other is kept as the same primitive integer
+    element.  Norms squared are recorded, and the reproducing identity is
+    one exact integer comparison, sum_a (L/n_a) h_a^2 = c L R^m, L = lcm(n_a).
     """
     _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 3:
@@ -432,37 +426,47 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
         raise ParamViolation("degree must be nonnegative")
     target = dim_harmonics(n_ambient, m)
     ortho: list[HarmonicElement] = []
-    norms: list[Fraction] = []
-    classes: dict[int, list[tuple[HarmonicElement, Fraction]]] = {}
+    norms: list[int] = []
+    classes: dict[int, list[tuple[dict[int, int], int]]] = {}
     low = _every_slot(n_ambient, 1)
     for e in _packed_monomials(n_ambient, m):
-        cur = _harmonic_part(_laplacian_powers(Poly._make(n_ambient, 1, {e: 1}), m), m)
+        cur = _harmonic_part(_laplacian_powers(Poly._make(n_ambient, 1, {e: 1}), m), m).nums
         earlier = classes.setdefault(e & low, [])   # every term of cur has e's parity
-        for g, n2 in earlier:
-            coef = inner(HarmonicElement(cur, m), g) / n2
-            if coef:
-                cur = cur - g.poly.scale(coef)
-        if cur.is_zero():
+        for g, n_g in earlier:
+            t = _fischer_sum(cur, g)
+            if t:
+                q = math.gcd(n_g, t)
+                a = n_g // q
+                cur = _add_multiple({k: a * v for k, v in cur.items()}, -t // q, g)
+        if not cur:
             continue
-        el = HarmonicElement(_primitive(cur), m)
-        ortho.append(el)
-        norms.append(inner(el, el))
-        earlier.append((el, norms[-1]))
+        # the primitive part: coprime integers, and a positive leading term,
+        # which is at the largest key since cur is homogeneous
+        q = math.gcd(*cur.values()) * (1 if cur[max(cur)] > 0 else -1)
+        g = {k: v // q for k, v in cur.items()}
+        n_g = _fischer_sum(g, g)
+        ortho.append(HarmonicElement(Poly._make(n_ambient, 1, g), m))
+        norms.append(n_g)
+        earlier.append((g, n_g))
         if len(ortho) == target:
             break
     if len(ortho) != target:
         raise ParamViolation("failed to build a full harmonic basis")
 
-    # reproducing identity sum h_a^2/n_a = c R^m, verified exactly
-    acc = Poly.zero(n_ambient)
-    for el, n2 in zip(ortho, norms):
-        acc = acc + (el.poly * el.poly).scale(Fraction(1, 1) / n2)
-    rm = radius_power(n_ambient, m)
-    lead_exp = next(iter(rm.nums))
-    c = Fraction(acc.nums.get(lead_exp, 0) * rm.den, acc.den * rm.nums[lead_exp])
-    if acc != rm.scale(c):
+    # reproducing identity sum_a (L/n_a) h_a^2 = c L R^m, verified exactly
+    L = math.lcm(*norms)
+    _require_slot_room(n_ambient, *(el.poly.nums for el in ortho))
+    acc: dict[int, int] = {}
+    for el, n_g in zip(ortho, norms):
+        items = el.poly.nums.items()
+        _add_multiple(acc, L // n_g, _product_terms(items, items))
+    rm = radius_power(n_ambient, m).nums
+    lead = next(iter(rm))
+    s0, r0 = acc.get(lead, 0), rm[lead]
+    if {k: v * r0 for k, v in acc.items()} != {k: s0 * v for k, v in rm.items()}:
         raise ParamViolation("basis reproducing identity failed (internal)")
-    return HarmonicBasis(n_ambient, m, tuple(ortho), tuple(norms), c)
+    c = Fraction(s0, L * r0)
+    return HarmonicBasis(n_ambient, m, tuple(ortho), tuple(map(Fraction, norms)), c)
 
 
 # ----------------------------------------------------------------------
@@ -539,21 +543,29 @@ def _h_blocks(basis: HarmonicBasis
     return pairs, [(block_rows[key], cols) for key, cols in block_cols.items()]
 
 
-def _block_entries(basis: HarmonicBasis, pairs: list[tuple[int, int]],
+def _basis_terms(basis: HarmonicBasis) -> list[list[tuple[int, int]]]:
+    """Each element's (key, integer numerator) terms, after one slot guard
+    for every product of two of them (see harmonic._require_slot_room)."""
+    nums = [el.poly.nums for el in basis.elements]
+    _require_slot_room(basis.n_ambient, *nums)
+    return [list(t.items()) for t in nums]
+
+
+def _block_entries(terms: list[list[tuple[int, int]]], pairs: list[tuple[int, int]],
                    row_index: dict[int, int], cols: list[int]
                    ) -> tuple[list[int], list[int], list[int]]:
-    """The nonzero entries (rows, columns, values) of one parity block.
+    """The nonzero entries (rows, columns, values) of one parity block,
+    given _basis_terms of the basis.
 
     Column k, for E_ab with (a, b) = pairs[cols[k]], holds the integer
     numerators of h_a h_b, times 2 when a != b.
     """
-    polys = [el.poly for el in basis.elements]
     rows: list[int] = []
     ks: list[int] = []
     values: list[int] = []
     for k, j in enumerate(cols):
         a, b = pairs[j]
-        prod = _product_numerators(polys[a].nums, polys[b].nums, basis.n_ambient)
+        prod = _product_terms(terms[a], terms[b])
         rows += map(row_index.__getitem__, prod)
         ks += [k] * len(prod)
         values += prod.values() if a == b else [2 * v for v in prod.values()]
@@ -585,13 +597,14 @@ def _kernel_certificate(n_ambient: int, m: int,
     _require_sphere_dim_above_2(n_ambient)
     if basis is None:
         basis = basis_Hm(n_ambient, m)
+    terms = _basis_terms(basis)
     pairs, blocks = _h_blocks(basis)
     by_shape: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
     for row_index, cols in blocks:
         by_shape.setdefault((len(row_index), len(cols)), []).append((row_index, cols))
     dimension = 0
     for (r, c), group in by_shape.items():
-        ranks = _ranks((r, c), [_block_entries(basis, pairs, row_index, cols)
+        ranks = _ranks((r, c), [_block_entries(terms, pairs, row_index, cols)
                                 for row_index, cols in group])
         dimension += sum(c - rank for rank in ranks)
     return KernelCertificate(basis.dim, dimension, basis)
@@ -615,13 +628,14 @@ def _kernel_elements(basis: HarmonicBasis
     free column f has entry den_j w_j / (den_f d) at j, where w is d times
     the kernel vector of the integer block.
     """
+    terms = _basis_terms(basis)
     pairs, blocks = _h_blocks(basis)
     polys = [el.poly for el in basis.elements]
     found: list[tuple[int, tuple]] = []  # (free column, sparse element)
     for row_index, cols in blocks:
         rows: list[dict[int, int]] = [{} for _ in row_index]
         sparse: list[list[tuple[int, int]]] = [[] for _ in cols]  # per column
-        for i, k, v in zip(*_block_entries(basis, pairs, row_index, cols)):
+        for i, k, v in zip(*_block_entries(terms, pairs, row_index, cols)):
             rows[i][k] = v
             sparse[k].append((i, v))
         dens = [polys[a].den * polys[b].den for a, b in map(pairs.__getitem__, cols)]
@@ -801,15 +815,15 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
                + (6 x1 x2)^2 + (8 x1 x3)^2 + (10 x2 x3)^2,
 
     all components harmonic, so the scaled components give an exact map
-    S^3 -> S^7 of constant energy density 8.
+    S^3 -> S^7 of constant energy density 8.  Like construct_map, it
+    returns a map only once its sum of squares is R^m exactly.
     """
     _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 1:
         raise ParamViolation(f"n_ambient must be >= 1, got {n_ambient}")
     if m == 1:
         comps = tuple(Poly.variable(n_ambient, i) for i in range(n_ambient))
-        return SphericalHarmonicMap(n_ambient, 1, comps)
-    if (n_ambient, m) == (4, 2):
+    elif (n_ambient, m) == (4, 2):
         def quad(c0, c1, c2, c3, scale):
             return Poly(4, {(2, 0, 0, 0): c0, (0, 2, 0, 0): c1,
                             (0, 0, 2, 0): c2, (0, 0, 0, 2): c3}
@@ -824,15 +838,14 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
         comps = (quad(1, -1, 1, -1, 3), quad(1, -1, -1, 1, 4),
                  cross(0, 1, 10), cross(0, 2, 8), cross(0, 3, 6),
                  cross(1, 2, 6), cross(1, 3, 8), cross(2, 3, 10))
-        resid = _sum_sq_minus_Rm_exact(comps, 4, 2)
-        if not resid.is_zero():
-            raise ParamViolation("canonical map verification failed")
-        for f in comps:
-            if not f.analyst_laplacian().is_zero():
-                raise ParamViolation("canonical map component not harmonic")
-        return SphericalHarmonicMap(4, 2, comps)
-    raise ParamViolation(
-        f"no canonical exact map catalogued for (n_ambient, m) = ({n_ambient}, {m})")
+    else:
+        raise ParamViolation(
+            f"no canonical exact map catalogued for (n_ambient, m) = ({n_ambient}, {m})")
+    if not _sum_sq_minus_Rm_exact(comps, n_ambient, m).is_zero():
+        raise ParamViolation("canonical map verification failed")
+    if not all(f.analyst_laplacian().is_zero() for f in comps):
+        raise ParamViolation("canonical map component not harmonic")
+    return SphericalHarmonicMap(n_ambient, m, comps)
 
 
 def psd_point_on_line(G0: GramMatrix, k: GramMatrix,

@@ -266,6 +266,18 @@ def test_families_verify_refuses_an_empty_psi_list(tmp_path, capsys):
     assert rc == 2 and err.startswith("error: UsageError:") and err.count("\n") == 1
 
 
+def test_families_verify_passes_near_the_scherk_edge(tmp_path, capsys):
+    # at x = 1e-3, coth^2 x is about 1e6: the density identity holds to
+    # about 6e-16 relative, and an absolute residual read 3.49e-10 there
+    rc, _ = _main_error(tmp_path, capsys, "families", "verify", {
+        "grid": {"x_min": 1e-3, "x_max": 1e-3, "nx": 2, "ny": 3,
+                 "y_min": 0.0, "y_max": 1.0}})
+    assert rc == 0
+    report = json.loads((tmp_path / "report_families_verify.json").read_text())
+    (check,) = [c for c in report["checks"] if c["name"] == "scherk_density_identity"]
+    assert check["status"] == "pass" and check["max_residual"] < 1e-13
+
+
 def test_families_verify_fails_when_no_grid_point_is_in_the_domain():
     # a valid pair whose C stays below 1 + 1e-6 on the whole 12 x 12 grid
     fam = mg.DoublyPeriodic(1e-5, 0.9999901)
@@ -367,6 +379,23 @@ def test_maps_construct_runs_one_set_of_checks_on_either_map(size):
     assert [(c["name"], c["status"]) for c in report["checks"]] == [
         ("sum_of_squares_exact", "pass"), ("components_harmonic", "pass"),
         ("energy_density_constant", "pass")]
+
+
+@pytest.mark.parametrize("size", [(4, 1), (4, 2), (4, 3)])
+def test_maps_construct_checks_the_sum_of_squares_once(monkeypatch, size):
+    # every route to the map checks it exactly; the verdict reads that check
+    calls = []
+    exact = sm._sum_sq_minus_Rm_exact
+
+    def counting(components, n_ambient, m):
+        calls.append((n_ambient, m))
+        return exact(components, n_ambient, m)
+
+    monkeypatch.setattr(sm, "_sum_sq_minus_Rm_exact", counting)
+    sc = cli.Scenario.from_config({"suite": "maps", "mode": "construct",
+                                   "params": {"n_ambient": size[0], "m": size[1]}})
+    assert cli.run(sc)["overall"] == "pass"
+    assert calls == [size]
 
 
 def test_maps_verify_builds_h_of_the_base_point_once(monkeypatch):

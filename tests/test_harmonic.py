@@ -450,13 +450,14 @@ def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
     decompositions = recording(monkeypatch, ha, "harmonic_decompose")
     parts = recording(monkeypatch, ha, "_harmonic_part")
     monkeypatch.setattr(sm, "_harmonic_part", ha._harmonic_part)
-    products = recording(monkeypatch, Poly, "__mul__")
+    products = recording(monkeypatch, ha, "_product_numerators")
     rng = random.Random(3)
     for n, d in [(3, 4), (4, 5), (5, 4), (3, 2)]:
         ha.random_harmonic(n, d, rng)
     # the closed form by Horner takes K = d // 2 products by R, 7 here,
-    # where peeling the shells one at a time takes K(K + 1)/2, 10 here
-    r_products = [a for a in products if a[0] == Poly.radius_squared(a[0].nvars)]
+    # where peeling the shells one at a time takes K(K + 1)/2, 10 here;
+    # each is a product of integer numerators whose first operand is R's
+    r_products = [a for a in products if a[0] == Poly.radius_squared(a[2]).nums]
     assert [d for _, d in parts] == [4, 5, 4, 2]
     assert len(r_products) == sum(d // 2 for _, d in parts) == 7
     sm.basis_Hm(4, 4)

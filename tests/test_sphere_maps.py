@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitylab import sphere_maps as sm
-from densitylab.errors import DimensionMismatch, NotOnSphere, NotPSD, ParamViolation
+from densitylab.errors import (
+    DegreeViolation,
+    DimensionMismatch,
+    NotOnSphere,
+    NotPSD,
+    ParamViolation,
+)
 from densitylab.harmonic import (
     HarmonicElement,
     Poly,
@@ -265,17 +271,46 @@ def test_kernel_elements_must_match_the_certified_dimension(monkeypatch):
 BASIS_DIGESTS = {(3, 2): "2abf2fbd9d8f8ff7", (4, 2): "8d1c9b1590253a23",
                  (4, 3): "2d2f7784058f09cc", (5, 3): "8576651a1aebb345",
                  (4, 4): "948950536ce3edc5", (6, 3): "dd29007d5b0a771a",
-                 (5, 4): "65b30049d6fe3e19"}
+                 (5, 4): "65b30049d6fe3e19", (6, 2): "c8c86b34515e0f91",
+                 (7, 3): "1bc5053039b0ceda", (6, 4): "c3875482f3b8571e",
+                 (10, 3): "e607db2bcdd31099"}
+
+
+def basis_digest(b: sm.HarmonicBasis) -> str:
+    data = [(el.poly.sorted_terms(), n2) for el, n2 in zip(b.elements, b.norms)]
+    return hashlib.sha256(repr(data + [b.invariant_c]).encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("size", sorted(BASIS_DIGESTS))
 def test_basis_is_pinned_entry_for_entry(size):
     # every element's terms, every norm and c, in order, as first built by
-    # an exact elimination followed by Gram-Schmidt
-    b = sm.basis_Hm(*size)
-    data = [(el.poly.sorted_terms(), n2) for el, n2 in zip(b.elements, b.norms)]
-    digest = hashlib.sha256(repr(data + [b.invariant_c]).encode()).hexdigest()
-    assert digest[:16] == BASIS_DIGESTS[size]
+    # an exact elimination followed by Gram-Schmidt over the rationals
+    assert basis_digest(sm.basis_Hm(*size)) == BASIS_DIGESTS[size]
+
+
+def test_basis_gram_schmidt_is_fraction_free(monkeypatch):
+    from densitylab import harmonic as ha
+
+    def refuse(f, g):
+        raise AssertionError("inner was called")
+
+    monkeypatch.setattr(ha, "inner", refuse)
+    monkeypatch.setattr(sm, "inner", refuse)
+    assert basis_digest(sm.basis_Hm(5, 3)) == BASIS_DIGESTS[(5, 3)]
+
+
+@pytest.mark.parametrize("read", [
+    lambda b: sm._kernel_certificate(4, 2, b),
+    lambda b: sm.KernelCertificate(b.dim, 0, b).elements], ids=["dimension", "elements"])
+def test_kernel_refuses_basis_exponents_that_could_carry(read):
+    # a slot holds exponents below 2^16, and a product of operands at or
+    # above 2^15 could carry into the next slot
+    good = sm.basis_Hm(4, 2)
+    wide = HarmonicElement(Poly(4, {(2 ** 15, 0, 0, 0): 1}), 2)
+    b = sm.HarmonicBasis(4, 2, good.elements[:-1] + (wide,), good.norms,
+                         good.invariant_c)
+    with pytest.raises(DegreeViolation, match="overflow"):
+        read(b)
 
 
 def test_basis_runs_no_elimination(monkeypatch):
