@@ -59,8 +59,8 @@ from .harmonic import (
     HarmonicElement,
     Poly,
     _SLOT_MASK,
-    _every_slot,
     _add_multiple,
+    _every_slot,
     _fischer_sum,
     _harmonic_part,
     _laplacian_powers,
