@@ -14,9 +14,9 @@ derivative subtracts 1 << shift from the key.  A product whose operands
 reach the top bit of any slot raises DegreeViolation, so a carry from one
 slot into the next never happens silently.  Tuples appear only at the
 edges: Poly(nvars, terms) takes them, and terms, sorted_terms and repr give
-them back.  Every identity in this module is an exact rational statement,
-checked by exact arithmetic, never by tolerance; equality of polynomials is
-equality of their numerators and denominators.
+them back.  Every identity here is exact, never checked by tolerance; the
+identity suite compares integer numerators over f's denominator, which is
+equality of polynomials, with no Poly, Fraction or gcd between its steps.
 The sign convention is pinned to the geometer's Laplacian, the negative of
 the trace of the Hessian, so (-Delta)^d below is the d-th power of the
 analyst's sum of pure second partials.
@@ -46,8 +46,8 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, islice
 from math import comb, factorial, gcd, prod
 from operator import or_
 from typing import Optional
@@ -119,6 +119,7 @@ def _slot_sum(key: int) -> int:
     return total
 
 
+@lru_cache(maxsize=4096)
 def _fischer_weight(key: int) -> int:
     """alpha! for the exponent alpha of a key, read slot by slot."""
     w = 1
@@ -133,11 +134,8 @@ def _fischer_weight(key: int) -> int:
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Stored as integer numerators over one denominator: the coefficient of
-    x^e is nums[key(e)] / den, where key(e) packs the exponent vector e into
-    one integer, SLOT_BITS = 16 bits per variable and x_0 in the most
-    significant slot (see the module docstring), so integer order of keys
-    is lexicographic order of exponents.  A slot holds exponents up to
+    The coefficient of x^e is nums[key(e)] / den, key(e) the packed
+    exponent of the module docstring.  A slot holds exponents up to
     2^16 - 1; a product raises DegreeViolation when an operand's exponent
     reaches 2^15, the top bit of its slot, so sums never carry between
     slots.  The form is canonical: den > 0, every numerator is nonzero,
@@ -266,14 +264,7 @@ class Poly:
 
     # -- calculus ----------------------------------------------------------
     def diff(self, i: int) -> "Poly":
-        s = _shifts(self.nvars)[i]
-        one = 1 << s
-        out: dict = {}
-        for e, v in self.nums.items():
-            k = (e >> s) & _SLOT_MASK
-            if k:
-                out[e - one] = v * k
-        return Poly._make(self.nvars, self.den, out)
+        return self.directional(Poly.variable(self.nvars, i))
 
     def analyst_laplacian(self) -> "Poly":
         """sum_i d_i d_i, summed a variable at a time, each over the terms."""
@@ -293,29 +284,9 @@ class Poly:
         return Poly._make(self.nvars, self.den, out)
 
     def directional(self, xi: "Poly") -> "Poly":
-        """Directional derivative along the linear form xi (metric-dual).
-
-        One pass over the terms, summing sum_i xi_i d_i f in the order of
-        xi's terms; the variable of a term of xi is its highest nonzero
-        slot.
-        """
-        nums = self.nums.items()
-        out: dict = {}
-        for ex, b in xi.nums.items():
-            if not ex:
-                raise DegreeViolation("xi has a constant term; it must be linear")
-            s = (ex.bit_length() - 1) // SLOT_BITS * SLOT_BITS
-            one = 1 << s
-            for e, a in nums:
-                k = (e >> s) & _SLOT_MASK
-                if k:
-                    e2 = e - one
-                    s2 = out.get(e2, 0) + a * k * b
-                    if s2:
-                        out[e2] = s2
-                    else:
-                        del out[e2]
-        return Poly._make(self.nvars, self.den * xi.den, out)
+        """Directional derivative along the linear form xi (metric-dual)."""
+        return Poly._make(self.nvars, self.den * xi.den,
+                          _add_directional({}, 1, self.nums, xi.nums))
 
     def constant_value(self) -> Fraction:
         nums = self.nums
@@ -359,6 +330,27 @@ def _add_multiple(acc: dict, k: int, nums: dict) -> dict:
     return acc
 
 
+def _add_directional(acc: dict, k: int, nums: dict, xi: dict) -> dict:
+    """acc + k (nums . xi) in place, k != 0, in xi's term order (a term's
+    variable is its top nonzero slot); a cancelled key re-enters last."""
+    items, get = nums.items(), acc.get
+    for ex, b in xi.items():
+        if not ex:
+            raise DegreeViolation("xi has a constant term; it must be linear")
+        s = (ex.bit_length() - 1) // SLOT_BITS * SLOT_BITS
+        one, kb = 1 << s, k * b
+        for e, a in items:
+            j = e >> s & _SLOT_MASK
+            if j:
+                e -= one
+                v = get(e, 0) + a * j * kb
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+    return acc
+
+
 def _require_slot_room(nvars: int, *term_dicts: dict) -> None:
     """DegreeViolation when any key of the dicts has an exponent at or
     above 2^(SLOT_BITS - 1), where the sum of two keys could carry into the
@@ -369,26 +361,26 @@ def _require_slot_room(nvars: int, *term_dicts: dict) -> None:
             f"a {SLOT_BITS}-bit slot")
 
 
-def _product_terms(items1, items2) -> dict:
-    """The product of two (key, integer) term sequences, as key -> int, for
-    operands that passed _require_slot_room.  Keys add as integers; a key
-    whose running sum cancels is dropped and re-enters at the end."""
-    out: dict = {}
+def _add_product(acc: dict, k: int, items1, items2) -> dict:
+    """acc + k (items1 items2) in place, k != 0, for (key, int) sequences
+    that passed _require_slot_room, items1 outer; a cancelled key re-enters last."""
+    get = acc.get
     for e1, a in items1:
+        a *= k
         for e2, b in items2:
             e = e1 + e2
-            s = out.get(e, 0) + a * b
-            if s:
-                out[e] = s
+            v = get(e, 0) + a * b
+            if v:
+                acc[e] = v
             else:
-                del out[e]
-    return out
+                del acc[e]
+    return acc
 
 
 def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
-    """_product_terms of two key -> integer term dicts, after _require_slot_room."""
+    """The product of two key -> integer term dicts, after _require_slot_room."""
     _require_slot_room(nvars, nums1, nums2)
-    return _product_terms(nums1.items(), nums2.items())
+    return _add_product({}, 1, nums1.items(), nums2.items())
 
 
 def laplacian(p: Poly) -> Poly:
@@ -504,24 +496,29 @@ def dot(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
     return HarmonicElement(f.poly.directional(xi.poly), max(f.degree - 1, 0))
 
 
-def _vee(f: Poly, d: int, xi: Poly, f_dot_xi: Poly) -> Poly:
-    """f vee xi = (n + 2d - 2) xi f - R (f . xi) for f of degree d, given
-    f . xi: the one place the formula lives."""
-    n = f.nvars
-    return (xi * f).scale(n + 2 * d - 2) - Poly.radius_squared(n) * f_dot_xi
+def _add_vee(acc: dict, k: int, n: int, d: int, f: dict, xi: dict, fdx: dict) -> dict:
+    """acc + k (f vee xi) in place, f vee xi = (n + 2d - 2) xi f - R fdx for f
+    of degree d and fdx = f . xi on the denominator of xi f: the one place
+    the formula lives."""
+    if n + 2 * d - 2:
+        _add_product(acc, k * (n + 2 * d - 2), xi.items(), f.items())
+    return _add_product(acc, -k, Poly.radius_squared(n).nums.items(), fdx.items())
 
 
 def vee(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
     """Degree-raising pairing from (n + 2d - 2) xi f = f vee xi + R (f . xi)."""
     _require_linear(xi)
-    d = f.degree
-    return HarmonicElement(_vee(f.poly, d, xi.poly, f.poly.directional(xi.poly)),
-                           d + 1)
+    p, x = f.poly, xi.poly
+    fdx = _add_directional({}, 1, p.nums, x.nums)
+    _require_slot_room(p.nvars, x.nums, p.nums)
+    nums = _add_vee({}, 1, p.nvars, f.degree, p.nums, x.nums, fdx)
+    return HarmonicElement(Poly._make(p.nvars, p.den * x.den, nums), f.degree + 1)
 
 
-def _rotation(alpha: Poly, beta: Poly, f_dot_alpha: Poly, f_dot_beta: Poly) -> Poly:
-    """alpha (f . beta) - beta (f . alpha), given both pairings of f."""
-    return alpha * f_dot_beta - beta * f_dot_alpha
+def _add_rotation(acc: dict, k: int, a: dict, b: dict, fda: dict, fdb: dict) -> dict:
+    """acc + k (a (f . b) - b (f . a)) in place, given fda = f . a, fdb = f . b."""
+    _add_product(acc, k, a.items(), fdb.items())
+    return _add_product(acc, -k, b.items(), fda.items())
 
 
 def so_action(alpha: HarmonicElement, beta: HarmonicElement,
@@ -529,9 +526,12 @@ def so_action(alpha: HarmonicElement, beta: HarmonicElement,
     """Derived rotation action (alpha ^ beta) . f = alpha (f.beta) - beta (f.alpha)."""
     _require_linear(alpha)
     _require_linear(beta)
-    out = _rotation(alpha.poly, beta.poly, f.poly.directional(alpha.poly),
-                    f.poly.directional(beta.poly))
-    return HarmonicElement(out, f.degree)
+    p, al, be = f.poly, alpha.poly, beta.poly
+    fda = _add_directional({}, 1, p.nums, al.nums)
+    fdb = _add_directional({}, 1, p.nums, be.nums)
+    _require_slot_room(p.nvars, al.nums, fdb, be.nums, fda)
+    nums = _add_rotation({}, 1, al.nums, be.nums, fda, fdb)
+    return HarmonicElement(Poly._make(p.nvars, p.den * al.den * be.den, nums), f.degree)
 
 
 def inner(f: HarmonicElement, g: HarmonicElement) -> Fraction:
@@ -568,23 +568,23 @@ def brace(f: HarmonicElement, g: HarmonicElement) -> HarmonicElement:
     return HarmonicElement(out, 1)
 
 
-def norm_squared(alpha: HarmonicElement) -> Fraction:
-    return inner(alpha, alpha)
-
-
 # ----------------------------------------------------------------------
 # identity suite
 # ----------------------------------------------------------------------
+
+def _uniform_ints(rng: random.Random, size: int, span: int) -> list[int]:
+    """size draws of rng.randint(-span, span), the same stream: getrandbits
+    words below 2 span + 1 kept, as randrange keeps them."""
+    width = 2 * span + 1
+    words = iter(partial(rng.getrandbits, width.bit_length()), None)
+    return [r - span for r in islice(filter(width.__gt__, words), size)]
+
 
 def random_harmonic(nvars: int, degree: int, rng: random.Random,
                     span: int = 4) -> HarmonicElement:
     """Harmonic part of a random small-integer homogeneous polynomial."""
     monos = _packed_monomials(nvars, degree)
-    nums = {}
-    for e in monos:
-        c = rng.randint(-span, span)
-        if c:
-            nums[e] = c
+    nums = {e: c for e, c in zip(monos, _uniform_ints(rng, len(monos), span)) if c}
     p = Poly._make(nvars, 1, nums or {monos[0]: 1})
     h = _harmonic_part(_laplacian_powers(p, degree), degree)
     if h.is_zero():
@@ -594,12 +594,8 @@ def random_harmonic(nvars: int, degree: int, rng: random.Random,
 
 
 def random_linear(nvars: int, rng: random.Random, span: int = 4) -> HarmonicElement:
-    coefs = [rng.randint(-span, span) for _ in range(nvars)]
-    if not any(coefs):
-        coefs[0] = 1
-    p = Poly._make(nvars, 1, {_unit(nvars, i, 1): c
-                              for i, c in enumerate(coefs) if c})
-    return HarmonicElement(p, 1)
+    nums = {_unit(nvars, i, 1): c for i, c in enumerate(_uniform_ints(rng, nvars, span)) if c}
+    return HarmonicElement(Poly._make(nvars, 1, nums or {_unit(nvars, 0, 1): 1}), 1)
 
 
 def identity_suite(n: int, d: int, trials: int, seed: int = 0,
@@ -613,9 +609,9 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
       3. (f v a) . a - (f . a) v a  = (n + 2d - 2) |a|^2 f
       4. <f v a, g> = (n + 2d - 2) <f, g . a>     (g in H_{d+1})
 
-    Raises IdentityFailure (with the identity name and witness data) at the
-    first exact mismatch.  `corrupt` deliberately miscales identity 3 to
-    demonstrate the suite has teeth.  Returns a report dict.
+    Sides are integer numerators (_identity_sides); IdentityFailure, with
+    witnesses, at the first mismatch.  `corrupt` miscales identity 3 to show
+    the suite has teeth.  Returns a report dict.
     """
     _require_integers(n=n, d=d, trials=trials)
     if n < 3:
@@ -625,38 +621,42 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
     if trials < 1:
         raise ParamViolation(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
-    checked = 0
+    contraction = (n + 2 * d - 2) if not corrupt else (n + 2 * d - 1)
     for t in range(trials):
         f = random_harmonic(n, d, rng)
-        a = random_linear(n, rng)
-        b = random_linear(n, rng)
+        a, b = random_linear(n, rng), random_linear(n, rng)
         g = random_harmonic(n, d + 1, rng)
-        # f . a and f . b once per trial: the rotation and both f vee xi
-        # are built from them, and the identities share all of these
-        fda, fdb = dot(f, a), dot(f, b)
-        rot = _rotation(a.poly, b.poly, fda.poly, fdb.poly)
-        fva = HarmonicElement(_vee(f.poly, d, a.poly, fda.poly), d + 1)
-        fvb = HarmonicElement(_vee(f.poly, d, b.poly, fdb.poly), d + 1)
+        _require_slot_room(n, f.poly.nums)   # every product's operands are f's or below
+        sides = _identity_sides(n, d, *(h.poly.nums for h in (f, a, b, g)), contraction)
+        for failure, (lhs, rhs) in zip(_FAILURES, sides):
+            if lhs != rhs:
+                raise IdentityFailure(failure.format(t=t, f=f.poly, a=a.poly, b=b.poly))
+    return {"n": n, "d": d, "trials": trials, "seed": seed, "all_exact": True}
 
-        lhs1 = dot(fva, b).poly - dot(fvb, a).poly
-        if lhs1 != rot.scale(n + 2 * d):
-            raise IdentityFailure(f"degree-raise/lower commutator at trial {t}: "
-                                  f"f={f.poly!r} a={a.poly!r} b={b.poly!r}")
 
-        lhs2 = vee(fda, b).poly - vee(fdb, a).poly
-        if lhs2 != rot.scale(-(n + 2 * d - 4)):
-            raise IdentityFailure(f"lower/raise commutator at trial {t}")
+_FAILURES = ("degree-raise/lower commutator at trial {t}: f={f!r} a={a!r} b={b!r}",
+             "lower/raise commutator at trial {t}",
+             "vee/dot contraction at trial {t}: f={f!r} a={a!r}",
+             "adjointness at trial {t}")
 
-        scale3 = (n + 2 * d - 2) if not corrupt else (n + 2 * d - 1)
-        lhs3 = dot(fva, a).poly - vee(fda, a).poly
-        if lhs3 != f.poly.scale(Fraction(scale3) * norm_squared(a)):
-            raise IdentityFailure(f"vee/dot contraction at trial {t}: "
-                                  f"f={f.poly!r} a={a.poly!r}")
 
-        if inner(fva, g) != (n + 2 * d - 2) * inner(f, dot(g, a)):
-            raise IdentityFailure(f"adjointness at trial {t}")
-        checked += 1
-    return {"n": n, "d": d, "trials": checked, "seed": seed, "all_exact": True}
+def _identity_sides(n: int, d: int, f: dict, a: dict, b: dict, g: dict, contraction: int):
+    """(lhs, rhs) of identities 1-4 for the numerators of f, a, b, g (a, b
+    over 1): 1-3 over den_f, 4 Fischer sums over den_f den_g; identity 3's
+    right side is contraction |a|^2 f.  Each is built once the last held."""
+    def at(nums, xi):   # nums . xi, a new dict
+        return _add_directional({}, 1, nums, xi)
+
+    fda, fdb = at(f, a), at(f, b)
+    rot = _add_rotation({}, 1, a, b, fda, fdb)
+    fva, fvb = _add_vee({}, 1, n, d, f, a, fda), _add_vee({}, 1, n, d, f, b, fdb)
+    yield _add_directional(at(fva, b), -1, fvb, a), _add_multiple({}, n + 2 * d, rot)
+    # f . a and f . b have degree d - 1 (both vanish when d = 0)
+    lhs = _add_vee({}, 1, n, d - 1, fda, b, at(fda, b))
+    yield _add_vee(lhs, -1, n, d - 1, fdb, a, at(fdb, a)), _add_multiple({}, 4 - n - 2 * d, rot)
+    lhs = _add_vee(at(fva, a), -1, n, d - 1, fda, a, at(fda, a))
+    yield lhs, _add_multiple({}, contraction * _fischer_sum(a, a), f)
+    yield _fischer_sum(fva, g), (n + 2 * d - 2) * _fischer_sum(f, at(g, a))
 
 
 # ----------------------------------------------------------------------

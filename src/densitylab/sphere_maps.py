@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from numbers import Real
 from typing import Optional, Sequence
@@ -60,12 +60,13 @@ from .harmonic import (
     Poly,
     _SLOT_MASK,
     _add_multiple,
+    _add_product,
     _every_slot,
     _fischer_sum,
+    _fischer_weight,
     _harmonic_part,
     _laplacian_powers,
     _packed_monomials,
-    _product_terms,
     _require_integers,
     _require_slot_room,
     _shifts,
@@ -399,8 +400,11 @@ class HarmonicBasis:
 
 
 def radius_power(n_ambient: int, m: int) -> Poly:
-    """R^m with R = |x|^2 on R^n_ambient, as an exact polynomial."""
-    return reduce(Poly.__mul__, [Poly.radius_squared(n_ambient)] * m, Poly.one(n_ambient))
+    """R^m with R = |x|^2 on R^n_ambient, as an exact polynomial, in closed
+    form: R^m = sum_{|alpha| = m} (m! / alpha!) x^(2 alpha)."""
+    m_factorial = math.factorial(m)
+    return Poly._make(n_ambient, 1, {2 * e: m_factorial // _fischer_weight(e)
+                                     for e in _packed_monomials(n_ambient, m)})
 
 
 def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
@@ -459,7 +463,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     acc: dict[int, int] = {}
     for el, n_g in zip(ortho, norms):
         items = el.poly.nums.items()
-        _add_multiple(acc, L // n_g, _product_terms(items, items))
+        _add_product(acc, L // n_g, items, items)
     rm = radius_power(n_ambient, m).nums
     lead = next(iter(rm))
     s0, r0 = acc.get(lead, 0), rm[lead]
@@ -565,10 +569,10 @@ def _block_entries(terms: list[list[tuple[int, int]]], pairs: list[tuple[int, in
     values: list[int] = []
     for k, j in enumerate(cols):
         a, b = pairs[j]
-        prod = _product_terms(terms[a], terms[b])
+        prod = _add_product({}, 1 if a == b else 2, terms[a], terms[b])
         rows += map(row_index.__getitem__, prod)
         ks += [k] * len(prod)
-        values += prod.values() if a == b else [2 * v for v in prod.values()]
+        values += prod.values()
     return rows, ks, values
 
 

@@ -1,7 +1,9 @@
 """Scenario runner: dispatch, artifacts, exit codes, determinism."""
 
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
@@ -551,6 +553,39 @@ def test_from_config_returns_a_scenario_or_raises_usage_error(doc):
     assert isinstance(sc, cli.Scenario)
     assert sc.args.keys() == {**cli._MODES[(sc.suite, sc.mode)].params,
                               **cli._MODES[(sc.suite, sc.mode)].grid}.keys()
+
+
+_ODD = st.booleans() | st.floats() | st.text(max_size=4) | st.none() | st.integers(-3, 2)
+
+
+def _mostly(valid):
+    """valid values two times in three, odd ones otherwise."""
+    return st.integers(0, 2).flatmap(lambda i: valid if i else _ODD)
+
+
+# trials is always given: its default, 50, would make an example slow
+_IDENTITY_PARAMS = st.fixed_dictionaries({"trials": _mostly(st.integers(1, 3))}, optional={
+    "dims": _mostly(st.lists(_mostly(st.integers(3, 5)), max_size=3)),
+    "max_degree": _mostly(st.integers(1, 3))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_IDENTITY_PARAMS, _mostly(st.integers(-2, 2 ** 70)))
+def test_harmonic_identities_documents_exit_0_1_or_2(tmp_path_factory, params, seed):
+    # sizes stay small (dims <= 5, degree <= 3, trials <= 3), so each
+    # example is cheap; whatever the values, main answers with an exit code
+    # and, on 2, one stderr line, never with a traceback
+    out = tmp_path_factory.mktemp("identities")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({"params": params, "seed": seed}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["harmonic", "identities", "--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_readme_parameter_table_matches_the_mode_table():

@@ -1,5 +1,6 @@
 """Exact harmonic polynomial calculus: no tolerances anywhere in this file."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -121,6 +122,9 @@ def test_vee_dot_coordinate_example():
     assert ha.dot(x(0), x(0)).poly == Poly.one(3)
     f = HarmonicElement(Poly(3, {(1, 1, 0): 1}), 2)
     assert ha.dot(f, x(0)).poly == Poly.variable(3, 1)
+    # n + 2d - 2 = 0 on constants in two variables: f vee xi = 0
+    one = HarmonicElement(Poly.one(2), 0)
+    assert ha.vee(one, HarmonicElement(Poly.variable(2, 0), 1)).poly.is_zero()
 
 
 def test_normalization_identity_random():
@@ -438,7 +442,8 @@ def recording(monkeypatch, owner, name):
 
 
 def test_one_identity_trial_takes_nine_directional_derivatives(monkeypatch):
-    calls = recording(monkeypatch, Poly, "directional")
+    # counted at the one directional kernel, which Poly.directional wraps
+    calls = recording(monkeypatch, ha, "_add_directional")
     ha.identity_suite(4, 3, 1, seed=5)
     assert len(calls) == 9
     ha.identity_suite(3, 2, 2, seed=6)
@@ -528,6 +533,36 @@ def test_brace_permutation_equivariance():
 # identity suite
 # ----------------------------------------------------------------------
 
+def random_stream_digest():
+    """Value, denominator and term order of random_harmonic for n 3-6,
+    d 0-6 and of random_linear for n 3-6, seeds 0-9, and where each leaves
+    its generator."""
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for n in range(3, 7):
+            rng_h, rng_l = random.Random(seed), random.Random(seed)
+            draws = [ha.random_harmonic(n, d, rng_h) for d in range(7)]
+            draws.append(ha.random_linear(n, rng_l))
+            for h in draws:
+                digest.update(repr((h.poly.den, list(h.poly.terms.items()))).encode())
+            digest.update(repr((rng_h.getrandbits(32), rng_l.getrandbits(32))).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("span", range(10))
+def test_uniform_draws_are_the_randint_stream(span):
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert ha._uniform_ints(ours, 50, span) == \
+            [theirs.randint(-span, span) for _ in range(50)]
+        assert ours.getrandbits(32) == theirs.getrandbits(32)
+
+
+def test_random_draws_keep_their_stream():
+    # pinned while the draws still went through randint(-span, span)
+    assert random_stream_digest() == "9a22184ecb8fbdc0"
+
+
 def test_identity_suite_passes():
     rep = ha.identity_suite(3, 2, 25, seed=42)
     assert rep["all_exact"] and rep["trials"] == 25
@@ -577,6 +612,72 @@ def test_identity_suite_refuses_fewer_than_one_trial(trials):
 def test_identity_suite_refuses_non_integers(n, d, trials):
     with pytest.raises(ParamViolation, match="must be an integer"):
         ha.identity_suite(n, d, trials)
+
+
+def suite_trial(n, d, seed):
+    """f, a, b, g of trial 0 of identity_suite(n, d, ..., seed), drawn in
+    the suite's order."""
+    rng = random.Random(seed)
+    f = ha.random_harmonic(n, d, rng)
+    a, b = ha.random_linear(n, rng), ha.random_linear(n, rng)
+    return f, a, b, ha.random_harmonic(n, d + 1, rng)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_integer_identity_sides_match_the_public_pairings(n):
+    # each side the suite builds on integer numerators over f's denominator
+    # (identity 4: integer Fischer sums over den_f den_g) against the same
+    # side built through dot, vee, so_action and inner
+    for d in range(6):
+        c = n + 2 * d - 2
+        for seed in range(20):
+            f, a, b, g = suite_trial(n, d, seed)
+            sides = list(ha._identity_sides(n, d, *(h.poly.nums for h in (f, a, b, g)), c))
+            fva, fvb, fda, fdb = ha.vee(f, a), ha.vee(f, b), ha.dot(f, a), ha.dot(f, b)
+            rot = ha.so_action(a, b, f).poly
+            public = [
+                (ha.dot(fva, b).poly - ha.dot(fvb, a).poly, rot.scale(n + 2 * d)),
+                (ha.vee(fda, b).poly - ha.vee(fdb, a).poly, rot.scale(-(n + 2 * d - 4))),
+                (ha.dot(fva, a).poly - ha.vee(fda, a).poly, f.poly.scale(c * ha.inner(a, a))),
+            ]
+            for integer_sides, poly_sides in zip(sides, public):
+                assert [Poly._make(n, f.poly.den, side) for side in integer_sides] \
+                    == list(poly_sides)
+            den = f.poly.den * g.poly.den
+            assert [Fraction(side, den) for side in sides[3]] == \
+                [ha.inner(fva, g), c * ha.inner(f, ha.dot(g, a))]
+
+
+@pytest.mark.parametrize("broken,message", [
+    (0, "degree-raise/lower commutator at trial 0: f={f!r} a={a!r} b={b!r}"),
+    (1, "lower/raise commutator at trial 0"),
+    (2, "vee/dot contraction at trial 0: f={f!r} a={a!r}"),
+    (3, "adjointness at trial 0"),
+])
+def test_each_identity_names_itself_when_it_fails(monkeypatch, broken, message):
+    sides = ha._identity_sides
+
+    def one_side_off(*args):
+        for i, (lhs, rhs) in enumerate(sides(*args)):
+            if i == broken:
+                rhs = rhs + 1 if isinstance(rhs, int) else {**rhs, -1: 1}
+            yield lhs, rhs
+
+    monkeypatch.setattr(ha, "_identity_sides", one_side_off)
+    f, a, b, _ = suite_trial(4, 2, 31)
+    with pytest.raises(IdentityFailure) as failure:
+        ha.identity_suite(4, 2, 3, seed=31)
+    assert str(failure.value) == message.format(f=f.poly, a=a.poly, b=b.poly)
+
+
+def test_the_canary_message_is_pinned():
+    # witnesses with rational coefficients, as the Poly-level suite gave them
+    with pytest.raises(IdentityFailure) as failure:
+        ha.identity_suite(4, 3, 3, seed=7, corrupt=True)
+    assert str(failure.value) == (
+        "vee/dot contraction at trial 0: f=Poly(1/6*x0^3 + -1*x0^2*x1^1 + "
+        "13/6*x0^2*x2^1 + -10/3*x0^2*x3^1 + -23/6*x0^1*x1^2 + "
+        "4*x0^1*x1^1*x2^1 +13 terms) a=Poly(-4*x0^1 + -3*x1^1 + -1*x2^1 + -4*x3^1)")
 
 
 # ----------------------------------------------------------------------

@@ -319,6 +319,18 @@ def test_basis_runs_no_elimination(monkeypatch):
     assert primes == [] and exact == []
 
 
+def test_radius_power_closed_form_is_m_products_by_r():
+    # R^m = sum_{|alpha| = m} (m!/alpha!) x^(2 alpha): the same numerators,
+    # denominator and key order as m products by R
+    for n in range(1, 9):
+        power = Poly.one(n)
+        for m in range(7):
+            closed = sm.radius_power(n, m)
+            assert (closed.den, list(closed.nums.items())) == \
+                (power.den, list(power.nums.items()))
+            power = power * Poly.radius_squared(n)
+
+
 def test_basis_degree_one_is_coordinates():
     b = sm.basis_Hm(4, 1)
     assert b.dim == 4
