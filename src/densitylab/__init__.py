@@ -22,7 +22,7 @@ _EXPORTS = {
         "c_system_residual", "compatibility_data", "density_value",
         "first_integrals", "lift_theta_along", "minimal_residual", "mu_C_from_F",
         "period_sigma", "reconstruct_u", "scherk_closed_form", "theta_gradient",
-        "two_theta_solutions", "zeta_form",
+        "two_theta_solutions",
     ),
     "calabi": (
         "CompatibilityData", "GradientPair", "band_metric", "candidates_batch",

@@ -195,12 +195,15 @@ def _families_verify(sc: Scenario) -> list[dict]:
     from . import minimal_graphs as mg
     p, tol = sc.args, sc.tolerances
     checks = []
-    # Scherk: closed-form jets on a psi x x x y grid, as one batch
+    # Scherk: closed-form jets on a psi x x x y grid, as one batch of shape
+    # (psi, x, y) broadcast from its three axes, so that cos(y + psi) runs
+    # once per (psi, y) and sinh x once per x; raveled in psi, x, y order
     xs, ys = _grid_points(p)
     psis = p["psi_values"]
-    psi, x, y = _grid(psis, xs, ys)
+    psi, x, y = (np.reshape(axis, shape) for axis, shape in
+                 ((psis, (-1, 1, 1)), (xs, (1, -1, 1)), (ys, (1, 1, -1))))
     uj = mg.scherk_u_jet(x, y, psi, order=2)
-    r = np.abs(mg.minimal_residual(uj))
+    r = np.abs(mg.minimal_residual(uj)).ravel()
     # 1 + |grad u|^2 = coth^2 x relative to coth^2 x, near 1/x^2 at the edge
     coth2 = 1.0 / np.tanh(x) ** 2
     d = np.abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - coth2) / coth2
@@ -259,9 +262,12 @@ def _families_period(sc: Scenario) -> list[dict]:
     for (a, c) in sc.args["pairs"]:
         tag = f"a={a},c={c}"
         try:
-            lam = mg.period_sigma(a, c, tol=tol["quadrature"])
-            lam2 = mg.period_sigma(a, c, tol=tol["quadrature"], samples=1024)
-            lamf = mg.period_sigma(a, c, tol=tol["quadrature"], seed_sign=-1)
+            # the three periods of period_sigma, on one loop: each node of
+            # the pair's throat loop is evaluated once for all of them
+            loop = mg._ThroatLoop(a, c)
+            lam = loop.period(1, tol["quadrature"], 64)
+            lam2 = loop.period(1, tol["quadrature"], 1024)
+            lamf = loop.period(-1, tol["quadrature"], 64)
             checks.append(_check(f"period_nonzero[{tag}]", abs(lam) > 1e-3, abs(lam)))
             checks.append(_check(f"period_refinement[{tag}]",
                                  abs(lam - lam2) < 10 * tol["quadrature"],

@@ -34,10 +34,6 @@ class LiftAmbiguity(DensityLabError):
     """Adjacent samples step the doubled angle by >= pi/2; refine the path."""
 
 
-class FoldSingularity(DensityLabError):
-    """Evaluation too close to the fold curve z = 0."""
-
-
 class QuadratureFailure(DensityLabError):
     """The throat-period quadrature could not meet the requested tolerance."""
 

@@ -99,8 +99,9 @@ class BatchStatus:
 
 
 def _message_at(message: str, args: tuple, i: int) -> str:
-    """The guard message with the array arguments taken at element i."""
-    return message.format(*(a[i] if isinstance(a, np.ndarray) else a
+    """The guard message with the array arguments taken at element i, counted
+    in C order as np.argmax counts it (an array may have any shape)."""
+    return message.format(*(a.flat[i] if isinstance(a, np.ndarray) else a
                             for a in args))
 
 

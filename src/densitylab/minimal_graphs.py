@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     DegenerateDelta,
     DomainViolation,
-    FoldSingularity,
     LiftAmbiguity,
     NoRealSolution,
     ParamViolation,
@@ -224,10 +224,6 @@ class SurfacePoint:
     x: float
     y: float
     z: float
-
-    def surface_residual(self, a: float, c: float) -> float:
-        m = math_for(self.x, self.y)
-        return self.z * self.z - (a * m.cosh(self.x) + c * m.cos(self.y) - 1.0)
 
 
 @dataclass
@@ -457,19 +453,27 @@ def abeq_fields(a: float, c: float, x: float, y: float
     z^2 = C - 1.
     """
     DoublyPeriodic(a, c).validate()
-    return _abeq_fields(a, c, _q_factor(a, c), x, y)
+    m = math_for(x, y)
+    return _abeq_fields(a, c, _q_factor(a, c), x, y, m.cosh(x), m.cos(y))
 
 
 def _q_factor(a: float, c: float) -> float:
-    """The point-independent factor (1 - (a-c)^2)((a+c)^2 - 1) of Q^2."""
-    return (1.0 - (a - c) ** 2) * ((a + c) ** 2 - 1.0)
+    """The point-independent factor (1 - (a-c)^2)((a+c)^2 - 1) of Q^2.
+
+    inf where (a+c)^2 exceeds every float (a + c > 1.3e154), as float
+    arithmetic that overflows gives; float ** raises there instead.
+    """
+    try:
+        return (1.0 - (a - c) ** 2) * ((a + c) ** 2 - 1.0)
+    except OverflowError:
+        return math.inf
 
 
-def _abeq_fields(a: float, c: float, q_factor: float, x: float, y: float
-                 ) -> tuple[float, float, float, float]:
-    """:func:`abeq_fields` for a validated pair, given its :func:`_q_factor`."""
+def _abeq_fields(a: float, c: float, q_factor: float, x: float, y: float,
+                 ch: float, co: float) -> tuple[float, float, float, float]:
+    """:func:`abeq_fields` for a validated pair, given its :func:`_q_factor`
+    and ch = cosh x, co = cos y at the point."""
     m = math_for(x, y)
-    ch, co = m.cosh(x), m.cos(y)
     A = c * c + 2.0 * a * c * ch * co + a * a - 1.0
     B = 2.0 * a * c * m.sinh(x) * m.sin(y)
     E = a * (a * a - c * c - 1.0) * ch + c * (a * a - c * c + 1.0) * co
@@ -486,9 +490,12 @@ def cos_sin_two_theta(a: float, c: float, p: SurfacePoint, *,
     with one entry per sample, and the guards act per sample (see
     :func:`densitylab.jets.guard`).  A caller that evaluates many points of
     one validated pair passes that pair's ``_q_factor(a, c)``; without it
-    the pair is validated here.
+    the pair is validated here.  cosh x and cos y are evaluated once and
+    serve both the on-surface residual and the fields.
     """
-    residual = p.surface_residual(a, c)
+    m = math_for(p.x, p.y)
+    ch, co = m.cosh(p.x), m.cos(p.y)
+    residual = p.z * p.z - (a * ch + c * co - 1.0)
     # the message spells out the dataclass repr, so that a path reports the
     # sample that failed
     guard(abs(residual) > TOL_SURFACE, DomainViolation,
@@ -498,7 +505,7 @@ def cos_sin_two_theta(a: float, c: float, p: SurfacePoint, *,
         DoublyPeriodic(a, c).validate()
         q_factor = _q_factor(a, c)
     with masked_errstate(status):
-        A, B, E, Q = _abeq_fields(a, c, q_factor, p.x, p.y)
+        A, B, E, Q = _abeq_fields(a, c, q_factor, p.x, p.y, ch, co)
         d = A * A + B * B
     guard(d < TOL_SING, Singularity, "A^2 + B^2 vanished; fields undefined here",
           status=status)
@@ -521,6 +528,37 @@ def _as_path(path) -> SurfacePoint:
                           for f in ("x", "y", "z")))
 
 
+def _doubled_angle(a: float, c: float, pts: SurfacePoint, q_factor: float
+                   ) -> tuple[np.ndarray, BatchStatus]:
+    """The principal doubled angle atan2(sin 2theta, cos 2theta) at each
+    sample of a path of a validated pair, with the samples' guard status."""
+    status = BatchStatus(np.broadcast(pts.x, pts.y, pts.z).size)
+    c2, s2 = cos_sin_two_theta(a, c, pts, q_factor=q_factor, status=status)
+    with masked_errstate(status):
+        return np.arctan2(s2, c2), status
+
+
+def _unwrap_doubled(ang: np.ndarray, failed: np.ndarray, exception) -> np.ndarray:
+    """The doubled angle lifted continuously along the samples.
+
+    failed marks the samples whose evaluation failed a guard, and
+    exception(i) is the error of failed sample i.  The error raised is the
+    one a walk along the samples meets first: at sample i, its own failure,
+    then a principal step of pi/2 or more from sample i-1 (LiftAmbiguity).
+    """
+    with np.errstate(all="ignore"):   # failed samples may hold inf or nan
+        step = _wrap_pi(np.diff(ang))
+        stop = failed.copy()
+        stop[1:] |= np.abs(step) >= math.pi / 2.0
+    if stop.any():
+        i = int(np.argmax(stop))
+        if failed[i]:
+            raise exception(i)
+        raise LiftAmbiguity(
+            f"2-theta step {step[i - 1]:.3f} >= pi/2 between samples {i-1} and {i}")
+    return np.add.accumulate(np.concatenate((ang[:1], step)))
+
+
 def lift_theta_along(path, a: float, c: float, seed_sign: int = 1) -> LiftedAngle:
     """Continuously lift theta along a sampled path on the double cover.
 
@@ -537,46 +575,128 @@ def lift_theta_along(path, a: float, c: float, seed_sign: int = 1) -> LiftedAngl
     if seed_sign not in (1, -1):
         raise ParamViolation("seed_sign must be +1 or -1")
     pts = _as_path(path)
-    n = np.broadcast(pts.x, pts.y, pts.z).size
-    if n < 2:
+    if np.broadcast(pts.x, pts.y, pts.z).size < 2:
         raise ParamViolation("path needs at least two samples")
     DoublyPeriodic(a, c).validate()
-    status = BatchStatus(n)
-    c2, s2 = cos_sin_two_theta(a, c, pts, q_factor=_q_factor(a, c), status=status)
-    with masked_errstate(status):
-        ang = np.arctan2(s2, c2)
-        step = _wrap_pi(np.diff(ang))
-        failed = status.failed.copy()
-        failed[1:] |= np.abs(step) >= math.pi / 2.0
-    if failed.any():
-        i = int(np.argmax(failed))
-        if status.failed[i]:
-            raise status.exception(i)
-        raise LiftAmbiguity(
-            f"2-theta step {step[i - 1]:.3f} >= pi/2 between samples {i-1} and {i}")
-    lifted2 = np.add.accumulate(np.concatenate((ang[:1], step)))
+    ang, status = _doubled_angle(a, c, pts, _q_factor(a, c))
+    lifted2 = _unwrap_doubled(ang, status.failed, status.exception)
     offset = 0.0 if seed_sign == 1 else math.pi
     return LiftedAngle(path=path if pts is path else list(path),
                        theta=0.5 * lifted2 + offset, branch_sign=seed_sign)
 
 
-def zeta_form(point: SurfacePoint, theta: float, a: float, c: float
-              ) -> tuple[float, float]:
-    """Components of the height differential (cos th, sin th)/sqrt((C-1)/2).
+def _loop_rho(k, n: int):
+    """The chart values rho_k = 2 pi k / n of the section loop's nodes k.
 
-    Written in graph coordinates of one sheet; near the fold z = 0 the
-    denominator vanishes and the graph-chart expression is singular.
+    Node k of n nodes is node 2k of 2n bit for bit: doubling k and n
+    doubles the rounded product 2 pi k and leaves the quotient alone.
     """
-    w = a * math.cosh(point.x) + c * math.cos(point.y) - 1.0
-    if w <= TOL_SING:
-        raise FoldSingularity(f"C - 1 = {w} at the fold")
-    denom = math.sqrt(0.5 * w)
-    return math.cos(theta) / denom, math.sin(theta) / denom
+    return 2.0 * math.pi * k / n
 
 
-def _loop_rho(n: int) -> np.ndarray:
-    """The n+1 nodes rho_k = 2 pi k / n of the section loop's chart."""
-    return 2.0 * math.pi * np.arange(n + 1) / n
+class _Level(NamedTuple):
+    """The n+1 nodes of one level of a :class:`_ThroatLoop`."""
+    n: int
+    ang: np.ndarray        # principal doubled angle at each node
+    den: np.ndarray        # denominator of each node's quadrature weight
+    failed: np.ndarray     # nodes whose evaluation failed a guard
+    errors: dict           # failed node -> its error
+
+    def every(self, s: int) -> "_Level":
+        """The level of n/s nodes that takes every s-th node of this one."""
+        return _Level(self.n // s, self.ang[::s], self.den[::s], self.failed[::s],
+                      {k // s: e for k, e in self.errors.items() if k % s == 0})
+
+    def lifted2(self) -> np.ndarray:
+        """The doubled angle lifted along the nodes (:func:`_unwrap_doubled`)."""
+        return _unwrap_doubled(self.ang, self.failed, self.errors.__getitem__)
+
+
+class _ThroatLoop:
+    """The x = x_section section loop of one pair, shared by its periods.
+
+    Level n is the n+1 chart nodes rho_k = 2 pi k / n, k = 0..n, of
+    :func:`sigma_loop`.  Since node k of level n is node 2k of level 2n
+    (:func:`_loop_rho`), levels whose node counts differ by a power of two
+    share their nodes.  The loop keeps, per odd part of n, the finest level
+    evaluated so far; a coarser level is a stride through it, and a finer
+    one evaluates only its new nodes.  So each node's doubled angle and
+    quadrature weight are evaluated once, whatever the order of the levels
+    asked for.
+    """
+
+    def __init__(self, a: float, c: float, x_section: float = 0.0):
+        DoublyPeriodic(a, c).validate()
+        ap = a * math.cosh(x_section)
+        if not ap - c < 1.0:
+            raise ParamViolation(
+                f"x = {x_section} section has no fold: a cosh(x0) - c = {ap - c} >= 1")
+        self.a, self.c, self.x_section, self.ap = a, c, x_section, ap
+        self.zmax = math.sqrt(ap + c - 1.0)
+        self.half = math.sqrt((ap + c - 1.0) / (2.0 * c))
+        self._levels: dict[int, _Level] = {}   # odd part of n -> finest level
+
+    def chart(self, rho: np.ndarray) -> tuple[SurfacePoint, np.ndarray]:
+        """The loop's points at the chart values rho, and cos rho."""
+        cos_rho = np.cos(rho)
+        y = 2.0 * np.arcsin(np.clip(self.half * np.sin(rho), -1.0, 1.0))
+        return SurfacePoint(self.x_section, y, self.zmax * cos_rho), cos_rho
+
+    def level(self, n: int) -> _Level:
+        """Level n, evaluating only the nodes that no level kept holds."""
+        odd = n
+        while odd % 2 == 0:
+            odd //= 2
+        have = self._levels.get(odd)
+        if have and have.n >= n:
+            return have.every(have.n // n)
+        if have:   # node k is have's node k/s where s divides k, else new
+            s = n // have.n
+            new = np.arange(n).reshape(-1, s)[:, 1:].ravel()
+        else:
+            new = np.arange(n + 1)
+        pts, cos_rho = self.chart(_loop_rho(new, n))
+        a, c, ap = self.a, self.c, self.ap
+        ang, status = _doubled_angle(a, c, pts, _q_factor(a, c))
+        den = np.sqrt(c + 1.0 - ap + (ap + c - 1.0) * cos_rho ** 2)
+        errors = {int(new[i]): status.exception(i) for i in np.flatnonzero(status.failed)}
+        if have:
+            level = _Level(n, np.empty(n + 1), np.empty(n + 1),
+                           np.empty(n + 1, dtype=bool), errors)
+            for full, kept, part in zip(level[1:4], have[1:4], (ang, den, status.failed)):
+                full[::s] = kept
+                full[:n].reshape(-1, s)[:, 1:] = part.reshape(-1, s - 1)
+            errors.update((j * s, e) for j, e in have.errors.items())
+        else:
+            level = _Level(n, ang, den, status.failed, errors)
+        self._levels[odd] = level
+        return level
+
+    def period(self, seed_sign: int, tol: float, samples: int) -> float:
+        """:func:`period_sigma` on this loop; seed_sign and samples are
+        taken as checked."""
+        offset = 0.0 if seed_sign == 1 else math.pi
+        n, prev = samples, None
+        while n <= MAX_PERIOD_NODES:
+            level = self.level(n)
+            try:
+                lifted2 = level.lifted2()
+            except LiftAmbiguity:
+                n, prev = 2 * n, None
+                continue
+            theta = 0.5 * lifted2 + offset
+            residue = 2.0 * (theta[-1] - theta[0])
+            if abs(residue) > 1e-9:
+                raise LiftAmbiguity(
+                    f"angle lift failed to close around the section loop "
+                    f"(winding residue {residue:.3g})")
+            total = float(np.sum(np.sin(theta[:n]) / level.den[:n]))
+            value = 2.0 * math.sqrt(2.0) * 2.0 * math.pi * total / n
+            if prev is not None and abs(value - prev) < tol:
+                return value
+            n, prev = 2 * n, value
+        raise QuadratureFailure(
+            f"throat period not within {tol:g} at {MAX_PERIOD_NODES} nodes")
 
 
 def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
@@ -593,16 +713,7 @@ def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
     level at the closure points rho = 0, 2 pi; acos(g) loses half the
     digits there (|y| ~ 1e-8) and the loop fails to close.
     """
-    DoublyPeriodic(a, c).validate()
-    ap = a * math.cosh(x_section)
-    if not ap - c < 1.0:
-        raise ParamViolation(
-            f"x = {x_section} section has no fold: a cosh(x0) - c = {ap - c} >= 1")
-    zmax = math.sqrt(ap + c - 1.0)
-    half = math.sqrt((ap + c - 1.0) / (2.0 * c))
-    rho = _loop_rho(n)
-    y = 2.0 * np.arcsin(np.clip(half * np.sin(rho), -1.0, 1.0))
-    return SurfacePoint(x_section, y, zmax * np.cos(rho))
+    return _ThroatLoop(a, c, x_section).chart(_loop_rho(np.arange(n + 1), n))[0]
 
 
 def require_rectangle(a: float, R: float) -> None:
@@ -626,6 +737,10 @@ def gamma_rectangle(a: float, c: float, R: float, n_per_edge: int = 1200
     """
     DoublyPeriodic(a, c).validate()
     require_rectangle(a, R)
+    if not math.isfinite(a * math.cosh(R) + c):
+        raise ParamViolation(
+            f"rectangle half-width {R} gives C up to a cosh(R) + c = inf "
+            f"at a = {a}, c = {c}; it must be finite")
     n = n_per_edge
     k = np.arange(n + 1)
     edge = np.ones(n)
@@ -653,34 +768,20 @@ def period_sigma(a: float, c: float, seed_sign: int = 1,
     rule runs on the same N nodes, so it converges geometrically.  N starts
     at samples and doubles until |T_N - T_2N| < tol; a lift that is
     ambiguous on a coarse grid is refined the same way.
+
+    The nodes are nested: node k of N is node 2k of 2N bit for bit, so each
+    doubling evaluates only the N new nodes (Trefethen and Weideman, SIAM
+    Rev. 56 (2014)).  The loop of :class:`_ThroatLoop` keeps them, and
+    several periods of one pair asked of one loop (the families period
+    checks ask three) share every node they have in common.
     """
     if seed_sign not in (1, -1):
         raise ParamViolation("seed_sign must be +1 or -1")
+    if not isinstance(samples, (int, np.integer)):
+        raise ParamViolation(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ParamViolation(f"samples must be positive, got {samples}")
-    ap = a * math.cosh(x_section)
-    n, prev = samples, None
-    while n <= MAX_PERIOD_NODES:
-        pts = sigma_loop(a, c, n, x_section)
-        try:
-            theta = lift_theta_along(pts, a, c, seed_sign).theta
-        except LiftAmbiguity:
-            n, prev = 2 * n, None
-            continue
-        residue = 2.0 * (theta[-1] - theta[0])
-        if abs(residue) > 1e-9:
-            raise LiftAmbiguity(
-                f"angle lift failed to close around the section loop "
-                f"(winding residue {residue:.3g})")
-        rho = _loop_rho(n)[:n]
-        total = float(np.sum(np.sin(theta[:n]) / np.sqrt(
-            c + 1.0 - ap + (ap + c - 1.0) * np.cos(rho) ** 2)))
-        value = 2.0 * math.sqrt(2.0) * 2.0 * math.pi * total / n
-        if prev is not None and abs(value - prev) < tol:
-            return value
-        n, prev = 2 * n, value
-    raise QuadratureFailure(
-        f"throat period not within {tol:g} at {MAX_PERIOD_NODES} nodes")
+    return _ThroatLoop(a, c, x_section).period(seed_sign, tol, samples)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densitylab import cli, minimal_graphs as mg, sphere_maps as sm
 from densitylab.errors import ParamViolation, UsageError
@@ -563,6 +563,21 @@ def _mostly(valid):
     return st.integers(0, 2).flatmap(lambda i: valid if i else _ODD)
 
 
+def _main_answers(out, suite, mode, doc):
+    """cli.main on doc in the directory out answers with exit code 0, 1 or 2
+    and, on 2, one stderr line, never with a traceback or a warning."""
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([suite, mode, "--config", str(cfg), "--out", str(out)])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
 # trials is always given: its default, 50, would make an example slow
 _IDENTITY_PARAMS = st.fixed_dictionaries({"trials": _mostly(st.integers(1, 3))}, optional={
     "dims": _mostly(st.lists(_mostly(st.integers(3, 5)), max_size=3)),
@@ -574,18 +589,44 @@ _IDENTITY_PARAMS = st.fixed_dictionaries({"trials": _mostly(st.integers(1, 3))},
 def test_harmonic_identities_documents_exit_0_1_or_2(tmp_path_factory, params, seed):
     # sizes stay small (dims <= 5, degree <= 3, trials <= 3), so each
     # example is cheap; whatever the values, main answers with an exit code
-    # and, on 2, one stderr line, never with a traceback
-    out = tmp_path_factory.mktemp("identities")
-    cfg = out / "cfg.json"
-    cfg.write_text(json.dumps({"params": params, "seed": seed}))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main(["harmonic", "identities", "--config", str(cfg), "--out", str(out)])
-    assert rc in (0, 1, 2)
-    if rc == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
+    _main_answers(tmp_path_factory.mktemp("identities"), "harmonic", "identities",
+                  {"params": params, "seed": seed})
+
+
+def _from_uv(uv):
+    """(a, c) from u = a - c and v = a + c; the strip is |u| < 1 < v."""
+    u, v = uv
+    return [(v + u) / 2.0, (v - u) / 2.0]
+
+
+_INSIDE = st.tuples(st.floats(-0.99, 0.99), st.floats(1.01, 4.0)).map(_from_uv)
+_OUTSIDE = (st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0))
+            | st.tuples(st.floats(1.0, 3.0) | st.floats(-3.0, -1.0),
+                        st.floats(0.0, 4.0))).map(_from_uv)
+# any two floats (huge, tiny, inf and nan included), or a = c of any size,
+# which lies inside the strip from a = 0.5 on
+_ANY_PAIR = (st.lists(st.floats(), min_size=2, max_size=2)
+             | st.floats(min_value=0.5).map(lambda a: [a, a]))
+# one pair inside the strip, one outside it and one of any floats; each of
+# them, or the whole list, may be odd
+_FAMILY_PAIRS = _mostly(st.tuples(*(_mostly(p) for p in (_INSIDE, _OUTSIDE, _ANY_PAIR)))
+                        .map(list))
+# winding only; cosh overflows from 710 on
+_HALF_WIDTH = _mostly(st.floats(0.0, 30.0) | st.sampled_from([710.0, 1e9, math.inf])
+                      | st.floats())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["period", "winding"]), _FAMILY_PAIRS, _HALF_WIDTH)
+@example("period", [[6.703903964971299e+153] * 2], 8.0)   # (a + c)^2 overflows float **
+@example("winding", [[8.98846567431158e+307] * 2], 0.0)   # a cosh(R) + c overflows
+def test_families_documents_exit_0_1_or_2(tmp_path_factory, mode, pairs, half_width):
+    # whatever the pairs, main answers with an exit code; numpy warnings are
+    # errors under this suite's filter
+    params = {"pairs": pairs}
+    if mode == "winding":
+        params["rectangle_half_width"] = half_width
+    _main_answers(tmp_path_factory.mktemp(mode), "families", mode, {"params": params})
 
 
 def test_readme_parameter_table_matches_the_mode_table():

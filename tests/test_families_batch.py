@@ -197,6 +197,10 @@ def test_two_theta_solutions_batch_matches_scalar():
 def test_batch_without_status_raises_the_first_elements_message():
     with pytest.raises(DomainViolation, match=r"^need x > 0, got -0\.2$"):
         mg.scherk_u_jet(np.array([0.5, -0.2, -0.3]), np.zeros(3))
+    # a broadcast grid (families verify's psi x x x y) counts in C order
+    with pytest.raises(DomainViolation, match=r"^need x > 0, got -0\.2$"):
+        mg.scherk_u_jet(np.array([0.5, -0.2, -0.3]).reshape(1, 3, 1),
+                        np.zeros((1, 1, 2)), np.zeros((2, 1, 1)))
     with pytest.raises(DomainViolation,
                        match=r"^\(0\.1, 0\.2\) outside the domain of HeliCatenoid"):
         mg.mu_jet(mg.HeliCatenoid(0.9), np.array([1.0, 0.1]), np.array([0.0, 0.2]))

@@ -398,17 +398,6 @@ def test_lift_rejects_off_surface_points():
                              mg.SurfacePoint(0.1, 0.0, 5.0)], 1.0, 1.0)
 
 
-def test_zeta_form_basics():
-    pt = mg.SurfacePoint(0.5, 0.2, 0.0)  # z unused by the graph chart
-    zx, zy = mg.zeta_form(pt, 0.0, 1.0, 1.0)
-    assert zy == 0.0 and zx > 0.0
-    far = mg.SurfacePoint(9.0, 0.0, 0.0)
-    fx, fy = mg.zeta_form(far, 0.7, 1.0, 1.0)
-    assert math.hypot(fx, fy) < 1e-1
-    with pytest.raises(mg.FoldSingularity):
-        mg.zeta_form(mg.SurfacePoint(0.0, math.pi / 2, 0.0), 0.1, 1.0, 1.0)
-
-
 def _period_oracle(a, c, n=20000):
     """Midpoint-rule quadrature of the height form in the y-chart.
 
