@@ -20,21 +20,18 @@ _EXPORTS = {
         "ConstantPlane", "DensityFamily", "DoublyPeriodic", "FirstIntegrals",
         "HeliCatenoid", "LiftedAngle", "ScherkFifth", "SurfacePoint",
         "c_system_residual", "compatibility_data", "density_value",
-        "first_integrals", "lift_theta_along", "minimal_residual", "mu_C_from_F",
-        "period_sigma", "reconstruct_u", "scherk_closed_form", "theta_gradient",
-        "two_theta_solutions",
+        "first_integrals", "lift_theta_along", "minimal_residual", "period_sigma",
+        "reconstruct_u", "scherk_closed_form", "two_theta_solutions",
     ),
     "calabi": (
         "CompatibilityData", "GradientPair", "band_metric", "candidates_batch",
         "compatibility_extract", "el_residual", "ellipse_param", "lagrangian_L",
-        "psi_components", "theta_gradient_calabi", "third_order_residual",
-        "two_theta_candidates",
+        "theta_gradient_calabi", "third_order_residual", "two_theta_candidates",
     ),
     "harmonic": (
         "HarmonicElement", "Poly", "SpectralParams", "a_sequence",
-        "admissible_lambda", "b_coeff", "brace", "dim_harmonics", "dot",
-        "harmonic_decompose", "identity_suite", "inner", "laplacian", "so_action",
-        "vee",
+        "admissible_lambda", "b_coeff", "dim_harmonics", "dot", "identity_suite",
+        "inner", "so_action", "vee",
     ),
     "sphere_maps": (
         "GramMatrix", "HarmonicBasis", "KernelCertificate", "SphericalHarmonicMap",

@@ -160,18 +160,6 @@ def ellipse_param(phi: float, theta: float) -> GradientPair:
     return GradientPair(math.cos(theta - phi) / s, math.cos(theta + phi) / s)
 
 
-def psi_components(g: GradientPair) -> tuple[float, float]:
-    """Components of the Euler-Lagrange 1-form psi at a gradient point.
-
-    psi = [N1(p,q) dx + N2(p,q) dy] / radicand^(3/2) with
-    N1 = (p^4 - q^4 - 2p^2 + 1) p and N2 = -(q^4 - p^4 - 2q^2 + 1) q;
-    closedness of psi is the Euler-Lagrange equation.
-    """
-    g.validate()
-    px, py = _psi_raw(g.p, g.q)
-    return px, py
-
-
 def _psi_numerators(p, q, p4, q4):
     """The numerators (N1, N2) of psi, on jets or floats, given p4 = p**4, q4 = q**4."""
     n1 = (p4 - q4 - 2.0 * p * p + 1.0) * p

@@ -195,63 +195,67 @@ def _families_verify(sc: Scenario) -> list[dict]:
     from . import minimal_graphs as mg
     p, tol = sc.args, sc.tolerances
     checks = []
-    # Scherk: closed-form jets on a psi x x x y grid, as one batch of shape
-    # (psi, x, y) broadcast from its three axes, so that cos(y + psi) runs
-    # once per (psi, y) and sinh x once per x; raveled in psi, x, y order
-    xs, ys = _grid_points(p)
-    psis = p["psi_values"]
-    psi, x, y = (np.reshape(axis, shape) for axis, shape in
-                 ((psis, (-1, 1, 1)), (xs, (1, -1, 1)), (ys, (1, 1, -1))))
-    uj = mg.scherk_u_jet(x, y, psi, order=2)
-    r = np.abs(mg.minimal_residual(uj)).ravel()
-    # 1 + |grad u|^2 = coth^2 x relative to coth^2 x, near 1/x^2 at the edge
-    coth2 = 1.0 / np.tanh(x) ** 2
-    d = np.abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - coth2) / coth2
-    # the first largest residual in psi, x, y loop order; none if all are 0
-    k = int(np.argmax(r))
-    worst_res, worst_den = float(r[k]), float(np.max(d))
-    at = None
-    if worst_res > 0.0:
-        i, j, l = np.unravel_index(k, (len(psis), len(xs), len(ys)))
-        at = (psis[i], xs[j], ys[l])
-    checks.append(_check("scherk_minimal_residual", worst_res < tol["algebraic"],
-                         worst_res, witness=str(at)))
-    checks.append(_check("scherk_density_identity", worst_den < 1e-10, worst_den))
+    # a non-finite value fails its check: every worst value is taken by a
+    # numpy reduction, which keeps a nan that Python's max would drop, so
+    # numpy's warnings about such values are not needed
+    with np.errstate(all="ignore"):
+        # Scherk: closed-form jets on a psi x x x y grid, as one batch of shape
+        # (psi, x, y) broadcast from its three axes, so that cos(y + psi) runs
+        # once per (psi, y) and sinh x once per x; raveled in psi, x, y order
+        xs, ys = _grid_points(p)
+        psis = p["psi_values"]
+        psi, x, y = (np.reshape(axis, shape) for axis, shape in
+                     ((psis, (-1, 1, 1)), (xs, (1, -1, 1)), (ys, (1, 1, -1))))
+        uj = mg.scherk_u_jet(x, y, psi, order=2)
+        r = np.abs(mg.minimal_residual(uj)).ravel()
+        # 1 + |grad u|^2 = coth^2 x relative to coth^2 x, near 1/x^2 at the edge
+        coth2 = 1.0 / np.tanh(x) ** 2
+        d = np.abs(1.0 + uj.dx ** 2 + uj.dy ** 2 - coth2) / coth2
+        # the first largest (or first nan) residual in psi, x, y loop order;
+        # none if all are 0
+        k = int(np.argmax(r))
+        worst_res, worst_den = float(r[k]), float(np.max(d))
+        at = None
+        if worst_res != 0.0:
+            i, j, l = np.unravel_index(k, (len(psis), len(xs), len(ys)))
+            at = (psis[i], xs[j], ys[l])
+        checks.append(_check("scherk_minimal_residual", worst_res < tol["algebraic"],
+                             worst_res, witness=str(at)))
+        checks.append(_check("scherk_density_identity", worst_den < 1e-10, worst_den))
 
-    # doubly periodic: first integrals and closure system on the grid points
-    # of the domain, as one batch
-    fam = mg.DoublyPeriodic(p["a"], p["c"])
-    fam.validate()
-    x, y = _grid([0.2 + 0.15 * i for i in range(12)],
-                 [-1.0 + 0.17 * j for j in range(12)])
-    inside = fam.contains(x, y)
-    if inside.any():
-        C = mg.family_C_jet(fam, x[inside], y[inside])
-        fi = mg.first_integrals(C)
-        spread = max(float(np.ptp(v)) for v in (fi.a1, fi.a2, fi.a3))
-        worst_sys = max(float(np.max(np.abs(v))) for v in mg.c_system_residual(C))
-        checks.append(_check("dp_first_integral_spread",
-                             spread < tol["integral_spread"], spread))
-        checks.append(_check("dp_closure_system", worst_sys < 1e-10, worst_sys))
-    else:
-        empty = "no point of the 12 x 12 grid lies in the domain"
-        checks.append(_check("dp_first_integral_spread", False, witness=empty))
-        checks.append(_check("dp_closure_system", False, witness=empty))
+        # doubly periodic: first integrals and closure system on the grid points
+        # of the domain, as one batch
+        fam = mg.DoublyPeriodic(p["a"], p["c"])
+        fam.validate()
+        x, y = _grid([0.2 + 0.15 * i for i in range(12)],
+                     [-1.0 + 0.17 * j for j in range(12)])
+        inside = fam.contains(x, y)
+        if inside.any():
+            C = mg.family_C_jet(fam, x[inside], y[inside])
+            fi = mg.first_integrals(C)
+            spread = float(np.max([np.ptp(v) for v in (fi.a1, fi.a2, fi.a3)]))
+            worst_sys = float(np.max(np.abs(mg.c_system_residual(C))))
+            checks.append(_check("dp_first_integral_spread",
+                                 spread < tol["integral_spread"], spread))
+            checks.append(_check("dp_closure_system", worst_sys < 1e-10, worst_sys))
+        else:
+            empty = "no point of the 12 x 12 grid lies in the domain"
+            checks.append(_check("dp_first_integral_spread", False, witness=empty))
+            checks.append(_check("dp_closure_system", False, witness=empty))
 
-    # heli-catenoid: both branches solve the slope relation on four probes,
-    # as one batch; validating first keeps the scalar loop's error order
-    heli = mg.HeliCatenoid(p["phi"])
-    heli.validate()
-    mj = mg.mu_jet(heli, np.array([1.0, 0.8, 1.4, 2.0]),
-                   np.array([0.2, -0.5, 1.0, 0.0]))
-    data = mg.compatibility_data(mj)
-    worst_plug = 0.0
-    for c2, s2 in mg.two_theta_solutions(mj):
-        plug = np.abs(data.coef_cos * c2 + data.coef_sin * s2 - data.rhs)
-        unit = np.abs(c2 * c2 + s2 * s2 - 1.0)
-        worst_plug = max(worst_plug, float(np.max(plug)), float(np.max(unit)))
-    checks.append(_check("heli_branch_residual", worst_plug < tol["algebraic"],
-                         worst_plug))
+        # heli-catenoid: both branches solve the slope relation on four probes,
+        # as one batch; validating first keeps the scalar loop's error order
+        heli = mg.HeliCatenoid(p["phi"])
+        heli.validate()
+        mj = mg.mu_jet(heli, np.array([1.0, 0.8, 1.4, 2.0]),
+                       np.array([0.2, -0.5, 1.0, 0.0]))
+        data = mg.compatibility_data(mj)
+        worst_plug = float(np.max([
+            (np.abs(data.coef_cos * c2 + data.coef_sin * s2 - data.rhs),
+             np.abs(c2 * c2 + s2 * s2 - 1.0))
+            for c2, s2 in mg.two_theta_solutions(mj)]))
+        checks.append(_check("heli_branch_residual", worst_plug < tol["algebraic"],
+                             worst_plug))
     return checks
 
 
@@ -456,6 +460,12 @@ def _harmonic_identities(sc: Scenario) -> list[dict]:
 def _harmonic_spectrum(sc: Scenario) -> list[dict]:
     from . import harmonic
     p, checks = sc.args, []
+    need = max((_deciding_m_max(n, p["lambda_max"]) for n in p["dims"] if n >= 3),
+               default=0)
+    if p["m_max"] < need:
+        raise UsageError(f"params of harmonic spectrum: m_max is {p['m_max']}; "
+                         f"lambda_max {p['lambda_max']} on dims {p['dims']} "
+                         f"needs m_max >= {need} to decide every eigenvalue")
     for n in p["dims"]:
         ok = True
         witness = None
@@ -476,6 +486,17 @@ def _harmonic_spectrum(sc: Scenario) -> list[dict]:
                 break
         checks.append(_check(f"dichotomy[n={n}]", ok, exact=True, witness=witness))
     return checks
+
+
+def _deciding_m_max(n: int, lam_max: int) -> int:
+    """The fewest terms A_1..A_m_max that decide every lambda <= lam_max on
+    R^n with K = 1: k + 1, k the least integer with k(n + k - 1) >= lam_max.
+    A_(k+1) is the first zero of an admissible lambda = k(n + k - 1), and
+    the first negative term of any lambda between (k-1)(n + k - 2) and it."""
+    k = 0
+    while k * (n + k - 1) < lam_max:
+        k += 1
+    return k + 1
 
 
 def _harmonic_dims(sc: Scenario) -> list[dict]:
@@ -566,7 +587,7 @@ def _maps_verify(sc: Scenario) -> list[dict]:
         checks.append(_check("constructed_energy", False,
                              witness="not run: h(G0) != R^m"))
         return checks
-    the_map = sm._construct_map(G0, basis, base_checked=True)
+    the_map = sm.construct_map(G0, basis)
     pts = sm.random_sphere_points(n_amb, 50, sc.seed)
     worst = abs(sm.energy_density(the_map, pts) - the_map.eigenvalue).max()
     checks.append(_check("constructed_energy", worst < sc.tolerances["energy"],

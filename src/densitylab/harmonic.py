@@ -30,8 +30,7 @@ the harmonic projection of the product, rescaled.  The inner product is
 the Fischer pairing <f, g> = sum_alpha alpha! f_alpha g_alpha over the
 shared monomials x^alpha.  On harmonic f, g of the same degree d (its
 precondition) it equals the Laplacian form (-Delta)^d (f g) / (2^d d!)
-exactly.  The bracket {f, g} in H_1 is defined by
-{f, g} . alpha = <f, g . alpha>.
+exactly.
 
 The spectral side: b_m(lambda) = (lambda - m(n+m-1) K)/((n+2m)(n+2m-2))
 controls the recursion A_{m+1} = b_m (m+n-2)(n+2m)/(m+1) A_m of squared
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd
 from operator import or_
 from typing import Optional
 
@@ -383,11 +382,6 @@ def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
     return _add_product({}, 1, nums1.items(), nums2.items())
 
 
-def laplacian(p: Poly) -> Poly:
-    """Geometer's Laplacian: minus the trace of the Hessian."""
-    return p.analyst_laplacian().scale(-1)
-
-
 @dataclass(frozen=True)
 class HarmonicElement:
     """A homogeneous polynomial annihilated by the Laplacian, exactly."""
@@ -412,28 +406,8 @@ class SpectralParams:
 
 
 # ----------------------------------------------------------------------
-# harmonic decomposition
+# harmonic projection
 # ----------------------------------------------------------------------
-
-def harmonic_decompose(p: Poly, degree: Optional[int] = None
-                       ) -> tuple[HarmonicElement, Poly]:
-    """Split a homogeneous p uniquely as p = h + R r with h harmonic.
-
-    h is the first of the harmonic shells p_k of p (see _harmonic_shells)
-    and r = sum_{k >= 1} R^(k-1) p_k, by Horner; everything stays in exact
-    rationals and no linear systems are solved.
-    """
-    d = p.homogeneous_degree() if degree is None else degree
-    if degree is not None and not p.is_zero() and p.homogeneous_degree() != degree:
-        raise NotHomogeneous(f"expected degree {degree}")
-    n = p.nvars
-    if p.is_zero():
-        return HarmonicElement(p, max(d, 0)), Poly.zero(n)
-    shells = _harmonic_shells(p, d)
-    R = Poly.radius_squared(n)
-    r = reduce(lambda acc, shell: shell + R * acc, shells[:0:-1], Poly.zero(n))
-    return HarmonicElement(shells[0], d), r
-
 
 def _laplacian_powers(p: Poly, d: int) -> list[Poly]:
     """[p, L p, ..., L^(d // 2) p], L the analyst's Laplacian."""
@@ -463,22 +437,6 @@ def _harmonic_part(powers: list[Poly], d: int) -> Poly:
         acc = _add_multiple(_product_numerators(R, acc, n),
                             w * (den // powers[j].den), powers[j].nums)
     return Poly._make(n, C * den, acc)
-
-
-def _harmonic_shells(p: Poly, d: int) -> list[Poly]:
-    """The harmonic p_k of the expansion p = sum_k R^k p_k, k = 0..d // 2.
-
-    p is nonzero and homogeneous of degree d (not checked).  L^k p is
-    sum_{kk >= k} c_{k,kk} R^(kk-k) p_kk, whose harmonic part is the kk = k
-    term: p_k = H[L^k p] / c_kk, c_kk = prod_{t=1..k} 2t (n + 2d - 4k + 2t - 2),
-    from the one list of Laplacian powers of p.
-    """
-    powers = _laplacian_powers(p, d)
-    shells = []
-    for k in range(d // 2 + 1):
-        c_kk = prod(2 * t * (p.nvars + 2 * d - 4 * k + 2 * t - 2) for t in range(1, k + 1))
-        shells.append(_harmonic_part(powers[k:], d - 2 * k).scale(Fraction(1, c_kk)))
-    return shells
 
 
 # ----------------------------------------------------------------------
@@ -551,21 +509,6 @@ def _fischer_sum(nums1: dict, nums2: dict) -> int:
     """sum alpha! a_alpha b_alpha over the keys alpha that two integer term
     dicts share: their Fischer pairing."""
     return sum(_fischer_weight(e) * a * nums2[e] for e, a in nums1.items() if e in nums2)
-
-
-def brace(f: HarmonicElement, g: HarmonicElement) -> HarmonicElement:
-    """The H_1-valued pairing with {f, g} . alpha = <f, g . alpha>."""
-    if g.degree != f.degree + 1:
-        raise DegreeMismatch(
-            f"need deg(g) = deg(f) + 1, got {g.degree} vs {f.degree}")
-    n = f.poly.nvars
-    out = Poly.zero(n)
-    for i in range(n):
-        xi = HarmonicElement(Poly.variable(n, i), 1)
-        coef = inner(f, dot(g, xi))
-        if coef:
-            out = out + Poly.variable(n, i).scale(coef)
-    return HarmonicElement(out, 1)
 
 
 # ----------------------------------------------------------------------

@@ -261,19 +261,6 @@ def density_value(family: DensityFamily, x: float, y: float) -> float:
     return family.density(x, y)
 
 
-def mu_C_from_F(F: float) -> tuple[float, float]:
-    """Invert F = coth(mu): returns (mu, C) with C = cosh(2 mu).
-
-    C has the closed form (F^2+1)/(F^2-1), which is what makes the closure
-    system of the compatibility analysis polynomial.
-    """
-    if not F > 1.0:
-        raise DomainViolation(f"F must exceed 1, got {F}")
-    mu = 0.5 * math.log((F + 1.0) / (F - 1.0))
-    C = (F * F + 1.0) / (F * F - 1.0)
-    return mu, C
-
-
 def family_C_jet(family: DensityFamily, x: float, y: float, order: int = 3) -> Jet:
     """Analytic jet of C = cosh(2 mu) for the family at (x, y)."""
     family.validate()
@@ -299,27 +286,6 @@ def mu_jet(family: DensityFamily, x: float, y: float, order: int = 3,
 # ----------------------------------------------------------------------
 # the slope-angle system and its compatibility data
 # ----------------------------------------------------------------------
-
-def theta_gradient(mu: Jet, theta: float) -> tuple[float, float]:
-    """Gradient of the angle field theta forced by the mu field.
-
-    Solves the pair (minimal surface equation, symmetry of mixed partials
-    of u) for (theta_x, theta_y):
-
-        sinh(2mu) theta_x =  sin(2th) mu_x - (cosh(2mu) + cos(2th)) mu_y
-        sinh(2mu) theta_y = -sin(2th) mu_y + (cosh(2mu) - cos(2th)) mu_x
-    """
-    if mu.order < 1:
-        raise ParamViolation("mu jet must carry first derivatives")
-    s2m = math.sinh(2.0 * mu.value)
-    if abs(s2m) < TOL_SING:
-        raise Singularity(f"sinh(2 mu) = {s2m} below tolerance")
-    c2m = math.cosh(2.0 * mu.value)
-    s2t, c2t = math.sin(2.0 * theta), math.cos(2.0 * theta)
-    tx = (s2t * mu.dx - (c2m + c2t) * mu.dy) / s2m
-    ty = (-s2t * mu.dy + (c2m - c2t) * mu.dx) / s2m
-    return tx, ty
-
 
 @dataclass(frozen=True)
 class CompatibilityData:

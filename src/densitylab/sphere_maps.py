@@ -747,27 +747,21 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     h(G) = sum_k f_k^2 piv_k with f_k = (row_k . h) / piv_k.  Each pivot
     piv_k = a/b in lowest terms is (s_1/b)^2 + ... with the fewest integer
     squares sum s_i^2 = a b (_fewest_squares), and step k gives the
-    components f_k s_i / b.  Their sum of squares minus R^m must be the
-    zero polynomial.  The fewest rational squares of a positive rational do
-    not depend on how it is written (Davenport-Cassels), so G fixes the
-    number of components: rank(G) when every pivot is a rational square,
-    at most 4 rank(G).  Raises NotPSD (with an exact witness) for
-    indefinite G, and ParamViolation when h(G) != R^m or a pivot has
-    a b >= 2^40.
+    components f_k s_i / b, whose squares sum to f_k^2 piv_k.  The fewest
+    rational squares of a positive rational do not depend on how it is
+    written (Davenport-Cassels), so G fixes the number of components:
+    rank(G) when every pivot is a rational square, at most 4 rank(G).
+    ldlt returns no witness only when the Schur complement left after the
+    last step is zero, so the components' sum of squares is h(G) itself,
+    and the one exact check, sum of squares minus R^m = 0, decides h(G) =
+    R^m.  Raises NotPSD (with an exact witness) for indefinite G, and
+    ParamViolation when h(G) != R^m or a pivot has a b >= 2^40.
     """
-    return _construct_map(G, basis, base_checked=False)
-
-
-def _construct_map(G: GramMatrix, basis: HarmonicBasis,
-                   base_checked: bool) -> SphericalHarmonicMap:
-    """construct_map; base_checked: the caller has found h(G) = R^m exactly."""
     if G.dim != basis.dim:
         raise DimensionMismatch("Gram matrix does not match basis")
     steps, witness = G.ldlt()
     if witness is not None:
         raise NotPSD("Gram matrix is not positive semidefinite", witness)
-    if not base_checked and h_of_G(G, basis) != radius_power(basis.n_ambient, basis.m):
-        raise ParamViolation("h(G) != R^m; not a sum-of-squares certificate")
     comps = []
     for _, row, piv in steps:
         f = Poly.zero(basis.n_ambient)
@@ -777,9 +771,8 @@ def _construct_map(G: GramMatrix, basis: HarmonicBasis,
         f = f.scale(1 / piv)
         b = piv.denominator
         comps += [f.scale(Fraction(s, b)) for s in _fewest_squares(piv.numerator * b)]
-    resid = _sum_sq_minus_Rm_exact(comps, basis.n_ambient, basis.m)
-    if not resid.is_zero():
-        raise ParamViolation("exact factorization verification failed")
+    if not _sum_sq_minus_Rm_exact(comps, basis.n_ambient, basis.m).is_zero():
+        raise ParamViolation("h(G) != R^m; not a sum-of-squares certificate")
     return SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(comps))
 
 

@@ -124,21 +124,21 @@ def test_band_metric_guards():
 # ----------------------------------------------------------------------
 
 def test_psi_components_at_unit_gradient():
-    px, py = cb.psi_components(cb.GradientPair(1.0, 1.0))
+    px, py = cb._psi_raw(1.0, 1.0)
     assert px == pytest.approx(-(3.0 ** -1.5), abs=1e-16)
     assert py == pytest.approx(3.0 ** -1.5, abs=1e-16)
 
 
 def test_psi_antisymmetric_on_diagonal():
     for p in (0.8, 1.0, 1.3):
-        px, py = cb.psi_components(cb.GradientPair(p, p))
+        px, py = cb._psi_raw(p, p)
         assert px == pytest.approx(-py, abs=1e-15)
 
 
 def test_psi_smooth_on_compact_subset():
     for p in (0.9, 1.1, 1.4):
         for q in (0.9, 1.1, 1.4):
-            px, py = cb.psi_components(cb.GradientPair(p, q))
+            px, py = cb._psi_raw(p, q)
             assert math.isfinite(px) and math.isfinite(py)
 
 
@@ -153,8 +153,7 @@ def test_el_residual_matches_finite_difference_form():
     h = 1e-5
     for eps in (1e-2, 1e-3, 1e-4):
         def psi_field(x, y):
-            return cb.psi_components(
-                cb.GradientPair(a + 2 * eps * x, b - 2 * eps * y))
+            return cb._psi_raw(a + 2 * eps * x, b - 2 * eps * y)
 
         fd = ((psi_field(x0 + h, y0)[1] - psi_field(x0 - h, y0)[1]) / (2 * h)
               - (psi_field(x0, y0 + h)[0] - psi_field(x0, y0 - h)[0]) / (2 * h))

@@ -280,6 +280,19 @@ def test_families_verify_passes_near_the_scherk_edge(tmp_path, capsys):
     assert check["status"] == "pass" and check["max_residual"] < 1e-13
 
 
+def test_families_verify_fails_a_nan_first_integral(tmp_path, capsys):
+    # at a = c = 1e200 the first integral a3 is nan at every grid point of
+    # the domain; Python's max over the three spreads dropped it, and the
+    # check passed with max_residual 0
+    rc, err = _main_error(tmp_path, capsys, "families", "verify", {
+        "params": {"a": 1e200, "c": 1e200}, "grid": {"nx": 2, "ny": 2}})
+    assert rc == 1 and err == ""
+    report = json.loads((tmp_path / "report_families_verify.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["dp_first_integral_spread"]["status"] == "fail"
+    assert math.isnan(checks["dp_first_integral_spread"]["max_residual"])
+
+
 def test_families_verify_fails_when_no_grid_point_is_in_the_domain():
     # a valid pair whose C stays below 1 + 1e-6 on the whole 12 x 12 grid
     fam = mg.DoublyPeriodic(1e-5, 0.9999901)
@@ -522,6 +535,21 @@ def test_counts_that_check_nothing_exit_2_in_one_line(tmp_path, capsys, suite, m
     assert f"{next(iter(params))} is " in err
 
 
+@pytest.mark.parametrize("m_max", [-2, 0, 1, 2])
+def test_spectrum_with_too_few_terms_to_decide_exits_2(tmp_path, capsys, m_max):
+    # lambda = 8 = 2 (3 + 2 - 1) on R^3 has its first zero at A_3; with
+    # fewer terms the dichotomy read as failed (at lambda = 1 for m_max 1,
+    # at lambda = 0 for m_max <= 0), though nothing had been decided
+    params = {"dims": [3], "lambda_max": 8}
+    rc, err = _main_error(tmp_path, capsys, "harmonic", "spectrum",
+                          {"params": {**params, "m_max": m_max}})
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: UsageError:") and "needs m_max >= 3" in err
+    rc, _ = _main_error(tmp_path, capsys, "harmonic", "spectrum",
+                        {"params": {**params, "m_max": 3}})
+    assert rc == 0
+
+
 @pytest.mark.parametrize("suite,mode", list(cli._MODES))
 def test_default_scenarios_exit_0(tmp_path, capsys, suite, mode):
     assert cli.main([suite, mode, "--out", str(tmp_path)]) == 0
@@ -565,7 +593,8 @@ def _mostly(valid):
 
 def _main_answers(out, suite, mode, doc):
     """cli.main on doc in the directory out answers with exit code 0, 1 or 2
-    and, on 2, one stderr line, never with a traceback or a warning."""
+    and, on 2, one stderr line, never with a traceback or a warning; no
+    check of its report passes with a non-finite max_residual."""
     cfg = out / "cfg.json"
     cfg.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -574,8 +603,11 @@ def _main_answers(out, suite, mode, doc):
     assert rc in (0, 1, 2)
     if rc == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
+        return
+    assert err.getvalue() == ""
+    report = json.loads((out / f"report_{suite}_{mode}.json").read_text())
+    for check in report["checks"]:   # a pass never rests on a nan or inf
+        assert check["status"] == "fail" or math.isfinite(check.get("max_residual", 0.0))
 
 
 # trials is always given: its default, 50, would make an example slow
@@ -627,6 +659,31 @@ def test_families_documents_exit_0_1_or_2(tmp_path_factory, mode, pairs, half_wi
     if mode == "winding":
         params["rectangle_half_width"] = half_width
     _main_answers(tmp_path_factory.mktemp(mode), "families", mode, {"params": params})
+
+
+# a grid of at most 4 x 4 points whose x_min reaches down to 1e-300
+_VERIFY_GRID = st.fixed_dictionaries({}, optional={
+    "x_min": _mostly(st.floats(0.0, 3.0) | st.sampled_from([1e-300, 5e-324]) | st.floats()),
+    "x_max": _mostly(st.floats(0.0, 3.0) | st.floats()),
+    "y_min": _mostly(st.floats()), "y_max": _mostly(st.floats()),
+    "nx": _mostly(st.integers(2, 4)), "ny": _mostly(st.integers(2, 4))})
+_VERIFY_PARAMS = st.fixed_dictionaries({}, optional={
+    "ac": _ANY_PAIR, "phi": _mostly(st.floats(0.0, 1.6) | st.floats()),
+    "psi_values": _mostly(st.lists(_mostly(st.floats()), max_size=3))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_VERIFY_PARAMS, _VERIFY_GRID)
+@example({"ac": [1e200, 1e200]}, {"nx": 2, "ny": 2})   # a3 is nan at every point
+@example({}, {"x_min": 1e-300, "nx": 2, "ny": 2})      # 1/tanh(x) divides by zero
+def test_families_verify_documents_exit_0_1_or_2(tmp_path_factory, params, grid):
+    # a, c of any size; whatever the values, main answers with an exit code,
+    # and a non-finite residual fails its check
+    params = dict(params)
+    if "ac" in params:
+        params["a"], params["c"] = params.pop("ac")
+    _main_answers(tmp_path_factory.mktemp("verify"), "families", "verify",
+                  {"params": params, "grid": grid})
 
 
 def test_readme_parameter_table_matches_the_mode_table():

@@ -15,7 +15,6 @@ from densitylab.errors import (
     DegreeViolation,
     DensityLabError,
     IdentityFailure,
-    NotHomogeneous,
     ParamViolation,
 )
 from densitylab.harmonic import HarmonicElement, Poly
@@ -26,33 +25,57 @@ def x(i, n=3):
 
 
 # ----------------------------------------------------------------------
-# Laplacian and decomposition
+# Laplacian and harmonic projection
 # ----------------------------------------------------------------------
+
+def harmonic_part(p, d=None):
+    """H[p] by the closed form, for p homogeneous of degree d."""
+    d = p.homogeneous_degree() if d is None else d
+    return ha._harmonic_part(ha._laplacian_powers(p, d), d)
+
+
+def quotient_by_R(p):
+    """q with p = R q, or None when R does not divide p: long division on
+    the lex-leading term x0^2 of R, exact since {R} is a Groebner basis."""
+    rest, q = dict(p.terms), {}
+    while any(e[0] >= 2 for e in rest):
+        e = max(e for e in rest if e[0] >= 2)
+        c = rest.pop(e)
+        f = (e[0] - 2, *e[1:])
+        q[f] = c
+        for i in range(1, p.nvars):   # subtract c x^f (R - x0^2)
+            g = f[:i] + (f[i] + 2,) + f[i + 1:]
+            rest[g] = rest.get(g, 0) - c
+            if not rest[g]:
+                del rest[g]
+    return None if rest else Poly(p.nvars, q)
+
 
 def test_laplacian_examples():
     n = 3
-    assert ha.laplacian(Poly(n, {(2, 0, 0): 1})) == Poly(n, {(0, 0, 0): -2})
-    assert ha.laplacian(Poly.radius_squared(n)) == Poly(n, {(0, 0, 0): -2 * n})
-    assert ha.laplacian(Poly(n, {(2, 0, 0): 2, (0, 2, 0): -1, (0, 0, 2): -1})) \
-        .is_zero()
+    assert Poly(n, {(2, 0, 0): 1}).analyst_laplacian() == Poly(n, {(0, 0, 0): 2})
+    assert Poly.radius_squared(n).analyst_laplacian() == Poly(n, {(0, 0, 0): 2 * n})
+    assert Poly(n, {(2, 0, 0): 2, (0, 2, 0): -1, (0, 0, 2): -1}) \
+        .analyst_laplacian().is_zero()
 
 
 def test_decompose_examples():
     n = 3
-    h, r = ha.harmonic_decompose(Poly.radius_squared(n))
-    assert h.poly.is_zero() and r == Poly.one(n)
-    h, r = ha.harmonic_decompose(Poly(n, {(2, 0, 0): 1}))
-    assert h.poly == Poly(n, {(2, 0, 0): Fraction(2, 3), (0, 2, 0): Fraction(-1, 3),
-                              (0, 0, 2): Fraction(-1, 3)})
-    assert r == Poly(n, {(0, 0, 0): Fraction(1, 3)})
+    R = Poly.radius_squared(n)
+    assert harmonic_part(R).is_zero() and quotient_by_R(R) == Poly.one(n)
+    p = Poly(n, {(2, 0, 0): 1})
+    h = harmonic_part(p)
+    assert h == Poly(n, {(2, 0, 0): Fraction(2, 3), (0, 2, 0): Fraction(-1, 3),
+                         (0, 0, 2): Fraction(-1, 3)})
+    assert quotient_by_R(p - h) == Poly(n, {(0, 0, 0): Fraction(1, 3)})
+    assert quotient_by_R(p) is None
 
 
 def test_decompose_idempotent_on_harmonics():
     rng = random.Random(11)
     for n in (3, 4, 5):
         f = ha.random_harmonic(n, 3, rng)
-        h, r = ha.harmonic_decompose(f.poly)
-        assert h.poly == f.poly and r.is_zero()
+        assert harmonic_part(f.poly, 3) == f.poly
 
 
 def test_decompose_reconstructs_exactly():
@@ -63,14 +86,15 @@ def test_decompose_reconstructs_exactly():
             p = Poly(n, terms)
             if p.is_zero():
                 continue
-            h, r = ha.harmonic_decompose(p)
-            assert h.poly + Poly.radius_squared(n) * r == p
-            assert h.poly.analyst_laplacian().is_zero()
+            h = harmonic_part(p)
+            assert h + Poly.radius_squared(n) * quotient_by_R(p - h) == p
+            assert h.analyst_laplacian().is_zero()
 
 
 def test_every_shell_is_harmonic_and_the_shells_rebuild_p():
-    # p = sum_k R^k p_k with p_k harmonic of degree d - 2k is unique, so
-    # these exact checks prove every shell, h and r
+    # p = sum_k R^k p_k with p_k harmonic of degree d - 2k is unique; the
+    # shells are peeled by H and exact division by R, so the closed form
+    # is checked at every degree d, d - 2, ... of each p
     rng = random.Random(18)
     for n in range(3, 7):
         R = Poly.radius_squared(n)
@@ -78,38 +102,34 @@ def test_every_shell_is_harmonic_and_the_shells_rebuild_p():
             p = Poly(n, {e: rng.randint(-9, 9) for e in ha.monomial_exponents(n, d)})
             if p.is_zero():
                 continue
-            shells = ha._harmonic_shells(p, d)
-            assert len(shells) == d // 2 + 1
-            rebuilt = Poly.zero(n)
-            for k, shell in reversed(list(enumerate(shells))):
+            shells, rest = [], p
+            for k in range(d // 2 + 1):
+                shell = harmonic_part(rest, d - 2 * k)
                 assert shell.is_zero() or shell.homogeneous_degree() == d - 2 * k
                 assert shell.analyst_laplacian().is_zero()
+                assert harmonic_part(shell, d - 2 * k) == shell
+                shells.append(shell)
+                rest = quotient_by_R(rest - shell)
+            assert rest.is_zero()
+            rebuilt = Poly.zero(n)
+            for shell in reversed(shells):
                 rebuilt = shell + R * rebuilt
             assert rebuilt == p
-            h, r = ha.harmonic_decompose(p)
-            assert h.poly == shells[0] and h.degree == d
-            assert h.poly + R * r == p
-
-
-def test_decompose_rejects_inhomogeneous():
-    with pytest.raises(NotHomogeneous):
-        ha.harmonic_decompose(Poly(3, {(1, 0, 0): 1, (0, 0, 0): 1}))
 
 
 @given(st.lists(st.integers(-9, 9), min_size=15, max_size=15))
 @settings(max_examples=60, deadline=None)
 def test_decompose_property(coeffs):
-    # p = h + R r with Delta h = 0, exactly, for arbitrary integer quartics
+    # p = H[p] + R r with Delta H[p] = 0, exactly, for arbitrary integer quartics
     exps = ha.monomial_exponents(3, 4)
     p = Poly(3, dict(zip(exps, coeffs)))
     if p.is_zero():
         return
-    h, r = ha.harmonic_decompose(p)
-    assert h.poly + Poly.radius_squared(3) * r == p
-    assert h.poly.analyst_laplacian().is_zero()
-    # uniqueness: re-decomposing the harmonic part is the identity
-    h2, r2 = ha.harmonic_decompose(h.poly, 4)
-    assert h2.poly == h.poly and r2.is_zero()
+    h = harmonic_part(p)
+    assert h + Poly.radius_squared(3) * quotient_by_R(p - h) == p
+    assert h.analyst_laplacian().is_zero()
+    # projecting the harmonic part again is the identity
+    assert harmonic_part(h, 4) == h
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +472,6 @@ def test_one_identity_trial_takes_nine_directional_derivatives(monkeypatch):
 
 def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
     from densitylab import sphere_maps as sm
-    decompositions = recording(monkeypatch, ha, "harmonic_decompose")
     parts = recording(monkeypatch, ha, "_harmonic_part")
     monkeypatch.setattr(sm, "_harmonic_part", ha._harmonic_part)
     products = recording(monkeypatch, ha, "_product_numerators")
@@ -466,12 +485,7 @@ def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
     assert [d for _, d in parts] == [4, 5, 4, 2]
     assert len(r_products) == sum(d // 2 for _, d in parts) == 7
     sm.basis_Hm(4, 4)
-    assert decompositions == [] and len(parts) > 4
-    # the public routine still returns both parts
-    p = Poly(3, {e: i - 7 for i, e in enumerate(ha.monomial_exponents(3, 4))})
-    h, r = ha.harmonic_decompose(p)
-    assert h.poly == ha._harmonic_part(ha._laplacian_powers(p, 4), 4)
-    assert h.poly + Poly.radius_squared(3) * r == p
+    assert len(parts) > 4
 
 
 def test_inner_positive_definite_on_basis_sweep():
@@ -489,44 +503,6 @@ def test_inner_positive_definite_on_basis_sweep():
 def test_inner_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         ha.inner(x(0), ha.vee(x(0), x(0)))
-
-
-def test_brace_examples():
-    one = HarmonicElement(Poly.one(3), 0)
-    assert ha.brace(one, x(0)).poly == Poly.variable(3, 0)
-    # defining property {f, g} . alpha = <f, g . alpha> on random data
-    rng = random.Random(8)
-    f = ha.random_harmonic(3, 2, rng)
-    g = ha.random_harmonic(3, 3, rng)
-    br = ha.brace(f, g)
-    for i in range(3):
-        alpha = x(i)
-        assert br.poly.directional(alpha.poly).constant_value() == \
-            ha.inner(f, ha.dot(g, alpha))
-
-
-def test_brace_orthogonal_pair_vanishes():
-    # g = x0 x1 x2 has g . x_i proportional to x_j x_k; pair f against an
-    # orthogonal harmonic quadratic built to kill all three
-    f = HarmonicElement(Poly(3, {(2, 0, 0): 2, (0, 2, 0): -1, (0, 0, 2): -1}), 2)
-    g = HarmonicElement(Poly(3, {(1, 1, 1): 1}), 3)
-    assert ha.brace(f, g).poly.is_zero()
-
-
-def test_brace_permutation_equivariance():
-    rng = random.Random(9)
-    f = ha.random_harmonic(3, 2, rng)
-    g = ha.random_harmonic(3, 3, rng)
-    perm = [2, 0, 1]
-
-    def permute(p):
-        return Poly(p.nvars, {tuple(e[perm[i]] for i in range(p.nvars)): c
-                              for e, c in p.terms.items()})
-
-    lhs = permute(ha.brace(f, g).poly)
-    rhs = ha.brace(HarmonicElement(permute(f.poly), 2),
-                   HarmonicElement(permute(g.poly), 3)).poly
-    assert lhs == rhs
 
 
 # ----------------------------------------------------------------------

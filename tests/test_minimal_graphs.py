@@ -57,14 +57,6 @@ def test_domain_and_param_guards():
         mg.DoublyPeriodic(1.5, 0.2).validate()
 
 
-def test_mu_C_roundtrip_and_examples():
-    mu, C = mg.mu_C_from_F(1.0 / math.tanh(1.0))
-    assert mu == pytest.approx(1.0, abs=1e-14)
-    assert C == pytest.approx(math.cosh(2.0), abs=1e-13)
-    with pytest.raises(DomainViolation):
-        mg.mu_C_from_F(0.99)
-
-
 @given(st.floats(0.2, 2.5), st.floats(-3.0, 3.0))
 @settings(max_examples=100, deadline=None)
 def test_doubly_periodic_C_identity(x, y):
@@ -73,7 +65,7 @@ def test_doubly_periodic_C_identity(x, y):
     if not fam.contains(x, y):
         return
     F = mg.density_value(fam, x, y)
-    _, C = mg.mu_C_from_F(F)
+    C = (F * F + 1.0) / (F * F - 1.0)
     assert C == pytest.approx(math.cosh(x) + 0.9 * math.cos(y), abs=1e-12)
 
 
@@ -86,48 +78,13 @@ def test_helicatenoid_C_identity(x, y):
     if not fam.contains(x, y):
         return
     F = mg.density_value(fam, x, y)
-    _, C = mg.mu_C_from_F(F)
+    C = (F * F + 1.0) / (F * F - 1.0)
     assert C == pytest.approx(2.0 * (x * x + y * y) + math.cos(2 * phi), abs=1e-12)
 
 
 # ----------------------------------------------------------------------
 # slope-angle system
 # ----------------------------------------------------------------------
-
-def test_theta_gradient_for_linear_mu():
-    # mu = x: theta_x = sin(2th)/sinh(2x), theta_y = (cosh 2x - cos 2th)/sinh 2x
-    x0, th = 0.8, 0.37
-    muj = Jet(x0, dx=1.0, order=1)
-    tx, ty = mg.theta_gradient(muj, th)
-    assert tx == pytest.approx(math.sin(2 * th) / math.sinh(2 * x0), abs=1e-15)
-    assert ty == pytest.approx(
-        (math.cosh(2 * x0) - math.cos(2 * th)) / math.sinh(2 * x0), abs=1e-15)
-
-
-def test_theta_gradient_constant_mu_vanishes():
-    tx, ty = mg.theta_gradient(Jet(0.9, order=1), 1.1)
-    assert tx == 0.0 and ty == 0.0
-
-
-def test_theta_gradient_integrates_to_scherk_closed_form():
-    # RK4 oracle: integrate the gradient system along y with mu = x fixed
-    # and compare against the closed-form angle field
-    x0 = 1.1
-    _, th = mg.scherk_closed_form(x0, 0.1)
-    y, target = 0.1, 0.9
-    n = 4000
-    h = (target - y) / n
-    muj = Jet(x0, dx=1.0, order=1)
-    for _ in range(n):
-        k1 = mg.theta_gradient(muj, th)[1]
-        k2 = mg.theta_gradient(muj, th + 0.5 * h * k1)[1]
-        k3 = mg.theta_gradient(muj, th + 0.5 * h * k2)[1]
-        k4 = mg.theta_gradient(muj, th + h * k3)[1]
-        th += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        y += h
-    _, expected = mg.scherk_closed_form(x0, target)
-    assert th == pytest.approx(expected, abs=1e-10)
-
 
 def test_compatibility_data_linear_mu_degenerate():
     data = mg.compatibility_data(Jet(0.7, dx=0.3, dy=-0.2, order=2))

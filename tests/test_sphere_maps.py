@@ -605,8 +605,9 @@ def test_construct_map_rejects_indefinite():
 
 
 def test_construct_map_rejects_wrong_target():
+    # PSD, so the components are built; their squares sum to h(G) != R
     b = sm.basis_Hm(4, 1)
-    with pytest.raises(ParamViolation):
+    with pytest.raises(ParamViolation, match="not a sum-of-squares certificate"):
         sm.construct_map(sm.GramMatrix.diagonal([2, 1, 1, 1]), b)
 
 
