@@ -33,8 +33,8 @@ print(f"   components ({len(cmap.components)}, all harmonic, exact "
       f"rational coefficients):")
 for f in cmap.components:
     print(f"     {f!r}")
-resid = sm._sum_sq_minus_Rm_exact(cmap.components, 4, 2)
-print(f"   sum of squares minus R^2: {'exact zero' if resid.is_zero() else resid!r}")
+exact = sm._sum_of_squares_is_Rm(cmap)
+print(f"   sum of squares minus R^2: {'exact zero' if exact else 'nonzero'}")
 pts = sm.random_sphere_points(4, 5, 99)
 energies = sm.energy_density(cmap, pts).tolist()
 print(f"   energy density at 5 random sphere points: "

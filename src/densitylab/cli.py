@@ -194,6 +194,12 @@ def _families_verify(sc: Scenario) -> list[dict]:
     import numpy as np
     from . import minimal_graphs as mg
     p, tol = sc.args, sc.tolerances
+    # Scherk's grid lies between x_min and x_max; nearer to x = 0 than the
+    # margin its closed-form jets overflow, while its identities still hold
+    if not (p["x_min"] >= mg.DOMAIN_MARGIN and p["x_max"] >= mg.DOMAIN_MARGIN):
+        raise UsageError(f"grid of families verify: x_min {p['x_min']!r} and x_max "
+                         f"{p['x_max']!r} must both be at least the domain margin "
+                         f"{mg.DOMAIN_MARGIN!r}")
     checks = []
     # a non-finite value fails its check: every worst value is taken by a
     # numpy reduction, which keeps a nan that Python's max would drop, so
@@ -516,20 +522,39 @@ def _harmonic_dims(sc: Scenario) -> list[dict]:
 
 
 def _brute_harmonic_dim(n_amb: int, m: int) -> int:
-    # the one harmonic mode that loads sphere_maps, and with it numpy
-    from . import harmonic, sphere_maps as sm
+    """dim ker(Laplacian: P_m -> P_(m-2)), from the Laplacian's matrix.
+
+    Column j is the Laplacian of monomial j, with integer coefficients; the
+    kernel dimension is the column count minus the exact rank.  The rank is
+    certified by the square minor on the columns x_0^2 x^beta, beta of
+    degree m - 2: the Laplacian of x_0^2 x^beta is (beta_0+2)(beta_0+1) x^beta
+    plus terms with a higher power of x_0, so with rows and columns ordered
+    by the exponent of x_0 the minor is triangular with a nonzero diagonal,
+    and the rank is the row count.  That structure is checked on the
+    columns built; only where it fails is the rank taken by elimination,
+    with sphere_maps, which loads numpy.
+    """
+    from . import harmonic
     monos = harmonic._packed_monomials(n_amb, m)
     if m < 2:
         return len(monos)
-    # column j: the Laplacian of monomial j, whose coefficients are integers;
-    # the kernel dimension is the column count minus the exact rank
     tindex = {e: i for i, e in enumerate(harmonic._packed_monomials(n_amb, m - 2))}
+    columns = {e: harmonic.Poly._make(n_amb, 1, {e: 1}).analyst_laplacian().nums
+               for e in monos}
+    top = harmonic._shifts(n_amb)[0]   # key >> top is the exponent of x_0
+    for beta in tindex:
+        b0, col = beta >> top, columns[beta + (2 << top)]
+        if col.get(beta) != (b0 + 2) * (b0 + 1) \
+                or any(g >> top <= b0 for g in col if g != beta):
+            break
+    else:
+        return len(monos) - len(tindex)
+    from . import sphere_maps as sm
     rows, cols, values = [], [], []
-    for j, e in enumerate(monos):
-        lap = harmonic.Poly._make(n_amb, 1, {e: 1}).analyst_laplacian()
-        rows += map(tindex.__getitem__, lap.nums)
-        cols += [j] * len(lap.nums)
-        values += lap.nums.values()
+    for j, col in enumerate(columns.values()):
+        rows += map(tindex.__getitem__, col)
+        cols += [j] * len(col)
+        values += col.values()
     (rank,) = sm._ranks((len(tindex), len(monos)), [(rows, cols, values)])
     return len(monos) - rank
 
@@ -558,8 +583,9 @@ def _maps_construct(sc: Scenario) -> tuple[list[dict], sm.SphericalHarmonicMap]:
         basis = sm.basis_Hm(n_amb, m)
         sm._require_sphere_dim_above_2(n_amb)
         the_map = sm.construct_map(sm.scaled_identity_gram(basis), basis)
-    # either route returns a map only once its sum of squares is R^m exactly
-    harm = all(f.analyst_laplacian().is_zero() for f in the_map.components)
+    # either route returns a map only once its sum of squares is R^m exactly;
+    # each component is a nonzero multiple of its step's polynomial
+    harm = all(f.analyst_laplacian().is_zero() for f, _, _ in the_map.steps)
     checks = [_check("sum_of_squares_exact", True, exact=True),
               _check("components_harmonic", harm, exact=True)]
     lam = the_map.eigenvalue

@@ -13,28 +13,34 @@ kernel measures the failure of uniqueness: once the kernel dimension
 exceeds dim SO(n+1), inequivalent maps with identical energy density are
 guaranteed.  The matrix of h is block-diagonal by parity, and the kernel
 dimension is certified from the rank of each block modulo a fixed 31-bit
-prime, in numpy int64: blocks of one shape are eliminated together, and
-full row rank modulo p is full row rank over Q (a block that falls short
-is retried modulo further primes, then ranked exactly).  The kernel
-elements are built only on request, by fraction-free Gauss-Jordan
-elimination on sparse Python integer rows (Bareiss), one block at a time,
-and are certified by one exact product per block: block matrix times
-integer kernel block = 0.  They stay sparse, as integer numerators over
-one denominator; a dense GramMatrix is built only when a caller reads
-KernelCertificate.basis (maps kernel builds none).  The basis {h_a} is
-fraction-free as well (see basis_Hm), and the products h_a h_b that fill
-the blocks pass one slot-overflow guard per basis.
+prime, in numpy int64.  No product h_a h_b is built as a polynomial: the
+basis's terms are listed once, as monomial places and numerators, and the
+products of their pairs, reduced modulo p, are scattered straight into
+one int64 stack per block shape, which is eliminated at once.  Full row
+rank modulo p is full row rank over Q; a block that falls short is
+retried modulo further primes, then ranked exactly from the same term
+pairs summed as Python integers.  The kernel elements are built only on
+request, by fraction-free Gauss-Jordan elimination on sparse Python
+integer rows (Bareiss), one block at a time, and are certified by one
+exact product per block: block matrix times integer kernel block = 0.
+They stay sparse, as integer numerators over one denominator; a dense
+GramMatrix is built only when a caller reads KernelCertificate.basis
+(maps kernel builds none).  The basis {h_a} is fraction-free as well (see
+basis_Hm), and its term products pass one slot-overflow guard per basis.
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
 picture corresponds to the rational diagonal matrix diag(1/(c n_a)), where
 sum h_a^2 / n_a = c R^m is the exact reproducing identity of the basis.
 
-A map's components are exact polynomials (Poly) for every PSD Gram matrix.
-Each pivot piv = a/b of the pivoted LDL^T is written as a sum of the fewest
-rational squares (s_i / b)^2 with sum s_i^2 = a b, at most four by Lagrange,
-so the sum of squares of the components is R^m as an exact identity.
-energy_density evaluates the components at many points in one numpy pass.
+A map is kept as the steps of the pivoted LDL^T of its Gram matrix: step k
+is one polynomial f_k and its pivot piv_k = a/b, written as a sum of the
+fewest rational squares (s_i / b)^2 with sum s_i^2 = a b (at most four, by
+Lagrange).  Its components f_k s_i / b are exact polynomials (Poly), read
+off the steps on demand.  sum_k piv_k f_k^2 = R^m is checked as an exact
+identity on integer numerators, one product per step, and energy_density
+evaluates one polynomial per step, weighted by piv_k, at many points in
+one numpy pass.
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Real
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -189,30 +195,45 @@ def _full_row_rank_mod(A: np.ndarray, p: int) -> np.ndarray:
 
 def _ranks(shape: tuple[int, int], blocks: Sequence[tuple[list, list, list]]
            ) -> list[int]:
-    """The exact rank of each integer matrix of the given shape (r, c).
-
-    A block is (rows, cols, values): the nonzero entries, at distinct
-    positions, as Python ints.  The blocks are reduced modulo _PRIMES[0]
-    and eliminated together.  Rank r modulo p means a nonzero r x r minor
-    modulo p, hence a nonzero integer minor: rank r over Q.  A block that
-    falls short is retried modulo the next prime, and after the last one
-    its rank comes from the exact elimination of _IntegerRref.
-    """
+    """The exact rank of each integer matrix of the given shape (r, c),
+    given as (rows, cols, values): its nonzero entries, at distinct
+    positions, as Python ints (see _stack_ranks)."""
     r, c = shape
-    ranks = [r] * len(blocks)
-    short = list(range(len(blocks)))
-    for p in _PRIMES if r <= c else ():   # r > c: short over Q as well
-        A = np.zeros((len(short), r, c), dtype=np.int64)
-        for k, b in enumerate(short):
+
+    def stack(chosen: list[int], p: int) -> np.ndarray:
+        A = np.zeros((len(chosen), r, c), dtype=np.int64)
+        for k, b in enumerate(chosen):
             rows, cols, values = blocks[b]
             A[k, rows, cols] = [v % p for v in values]
-        full = _full_row_rank_mod(A, p)
+        return A
+
+    return _stack_ranks(shape, len(blocks), stack, blocks.__getitem__)
+
+
+def _stack_ranks(shape: tuple[int, int], count: int,
+                 stack: Callable[[list[int], int], np.ndarray],
+                 entries: Callable[[int], tuple[list, list, list]]) -> list[int]:
+    """The exact rank of each of count integer matrices of shape (r, c).
+
+    stack(chosen, p) gives the matrices numbered in chosen modulo p, as one
+    int64 stack with entries in [0, p), which is eliminated at once.  Rank
+    r modulo p means a nonzero r x r minor modulo p, hence a nonzero
+    integer minor: rank r over Q.  A matrix that falls short is retried
+    modulo the next prime, and after the last one its rank comes from the
+    exact elimination of _IntegerRref on entries(b), its nonzero entries
+    (rows, cols, values) as Python ints, read only then.
+    """
+    r, c = shape
+    ranks = [r] * count
+    short = list(range(count))
+    for p in _PRIMES if r <= c else ():   # r > c: short over Q as well
+        full = _full_row_rank_mod(stack(short, p), p)
         short = [b for b, ok in zip(short, full.tolist()) if not ok]
         if not short:
             break
     for b in short:
         rows_of: list[dict[int, int]] = [{} for _ in range(r)]
-        for i, j, v in zip(*blocks[b]):
+        for i, j, v in zip(*entries(b)):
             rows_of[i][j] = v
         core = _IntegerRref()
         for row in rows_of:
@@ -506,74 +527,163 @@ def _sym_pairs(D: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(D) for b in range(a, D)]
 
 
-def _element_parity(p: Poly) -> int:
-    """The one parity pattern in Z_2^n shared by every monomial of p, as
-    the low bit of each slot of its keys."""
-    low = _every_slot(p.nvars, 1)
-    parities = {e & low for e in p.nums}
-    if len(parities) != 1:
-        raise ParamViolation(
-            f"basis element has {len(parities)} parity patterns (internal)")
-    return parities.pop()
-
-
 def _require_sphere_dim_above_2(n_ambient: int) -> None:
     """ParamViolation unless the domain sphere S^(n_ambient-1) has dim > 2."""
     if n_ambient < 4:
         raise ParamViolation("need ambient dimension >= 4 (sphere dim > 2)")
 
 
-def _h_blocks(basis: HarmonicBasis
-              ) -> tuple[list[tuple[int, int]], list[tuple[dict[int, int], list[int]]]]:
-    """The symmetric pairs, and each parity block of the matrix of h as
-    (row index {degree-2m monomial key: row}, its columns as indices into
-    the pairs, in column order).
+@lru_cache(maxsize=16)
+def _product_layout(n_ambient: int, m: int
+                    ) -> tuple[dict[int, int], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Where the product of two degree-m monomials lands in the matrix of h.
 
-    Each basis element has one parity pattern in Z_2^n (the Fischer
-    pairing of different parities is 0, so Gram-Schmidt never mixes them),
-    so every monomial of h_a h_b has the parity par(h_a) XOR par(h_b): the
-    column E_ab meets only the rows of that parity.
+    Returns (index, row, parity, rows).  index maps each degree-m key to
+    its place in _packed_monomials(n_ambient, m).  For the monomials at
+    places i and j, parity[i, j] numbers the parity class of x^(e_i + e_j)
+    (the low bit of each exponent), classes being numbered as first met in
+    _packed_monomials(n_ambient, 2m), so that the even class is 0; row[i, j]
+    is the place of x^(e_i + e_j) among the monomials of its class, in the
+    same order.  rows[c] counts the monomials of class c.
     """
-    pairs = _sym_pairs(basis.dim)
-    parity = [_element_parity(el.poly) for el in basis.elements]
-    block_cols: dict[int, list[int]] = {}
-    for j, (a, b) in enumerate(pairs):
-        block_cols.setdefault(parity[a] ^ parity[b], []).append(j)
-    low = _every_slot(basis.n_ambient, 1)
-    block_rows: dict[int, dict[int, int]] = {}
-    for e in _packed_monomials(basis.n_ambient, 2 * basis.m):
-        rows_of = block_rows.setdefault(e & low, {})
-        rows_of[e] = len(rows_of)
-    return pairs, [(block_rows[key], cols) for key, cols in block_cols.items()]
-
-
-def _basis_terms(basis: HarmonicBasis) -> list[list[tuple[int, int]]]:
-    """Each element's (key, integer numerator) terms, after one slot guard
-    for every product of two of them (see harmonic._require_slot_room)."""
-    nums = [el.poly.nums for el in basis.elements]
-    _require_slot_room(basis.n_ambient, *nums)
-    return [list(t.items()) for t in nums]
-
-
-def _block_entries(terms: list[list[tuple[int, int]]], pairs: list[tuple[int, int]],
-                   row_index: dict[int, int], cols: list[int]
-                   ) -> tuple[list[int], list[int], list[int]]:
-    """The nonzero entries (rows, columns, values) of one parity block,
-    given _basis_terms of the basis.
-
-    Column k, for E_ab with (a, b) = pairs[cols[k]], holds the integer
-    numerators of h_a h_b, times 2 when a != b.
-    """
+    low = _every_slot(n_ambient, 1)
+    classes: dict[int, int] = {}
     rows: list[int] = []
-    ks: list[int] = []
-    values: list[int] = []
-    for k, j in enumerate(cols):
-        a, b = pairs[j]
-        prod = _add_product({}, 1 if a == b else 2, terms[a], terms[b])
-        rows += map(row_index.__getitem__, prod)
-        ks += [k] * len(prod)
-        values += prod.values()
-    return rows, ks, values
+    place: dict[int, tuple[int, int]] = {}
+    for e in _packed_monomials(n_ambient, 2 * m):
+        c = classes.setdefault(e & low, len(classes))
+        if c == len(rows):
+            rows.append(0)
+        place[e] = (rows[c], c)
+        rows[c] += 1
+    monos = _packed_monomials(n_ambient, m)
+    table = np.array([[place[e + f] for f in monos] for e in monos],
+                     dtype=np.intp).reshape(len(monos), len(monos), 2)
+    table.flags.writeable = False   # cached, so shared by every caller
+    return {e: i for i, e in enumerate(monos)}, table[..., 0], table[..., 1], tuple(rows)
+
+
+@lru_cache(maxsize=16)
+def _pair_arrays(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs a <= b of _sym_pairs(D) as three arrays: a, b, and the
+    factor of column E_ab, 1 on the diagonal and 2 off it."""
+    pairs = np.array([(a, b, 1 + (a != b)) for a, b in _sym_pairs(D)],
+                     dtype=np.intp).reshape(-1, 3).T
+    pairs.flags.writeable = False   # cached, so shared by every caller
+    return pairs[0], pairs[1], pairs[2]
+
+
+class _Blocks:
+    """The parity blocks of the matrix of h for one basis, read from one
+    table of the basis's terms; no product h_a h_b is built as a polynomial.
+
+    Column E_ab, for the pair (a, b) at place j of _sym_pairs, holds the
+    integer numerators of h_a h_b, times 2 when a != b.  Each basis element
+    has one parity pattern in Z_2^n (the Fischer pairing of different
+    parities is 0, so Gram-Schmidt never mixes them), so every monomial of
+    h_a h_b has the parity par(h_a) XOR par(h_b): the column E_ab meets
+    only the rows of that class.  Blocks are numbered in the order of their
+    classes; a block keeps its columns in pair order and its rows in the
+    order of _product_layout.
+
+    The term table lists every term of every element, element by element:
+    the place of its monomial (mono) and its integer numerator (nums).  A
+    term pair (t, u) of column E_ab, t a term of h_a and u one of h_b, adds
+    the product of their numerators at row[mono[t], mono[u]] of the block
+    (see _product_layout).  stack reduces each numerator modulo p once and
+    scatters the products of the term pairs of the chosen blocks into an
+    int64 stack; entries sums the exact products of one block's term
+    pairs, for the places that need exact entries.
+    """
+
+    def __init__(self, basis: HarmonicBasis):
+        nums = [el.poly.nums for el in basis.elements]
+        _require_slot_room(basis.n_ambient, *nums)
+        index, self.row, parity, class_rows = _product_layout(basis.n_ambient, basis.m)
+        try:
+            self.mono = np.array([index[e] for t in nums for e in t], dtype=np.intp)
+        except KeyError:
+            raise ParamViolation(
+                f"basis element not homogeneous of degree {basis.m} (internal)") from None
+        self.nums = [v for t in nums for v in t.values()]
+        self.count = np.array([len(t) for t in nums], dtype=np.intp)
+        self.start = np.cumsum(self.count) - self.count
+        first = self.mono[self.start] if self.count.all() else None
+        # a term shares the parity of its element's first term exactly when
+        # their product lies in the even class 0
+        if first is None or parity[self.mono, np.repeat(first, self.count)].any():
+            raise ParamViolation("basis element without one parity pattern (internal)")
+        if self.count.max(initial=0) >= 1 << 15:   # see stack
+            raise ParamViolation("basis element of 2^15 terms or more: its term "
+                                 "pairs could overflow an int64 entry")
+        self.pa, self.pb, self.factor = _pair_arrays(len(nums))
+        block_cols: dict[int, list[int]] = {}
+        for j, cl in enumerate(parity[first[self.pa], first[self.pb]].tolist()):
+            block_cols.setdefault(cl, []).append(j)
+        # per block, in class order: its row count and its columns, as
+        # places in _sym_pairs
+        self.blocks = [(class_rows[cl], np.array(cols, dtype=np.intp))
+                       for cl, cols in sorted(block_cols.items())]
+        self._mod: dict[int, np.ndarray] = {}
+
+    def shape_groups(self) -> dict[tuple[int, int], list[int]]:
+        """The blocks of each shape (rows, columns), in order of first block."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for b, (r, cols) in enumerate(self.blocks):
+            groups.setdefault((r, len(cols)), []).append(b)
+        return groups
+
+    def _term_pairs(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, u, k) for every term pair of every column in cols, t a term
+        of h_a and u one of h_b for the pair (a, b) at cols[k]: t runs over
+        h_a's terms, and for each t, u over h_b's."""
+        a, b = self.pa[cols], self.pb[cols]
+        k, t = _runs(self.start[a], self.count[a])     # one line per (k, t)
+        line, u = _runs(self.start[b][k], self.count[b][k])
+        return t[line], u, k[line]
+
+    def stack(self, chosen: list[int], p: int) -> np.ndarray:
+        """The chosen blocks, all of one shape r x c, modulo p as an int64
+        stack.  Each numerator is reduced once, so the product of two is
+        below 2^62 and the entry it adds, reduced and doubled, below 2^32.
+        An entry of column E_ab sums at most |h_a| |h_b| < 2^30 of them
+        (__init__ refuses longer elements), so it stays below 2^62 until
+        the final reduction."""
+        mod = self._mod.get(p)
+        if mod is None:
+            mod = self._mod[p] = np.array([v % p for v in self.nums], dtype=np.int64)
+        r, c = self.blocks[chosen[0]][0], len(self.blocks[chosen[0]][1])
+        cols = np.concatenate([self.blocks[b][1] for b in chosen])
+        t, u, k = self._term_pairs(cols)
+        values = mod[t] * mod[u] % p
+        values *= self.factor[cols][k]
+        # column k is column k % c of block k // c of the stack, whose row
+        # 0 starts at cell (k // c) r c + k % c
+        origin = (np.arange(len(chosen))[:, None] * (r * c) + np.arange(c)).ravel()
+        A = np.zeros(len(chosen) * r * c, dtype=np.int64)
+        np.add.at(A, origin[k] + self.row[self.mono[t], self.mono[u]] * c, values)
+        A %= p
+        return A.reshape(len(chosen), r, c)
+
+    def entries(self, b: int) -> tuple[list[int], list[int], list[int]]:
+        """The nonzero entries (rows, columns, values) of block b, exact."""
+        cols = self.blocks[b][1]
+        t, u, k = self._term_pairs(cols)
+        at = zip(self.row[self.mono[t], self.mono[u]].tolist(), k.tolist())
+        nums = self.nums
+        acc: dict[tuple[int, int], int] = {}
+        for ik, i, j, f in zip(at, t.tolist(), u.tolist(), self.factor[cols][k].tolist()):
+            acc[ik] = acc.get(ik, 0) + f * nums[i] * nums[j]
+        nonzero = [(i, k, v) for (i, k), v in acc.items() if v]
+        return ([i for i, _, _ in nonzero], [k for _, k, _ in nonzero],
+                [v for _, _, v in nonzero])
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run, value) for the ranges starts[i], ..., starts[i] + counts[i] - 1
+    laid end to end: each value and the number i of its range."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(run.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 def solve_h_equals_Rm(n_ambient: int, m: int,
@@ -582,12 +692,12 @@ def solve_h_equals_Rm(n_ambient: int, m: int,
     """Particular PSD solution of h(G) = R^m plus the exact kernel of h.
 
     The matrix of h over the symmetric-pair basis is block-diagonal by
-    parity (see _h_blocks), so its kernel has dimension sum(cols - rank)
-    over the blocks.  Each rank is exact (see _ranks): every block is
-    reduced modulo a fixed prime, blocks of the same shape are eliminated
-    together, and a block of full row rank modulo p has full row rank over
-    Q.  When every block has full row rank, h maps onto the degree-2m
-    polynomials and the dimension is the do Carmo-Wallach count
+    parity (see _Blocks), so its kernel has dimension sum(cols - rank)
+    over the blocks.  Each rank is exact (see _stack_ranks): the blocks of
+    one shape are assembled modulo a fixed prime into one int64 stack and
+    eliminated together, and a block of full row rank modulo p has full
+    row rank over Q.  When every block has full row rank, h maps onto the
+    degree-2m polynomials and the dimension is the do Carmo-Wallach count
     D(D+1)/2 - dim P_2m.  No kernel element is built here; see
     KernelCertificate.elements.
     """
@@ -601,15 +711,12 @@ def _kernel_certificate(n_ambient: int, m: int,
     _require_sphere_dim_above_2(n_ambient)
     if basis is None:
         basis = basis_Hm(n_ambient, m)
-    terms = _basis_terms(basis)
-    pairs, blocks = _h_blocks(basis)
-    by_shape: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
-    for row_index, cols in blocks:
-        by_shape.setdefault((len(row_index), len(cols)), []).append((row_index, cols))
+    blocks = _Blocks(basis)
     dimension = 0
-    for (r, c), group in by_shape.items():
-        ranks = _ranks((r, c), [_block_entries(terms, pairs, row_index, cols)
-                                for row_index, cols in group])
+    for (r, c), group in blocks.shape_groups().items():
+        ranks = _stack_ranks((r, c), len(group),
+                             lambda chosen, p: blocks.stack([group[k] for k in chosen], p),
+                             lambda k: blocks.entries(group[k]))
         dimension += sum(c - rank for rank in ranks)
     return KernelCertificate(basis.dim, dimension, basis)
 
@@ -632,17 +739,18 @@ def _kernel_elements(basis: HarmonicBasis
     free column f has entry den_j w_j / (den_f d) at j, where w is d times
     the kernel vector of the integer block.
     """
-    terms = _basis_terms(basis)
-    pairs, blocks = _h_blocks(basis)
-    polys = [el.poly for el in basis.elements]
+    blocks = _Blocks(basis)
+    pairs = _sym_pairs(basis.dim)
+    element_dens = [el.poly.den for el in basis.elements]
     found: list[tuple[int, tuple]] = []  # (free column, sparse element)
-    for row_index, cols in blocks:
-        rows: list[dict[int, int]] = [{} for _ in row_index]
+    for b, (r, cols) in enumerate(blocks.blocks):
+        cols = cols.tolist()
+        rows: list[dict[int, int]] = [{} for _ in range(r)]
         sparse: list[list[tuple[int, int]]] = [[] for _ in cols]  # per column
-        for i, k, v in zip(*_block_entries(terms, pairs, row_index, cols)):
+        for i, k, v in zip(*blocks.entries(b)):
             rows[i][k] = v
             sparse[k].append((i, v))
-        dens = [polys[a].den * polys[b].den for a, b in map(pairs.__getitem__, cols)]
+        dens = [element_dens[a] * element_dens[bb] for a, bb in map(pairs.__getitem__, cols)]
         core = _IntegerRref()
         for row in rows:
             core.add(row)
@@ -669,11 +777,24 @@ def _kernel_elements(basis: HarmonicBasis
 
 @dataclass(frozen=True)
 class SphericalHarmonicMap:
-    """Harmonic polynomial map with component sum of squares R^m."""
+    """Harmonic polynomial map with component sum of squares R^m, kept as
+    the steps of its factorization.
+
+    Step k is (f_k, piv_k, s): a polynomial f_k, a positive rational
+    piv_k = a/b in lowest terms, and positive integers s_1 >= s_2 >= ...
+    with sum s_i^2 = a b, so that piv_k = sum_i (s_i / b)^2.  The step
+    gives the components f_k s_i / b, whose squares sum to piv_k f_k^2.
+    components lists them step by step, built afresh on each read.
+    """
 
     n_ambient: int
     m: int
-    components: tuple[Poly, ...]
+    steps: tuple[tuple[Poly, Fraction, tuple[int, ...]], ...]
+
+    @property
+    def components(self) -> tuple[Poly, ...]:
+        return tuple(f.scale(Fraction(s, piv.denominator))
+                     for f, piv, squares in self.steps for s in squares)
 
     @property
     def sphere_dim(self) -> int:
@@ -684,12 +805,27 @@ class SphericalHarmonicMap:
         return self.m * (self.m + self.sphere_dim - 1)
 
 
-def _sum_sq_minus_Rm_exact(components: Sequence[Poly], n_ambient: int,
-                           m: int) -> Poly:
-    acc = Poly.zero(n_ambient)
-    for f in components:
-        acc = acc + f * f
-    return acc - radius_power(n_ambient, m)
+def _step(f: Poly, piv: Fraction) -> tuple[Poly, Fraction, tuple[int, ...]]:
+    """The step (f, piv, s) of a map, with the fewest squares s of piv."""
+    return f, piv, _fewest_squares(piv.numerator * piv.denominator)
+
+
+def _sum_of_squares_is_Rm(the_map: SphericalHarmonicMap) -> bool:
+    """Whether sum_k piv_k f_k^2 = R^m, exactly, over the map's steps.
+
+    With f_k = N_k / d_k (integer numerators) and piv_k = a_k / b_k, this
+    is sum_k (L a_k / (b_k d_k^2)) N_k^2 = L R^m for L = lcm(b_k d_k^2):
+    one product of integer numerators per step, and one comparison.
+    """
+    steps, n_ambient = the_map.steps, the_map.n_ambient
+    _require_slot_room(n_ambient, *(f.nums for f, _, _ in steps))
+    scales = [piv.denominator * f.den ** 2 for f, piv, _ in steps]
+    L = math.lcm(*scales)
+    acc: dict[int, int] = {}
+    for (f, piv, _), q in zip(steps, scales):
+        items = f.nums.items()
+        _add_product(acc, L // q * piv.numerator, items, items)
+    return acc == {e: L * v for e, v in radius_power(n_ambient, the_map.m).nums.items()}
 
 
 # a b at or above this is refused: the search for its squares takes time
@@ -752,28 +888,28 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     written (Davenport-Cassels), so G fixes the number of components:
     rank(G) when every pivot is a rational square, at most 4 rank(G).
     ldlt returns no witness only when the Schur complement left after the
-    last step is zero, so the components' sum of squares is h(G) itself,
-    and the one exact check, sum of squares minus R^m = 0, decides h(G) =
-    R^m.  Raises NotPSD (with an exact witness) for indefinite G, and
-    ParamViolation when h(G) != R^m or a pivot has a b >= 2^40.
+    last step is zero, so sum_k piv_k f_k^2 is h(G) itself, and the one
+    exact check of it against R^m, one product per step
+    (_sum_of_squares_is_Rm), decides h(G) = R^m.  Raises NotPSD (with an
+    exact witness) for indefinite G, and ParamViolation when h(G) != R^m
+    or a pivot has a b >= 2^40.
     """
     if G.dim != basis.dim:
         raise DimensionMismatch("Gram matrix does not match basis")
-    steps, witness = G.ldlt()
+    ldlt_steps, witness = G.ldlt()
     if witness is not None:
         raise NotPSD("Gram matrix is not positive semidefinite", witness)
-    comps = []
-    for _, row, piv in steps:
+    steps = []
+    for _, row, piv in ldlt_steps:
         f = Poly.zero(basis.n_ambient)
         for coef, el in zip(row, basis.elements):
             if coef:
                 f = f + el.poly.scale(coef)
-        f = f.scale(1 / piv)
-        b = piv.denominator
-        comps += [f.scale(Fraction(s, b)) for s in _fewest_squares(piv.numerator * b)]
-    if not _sum_sq_minus_Rm_exact(comps, basis.n_ambient, basis.m).is_zero():
+        steps.append(_step(f.scale(1 / piv), piv))
+    the_map = SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(steps))
+    if not _sum_of_squares_is_Rm(the_map):
         raise ParamViolation("h(G) != R^m; not a sum-of-squares certificate")
-    return SphericalHarmonicMap(basis.n_ambient, basis.m, tuple(comps))
+    return the_map
 
 
 def gram_of_components(components: Sequence[Poly], basis: HarmonicBasis
@@ -819,30 +955,33 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
     if n_ambient < 1:
         raise ParamViolation(f"n_ambient must be >= 1, got {n_ambient}")
     if m == 1:
-        comps = tuple(Poly.variable(n_ambient, i) for i in range(n_ambient))
+        steps = tuple(_step(Poly.variable(n_ambient, i), Fraction(1))
+                      for i in range(n_ambient))
     elif (n_ambient, m) == (4, 2):
+        # each component scale/5 p as a step p of pivot (scale/5)^2
         def quad(c0, c1, c2, c3, scale):
-            return Poly(4, {(2, 0, 0, 0): c0, (0, 2, 0, 0): c1,
-                            (0, 0, 2, 0): c2, (0, 0, 0, 2): c3}
-                        ).scale(Fraction(scale, 5))
+            return _step(Poly(4, {(2, 0, 0, 0): c0, (0, 2, 0, 0): c1,
+                                  (0, 0, 2, 0): c2, (0, 0, 0, 2): c3}),
+                         Fraction(scale, 5) ** 2)
 
         def cross(i, j, scale):
             e = [0, 0, 0, 0]
             e[i] += 1
             e[j] += 1
-            return Poly(4, {tuple(e): 1}).scale(Fraction(scale, 5))
+            return _step(Poly(4, {tuple(e): 1}), Fraction(scale, 5) ** 2)
 
-        comps = (quad(1, -1, 1, -1, 3), quad(1, -1, -1, 1, 4),
+        steps = (quad(1, -1, 1, -1, 3), quad(1, -1, -1, 1, 4),
                  cross(0, 1, 10), cross(0, 2, 8), cross(0, 3, 6),
                  cross(1, 2, 6), cross(1, 3, 8), cross(2, 3, 10))
     else:
         raise ParamViolation(
             f"no canonical exact map catalogued for (n_ambient, m) = ({n_ambient}, {m})")
-    if not _sum_sq_minus_Rm_exact(comps, n_ambient, m).is_zero():
+    the_map = SphericalHarmonicMap(n_ambient, m, steps)
+    if not _sum_of_squares_is_Rm(the_map):
         raise ParamViolation("canonical map verification failed")
-    if not all(f.analyst_laplacian().is_zero() for f in comps):
+    if not all(f.analyst_laplacian().is_zero() for f, _, _ in steps):
         raise ParamViolation("canonical map component not harmonic")
-    return SphericalHarmonicMap(n_ambient, m, comps)
+    return the_map
 
 
 def psd_point_on_line(G0: GramMatrix, k: GramMatrix,
@@ -876,11 +1015,14 @@ def energy_density(m: SphericalHarmonicMap, points):
     an array with one entry per point.  Uses the Euler identity
     x . grad F = m F for homogeneous components: the tangential energy is
     sum_a |grad F^a|^2 - m^2 (F^a)^2, and equals m(m + n - 1) for every
-    valid map on the unit sphere.  One pass over the terms v/den x^e of
-    each F^a writes v/den at (a, e), and (v k)/den at (a n + j, e - e_j) for
-    each x_j of exponent k > 0 in e: the same correctly rounded quotient as
-    the reduced coefficient of F^a.diff(j), so no derivative polynomial is
-    built.  Each table is evaluated at all points in one numpy pass.
+    valid map on the unit sphere.  The components of step k are multiples
+    of f_k whose squares sum to piv_k f_k^2, so the sum is taken over the
+    steps, one polynomial each: sum_k piv_k (|grad f_k|^2 - m^2 f_k^2).
+    One pass over the terms v/den x^e of each f_k writes v/den at (k, e),
+    and (v j)/den at (k n + i, e - e_i) for each x_i of exponent j > 0 in
+    e: the same correctly rounded quotient as the reduced coefficient of
+    f_k.diff(i), so no derivative polynomial is built.  Each table is
+    evaluated at all points in one numpy pass.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -893,16 +1035,17 @@ def energy_density(m: SphericalHarmonicMap, points):
         r2 = sum(x * x for x in p)
         if abs(r2 - 1.0) > 1e-12:
             raise NotOnSphere(f"|point|^2 = {r2}")
-    n, count, shifts = m.n_ambient, len(m.components), _shifts(m.n_ambient)
+    n, count, shifts = m.n_ambient, len(m.steps), _shifts(m.n_ambient)
     value, grad = [], []     # terms (row, key, float coefficient)
-    for a, f in enumerate(m.components):
+    for a, (f, _, _) in enumerate(m.steps):
         for e, v in f.nums.items():
             value.append((a, e, v / f.den))
             grad += [(a * n + j, e - (1 << s), v * k / f.den)
                      for j, s in enumerate(shifts) if (k := (e >> s) & _SLOT_MASK)]
     values, grads = _eval_table(count, value, pts), _eval_table(count * n, grad, pts)
     grad_sq = (grads ** 2).reshape(len(pts), count, n)
-    energy = (grad_sq.sum(axis=2) - (m.m * values) ** 2).sum(axis=1)
+    weights = np.array([float(piv) for _, piv, _ in m.steps])
+    energy = ((grad_sq.sum(axis=2) - (m.m * values) ** 2) * weights).sum(axis=1)
     return float(energy[0]) if single else energy
 
 

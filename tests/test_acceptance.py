@@ -356,13 +356,18 @@ def test_criterion_09_spectral_dichotomy():
 # 10. map construction
 # ----------------------------------------------------------------------
 
+def sum_of_squares(components) -> ha.Poly:
+    """One exact Poly product per component, summed."""
+    return sum((f * f for f in components), ha.Poly.zero(components[0].nvars))
+
+
 def test_criterion_10_map_construction():
     t0 = time.perf_counter()
     # degree 1: the identity map with density 3
     b41 = sm.basis_Hm(4, 1)
     G0, ker1 = sm.solve_h_equals_Rm(4, 1, b41)
     ident = sm.construct_map(G0, b41)
-    id_ok = sm._sum_sq_minus_Rm_exact(ident.components, 4, 1).is_zero() \
+    id_ok = sum_of_squares(ident.components) == sm.radius_power(4, 1) \
         and len(ident.components) == 4 and all(
         abs(sm.energy_density(ident, p) - 3.0) < 1e-12
         for p in sm.random_sphere_points(4, 20, 11))
@@ -374,7 +379,7 @@ def test_criterion_10_map_construction():
         sm.h_of_G(k, b42).is_zero() for k in ker2.basis)
     cmap = sm.construct_map(
         sm.gram_of_components(sm.canonical_exact_map(4, 2).components, b42), b42)
-    sos_exact = sm._sum_sq_minus_Rm_exact(cmap.components, 4, 2).is_zero()
+    sos_exact = sum_of_squares(cmap.components) == sm.radius_power(4, 2)
     harm = all(f.analyst_laplacian().is_zero() for f in cmap.components)
     worst_e = max(abs(sm.energy_density(cmap, p) - 8.0)
                   for p in sm.random_sphere_points(4, 100, 12))

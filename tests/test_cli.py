@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from densitylab import cli, minimal_graphs as mg, sphere_maps as sm
+from densitylab import cli, harmonic as ha, minimal_graphs as mg, sphere_maps as sm
 from densitylab.errors import ParamViolation, UsageError
 
 
@@ -203,6 +203,24 @@ def test_report_body_deterministic():
     r2 = cli.run(cli.Scenario.from_config(cfg))
     assert cli.report_body(r1) == cli.report_body(r2)
     assert "runtime_seconds" not in cli.report_body(r1)
+
+
+def test_harmonic_dims_certifies_the_laplacian_by_its_triangular_minor(monkeypatch):
+    calls = []
+    ranks = sm._ranks
+
+    def counting(shape, blocks):
+        calls.append(shape)
+        return ranks(shape, blocks)
+
+    monkeypatch.setattr(sm, "_ranks", counting)
+    assert cli._brute_harmonic_dim(7, 8) == ha.dim_harmonics(7, 8) and calls == []
+    # the geometer's sign puts -(b0+2)(b0+1) on the diagonal, so the check
+    # fails and the rank of the same matrix comes from elimination
+    laplacian = ha.Poly.analyst_laplacian
+    monkeypatch.setattr(ha.Poly, "analyst_laplacian", lambda p: -laplacian(p))
+    assert cli._brute_harmonic_dim(4, 5) == ha.dim_harmonics(4, 5)
+    assert calls == [(20, 56)]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -400,13 +418,13 @@ def test_maps_construct_runs_one_set_of_checks_on_either_map(size):
 def test_maps_construct_checks_the_sum_of_squares_once(monkeypatch, size):
     # every route to the map checks it exactly; the verdict reads that check
     calls = []
-    exact = sm._sum_sq_minus_Rm_exact
+    exact = sm._sum_of_squares_is_Rm
 
-    def counting(components, n_ambient, m):
-        calls.append((n_ambient, m))
-        return exact(components, n_ambient, m)
+    def counting(the_map):
+        calls.append((the_map.n_ambient, the_map.m))
+        return exact(the_map)
 
-    monkeypatch.setattr(sm, "_sum_sq_minus_Rm_exact", counting)
+    monkeypatch.setattr(sm, "_sum_of_squares_is_Rm", counting)
     sc = cli.Scenario.from_config({"suite": "maps", "mode": "construct",
                                    "params": {"n_ambient": size[0], "m": size[1]}})
     assert cli.run(sc)["overall"] == "pass"
@@ -684,6 +702,42 @@ def test_families_verify_documents_exit_0_1_or_2(tmp_path_factory, params, grid)
         params["a"], params["c"] = params.pop("ac")
     _main_answers(tmp_path_factory.mktemp("verify"), "families", "verify",
                   {"params": params, "grid": grid})
+
+
+# sizes up to n_ambient 6 and m 3, at most two kernel cases, so that each
+# example is cheap; negative, small and odd sizes reach the library's guards
+_MAP_SIZE = {"n_ambient": _mostly(st.integers(-1, 6)), "m": _mostly(st.integers(-1, 3))}
+_MAPS_PARAMS = {
+    "kernel": st.fixed_dictionaries({}, optional={"cases": _mostly(st.lists(
+        _mostly(st.tuples(*_MAP_SIZE.values()).map(list)), max_size=2))}),
+    "verify": st.fixed_dictionaries({}, optional=_MAP_SIZE),
+    "construct": st.fixed_dictionaries({}, optional={
+        **_MAP_SIZE, "points": _mostly(st.integers(1, 20))})}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_MAPS_PARAMS)).flatmap(
+    lambda mode: st.tuples(st.just(mode), _MAPS_PARAMS[mode])),
+    _mostly(st.integers(-2, 2 ** 70)))
+def test_maps_documents_exit_0_1_or_2(tmp_path_factory, mode_params, seed):
+    mode, params = mode_params
+    _main_answers(tmp_path_factory.mktemp(mode), "maps", mode,
+                  {"params": params, "seed": seed})
+
+
+def test_families_verify_refuses_a_grid_below_the_domain_margin(tmp_path, capsys):
+    # at x = 1e-300 Scherk's closed-form jets overflow, though both of its
+    # identities hold there; the margin is where the domain is taken to begin
+    for grid in ({"x_min": 1e-300}, {"x_min": 0.0}, {"x_max": 5e-7},
+                 {"x_min": math.nan}, {"x_min": -1.0, "x_max": 1.0}):
+        rc, err = _main_error(tmp_path, capsys, "families", "verify",
+                              {"grid": {**grid, "nx": 2, "ny": 2}})
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith("error: UsageError: grid of families verify:")
+        assert "domain margin 1e-06" in err
+    rc, _ = _main_error(tmp_path, capsys, "families", "verify",
+                        {"grid": {"x_min": 1e-6, "x_max": 1e-6, "nx": 2, "ny": 2}})
+    assert rc in (0, 1)
 
 
 def test_readme_parameter_table_matches_the_mode_table():

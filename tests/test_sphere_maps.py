@@ -218,6 +218,70 @@ def test_kernel_dimension_comes_from_stacked_blocks(monkeypatch):
     assert sorted(shape[:2] for _, shape in primes) == [(1, 21), (15, 1), (15, 6)]
 
 
+def block_entries(basis: sm.HarmonicBasis, cols) -> tuple[int, dict]:
+    """The oracle of one parity block: its row count and its nonzero
+    entries {(row, column): value}, from one Poly product h_a h_b per
+    column E_ab (times 2 when a != b), its rows the degree-2m exponents of
+    the block's parity in monomial_exponents order."""
+    pairs = sm._sym_pairs(basis.dim)
+    entries, parity = {}, None
+    for k, j in enumerate(cols):
+        a, b = pairs[j]
+        prod = basis.elements[a].poly * basis.elements[b].poly
+        for e, c in prod.terms.items():
+            parity = tuple(x % 2 for x in e)
+            entries[e, k] = int(c) if a == b else 2 * int(c)
+    rows = [e for e in monomial_exponents(basis.n_ambient, 2 * basis.m)
+            if tuple(x % 2 for x in e) == parity]
+    index = {e: i for i, e in enumerate(rows)}
+    return len(rows), {(index[e], k): v for (e, k), v in entries.items()}
+
+
+@pytest.mark.parametrize("n_amb,m", [(4, 1), (4, 2), (5, 2), (6, 2), (4, 3),
+                                     (5, 3), (4, 4), (8, 3)])
+def test_stacks_are_the_block_products_modulo_p(n_amb, m):
+    # every pair (a, b) lies in one block, and each stack holds, entry for
+    # entry, the products h_a h_b reduced modulo each prime
+    basis = sm.basis_Hm(n_amb, m)
+    blocks = sm._Blocks(basis)
+    assert sorted(j for _, cols in blocks.blocks for j in cols.tolist()) \
+        == list(range(len(sm._sym_pairs(basis.dim))))
+    for (r, c), group in blocks.shape_groups().items():
+        oracle = [block_entries(basis, blocks.blocks[b][1].tolist()) for b in group]
+        assert all(rows == r for rows, _ in oracle)
+        for p in (sm._PRIMES if (n_amb, m) != (8, 3) else sm._PRIMES[:1]):
+            expected = np.zeros((len(group), r, c), dtype=np.int64)
+            for s, (_, entries) in enumerate(oracle):
+                for (i, k), v in entries.items():
+                    expected[s, i, k] = v % p
+            assert np.array_equal(blocks.stack(group, p), expected)
+        if n_amb + m <= 8:   # exact entries too
+            for b, (_, entries) in zip(group, oracle):
+                rows, ks, values = blocks.entries(b)
+                assert dict(zip(zip(rows, ks), values)) == entries
+
+
+@pytest.mark.parametrize("failing", [{P0}, {P0, P1, P2}], ids=["first", "every"])
+@pytest.mark.parametrize("n_amb,m", [(5, 2), (4, 3)])
+def test_kernel_dimension_survives_failing_primes(monkeypatch, n_amb, m, failing):
+    # a prime reported as failing every block sends them on to the next
+    # prime, and after the last to the exact elimination of their entries
+    primes, exact = spy_on_ranks(monkeypatch)
+    recording = sm._full_row_rank_mod
+
+    def failing_mod(A, p):
+        full = recording(A, p)
+        return np.zeros_like(full) if p in failing else full
+
+    monkeypatch.setattr(sm, "_full_row_rank_mod", failing_mod)
+    D = dim_harmonics(n_amb, m)
+    _, ker = sm.solve_h_equals_Rm(n_amb, m)
+    assert ker.dimension == D * (D + 1) // 2 - math.comb(n_amb + 2 * m - 1, 2 * m)
+    blocks = sm._Blocks(ker.harmonics).blocks
+    assert {p for p, _ in primes} == ({P0, P1} if len(failing) == 1 else set(sm._PRIMES))
+    assert len(exact) == (0 if len(failing) == 1 else len(blocks))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), max_size=7),
        st.randoms(use_true_random=False))
@@ -615,12 +679,19 @@ def test_construct_map_rejects_wrong_target():
 # maps
 # ----------------------------------------------------------------------
 
+def sum_sq_minus_Rm(components, n_ambient: int, m: int) -> Poly:
+    """Sum of the squares of the components minus R^m: one Poly product per
+    component, independent of the library's one product per step."""
+    return sum((f * f for f in components), Poly.zero(n_ambient)) \
+        - sm.radius_power(n_ambient, m)
+
+
 def test_identity_map():
     b = sm.basis_Hm(4, 1)
     G0, _ = sm.solve_h_equals_Rm(4, 1, b)
     m = sm.construct_map(G0, b)
     assert len(m.components) == 4
-    assert sm._sum_sq_minus_Rm_exact(m.components, 4, 1).is_zero()
+    assert sum_sq_minus_Rm(m.components, 4, 1).is_zero()
     assert all(isinstance(f, Poly) for f in m.components)
     assert {tuple(c.terms) for c in m.components} == \
         {((1, 0, 0, 0),), ((0, 1, 0, 0),), ((0, 0, 1, 0),), ((0, 0, 0, 1),)}
@@ -647,7 +718,7 @@ def test_sphere_sizes_are_refused(call, name):
 def test_canonical_exact_quadratic_map():
     m = sm.canonical_exact_map(4, 2)
     assert len(m.components) == 8
-    assert sm._sum_sq_minus_Rm_exact(m.components, 4, 2).is_zero()
+    assert sum_sq_minus_Rm(m.components, 4, 2).is_zero()
     for f in m.components:
         assert f.analyst_laplacian().is_zero()
     for p in sm.random_sphere_points(4, 25, 3):
@@ -678,7 +749,7 @@ def test_canonical_map_gram_is_in_solution_space():
     # the pipeline reconstructs an exact map from this certificate
     rebuilt = sm.construct_map(G, b)
     assert len(rebuilt.components) == 8
-    assert sm._sum_sq_minus_Rm_exact(rebuilt.components, 4, 2).is_zero()
+    assert sum_sq_minus_Rm(rebuilt.components, 4, 2).is_zero()
 
 
 def test_gram_of_components_refuses_a_component_outside_the_span():
@@ -691,6 +762,62 @@ def test_gram_of_components_refuses_a_component_outside_the_span():
                                         for a in range(9)])
 
 
+# (count, sha256 of every component's denominator and sorted numerators),
+# as construct_map(G0) gave them when it built each component as a Poly
+COMPONENT_DIGESTS = {
+    (4, 1): (4, "4158aca9e20ec0873bbbd68791d59dfcdd655fe94a1a166ac6ae745d4713a7a7"),
+    (4, 2): (24, "38b34488f15f62c1900a41610da4788b6a9fda633e95dba6b263f36a5f42a870"),
+    (5, 2): (30, "cd5a2986265d2019a569e8d1063ef702010eda9fb9291f0e301aec10ff4bba11"),
+    (4, 3): (38, "2c69a25fb99815df5b1099f198b6a89a6e35384aa7d134624ba34362646c0e9c"),
+    (6, 2): (72, "65b3e2d53676431efb3b828d192e5a216df50ebfb0ff185c1c88ef75fe1a4ac4"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(COMPONENT_DIGESTS))
+def test_components_view_is_pinned(size):
+    # count, order and every coefficient of the components read off the steps
+    b = sm.basis_Hm(*size)
+    the_map = sm.construct_map(sm.scaled_identity_gram(b), b)
+    comps = the_map.components
+    text = repr([(c.den, sorted(c.nums.items())) for c in comps])
+    assert (len(comps), hashlib.sha256(text.encode()).hexdigest()) == COMPONENT_DIGESTS[size]
+    # each step's components are the multiples s_i / b of its f_k, whose
+    # squares sum to piv_k
+    for f, piv, squares in the_map.steps:
+        assert sum(Fraction(s, piv.denominator) ** 2 for s in squares) == piv > 0
+
+
+@pytest.mark.parametrize("size", [(4, 2), (5, 2), (4, 3)])
+def test_steps_satisfy_the_exact_energy_identity(size):
+    # Laplacian of sum_k piv_k f_k^2 = R^m with Delta f_k = 0:
+    # sum_k piv_k |grad f_k|^2 = m (n + 2m - 2) R^(m-1), as polynomials
+    n, m = size
+    b = sm.basis_Hm(n, m)
+    the_map = sm.construct_map(sm.scaled_identity_gram(b), b)
+    total = Poly.zero(n)
+    for f, piv, _ in the_map.steps:
+        assert f.analyst_laplacian().is_zero()
+        for j in range(n):
+            total = total + (f.diff(j) * f.diff(j)).scale(piv)
+    assert total == sm.radius_power(n, m - 1).scale(m * (n + 2 * m - 2))
+
+
+@pytest.mark.parametrize("size", [(4, 1), (4, 2), (5, 2), (4, 3)])
+def test_stepped_sum_of_squares_matches_the_component_oracle(size):
+    # the one product per step decides as the one product per component does,
+    # on the map and on the map with its last pivot four times too large
+    b = sm.basis_Hm(*size)
+    the_map = sm.construct_map(sm.scaled_identity_gram(b), b)
+    assert sm._sum_of_squares_is_Rm(the_map)
+    assert sum_sq_minus_Rm(the_map.components, *size).is_zero()
+    f, piv, _ = the_map.steps[-1]
+    off = sm.SphericalHarmonicMap(
+        the_map.n_ambient, the_map.m,
+        the_map.steps[:-1] + (sm._step(f, 4 * piv),))
+    assert not sm._sum_of_squares_is_Rm(off)
+    assert not sum_sq_minus_Rm(off.components, *size).is_zero()
+
+
 @pytest.mark.parametrize("n_amb,m,count,rank", [
     (4, 2, 24, 9), (5, 2, 30, 14), (4, 3, 38, 16), (5, 3, 87, 30)])
 def test_scaled_identity_map_is_exact(n_amb, m, count, rank):
@@ -700,7 +827,7 @@ def test_scaled_identity_map_is_exact(n_amb, m, count, rank):
     the_map = sm.construct_map(G0, b)
     assert len(the_map.components) == count
     assert reference_rank(G0.entries) == rank
-    assert sm._sum_sq_minus_Rm_exact(the_map.components, n_amb, m).is_zero()
+    assert sum_sq_minus_Rm(the_map.components, n_amb, m).is_zero()
     for f in the_map.components:
         assert f.analyst_laplacian().is_zero()
     lam = m * (m + n_amb - 2)
@@ -784,7 +911,7 @@ def test_psd_point_on_line_halves_to_a_psd_point(n_amb, m, element, t):
     if t < Fraction(1, 2):   # the value before the last halving is refused
         assert not G0.add(k, 2 * t).psd_certificate()[0]
     the_map = sm.construct_map(G, b)
-    assert sm._sum_sq_minus_Rm_exact(the_map.components, n_amb, m).is_zero()
+    assert sum_sq_minus_Rm(the_map.components, n_amb, m).is_zero()
 
 
 @pytest.mark.parametrize("t_target", [0, -0.5, math.inf, math.nan, float("-inf")])
@@ -878,9 +1005,9 @@ def test_energy_density_batch_matches_points_and_exact_values(n_amb, deg):
 
 
 def energy_through_derivative_polys(m: sm.SphericalHarmonicMap, pts) -> np.ndarray:
-    """The energy density from F.diff(j) polynomials: each list of
-    polynomials becomes a float table over its sorted keys, evaluated by
-    one einsum."""
+    """The energy density from f_k.diff(j) polynomials, one f_k per step
+    weighted by its pivot: each list of polynomials becomes a float table
+    over its sorted keys, evaluated by one einsum."""
     shifts = _shifts(m.n_ambient)
 
     def evaluate(polys):
@@ -894,10 +1021,12 @@ def energy_through_derivative_polys(m: sm.SphericalHarmonicMap, pts) -> np.ndarr
             monos *= pts[:, i:i + 1] ** powers[:, i]
         return np.einsum("pe,ae->pa", monos, coefs)
 
-    values = evaluate(m.components)
-    grads = evaluate([f.diff(j) for f in m.components for j in range(m.n_ambient)])
-    grad_sq = (grads ** 2).reshape(len(pts), len(m.components), m.n_ambient)
-    return (grad_sq.sum(axis=2) - (m.m * values) ** 2).sum(axis=1)
+    polys = [f for f, _, _ in m.steps]
+    values = evaluate(polys)
+    grads = evaluate([f.diff(j) for f in polys for j in range(m.n_ambient)])
+    grad_sq = (grads ** 2).reshape(len(pts), len(polys), m.n_ambient)
+    weights = np.array([float(piv) for _, piv, _ in m.steps])
+    return ((grad_sq.sum(axis=2) - (m.m * values) ** 2) * weights).sum(axis=1)
 
 
 @pytest.mark.parametrize("n_amb,deg", [(4, 3), (5, 3)])

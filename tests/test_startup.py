@@ -64,9 +64,9 @@ def test_harmonic_verdicts_never_import_numpy(tmp_path):
         "import json, sys\n"
         "from densitylab import cli\n"
         "codes = [cli.main(['harmonic', mode, '--out', sys.argv[1]])\n"
-        "         for mode in ('identities', 'spectrum')]\n"
+        "         for mode in ('identities', 'spectrum', 'dims')]\n"
         f"print(json.dumps([codes, {_LOADED}]))\n", str(tmp_path))
-    assert loaded == [[0, 0], ["densitylab", "densitylab.cli", "densitylab.errors",
+    assert loaded == [[0, 0, 0], ["densitylab", "densitylab.cli", "densitylab.errors",
                                "densitylab.harmonic", "densitylab.tolerances"]]
 
 
