@@ -245,16 +245,19 @@ def _closedness_solve(phi: Jet, theta, status: BatchStatus | None = None):
     p_ph = s_m * inv_s2 - two_c2 * c_m * inv_s2_sq
     q_ph = q_th - two_c2 * c_p * inv_s2_sq
 
-    # psi partials in (p, q), as jets through the field jets p, q
-    p2, q2, p4, q4 = p * p, q * q, p ** 4, q ** 4
+    # psi partials in (p, q), as jets through the field jets p, q.  The
+    # fourth powers and cubes are the products that ** makes, on squares
+    # built once
+    p2, q2 = p * p, q * q
+    p4, q4 = p2 * p2, q2 * q2
     r = _radicand(p, q, p2, q2)
     r_bad = _by_probe(r.value <= TOL_SING, theta)
     guard(r_bad[0], Singularity, "radicand vanished along the probe",
           status=status)
     n1, n2 = _psi_numerators(p, q, p4, q4)
     n1_p = 5.0 * p4 - q4 - 6.0 * p * p + 1.0
-    n1_q = -4.0 * q ** 3 * p
-    n2_p = 4.0 * p ** 3 * q
+    n1_q = -4.0 * (q * q2) * p
+    n2_p = 4.0 * (p * p2) * q
     n2_q = -(5.0 * q4 - p4 - 6.0 * q * q + 1.0)
     r_p = 4.0 * p * (q2 - p2 + 1.0)
     r_q = 4.0 * q * (p2 - q2 + 1.0)
@@ -337,12 +340,14 @@ def _obstruction_jets(phi: Jet, status: BatchStatus | None = None):
     expression for d(2 theta).  The guards record into status when one is
     given.
     """
+    # g holds the gradient of 2 theta at each probe
     if isinstance(phi.value, np.ndarray):
         tx, ty = _closedness_solve(phi, _PROBE_COLUMN, status)
-        solves = [(_probe(tx, i), _probe(ty, i)) for i in range(len(_PROBES_2T))]
+        tx, ty = 2.0 * tx, 2.0 * ty
+        g = [(_probe(tx, i), _probe(ty, i)) for i in range(len(_PROBES_2T))]
     else:
-        solves = [_closedness_solve(phi, 0.5 * t2, status) for t2 in _PROBES_2T]
-    g = [(2.0 * tx, 2.0 * ty) for tx, ty in solves]
+        g = [(2.0 * tx, 2.0 * ty) for tx, ty in
+             (_closedness_solve(phi, 0.5 * t2, status) for t2 in _PROBES_2T)]
     w1, w2, w3 = zip(*(_affine_from_probes(*(gt[i] for gt in g))
                        for i in range(2)))
     k = phi.order - 2
@@ -404,17 +409,22 @@ def candidates_batch(phi: Jet) -> list:
     return [c if err is None else err for c, err in zip(cands, status.errors)]
 
 
-def _branch_angles(base, beta):
-    """The ten angles (base + sign beta)/2 + k pi as (sign, angle) pairs.
+# sign and k of the ten branch angles (base + sign beta)/2 + k pi: sign runs
+# over (1, -1) and k over -2..2, in this fixed order, which both branch
+# searches rely on
+_BRANCH_SIGN = np.repeat([1.0, -1.0], 5)
+_BRANCH_TURN = np.tile(np.arange(-2.0, 3.0), 2) * math.pi
 
-    sign runs over (1, -1) and k over -2..2, in this fixed order, which both
-    branch searches rely on; base and beta are floats, or arrays with one
-    entry per element of a batch.
+
+def _branch_angles(base, beta):
+    """The ten angles (base + sign beta)/2 + k pi, stacked on a first axis.
+
+    base and beta are floats, giving shape (10,), or arrays with one entry
+    per element of a batch, giving shape (10, N).
     """
-    for sign in (1.0, -1.0):
-        t2 = base + sign * beta
-        for k in (-2, -1, 0, 1, 2):
-            yield sign, 0.5 * t2 + k * math.pi
+    column = (10,) + (1,) * np.ndim(base)
+    return (0.5 * (base + _BRANCH_SIGN.reshape(column) * beta)
+            + _BRANCH_TURN.reshape(column))
 
 
 def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
@@ -435,25 +445,22 @@ def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
         return []
     base = m.atan2(A2, A1)
     beta = m.acos(m.maximum(-1.0, m.minimum(1.0, -A3 / amp)))
-    half_window = math.pi / 2.0 - phi_value
+    th = _branch_angles(base, beta)
     # each angle is kept when it lies in the window and is not within 1e-9
-    # of an angle kept before it
-    ths, keeps = [], []
-    for _, th in _branch_angles(base, beta):
-        keep = real & (abs(th) < half_window)
-        for o, kept in zip(ths, keeps):
-            keep = keep & (~kept | (abs(th - o) > 1e-9))
-        ths.append(th)
-        keeps.append(keep)
+    # of an angle kept before it.  Angles of one sign differ by multiples of
+    # pi (base lies in [-pi, pi] and beta in [0, pi], or they are nan), so
+    # only an angle of sign -1 can lie that near an earlier one, of sign 1
+    keep = real & (abs(th) < math.pi / 2.0 - phi_value)
+    near = np.logical_not(abs(th[5:, None] - th[:5]) > 1e-9)
+    keep[5:] &= ~np.any(keep[:5] & near, axis=1)
     if not batch:
-        out = sorted(th for th, kept in zip(ths, keeps) if kept)
+        out = sorted(th[keep].tolist())
         guard(len(out) > 2, ParamViolation, "impossible candidate count {}", len(out))
         return out
-    counts = np.sum(keeps, axis=0)
+    counts = np.sum(keep, axis=0)
     guard(counts > 2, ParamViolation, "impossible candidate count {}", counts,
           status=status)
-    return [sorted(row[kept].tolist())
-            for row, kept in zip(np.transpose(ths), np.transpose(keeps))]
+    return [sorted(row[kept].tolist()) for row, kept in zip(th.T, keep.T)]
 
 
 def third_order_residual(phi: Jet, theta_branch: float) -> tuple[float, float]:
@@ -483,12 +490,11 @@ def third_order_residual(phi: Jet, theta_branch: float) -> tuple[float, float]:
     beta = jet_acos(ratio)
 
     # the branch whose angle lies nearest the requested one (first if tied)
-    err, sign = min(((abs(th - theta_branch), sign)
-                     for sign, th in _branch_angles(base.value, beta.value)),
-                    key=lambda pick: pick[0])
-    guard(err > 1e-6, ParamViolation,
+    err = abs(_branch_angles(base.value, beta.value) - theta_branch)
+    nearest = int(np.argmin(err))
+    guard(err[nearest] > 1e-6, ParamViolation,
           "theta_branch {} is not a candidate of this jet", theta_branch)
-    t2_jet = base + sign * beta
+    t2_jet = base + float(_BRANCH_SIGN[nearest]) * beta
 
     c2, s2 = math.cos(t2_jet.value), math.sin(t2_jet.value)
     rx = t2_jet.dx - (c2 * w1[0].value + s2 * w2[0].value + w3[0].value)

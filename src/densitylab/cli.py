@@ -254,7 +254,7 @@ def _families_verify(sc: Scenario) -> list[dict]:
         heli = mg.HeliCatenoid(p["phi"])
         heli.validate()
         mj = mg.mu_jet(heli, np.array([1.0, 0.8, 1.4, 2.0]),
-                       np.array([0.2, -0.5, 1.0, 0.0]))
+                       np.array([0.2, -0.5, 1.0, 0.0]), order=2)
         data = mg.compatibility_data(mj)
         worst_plug = float(np.max([
             (np.abs(data.coef_cos * c2 + data.coef_sin * s2 - data.rhs),
@@ -329,7 +329,7 @@ def _field_values(fam: mg.DensityFamily, name: str, x: np.ndarray, y: np.ndarray
     if name == "F":
         values = mg.density_value(fam, x, y)
     else:
-        mj = mg.mu_jet(fam, x, y, status=status)
+        mj = mg.mu_jet(fam, x, y, order=2, status=status)
         if name in _SLOPE_FIELDS:
             branch, part = _SLOPE_FIELDS[name]
             values = mg.two_theta_solutions(mj, status)[branch][part]

@@ -19,6 +19,15 @@ elementary functions take ``math`` on float values and numpy on array values
 results it always gave; an element of a batch agrees with its scalar jet up
 to last-digit differences between the two libraries' functions.
 
+Only the work an order reads.  A number times a jet scales each slot up to
+the jet's order.  That is the product with the number's constant jet less
+the terms in the constant's zero slots, so the two can differ only in the
+sign of an exact zero: where x * c is -0.0, the product adds +0.0 terms and
+gives +0.0.  Integer powers begin binary powering at the base, not at a unit
+jet, and the elementary functions pass :meth:`Jet.compose` only the
+derivative factors f2 and f3 that the order reads: an order-1 reciprocal
+computes no v**3 and no v**4.
+
 Masked guards.  A library guard that fails on a float jet raises one of the
 classes in :mod:`densitylab.errors`.  On a batch, one bad element must not
 abort the others, so every guard that sees jet values goes through
@@ -226,8 +235,9 @@ class Jet:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Jet":
-        f = self
-        g = self._coerce(other)
+        if not isinstance(other, Jet):
+            return self._scaled(other if isinstance(other, np.ndarray) else float(other))
+        f, g = self, other
         k = min(f.order, g.order)
         v = f.value * g.value
         dx = dy = dxx = dxy = dyy = dxxx = dxxy = dxyy = dyyy = 0.0
@@ -251,6 +261,22 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def _scaled(self, c) -> "Jet":
+        """The jet times the number c: each slot the order reads, times c.
+
+        This is the Leibniz product with the constant jet of c less its
+        terms in the constant's zero slots, which are exact zeros.
+        """
+        f, k = self, self.order
+        dx = dy = dxx = dxy = dyy = dxxx = dxxy = dxyy = dyyy = 0.0
+        if k >= 1:
+            dx, dy = f.dx * c, f.dy * c
+        if k >= 2:
+            dxx, dxy, dyy = f.dxx * c, f.dxy * c, f.dyy * c
+        if k >= 3:
+            dxxx, dxxy, dxyy, dyyy = f.dxxx * c, f.dxxy * c, f.dxyy * c, f.dyyy * c
+        return Jet(f.value * c, dx, dy, dxx, dxy, dyy, dxxx, dxxy, dxyy, dyyy, order=k)
+
     def __truediv__(self, other) -> "Jet":
         o = self._coerce(other)
         return self * o._reciprocal()
@@ -263,26 +289,36 @@ class Jet:
             raise TypeError("jet powers must be integers; use jet_sqrt etc. otherwise")
         if n < 0:
             return (self ** (-n))._reciprocal()
-        out = Jet.constant(1.0, self.order)
+        if n == 0:
+            return Jet.constant(1.0, self.order)
+        # binary powering; out starts at the repeated square of the base
+        # that the lowest set bit of n selects
         base = self
-        k = n
-        while k:
-            if k & 1:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        while n > 1:
+            base = base * base
+            n >>= 1
+            if n & 1:
                 out = out * base
-            k >>= 1
-            if k:
-                base = base * base
         return out
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
-        return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        v, k = self.value, self.order
+        return self.compose(1.0 / v, -1.0 / v**2, 2.0 / v**3 if k >= 2 else 0.0,
+                            -6.0 / v**4 if k >= 3 else 0.0)
 
     # ------------------------------------------------------------------
     # composition with a univariate function (chain rule / Faa di Bruno)
     # ------------------------------------------------------------------
     def compose(self, f0, f1, f2=0.0, f3=0.0) -> "Jet":
-        """Apply a scalar function with derivatives f0..f3 at self.value."""
+        """Apply a scalar function with derivatives f0..f3 at self.value.
+
+        f2 is read from order 2 on and f3 at order 3; callers pass 0.0 for
+        a factor the order does not read instead of computing it.
+        """
         u = self
         k = u.order
         dx = dy = dxx = dxy = dyy = dxxx = dxxy = dxyy = dyyy = 0.0
@@ -333,15 +369,15 @@ class Jet:
 # ----------------------------------------------------------------------
 
 def jet_sin(u: Jet) -> Jet:
-    m = math_for(u.value)
+    m, k = math_for(u.value), u.order
     s, c = m.sin(u.value), m.cos(u.value)
-    return u.compose(s, c, -s, -c)
+    return u.compose(s, c, -s if k >= 2 else 0.0, -c if k >= 3 else 0.0)
 
 
 def jet_cos(u: Jet) -> Jet:
-    m = math_for(u.value)
+    m, k = math_for(u.value), u.order
     s, c = m.sin(u.value), m.cos(u.value)
-    return u.compose(c, -s, -c, s)
+    return u.compose(c, -s, -c if k >= 2 else 0.0, s)
 
 
 def jet_sinh(u: Jet) -> Jet:
@@ -362,35 +398,37 @@ def jet_exp(u: Jet) -> Jet:
 
 
 def jet_log(u: Jet) -> Jet:
-    v = u.value
-    return u.compose(math_for(v).log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+    v, k = u.value, u.order
+    return u.compose(math_for(v).log(v), 1.0 / v, -1.0 / v**2 if k >= 2 else 0.0,
+                     2.0 / v**3 if k >= 3 else 0.0)
 
 
 def jet_sqrt(u: Jet) -> Jet:
-    v = u.value
+    v, k = u.value, u.order
     r = math_for(v).sqrt(v)
-    return u.compose(r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r))
+    return u.compose(r, 0.5 / r, -0.25 / (v * r) if k >= 2 else 0.0,
+                     0.375 / (v * v * r) if k >= 3 else 0.0)
 
 
 def jet_asinh(u: Jet) -> Jet:
-    v = u.value
+    v, k = u.value, u.order
     w = 1.0 + v * v
-    return u.compose(math_for(v).asinh(v), w**-0.5, -v * w**-1.5,
-                     (2.0 * v * v - 1.0) * w**-2.5)
+    return u.compose(math_for(v).asinh(v), w**-0.5, -v * w**-1.5 if k >= 2 else 0.0,
+                     (2.0 * v * v - 1.0) * w**-2.5 if k >= 3 else 0.0)
 
 
 def jet_atan(u: Jet) -> Jet:
-    v = u.value
+    v, k = u.value, u.order
     w = 1.0 + v * v
-    return u.compose(math_for(v).atan(v), 1.0 / w, -2.0 * v / w**2,
-                     (6.0 * v * v - 2.0) / w**3)
+    return u.compose(math_for(v).atan(v), 1.0 / w, -2.0 * v / w**2 if k >= 2 else 0.0,
+                     (6.0 * v * v - 2.0) / w**3 if k >= 3 else 0.0)
 
 
 def jet_acos(u: Jet) -> Jet:
-    v = u.value
+    v, k = u.value, u.order
     w = 1.0 - v * v
-    return u.compose(math_for(v).acos(v), -w**-0.5, -v * w**-1.5,
-                     -(1.0 + 2.0 * v * v) * w**-2.5)
+    return u.compose(math_for(v).acos(v), -w**-0.5, -v * w**-1.5 if k >= 2 else 0.0,
+                     -(1.0 + 2.0 * v * v) * w**-2.5 if k >= 3 else 0.0)
 
 
 def jet_atan2(y: Jet, x: Jet) -> Jet:

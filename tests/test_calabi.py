@@ -594,3 +594,37 @@ def test_the_closedness_solve_runs_once_per_batch_and_once_per_probe_on_floats(
     assert len(calls) == 2
     cb.compatibility_extract(probe_jet(order=2))
     assert len(calls) == 5 and all(isinstance(t, float) for t in calls[2:])
+
+
+def test_a_batch_verdict_multiplies_no_constant_jet(monkeypatch):
+    # a number times a jet scales its slots; a product with a constant jet,
+    # one whose derivative slots are all the float 0.0, spends the Leibniz
+    # sum on zeros.  A number that the product turns into a constant jet
+    # counts as such a factor too.
+    mul, constant = Jet.__mul__, Jet.constant
+    products, open_products = [], []
+
+    def is_constant(jet):
+        return all(type(getattr(jet, s)) is float and getattr(jet, s) == 0.0
+                   for s in SLOTS[1:])
+
+    def counted_mul(self, other):
+        products.append(isinstance(other, Jet)
+                        and (is_constant(self) or is_constant(other)))
+        open_products.append(len(products) - 1)
+        try:
+            return mul(self, other)
+        finally:
+            open_products.pop()
+
+    def counted_constant(v, order=3):
+        if open_products:
+            products[open_products[-1]] = True
+        return constant(v, order)
+
+    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    monkeypatch.setattr(Jet, "__rmul__", counted_mul)
+    monkeypatch.setattr(Jet, "constant", staticmethod(counted_constant))
+    outcomes = cb.candidates_batch(batch_of(random_rows(random.Random(5), 20, 2), 2))
+    assert all(isinstance(o, list) for o in outcomes)
+    assert products and not any(products)

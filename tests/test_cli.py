@@ -725,6 +725,30 @@ def test_maps_documents_exit_0_1_or_2(tmp_path_factory, mode_params, seed):
                   {"params": params, "seed": seed})
 
 
+# trials and probes are always given and at most 30, so each example is cheap
+_CALABI_PARAMS = {
+    "branches": st.fixed_dictionaries({"trials": _mostly(st.integers(1, 30))}),
+    "extract": st.fixed_dictionaries({}),
+    "residual": st.fixed_dictionaries({"probes": _mostly(st.integers(1, 30))})}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_CALABI_PARAMS)).flatmap(
+    lambda mode: st.tuples(st.just(mode), _CALABI_PARAMS[mode])),
+    _mostly(st.integers()))
+def test_calabi_documents_exit_0_1_or_2_and_repeat_their_report(
+        tmp_path_factory, mode_params, seed):
+    mode, params = mode_params
+    bodies = []
+    for _ in range(2):
+        out = tmp_path_factory.mktemp(mode)
+        _main_answers(out, "calabi", mode, {"params": params, "seed": seed})
+        report = out / f"report_calabi_{mode}.json"
+        bodies.append(cli.report_body(json.loads(report.read_text()))
+                      if report.exists() else None)
+    assert bodies[0] == bodies[1]
+
+
 def test_families_verify_refuses_a_grid_below_the_domain_margin(tmp_path, capsys):
     # at x = 1e-300 Scherk's closed-form jets overflow, though both of its
     # identities hold there; the margin is where the domain is taken to begin

@@ -284,3 +284,93 @@ def test_status_keeps_each_elements_scalar_exception():
     assert type(exc) is ZeroDivisionError and str(exc) == "over 2.5"
     with pytest.raises(ValueError):
         status.exception(0)
+
+
+# ----------------------------------------------------------------------
+# only the work an order reads: the short routes give the long routes' bits
+# ----------------------------------------------------------------------
+
+FINITE = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def jets(draw, value=FINITE, order=None):
+    """A jet of order 0-3 whose slots up to the order are finite: floats, or
+    for a batch each an array of three or a float shared by the three."""
+    k = draw(st.integers(0, 3)) if order is None else order
+    batch = draw(st.booleans())
+
+    def slot(values):
+        if batch and draw(st.booleans()):
+            return np.array(draw(st.lists(values, min_size=3, max_size=3)))
+        return draw(values)
+
+    read = (1, 3, 6, 10)[k]
+    return Jet(slot(value), *(slot(FINITE) for _ in range(read - 1)), order=k)
+
+
+def slot_bits(jet, zeros_by_value=False):
+    """The bytes of every slot, broadcast to the jet's batch shape; with
+    zeros_by_value, -0.0 reads as 0.0."""
+    slots = np.broadcast_arrays(*(np.asarray(getattr(jet, s), dtype=float)
+                                  for s in SLOTS3))
+    if zeros_by_value:
+        slots = [s + 0.0 for s in slots]
+    return [s.tobytes() for s in slots]
+
+
+@given(jets(), st.floats(-1e3, 1e3) | st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_a_number_scales_each_slot_as_the_product_with_its_constant_jet(J, c):
+    # scaling skips the Leibniz terms in the constant's zero slots, which
+    # can only change the sign of an exact zero
+    want = slot_bits(J * Jet.constant(c, J.order), zeros_by_value=True)
+    for got in (c * J, J * c):
+        assert got.order == J.order
+        assert slot_bits(got, zeros_by_value=True) == want
+
+
+def binary_power_chain(J, n):
+    """J ** n as the products of binary powering, written out."""
+    if n < 0:
+        return binary_power_chain(J, -n)._reciprocal()
+    square = J * J
+    fourth = square * square
+    return {0: Jet.constant(1.0, J.order), 1: J, 2: square, 3: J * square,
+            4: fourth, 5: J * fourth}[n]
+
+
+@given(jets(value=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)), st.integers(-3, 5))
+@settings(max_examples=200, deadline=None)
+def test_integer_powers_are_the_binary_powering_products(J, n):
+    got = J ** n
+    assert got.order == J.order
+    assert slot_bits(got) == slot_bits(binary_power_chain(J, n))
+
+
+ELEMENTARY = [(jet_sin, -10.0, 10.0), (jet_cos, -10.0, 10.0), (jet_sinh, -5.0, 5.0),
+              (jet_cosh, -5.0, 5.0), (jet_exp, -5.0, 5.0), (jet_log, 0.01, 100.0),
+              (jet_sqrt, 0.01, 100.0), (jet_asinh, -10.0, 10.0),
+              (jet_atan, -10.0, 10.0), (jet_acos, -0.99, 0.99)]
+
+
+@pytest.mark.parametrize("fn,lo,hi", ELEMENTARY)
+@given(data=st.data(), k=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_elementary_functions_at_each_order_truncate_their_order_3_jets(fn, lo, hi,
+                                                                        data, k):
+    # the factors f2 and f3 an order does not read are never computed; the
+    # slots it reads keep their bits
+    J = data.draw(jets(value=st.floats(lo, hi), order=3))
+    assert slot_bits(fn(J.truncate(k))) == slot_bits(fn(J).truncate(k))
+
+
+AWAY_FROM_0 = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+
+
+@given(jets(value=AWAY_FROM_0, order=3), jets(value=AWAY_FROM_0, order=3),
+       st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_atan2_at_each_order_truncates_its_order_3_jet(Y, X, k):
+    assert (slot_bits(jet_atan2(Y.truncate(k), X.truncate(k)))
+            == slot_bits(jet_atan2(Y, X).truncate(k)))
