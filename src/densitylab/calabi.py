@@ -70,6 +70,13 @@ from .tolerances import TOL_SING
 PHI_FLOOR = 1e-40
 
 
+def _reciprocal_ceiling(order: int) -> float:
+    """The largest |v| whose powers Jet._reciprocal takes at this order
+    (v**2 always, v**3 from order 2, v**4 at order 3) stay below 2^1020,
+    inside the float range."""
+    return 2.0 ** (1020 // max(2, order + 1))
+
+
 @dataclass(frozen=True)
 class GradientPair:
     """A gradient (p, q) = (z_x, z_y) in the Lagrangian's domain.
@@ -216,6 +223,8 @@ def _closedness_solve(phi: Jet, theta, status: BatchStatus | None = None):
         alpha tx - beta ty = -gamma phi_x + delta phi_y
 
     with alpha = psi_y,p p_th + psi_y,q q_th (etc. for beta, gamma, delta).
+    Each probe's guards run radicand, then the size of r^(5/2), whose
+    reciprocal's jet takes its powers, then the determinant.
     """
     if phi.order < 1:
         raise ParamViolation("phi jet must carry first derivatives")
@@ -262,7 +271,12 @@ def _closedness_solve(phi: Jet, theta, status: BatchStatus | None = None):
     r_p = 4.0 * p * (q2 - p2 + 1.0)
     r_q = 4.0 * q * (p2 - q2 + 1.0)
     den = jet_sqrt(r)
-    inv_r52 = (den * den * den * den * den)._reciprocal()
+    r52 = den * den * den * den * den
+    # where a power of r^(5/2) would leave the float range, the float route
+    # would raise OverflowError and the batch route would carry an inf
+    r52_big = _by_probe(np.abs(r52.value) > _reciprocal_ceiling(k), theta)
+    guard(r52_big[0], Singularity, _R52_MESSAGE, status=status)
+    inv_r52 = r52._reciprocal()
     psi_x_p = (n1_p * r - 1.5 * n1 * r_p) * inv_r52
     psi_x_q = (n1_q * r - 1.5 * n1 * r_q) * inv_r52
     psi_y_p = (n2_p * r - 1.5 * n2 * r_p) * inv_r52
@@ -287,12 +301,16 @@ def _closedness_solve(phi: Jet, theta, status: BatchStatus | None = None):
         if i:
             guard(bad, Singularity, "radicand vanished along the probe",
                   status=status)
+            guard(r52_big[i], Singularity, _R52_MESSAGE, status=status)
         guard(abs(det_v[i]) < TOL_SING, SingularSystem,
               "closedness system determinant {}", det_v[i], status=status)
     inv_det = det._reciprocal()
     tx = (b1 * neg_beta - p_th * b2) * inv_det
     ty = (neg_q_th * b2 - alpha * b1) * inv_det
     return tx, ty
+
+
+_R52_MESSAGE = "radicand along the probe so large that powers of its r^(5/2) leave the float range"
 
 
 def _by_probe(a, theta):

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from importlib import import_module
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -478,14 +479,16 @@ def _harmonic_spectrum(sc: Scenario) -> list[dict]:
         for lam in range(p["lambda_max"] + 1):
             spec = harmonic.SpectralParams(n, Fraction(1), Fraction(lam))
             m = harmonic.admissible_lambda(spec)
-            seq = harmonic.a_sequence(spec, p["m_max"])
+            terms = islice(harmonic._a_terms(spec), p["m_max"] + 1)
             if m is not None:
-                good = (seq.first_negative is None
-                        and seq.first_zero == m + 1
-                        and all(v == 0 for v in seq.values[m + 1:]))
-                # lambda = 0 gives m = 0 and zeros from index 1
+                # A_0..A_m positive, then zeros to the end; lambda = 0 gives
+                # m = 0 and zeros from index 1
+                vals = list(terms)
+                good = (len(vals) > m + 1 and all(v > 0 for v in vals[:m + 1])
+                        and not any(vals[m + 1:]))
             else:
-                good = seq.first_negative is not None
+                # decided at the first negative term
+                good = any(v < 0 for v in terms)
             if not good:
                 ok = False
                 witness = f"lambda={lam}"
@@ -538,24 +541,28 @@ def _brute_harmonic_dim(n_amb: int, m: int) -> int:
     monos = harmonic._packed_monomials(n_amb, m)
     if m < 2:
         return len(monos)
-    tindex = {e: i for i, e in enumerate(harmonic._packed_monomials(n_amb, m - 2))}
-    columns = {e: harmonic.Poly._make(n_amb, 1, {e: 1}).analyst_laplacian().nums
-               for e in monos}
+    targets = harmonic._packed_monomials(n_amb, m - 2)
+    # column j holds d_i^2 x^(e_j) at row t for each (t, i) with e_j = t + 2 u_i
+    columns: list[dict[int, int]] = [{} for _ in monos]
+    _, mults, positions = harmonic._lowering(n_amb, m, 2)
+    for k, (j, v) in enumerate(zip(positions, mults)):
+        columns[j][k // n_amb] = v
     top = harmonic._shifts(n_amb)[0]   # key >> top is the exponent of x_0
-    for beta in tindex:
-        b0, col = beta >> top, columns[beta + (2 << top)]
-        if col.get(beta) != (b0 + 2) * (b0 + 1) \
-                or any(g >> top <= b0 for g in col if g != beta):
+    place = harmonic._place(n_amb, m)
+    for row, beta in enumerate(targets):
+        b0, col = beta >> top, columns[place[beta + (2 << top)]]
+        if col.get(row) != (b0 + 2) * (b0 + 1) \
+                or any(targets[r] >> top <= b0 for r in col if r != row):
             break
     else:
-        return len(monos) - len(tindex)
+        return len(monos) - len(targets)
     from . import sphere_maps as sm
     rows, cols, values = [], [], []
-    for j, col in enumerate(columns.values()):
-        rows += map(tindex.__getitem__, col)
+    for j, col in enumerate(columns):
+        rows += col
         cols += [j] * len(col)
         values += col.values()
-    (rank,) = sm._ranks((len(tindex), len(monos)), [(rows, cols, values)])
+    (rank,) = sm._ranks((len(targets), len(monos)), [(rows, cols, values)])
     return len(monos) - rank
 
 

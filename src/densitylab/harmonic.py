@@ -1,10 +1,11 @@
 """Exact rational calculus of harmonic polynomials on R^n.
 
-A polynomial is stored as integer numerators over one shared denominator,
-{exponent key: int} and den, in a canonical form (see Poly), so arithmetic
-runs on Python integers and no Fraction is built per term.  An exponent
-vector (e_0, ..., e_{n-1}) is packed into one integer key with a fixed
-SLOT_BITS-bit slot per variable, x_0 in the most significant slot:
+Two layouts serve two jobs.  A Poly is sparse: integer numerators over one
+shared denominator, {exponent key: int} and den, in a canonical form (see
+Poly), so arithmetic runs on Python integers and no Fraction is built per
+term.  An exponent vector (e_0, ..., e_{n-1}) is packed into one integer
+key with a fixed SLOT_BITS-bit slot per variable, x_0 in the most
+significant slot:
 
     key = e_0 << (SLOT_BITS (n-1)) | e_1 << (SLOT_BITS (n-2)) | ... | e_{n-1}.
 
@@ -14,12 +15,35 @@ derivative subtracts 1 << shift from the key.  A product whose operands
 reach the top bit of any slot raises DegreeViolation, so a carry from one
 slot into the next never happens silently.  Tuples appear only at the
 edges: Poly(nvars, terms) takes them, and terms, sorted_terms and repr give
-them back.  Every identity here is exact, never checked by tolerance; the
-identity suite compares integer numerators over f's denominator, which is
-equality of polynomials, with no Poly, Fraction or gcd between its steps.
-The sign convention is pinned to the geometer's Laplacian, the negative of
-the trace of the Hessian, so (-Delta)^d below is the d-th power of the
-analyst's sum of pure second partials.
+them back.  Poly stays sparse, its ring operations (they serve the
+sphere-map side: products, squares and the reproducing identity) and its
+derivatives alike, since a Poly may have few terms of a high degree.
+
+The homogeneous calculus runs on dense lists instead.  A homogeneous
+polynomial of degree k is one list of integer numerators, one entry per
+monomial of _packed_monomials(n, k), in graded-lex order (x_0^k first), the
+order the random draws fill.  Per (n, k) gather tables, cached like the
+monomial lists, hold what each operation reads:
+
+  - a partial d_i (and a second partial d_i^2) reads, for each target
+    monomial t, the source position of t + u_i (t + 2 u_i) and the
+    multiplier t_i + 1 ((t_i + 2)(t_i + 1)); the directional derivative
+    and the Laplacian sum them over i;
+  - a product by x_i (and by R = sum_i x_i^2) reads the source position of
+    t - u_i (t - 2 u_i), or a 0 appended to the list where t_i is too small;
+  - the Fischer weights alpha! are one list.
+
+Each kernel is a few operator.itemgetter gathers and map passes over Python
+ints, so it stays exact and needs no numpy.  The harmonic projection, the
+random draws, the identity suite and the pairings run on these lists; the
+pairings split a Poly into its homogeneous components at the edge.  A list
+costs the full monomial count of its degree, which harmonic polynomials,
+drawn or projected, fill anyway.  Every identity is exact, never checked by
+tolerance: the identity suite compares integer lists over f's denominator,
+which is equality of polynomials, with no Poly, Fraction or gcd between its
+steps.  The sign convention is pinned to the geometer's Laplacian, the
+negative of the trace of the Hessian, so (-Delta)^d below is the d-th power
+of the analyst's sum of pure second partials.
 
 The degree-shifting pairings on harmonic polynomials are normalized by
 
@@ -46,9 +70,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, islice
-from math import comb, factorial, gcd
-from operator import or_
+from itertools import chain, islice, repeat
+from math import comb, factorial, gcd, perm
+from operator import add, itemgetter, mul, or_, sub
 from typing import Optional
 
 from .errors import (
@@ -262,30 +286,36 @@ class Poly:
         return degs.pop()
 
     # -- calculus ----------------------------------------------------------
+    # Sparse, unlike the homogeneous calculus below: a dense list holds
+    # every monomial of a degree, which a few-term polynomial of high degree
+    # cannot afford.  A partial is a map of the terms, in their order; the
+    # directional derivative and the Laplacian are Poly sums of partials.
+    def _partials(self, den: int, weights, step: int) -> "Poly":
+        """sum_i b_i d_i^step over den, step 1 or 2, for (i, b_i) in weights:
+        each partial maps the terms in their order and is added the way
+        Poly addition adds (a cancelled key re-enters last)."""
+        acc: dict = {}
+        for i, b in weights:
+            s = _shifts(self.nvars)[i]
+            _add_multiple(acc, b, {e - (step << s): v * perm(k, step)
+                                   for e, v in self.nums.items()
+                                   if (k := (e >> s) & _SLOT_MASK) >= step})
+        return Poly._make(self.nvars, den, acc)
+
     def diff(self, i: int) -> "Poly":
-        return self.directional(Poly.variable(self.nvars, i))
+        return self._partials(self.den, [(i, 1)], 1)
 
     def analyst_laplacian(self) -> "Poly":
-        """sum_i d_i d_i, summed a variable at a time, each over the terms."""
-        nums = self.nums.items()
-        out: dict = {}
-        for s in _shifts(self.nvars):
-            two = 2 << s
-            for e, v in nums:
-                k = (e >> s) & _SLOT_MASK
-                if k > 1:
-                    e2 = e - two
-                    s2 = out.get(e2, 0) + v * k * (k - 1)
-                    if s2:
-                        out[e2] = s2
-                    else:
-                        del out[e2]
-        return Poly._make(self.nvars, self.den, out)
+        """sum_i d_i d_i, summed a variable at a time."""
+        return self._partials(self.den, [(i, 1) for i in range(self.nvars)], 2)
 
     def directional(self, xi: "Poly") -> "Poly":
-        """Directional derivative along the linear form xi (metric-dual)."""
-        return Poly._make(self.nvars, self.den * xi.den,
-                          _add_directional({}, 1, self.nums, xi.nums))
+        """Directional derivative along the linear form xi (metric-dual),
+        summed in xi's term order."""
+        _linear_coefficients(xi)   # refuses a term that is not linear
+        place = _place(xi.nvars, 1)
+        return self._partials(self.den * xi.den,
+                              [(place[e], b) for e, b in xi.nums.items()], 1)
 
     def constant_value(self) -> Fraction:
         nums = self.nums
@@ -326,27 +356,6 @@ def _add_multiple(acc: dict, k: int, nums: dict) -> dict:
             acc[e] = s
         else:
             del acc[e]
-    return acc
-
-
-def _add_directional(acc: dict, k: int, nums: dict, xi: dict) -> dict:
-    """acc + k (nums . xi) in place, k != 0, in xi's term order (a term's
-    variable is its top nonzero slot); a cancelled key re-enters last."""
-    items, get = nums.items(), acc.get
-    for ex, b in xi.items():
-        if not ex:
-            raise DegreeViolation("xi has a constant term; it must be linear")
-        s = (ex.bit_length() - 1) // SLOT_BITS * SLOT_BITS
-        one, kb = 1 << s, k * b
-        for e, a in items:
-            j = e >> s & _SLOT_MASK
-            if j:
-                e -= one
-                v = get(e, 0) + a * j * kb
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
     return acc
 
 
@@ -406,37 +415,152 @@ class SpectralParams:
 
 
 # ----------------------------------------------------------------------
+# dense per-degree lists and their gather tables
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _place(nvars: int, degree: int) -> dict[int, int]:
+    """key -> position in _packed_monomials(nvars, degree)."""
+    return {e: j for j, e in enumerate(_packed_monomials(nvars, degree))}
+
+
+def _getter(positions: tuple[int, ...]):
+    """The items of a sequence at positions, as a tuple for any count."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda v: tuple(v[j] for j in positions)
+
+
+@lru_cache(maxsize=256)
+def _lowering(nvars: int, degree: int, step: int) -> tuple:
+    """The gather table of d_i^step (step 1 or 2) from degree to
+    degree - step, as (getter, multipliers, positions): for each target
+    monomial t, in order, and each i, the source position of t + step u_i
+    and the multiplier (t_i + 1) or (t_i + 2)(t_i + 1)."""
+    place, shifts = _place(nvars, degree), _shifts(nvars)
+    targets = _packed_monomials(nvars, degree - step)
+    positions = tuple(place[t + (step << s)] for t in targets for s in shifts)
+    mults = tuple(perm(k + step, step)
+                  for t in targets for s in shifts for k in [(t >> s) & _SLOT_MASK])
+    return _getter(positions), mults, positions
+
+
+@lru_cache(maxsize=256)
+def _raising(nvars: int, degree: int, step: int):
+    """The gather table of x_i^step times a degree list, as a getter over
+    the list with a 0 appended: for each target monomial t of degree + step,
+    in order, and each i, the source position of t - step u_i, or the 0's
+    where t_i < step."""
+    place, pad = _place(nvars, degree), len(_packed_monomials(nvars, degree))
+    return _getter(tuple(place[t - (step << s)] if (t >> s) & _SLOT_MASK >= step else pad
+                         for t in _packed_monomials(nvars, degree + step)
+                         for s in _shifts(nvars)))
+
+
+@lru_cache(maxsize=256)
+def _fischer_weights(nvars: int, degree: int) -> tuple[int, ...]:
+    """alpha! for each monomial of _packed_monomials(nvars, degree)."""
+    return tuple(map(_fischer_weight, _packed_monomials(nvars, degree)))
+
+
+def _sums(items, nvars: int) -> list:
+    """The sums of consecutive runs of nvars items: one per target."""
+    return list(map(sum, zip(*[iter(items)] * nvars)))
+
+
+def _directional(v: list, nvars: int, degree: int, xi: list) -> list:
+    """v . xi for a degree list v and the coefficients xi of a linear form."""
+    get, mults, positions = _lowering(nvars, degree, 1)
+    weights = map(mul, mults, xi * (len(positions) // nvars))
+    return _sums(map(mul, get(v), weights), nvars)
+
+
+def _laplacian(v: list, nvars: int, degree: int) -> list:
+    """The analyst's Laplacian sum_i d_i^2 of a degree list."""
+    get, mults, _ = _lowering(nvars, degree, 2)
+    return _sums(map(mul, get(v), mults), nvars)
+
+
+def _times_linear(v: list, nvars: int, degree: int, xi: list) -> list:
+    """xi v for a degree list v and the coefficients xi of a linear form."""
+    return _sums(map(mul, _raising(nvars, degree, 1)(v + [0]),
+                     xi * len(_packed_monomials(nvars, degree + 1))), nvars)
+
+
+def _times_R(v: list, nvars: int, degree: int) -> list:
+    """R v, R = sum_i x_i^2, for a degree list v."""
+    return _sums(_raising(nvars, degree, 2)(v + [0]), nvars)
+
+
+def _fischer(v: list, w: list, weights) -> int:
+    """sum alpha! v_alpha w_alpha, the Fischer pairing of two lists over the
+    same monomials, given their weights alpha! (see _fischer_weights)."""
+    return sum(map(mul, map(mul, v, w), weights))
+
+
+def _scaled(v: list, k: int) -> list:
+    return list(map(mul, v, repeat(k)))
+
+
+def _difference(v: list, w: list) -> list:
+    return list(map(sub, v, w))
+
+
+def _components(nums: dict, nvars: int) -> dict[int, list]:
+    """A key -> integer term dict as one dense list per degree it has."""
+    out: dict[int, list] = {}
+    for e, c in nums.items():
+        k = _slot_sum(e)
+        if k not in out:
+            out[k] = [0] * len(_place(nvars, k))
+        out[k][_place(nvars, k)[e]] = c
+    return out
+
+
+def _from_components(nvars: int, den: int, lists: dict) -> Poly:
+    """The Poly of dense lists {degree: list} over den, higher degrees first."""
+    return Poly._make(nvars, den, {e: c for k in sorted(lists, reverse=True)
+                                   for e, c in zip(_packed_monomials(nvars, k), lists[k]) if c})
+
+
+def _linear_coefficients(xi: Poly) -> list:
+    """The coefficients (numerators over xi.den) of a linear form, by
+    variable; DegreeViolation for a term of another degree."""
+    lists = _components(xi.nums, xi.nvars)
+    if lists.keys() - {1}:
+        raise DegreeViolation("xi has a constant term; it must be linear" if 0 in lists
+                              else f"xi has a term of degree {max(lists)}; it must be linear")
+    return lists.get(1, [0] * xi.nvars)
+
+
+# ----------------------------------------------------------------------
 # harmonic projection
 # ----------------------------------------------------------------------
 
-def _laplacian_powers(p: Poly, d: int) -> list[Poly]:
-    """[p, L p, ..., L^(d // 2) p], L the analyst's Laplacian."""
-    return list(accumulate(range(d // 2), lambda q, _: q.analyst_laplacian(), initial=p))
-
-
-def _harmonic_part(powers: list[Poly], d: int) -> Poly:
-    """The harmonic projection of p, homogeneous of degree d on R^n, from
-    powers = _laplacian_powers(p, d).  In closed form (Axler, Bourdon &
-    Ramey, Harmonic Function Theory, 2nd ed., GTM 137, ch. 5),
+def _harmonic_part(v: list, nvars: int, degree: int) -> tuple[int, list]:
+    """(C, h) with H[p] = h / C for the integer degree list v of p.  In
+    closed form (Axler, Bourdon & Ramey, Harmonic Function Theory, 2nd ed.,
+    GTM 137, ch. 5),
 
         H[p] = sum_{j <= d/2} c_j R^j L^j p,  c_0 = 1,
         c_j = -c_{j-1} / (2j (n + 2d - 2j - 2)),
 
-    summed by Horner from j = K = d // 2 down on integer numerators, each
-    L^j p brought to p's denominator den: acc <- R acc + w_j L^j p with the
-    integer weights w_j = C c_j, C = (-1)^K / c_K.  That is K products by R
-    and no Poly or Fraction per step; one Poly, acc / (C den), at the end.
+    L the analyst's Laplacian, summed by Horner from j = K = d // 2 down:
+    acc <- R acc + w_j L^j p with the integer weights w_j = C c_j,
+    C = (-1)^K / c_K.  That is K products by R, each one gather.
     """
-    n, K, den = powers[0].nvars, d // 2, powers[0].den
-    R = Poly.radius_squared(n).nums
+    powers = [v]
+    for j in range(degree // 2):
+        powers.append(_laplacian(powers[-1], nvars, degree - 2 * j))
+    K = degree // 2
     w, C = (-1) ** K, 1
-    acc = _add_multiple({}, w * (den // powers[K].den), powers[K].nums)
+    acc = _scaled(powers[K], w)
     for j in range(K - 1, -1, -1):
-        step = 2 * (j + 1) * (n + 2 * d - 2 * j - 4)
+        step = 2 * (j + 1) * (nvars + 2 * degree - 2 * j - 4)
         w, C = -w * step, C * step
-        acc = _add_multiple(_product_numerators(R, acc, n),
-                            w * (den // powers[j].den), powers[j].nums)
-    return Poly._make(n, C * den, acc)
+        acc = list(map(add, _times_R(acc, nvars, degree - 2 * j - 2),
+                       map(mul, powers[j], repeat(w))))
+    return C, acc
 
 
 # ----------------------------------------------------------------------
@@ -448,35 +572,43 @@ def _require_linear(xi: HarmonicElement) -> None:
         raise DegreeViolation(f"xi must be linear, got degree {xi.degree}")
 
 
+def _per_degree(p: Poly, den: int, shift: int, kernel) -> Poly:
+    """The Poly over den of kernel(list, k) on p's component of each degree
+    k, a list of degree k + shift."""
+    return _from_components(p.nvars, den, {k + shift: kernel(v, k) for k, v
+                                           in _components(p.nums, p.nvars).items()})
+
+
 def dot(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
     """Degree-lowering pairing: the directional derivative of f along xi."""
     _require_linear(xi)
-    return HarmonicElement(f.poly.directional(xi.poly), max(f.degree - 1, 0))
+    n, x = f.poly.nvars, _linear_coefficients(xi.poly)
+    return HarmonicElement(_per_degree(f.poly, f.poly.den * xi.poly.den, -1,
+                                       lambda v, k: _directional(v, n, k, x)),
+                           max(f.degree - 1, 0))
 
 
-def _add_vee(acc: dict, k: int, n: int, d: int, f: dict, xi: dict, fdx: dict) -> dict:
-    """acc + k (f vee xi) in place, f vee xi = (n + 2d - 2) xi f - R fdx for f
-    of degree d and fdx = f . xi on the denominator of xi f: the one place
-    the formula lives."""
-    if n + 2 * d - 2:
-        _add_product(acc, k * (n + 2 * d - 2), xi.items(), f.items())
-    return _add_product(acc, -k, Poly.radius_squared(n).nums.items(), fdx.items())
+def _vee(v: list, nvars: int, degree: int, xi, vdx: list) -> list:
+    """f vee xi = (n + 2d - 2) xi f - R (f . xi) for the list v of f of
+    degree d, given vdx = f . xi: the one place the formula lives."""
+    return _difference(_scaled(_times_linear(v, nvars, degree, xi), nvars + 2 * degree - 2),
+                       _times_R(vdx, nvars, degree - 1))
 
 
 def vee(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
     """Degree-raising pairing from (n + 2d - 2) xi f = f vee xi + R (f . xi)."""
     _require_linear(xi)
-    p, x = f.poly, xi.poly
-    fdx = _add_directional({}, 1, p.nums, x.nums)
-    _require_slot_room(p.nvars, x.nums, p.nums)
-    nums = _add_vee({}, 1, p.nvars, f.degree, p.nums, x.nums, fdx)
-    return HarmonicElement(Poly._make(p.nvars, p.den * x.den, nums), f.degree + 1)
+    n, x = f.poly.nvars, _linear_coefficients(xi.poly)
+    return HarmonicElement(_per_degree(f.poly, f.poly.den * xi.poly.den, 1,
+                                       lambda v, k: _vee(v, n, k, x, _directional(v, n, k, x))),
+                           f.degree + 1)
 
 
-def _add_rotation(acc: dict, k: int, a: dict, b: dict, fda: dict, fdb: dict) -> dict:
-    """acc + k (a (f . b) - b (f . a)) in place, given fda = f . a, fdb = f . b."""
-    _add_product(acc, k, a.items(), fdb.items())
-    return _add_product(acc, -k, b.items(), fda.items())
+def _rotation(nvars: int, degree: int, a, b, fda: list, fdb: list) -> list:
+    """a (f . b) - b (f . a) for f of degree `degree`, given fda = f . a and
+    fdb = f . b."""
+    return _difference(_times_linear(fdb, nvars, degree - 1, a),
+                       _times_linear(fda, nvars, degree - 1, b))
 
 
 def so_action(alpha: HarmonicElement, beta: HarmonicElement,
@@ -484,31 +616,29 @@ def so_action(alpha: HarmonicElement, beta: HarmonicElement,
     """Derived rotation action (alpha ^ beta) . f = alpha (f.beta) - beta (f.alpha)."""
     _require_linear(alpha)
     _require_linear(beta)
-    p, al, be = f.poly, alpha.poly, beta.poly
-    fda = _add_directional({}, 1, p.nums, al.nums)
-    fdb = _add_directional({}, 1, p.nums, be.nums)
-    _require_slot_room(p.nvars, al.nums, fdb, be.nums, fda)
-    nums = _add_rotation({}, 1, al.nums, be.nums, fda, fdb)
-    return HarmonicElement(Poly._make(p.nvars, p.den * al.den * be.den, nums), f.degree)
+    n = f.poly.nvars
+    a, b = _linear_coefficients(alpha.poly), _linear_coefficients(beta.poly)
+    return HarmonicElement(_per_degree(
+        f.poly, f.poly.den * alpha.poly.den * beta.poly.den, 0,
+        lambda v, k: _rotation(n, k, a, b, _directional(v, n, k, a), _directional(v, n, k, b))),
+        f.degree)
 
 
 def inner(f: HarmonicElement, g: HarmonicElement) -> Fraction:
     """Invariant inner product: the Fischer pairing sum alpha! f_alpha g_alpha.
 
-    Exact: the integer Fischer sum of the numerators over the product of
-    the denominators.  Precondition: f and g are harmonic of the same
-    degree d; then this equals the Laplacian form (-Delta)^d (f g) / (2^d d!).
-    Inputs that are not harmonic get the Fischer value, not the Laplacian one.
+    Exact: the integer Fischer sum of the numerators, degree by degree,
+    over the product of the denominators.  Precondition: f and g are
+    harmonic of the same degree d; then this equals the Laplacian form
+    (-Delta)^d (f g) / (2^d d!).  Inputs that are not harmonic get the
+    Fischer value, not the Laplacian one.
     """
     if f.degree != g.degree:
         raise DegreeMismatch(f"degrees {f.degree} != {g.degree}")
-    return Fraction(_fischer_sum(f.poly.nums, g.poly.nums), f.poly.den * g.poly.den)
-
-
-def _fischer_sum(nums1: dict, nums2: dict) -> int:
-    """sum alpha! a_alpha b_alpha over the keys alpha that two integer term
-    dicts share: their Fischer pairing."""
-    return sum(_fischer_weight(e) * a * nums2[e] for e, a in nums1.items() if e in nums2)
+    n = f.poly.nvars
+    fs, gs = _components(f.poly.nums, n), _components(g.poly.nums, n)
+    total = sum(_fischer(v, gs[k], _fischer_weights(n, k)) for k, v in fs.items() if k in gs)
+    return Fraction(total, f.poly.den * g.poly.den)
 
 
 # ----------------------------------------------------------------------
@@ -523,22 +653,38 @@ def _uniform_ints(rng: random.Random, size: int, span: int) -> list[int]:
     return [r - span for r in islice(filter(width.__gt__, words), size)]
 
 
+def _random_harmonic(nvars: int, degree: int, rng: random.Random,
+                     span: int = 4) -> tuple[int, list]:
+    """(den, h): the harmonic part h / den, in lowest terms, of a random
+    small-integer homogeneous polynomial drawn into its degree list."""
+    draws = _uniform_ints(rng, len(_packed_monomials(nvars, degree)), span)
+    if not any(draws):
+        draws[0] = 1
+    C, h = _harmonic_part(draws, nvars, degree)
+    if not any(h):
+        # R-multiples only; retry deterministically with a shifted seed
+        return _random_harmonic(nvars, degree, rng, span + 1)
+    g = gcd(C, *h)
+    return C // g, [c // g for c in h]
+
+
 def random_harmonic(nvars: int, degree: int, rng: random.Random,
                     span: int = 4) -> HarmonicElement:
     """Harmonic part of a random small-integer homogeneous polynomial."""
-    monos = _packed_monomials(nvars, degree)
-    nums = {e: c for e, c in zip(monos, _uniform_ints(rng, len(monos), span)) if c}
-    p = Poly._make(nvars, 1, nums or {monos[0]: 1})
-    h = _harmonic_part(_laplacian_powers(p, degree), degree)
-    if h.is_zero():
-        # R-multiples only; retry deterministically with a shifted seed
-        return random_harmonic(nvars, degree, rng, span + 1)
-    return HarmonicElement(h, degree)
+    den, h = _random_harmonic(nvars, degree, rng, span)
+    return HarmonicElement(_from_components(nvars, den, {degree: h}), degree)
+
+
+def _random_linear(nvars: int, rng: random.Random, span: int = 4) -> list:
+    """The coefficients of a random small-integer linear form, not all 0."""
+    draws = _uniform_ints(rng, nvars, span)
+    if not any(draws):
+        draws[0] = 1
+    return draws
 
 
 def random_linear(nvars: int, rng: random.Random, span: int = 4) -> HarmonicElement:
-    nums = {_unit(nvars, i, 1): c for i, c in enumerate(_uniform_ints(rng, nvars, span)) if c}
-    return HarmonicElement(Poly._make(nvars, 1, nums or {_unit(nvars, 0, 1): 1}), 1)
+    return HarmonicElement(_from_components(nvars, 1, {1: _random_linear(nvars, rng, span)}), 1)
 
 
 def identity_suite(n: int, d: int, trials: int, seed: int = 0,
@@ -552,7 +698,7 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
       3. (f v a) . a - (f . a) v a  = (n + 2d - 2) |a|^2 f
       4. <f v a, g> = (n + 2d - 2) <f, g . a>     (g in H_{d+1})
 
-    Sides are integer numerators (_identity_sides); IdentityFailure, with
+    Sides are integer degree lists (_identity_sides); IdentityFailure, with
     witnesses, at the first mismatch.  `corrupt` miscales identity 3 to show
     the suite has teeth.  Returns a report dict.
     """
@@ -566,14 +712,14 @@ def identity_suite(n: int, d: int, trials: int, seed: int = 0,
     rng = random.Random(seed)
     contraction = (n + 2 * d - 2) if not corrupt else (n + 2 * d - 1)
     for t in range(trials):
-        f = random_harmonic(n, d, rng)
-        a, b = random_linear(n, rng), random_linear(n, rng)
-        g = random_harmonic(n, d + 1, rng)
-        _require_slot_room(n, f.poly.nums)   # every product's operands are f's or below
-        sides = _identity_sides(n, d, *(h.poly.nums for h in (f, a, b, g)), contraction)
-        for failure, (lhs, rhs) in zip(_FAILURES, sides):
+        den_f, f = _random_harmonic(n, d, rng)
+        a, b = _random_linear(n, rng), _random_linear(n, rng)
+        _, g = _random_harmonic(n, d + 1, rng)
+        for failure, (lhs, rhs) in zip(_FAILURES, _identity_sides(n, d, f, a, b, g, contraction)):
             if lhs != rhs:
-                raise IdentityFailure(failure.format(t=t, f=f.poly, a=a.poly, b=b.poly))
+                raise IdentityFailure(failure.format(
+                    t=t, f=_from_components(n, den_f, {d: f}),
+                    a=_from_components(n, 1, {1: a}), b=_from_components(n, 1, {1: b})))
     return {"n": n, "d": d, "trials": trials, "seed": seed, "all_exact": True}
 
 
@@ -583,23 +729,26 @@ _FAILURES = ("degree-raise/lower commutator at trial {t}: f={f!r} a={a!r} b={b!r
              "adjointness at trial {t}")
 
 
-def _identity_sides(n: int, d: int, f: dict, a: dict, b: dict, g: dict, contraction: int):
-    """(lhs, rhs) of identities 1-4 for the numerators of f, a, b, g (a, b
-    over 1): 1-3 over den_f, 4 Fischer sums over den_f den_g; identity 3's
-    right side is contraction |a|^2 f.  Each is built once the last held."""
-    def at(nums, xi):   # nums . xi, a new dict
-        return _add_directional({}, 1, nums, xi)
+def _identity_sides(n: int, d: int, f: list, a, b, g: list, contraction: int):
+    """(lhs, rhs) of identities 1-4 for the degree lists of f and g and the
+    coefficients of a and b (integers): 1-3 integer lists over den_f, 4
+    Fischer sums over den_f den_g; identity 3's right side is
+    contraction |a|^2 f.  Each is built once the last held."""
+    def at(v, degree, xi):   # v . xi
+        return _directional(v, n, degree, xi)
 
-    fda, fdb = at(f, a), at(f, b)
-    rot = _add_rotation({}, 1, a, b, fda, fdb)
-    fva, fvb = _add_vee({}, 1, n, d, f, a, fda), _add_vee({}, 1, n, d, f, b, fdb)
-    yield _add_directional(at(fva, b), -1, fvb, a), _add_multiple({}, n + 2 * d, rot)
-    # f . a and f . b have degree d - 1 (both vanish when d = 0)
-    lhs = _add_vee({}, 1, n, d - 1, fda, b, at(fda, b))
-    yield _add_vee(lhs, -1, n, d - 1, fdb, a, at(fdb, a)), _add_multiple({}, 4 - n - 2 * d, rot)
-    lhs = _add_vee(at(fva, a), -1, n, d - 1, fda, a, at(fda, a))
-    yield lhs, _add_multiple({}, contraction * _fischer_sum(a, a), f)
-    yield _fischer_sum(fva, g), (n + 2 * d - 2) * _fischer_sum(f, at(g, a))
+    fda, fdb = at(f, d, a), at(f, d, b)
+    rot = _rotation(n, d, a, b, fda, fdb)
+    fva, fvb = _vee(f, n, d, a, fda), _vee(f, n, d, b, fdb)
+    yield _difference(at(fva, d + 1, b), at(fvb, d + 1, a)), _scaled(rot, n + 2 * d)
+    # f . a and f . b have degree d - 1 (empty lists when d = 0)
+    lhs = _difference(_vee(fda, n, d - 1, b, at(fda, d - 1, b)),
+                      _vee(fdb, n, d - 1, a, at(fdb, d - 1, a)))
+    yield lhs, _scaled(rot, 4 - n - 2 * d)
+    lhs = _difference(at(fva, d + 1, a), _vee(fda, n, d - 1, a, at(fda, d - 1, a)))
+    yield lhs, _scaled(f, contraction * _fischer(a, a, _fischer_weights(n, 1)))
+    yield (_fischer(fva, g, _fischer_weights(n, d + 1)),
+           (n + 2 * d - 2) * _fischer(f, at(g, d + 1, a), _fischer_weights(n, d)))
 
 
 # ----------------------------------------------------------------------
@@ -653,14 +802,20 @@ def a_sequence(params: SpectralParams, m_max: int) -> ASequence:
     here and the mismatch is recorded, not silently resolved.)
     """
     params.validate()
-    n = params.n
-    vals = [Fraction(1)]
-    for m in range(m_max):
-        factor = b_coeff(params, m) * (m + n - 2) * (n + 2 * m)
-        vals.append(factor * vals[-1] / (m + 1))
+    vals = list(islice(_a_terms(params), m_max + 1))
     first_zero = next((i for i, v in enumerate(vals) if v == 0), None)
     first_neg = next((i for i, v in enumerate(vals) if v < 0), None)
     return ASequence(tuple(vals), first_zero, first_neg)
+
+
+def _a_terms(params: SpectralParams):
+    """A_0 = 1, A_1, ... without end, by the recursion of a_sequence."""
+    n, m, value = params.n, 0, Fraction(1)
+    while True:
+        yield value
+        factor = b_coeff(params, m) * (m + n - 2) * (n + 2 * m)
+        value = factor * value / (m + 1)
+        m += 1
 
 
 def admissible_lambda(params: SpectralParams) -> Optional[int]:
@@ -683,7 +838,7 @@ def admissible_lambda(params: SpectralParams) -> Optional[int]:
 # monomial bookkeeping shared with the sphere-map module
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def _packed_monomials(nvars: int, degree: int) -> tuple[int, ...]:
     """The keys of monomial_exponents(nvars, degree), in the same order."""
     return tuple(_pack(nvars, e) for e in monomial_exponents(nvars, degree))

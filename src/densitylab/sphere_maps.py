@@ -65,16 +65,18 @@ from .harmonic import (
     HarmonicElement,
     Poly,
     _SLOT_MASK,
-    _add_multiple,
     _add_product,
+    _difference,
     _every_slot,
-    _fischer_sum,
+    _fischer,
     _fischer_weight,
+    _fischer_weights,
+    _getter,
     _harmonic_part,
-    _laplacian_powers,
     _packed_monomials,
     _require_integers,
     _require_slot_room,
+    _scaled,
     _shifts,
     _unpack,
     dim_harmonics,
@@ -431,18 +433,22 @@ def radius_power(n_ambient: int, m: int) -> Poly:
 def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     """Deterministic orthogonal basis of degree-m harmonics on R^n_ambient.
 
-    The harmonic part of each monomial, in graded-lex order (closed form,
-    see harmonic._harmonic_part), is Gram-Schmidt orthogonalized without
-    normalization against the kept elements of its parity class, whose
-    supports are disjoint from other classes'.  The steps are fraction-free
-    on integer numerators (Erlingsson, Kaltofen & Musser, ISSAC 1996):
-    cur <- (n_g cur - <cur, g> g) / q, <., .> the integer Fischer sum,
-    n_g = <g, g> > 0 and q = gcd(n_g, <cur, g>) > 0.  By induction each cur
-    is a positive multiple of the classical remainder, and positive scaling
-    changes neither the zero test nor the primitive part: a zero remainder
-    means a dependent part, any other is kept as the same primitive integer
-    element.  Norms squared are recorded, and the reproducing identity is
-    one exact integer comparison, sum_a (L/n_a) h_a^2 = c L R^m, L = lcm(n_a).
+    The harmonic part of each monomial x^e, in graded-lex order (closed
+    form, see harmonic._harmonic_part, on dense degree lists), is
+    Gram-Schmidt orthogonalized without normalization against the kept
+    elements of its parity class, whose supports are disjoint from other
+    classes'.  The steps are fraction-free on integer numerators
+    (Erlingsson, Kaltofen & Musser, ISSAC 1996): cur <- (n_g cur - t g) / q,
+    t = <cur, g> the integer Fischer sum, n_g = <g, g> > 0 and
+    q = gcd(n_g, t) > 0.  By induction each cur is a positive multiple of
+    the classical remainder, and positive scaling changes neither the zero
+    test nor the primitive part: a zero remainder means a dependent part,
+    any other is kept as the same primitive integer element.  t needs no
+    sum: cur = s x^e - s R q - (kept elements before g), s the running
+    scale, and g is harmonic, so Fischer-orthogonal to R q and to the kept
+    elements; hence t = s e! g_e, read off g's coefficient of x^e.  Norms
+    squared are recorded, and the reproducing identity is one exact integer
+    comparison, sum_a (L/n_a) h_a^2 = c L R^m, L = lcm(n_a).
     """
     _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 3:
@@ -450,29 +456,43 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     if m < 0:
         raise ParamViolation("degree must be nonnegative")
     target = dim_harmonics(n_ambient, m)
+    monos, weights = _packed_monomials(n_ambient, m), _fischer_weights(n_ambient, m)
+    # the places in monos of each parity class, where its elements live
+    low = _every_slot(n_ambient, 1)
+    places: dict[int, list[int]] = {}
+    for i, e in enumerate(monos):
+        places.setdefault(e & low, []).append(i)
+    gathers = {c: _getter(tuple(ps)) for c, ps in places.items()}
+    kept: dict[int, list[tuple[list[int], int]]] = {c: [] for c in places}
     ortho: list[HarmonicElement] = []
     norms: list[int] = []
-    classes: dict[int, list[tuple[dict[int, int], int]]] = {}
-    low = _every_slot(n_ambient, 1)
-    for e in _packed_monomials(n_ambient, m):
-        cur = _harmonic_part(_laplacian_powers(Poly._make(n_ambient, 1, {e: 1}), m), m).nums
-        earlier = classes.setdefault(e & low, [])   # every term of cur has e's parity
-        for g, n_g in earlier:
-            t = _fischer_sum(cur, g)
-            if t:
+    for i, e in enumerate(monos):
+        c = e & low
+        unit = [0] * len(monos)
+        unit[i] = 1
+        C, full = _harmonic_part(unit, n_ambient, m)
+        cur = gathers[c](full)   # full vanishes off e's class
+        q = math.gcd(C, *cur)
+        s, cur = C // q, [v // q for v in cur]   # cur = s H[x^e], in lowest terms
+        j = places[c].index(i)   # the place of x^e in its class
+        for g, n_g in kept[c]:
+            if g[j]:
+                t = s * weights[i] * g[j]   # <cur, g>, read off x^e's coefficient
                 q = math.gcd(n_g, t)
                 a = n_g // q
-                cur = _add_multiple({k: a * v for k, v in cur.items()}, -t // q, g)
-        if not cur:
+                cur = _difference(_scaled(cur, a), _scaled(g, t // q))
+                s *= a
+        if not any(cur):
             continue
         # the primitive part: coprime integers, and a positive leading term,
-        # which is at the largest key since cur is homogeneous
-        q = math.gcd(*cur.values()) * (1 if cur[max(cur)] > 0 else -1)
-        g = {k: v // q for k, v in cur.items()}
-        n_g = _fischer_sum(g, g)
-        ortho.append(HarmonicElement(Poly._make(n_ambient, 1, g), m))
+        # the first nonzero entry in graded-lex order
+        q = math.gcd(*cur) * (1 if next(filter(None, cur)) > 0 else -1)
+        g = [v // q for v in cur]
+        n_g = _fischer(g, g, gathers[c](weights))
+        ortho.append(HarmonicElement(Poly._make(n_ambient, 1, {
+            monos[k]: v for k, v in zip(places[c], g) if v}), m))
         norms.append(n_g)
-        earlier.append((g, n_g))
+        kept[c].append((g, n_g))
         if len(ortho) == target:
             break
     if len(ortho) != target:

@@ -471,6 +471,23 @@ def test_phi_at_or_below_the_floor_is_one_singularity_on_both_routes(v):
     assert str(status.exception(0)) == str(scalar.value)
 
 
+def test_tiny_phi_gives_one_class_per_element_on_both_routes():
+    # phi log-uniform in 1e-45 to 1e-1: where a power of r^(5/2) leaves the
+    # float range, the float route used to raise a bare OverflowError while
+    # the batch route carried an inf; now both meet the same guard
+    rng = random.Random(45)
+    for order in (2, 3):
+        rows = [[10 ** rng.uniform(-45, -1)]
+                + [rng.uniform(-0.3, 0.3) for _ in range(5 if order == 2 else 9)]
+                for _ in range(1000)]
+        outcomes = cb.candidates_batch(batch_of(rows, order))
+        for i, got in enumerate(outcomes):
+            assert_same_outcome(got, scalar_outcome(rows, i, order), i)
+    with pytest.raises(Singularity, match="r\\^\\(5/2\\) leave the float range"):
+        cb.two_theta_candidates(Jet(1e-23, 0.1, 0.2, order=2))
+    assert cb.candidates_batch(batch_of([[1e-23, 0.1, 0.2, 0.0, 0.0, 0.0]], 2)) == [Singularity]
+
+
 def test_batch_of_third_order_jets_matches_scalar():
     rows = random_rows(random.Random(77), 50, 3)
     outcomes = cb.candidates_batch(batch_of(rows, 3))

@@ -217,8 +217,13 @@ def test_harmonic_dims_certifies_the_laplacian_by_its_triangular_minor(monkeypat
     assert cli._brute_harmonic_dim(7, 8) == ha.dim_harmonics(7, 8) and calls == []
     # the geometer's sign puts -(b0+2)(b0+1) on the diagonal, so the check
     # fails and the rank of the same matrix comes from elimination
-    laplacian = ha.Poly.analyst_laplacian
-    monkeypatch.setattr(ha.Poly, "analyst_laplacian", lambda p: -laplacian(p))
+    lowering = ha._lowering
+
+    def geometers(nvars, degree, step):
+        get, mults, positions = lowering(nvars, degree, step)
+        return get, tuple(-v for v in mults), positions
+
+    monkeypatch.setattr(ha, "_lowering", geometers)
     assert cli._brute_harmonic_dim(4, 5) == ha.dim_harmonics(4, 5)
     assert calls == [(20, 56)]
 
@@ -641,6 +646,34 @@ def test_harmonic_identities_documents_exit_0_1_or_2(tmp_path_factory, params, s
     # example is cheap; whatever the values, main answers with an exit code
     _main_answers(tmp_path_factory.mktemp("identities"), "harmonic", "identities",
                   {"params": params, "seed": seed})
+
+
+# lambda_max <= 60, m_max <= 20, ambient_dims <= 6 and max_degree <= 5, so
+# each example is cheap; small and odd sizes reach the library's guards
+_HARMONIC_PARAMS = {
+    "spectrum": st.fixed_dictionaries({}, optional={
+        "dims": _mostly(st.lists(_mostly(st.integers(2, 6)), max_size=3)),
+        "lambda_max": _mostly(st.integers(0, 60)), "m_max": _mostly(st.integers(0, 20))}),
+    "dims": st.fixed_dictionaries({}, optional={
+        "ambient_dims": _mostly(st.lists(_mostly(st.integers(0, 6)), max_size=3)),
+        "max_degree": _mostly(st.integers(0, 5))})}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_HARMONIC_PARAMS)).flatmap(
+    lambda mode: st.tuples(st.just(mode), _HARMONIC_PARAMS[mode])),
+    _mostly(st.integers()))
+def test_harmonic_spectrum_and_dims_documents_exit_0_1_or_2_and_repeat_their_report(
+        tmp_path_factory, mode_params, seed):
+    mode, params = mode_params
+    bodies = []
+    for _ in range(2):
+        out = tmp_path_factory.mktemp(mode)
+        _main_answers(out, "harmonic", mode, {"params": params, "seed": seed})
+        report = out / f"report_harmonic_{mode}.json"
+        bodies.append(cli.report_body(json.loads(report.read_text()))
+                      if report.exists() else None)
+    assert bodies[0] == bodies[1]
 
 
 def _from_uv(uv):

@@ -31,7 +31,10 @@ def x(i, n=3):
 def harmonic_part(p, d=None):
     """H[p] by the closed form, for p homogeneous of degree d."""
     d = p.homogeneous_degree() if d is None else d
-    return ha._harmonic_part(ha._laplacian_powers(p, d), d)
+    n = p.nvars
+    v = ha._components(p.nums, n).get(d, [0] * len(ha._packed_monomials(n, d)))
+    C, h = ha._harmonic_part(v, n, d)
+    return ha._from_components(n, C * p.den, {d: h})
 
 
 def quotient_by_R(p):
@@ -283,6 +286,88 @@ def test_mul_cancelled_term_reenters_at_the_end():
 
 
 # ----------------------------------------------------------------------
+# the dense kernels against the sparse dict loops they replaced
+# ----------------------------------------------------------------------
+
+def dict_directional(nums, xi):
+    """nums . xi over key -> int dicts, a term of xi at a time."""
+    out = {}
+    for ex, b in xi.items():
+        s = (ex.bit_length() - 1) // ha.SLOT_BITS * ha.SLOT_BITS
+        for e, a in nums.items():
+            j = e >> s & ha._SLOT_MASK
+            if j:
+                out[e - (1 << s)] = out.get(e - (1 << s), 0) + a * j * b
+    return {e: v for e, v in out.items() if v}
+
+
+def dict_laplacian(nums, n):
+    """sum_i d_i d_i over a key -> int dict, a variable at a time."""
+    out = {}
+    for s in ha._shifts(n):
+        for e, v in nums.items():
+            k = (e >> s) & ha._SLOT_MASK
+            if k > 1:
+                out[e - (2 << s)] = out.get(e - (2 << s), 0) + v * k * (k - 1)
+    return {e: v for e, v in out.items() if v}
+
+
+def dict_product(nums1, nums2):
+    out = {}
+    for e1, a in nums1.items():
+        for e2, b in nums2.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + a * b
+    return {e: v for e, v in out.items() if v}
+
+
+def dict_fischer(nums1, nums2):
+    return sum(ha._fischer_weight(e) * a * nums2[e] for e, a in nums1.items() if e in nums2)
+
+
+def per_degree(nums, n, kernel, shift):
+    """kernel(list, n, degree) on each homogeneous component of a key -> int
+    dict, the results (of degree + shift) read back as one dict."""
+    lists = {k + shift: kernel(v, n, k) for k, v in ha._components(nums, n).items()}
+    return {e: c for k, v in lists.items() for e, c in zip(ha._packed_monomials(n, k), v) if c}
+
+
+BIG = st.integers(-10 ** 30, 10 ** 30)
+
+
+@st.composite
+def integer_polys(draw, n):
+    """A key -> int dict with terms of one to three degrees in 0..8."""
+    nums = {}
+    for k in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True)):
+        monos = ha._packed_monomials(n, k)
+        for j in draw(st.lists(st.integers(0, len(monos) - 1), max_size=12)):
+            nums[monos[j]] = draw(BIG)
+    return {e: v for e, v in nums.items() if v}
+
+
+@given(st.data(), st.integers(3, 6))
+@settings(max_examples=120, deadline=None)
+def test_dense_kernels_match_the_dict_loops(data, n):
+    p, q = data.draw(integer_polys(n)), data.draw(integer_polys(n))
+    xi = data.draw(st.lists(BIG, min_size=n, max_size=n))
+    xi_dict = {ha._unit(n, i, 1): b for i, b in enumerate(xi) if b}
+    R = Poly.radius_squared(n).nums
+    assert per_degree(p, n, lambda v, n, k: ha._directional(v, n, k, xi), -1) == \
+        dict_directional(p, xi_dict)
+    assert per_degree(p, n, ha._laplacian, -2) == dict_laplacian(p, n)
+    assert per_degree(p, n, lambda v, n, k: ha._times_linear(v, n, k, xi), 1) == \
+        dict_product(xi_dict, p)
+    for i in range(n):
+        unit = [int(j == i) for j in range(n)]
+        assert per_degree(p, n, lambda v, n, k: ha._times_linear(v, n, k, unit), 1) == \
+            dict_product({ha._unit(n, i, 1): 1}, p)
+    assert per_degree(p, n, ha._times_R, 2) == dict_product(R, p)
+    ps, qs = ha._components(p, n), ha._components(q, n)
+    assert sum(ha._fischer(v, qs[k], ha._fischer_weights(n, k))
+               for k, v in ps.items() if k in qs) == dict_fischer(p, q)
+
+
+# ----------------------------------------------------------------------
 # the representation: integer numerators over one canonical denominator
 # ----------------------------------------------------------------------
 
@@ -462,8 +547,9 @@ def recording(monkeypatch, owner, name):
 
 
 def test_one_identity_trial_takes_nine_directional_derivatives(monkeypatch):
-    # counted at the one directional kernel, which Poly.directional wraps
-    calls = recording(monkeypatch, ha, "_add_directional")
+    # counted at the one dense directional kernel, which dot, vee and
+    # so_action wrap
+    calls = recording(monkeypatch, ha, "_directional")
     ha.identity_suite(4, 3, 1, seed=5)
     assert len(calls) == 9
     ha.identity_suite(3, 2, 2, seed=6)
@@ -474,16 +560,15 @@ def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
     from densitylab import sphere_maps as sm
     parts = recording(monkeypatch, ha, "_harmonic_part")
     monkeypatch.setattr(sm, "_harmonic_part", ha._harmonic_part)
-    products = recording(monkeypatch, ha, "_product_numerators")
+    r_products = recording(monkeypatch, ha, "_times_R")
     rng = random.Random(3)
     for n, d in [(3, 4), (4, 5), (5, 4), (3, 2)]:
         ha.random_harmonic(n, d, rng)
     # the closed form by Horner takes K = d // 2 products by R, 7 here,
     # where peeling the shells one at a time takes K(K + 1)/2, 10 here;
-    # each is a product of integer numerators whose first operand is R's
-    r_products = [a for a in products if a[0] == Poly.radius_squared(a[2]).nums]
-    assert [d for _, d in parts] == [4, 5, 4, 2]
-    assert len(r_products) == sum(d // 2 for _, d in parts) == 7
+    # each is one gather on a degree list
+    assert [d for _, _, d in parts] == [4, 5, 4, 2]
+    assert len(r_products) == sum(d // 2 for _, _, d in parts) == 7
     sm.basis_Hm(4, 4)
     assert len(parts) > 4
 
@@ -510,9 +595,9 @@ def test_inner_degree_mismatch():
 # ----------------------------------------------------------------------
 
 def random_stream_digest():
-    """Value, denominator and term order of random_harmonic for n 3-6,
-    d 0-6 and of random_linear for n 3-6, seeds 0-9, and where each leaves
-    its generator."""
+    """Value and denominator, in sorted_terms order, of random_harmonic for
+    n 3-6, d 0-6 and of random_linear for n 3-6, seeds 0-9, and where each
+    leaves its generator."""
     digest = hashlib.sha256()
     for seed in range(10):
         for n in range(3, 7):
@@ -520,7 +605,7 @@ def random_stream_digest():
             draws = [ha.random_harmonic(n, d, rng_h) for d in range(7)]
             draws.append(ha.random_linear(n, rng_l))
             for h in draws:
-                digest.update(repr((h.poly.den, list(h.poly.terms.items()))).encode())
+                digest.update(repr((h.poly.den, h.poly.sorted_terms())).encode())
             digest.update(repr((rng_h.getrandbits(32), rng_l.getrandbits(32))).encode())
     return digest.hexdigest()[:16]
 
@@ -535,8 +620,9 @@ def test_uniform_draws_are_the_randint_stream(span):
 
 
 def test_random_draws_keep_their_stream():
-    # pinned while the draws still went through randint(-span, span)
-    assert random_stream_digest() == "9a22184ecb8fbdc0"
+    # pinned while the draws still went through sparse term dicts (whose
+    # insertion order an earlier digest, 9a22184ecb8fbdc0, also hashed)
+    assert random_stream_digest() == "fb7c12b8309f367a"
 
 
 def test_identity_suite_passes():
@@ -601,14 +687,16 @@ def suite_trial(n, d, seed):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_integer_identity_sides_match_the_public_pairings(n):
-    # each side the suite builds on integer numerators over f's denominator
-    # (identity 4: integer Fischer sums over den_f den_g) against the same
-    # side built through dot, vee, so_action and inner
+    # each side the suite builds on integer degree lists over f's
+    # denominator (identity 4: integer Fischer sums over den_f den_g)
+    # against the same side built through dot, vee, so_action and inner
     for d in range(6):
         c = n + 2 * d - 2
         for seed in range(20):
             f, a, b, g = suite_trial(n, d, seed)
-            sides = list(ha._identity_sides(n, d, *(h.poly.nums for h in (f, a, b, g)), c))
+            lists = [ha._components(h.poly.nums, n)[h.degree] for h in (f, g)]
+            sides = list(ha._identity_sides(n, d, lists[0], ha._linear_coefficients(a.poly),
+                                            ha._linear_coefficients(b.poly), lists[1], c))
             fva, fvb, fda, fdb = ha.vee(f, a), ha.vee(f, b), ha.dot(f, a), ha.dot(f, b)
             rot = ha.so_action(a, b, f).poly
             public = [
@@ -617,8 +705,8 @@ def test_integer_identity_sides_match_the_public_pairings(n):
                 (ha.dot(fva, a).poly - ha.vee(fda, a).poly, f.poly.scale(c * ha.inner(a, a))),
             ]
             for integer_sides, poly_sides in zip(sides, public):
-                assert [Poly._make(n, f.poly.den, side) for side in integer_sides] \
-                    == list(poly_sides)
+                assert [ha._from_components(n, f.poly.den, {d: side})
+                        for side in integer_sides] == list(poly_sides)
             den = f.poly.den * g.poly.den
             assert [Fraction(side, den) for side in sides[3]] == \
                 [ha.inner(fva, g), c * ha.inner(f, ha.dot(g, a))]
@@ -636,7 +724,7 @@ def test_each_identity_names_itself_when_it_fails(monkeypatch, broken, message):
     def one_side_off(*args):
         for i, (lhs, rhs) in enumerate(sides(*args)):
             if i == broken:
-                rhs = rhs + 1 if isinstance(rhs, int) else {**rhs, -1: 1}
+                rhs = rhs + 1 if isinstance(rhs, int) else [rhs[0] + 1, *rhs[1:]]
             yield lhs, rhs
 
     monkeypatch.setattr(ha, "_identity_sides", one_side_off)
