@@ -29,21 +29,21 @@ monomial lists, hold what each operation reads:
     monomial t, the source position of t + u_i (t + 2 u_i) and the
     multiplier t_i + 1 ((t_i + 2)(t_i + 1)); the directional derivative
     and the Laplacian sum them over i;
-  - a product by x_i (and by R = sum_i x_i^2) reads the source position of
-    t - u_i (t - 2 u_i), or a 0 appended to the list where t_i is too small;
+  - a product by x_i (and by R = sum_i x_i^2) reads, for each target t,
+    only the sources t - u_i (t - 2 u_i) that exist, padded with a 0 to
+    the most at the degree; the x_i of a linear form reads the list scaled
+    by its coefficient, so f vee xi and the rotation (a ^ b) . f are one
+    gather-sum each over their scaled sources side by side;
   - the Fischer weights alpha! are one list.
 
 Each kernel is a few operator.itemgetter gathers and map passes over Python
-ints, so it stays exact and needs no numpy.  The harmonic projection, the
-random draws, the identity suite and the pairings run on these lists; the
-pairings split a Poly into its homogeneous components at the edge.  A list
-costs the full monomial count of its degree, which harmonic polynomials,
-drawn or projected, fill anyway.  Every identity is exact, never checked by
-tolerance: the identity suite compares integer lists over f's denominator,
-which is equality of polynomials, with no Poly, Fraction or gcd between its
-steps.  The sign convention is pinned to the geometer's Laplacian, the
-negative of the trace of the Hessian, so (-Delta)^d below is the d-th power
-of the analyst's sum of pure second partials.
+ints, so it stays exact and needs no numpy; the pairings split a Poly into
+its homogeneous components at the edge.  Every identity is exact, never
+checked by tolerance: the identity suite compares integer lists over f's
+denominator, which is equality of polynomials.  The sign convention is
+pinned to the geometer's Laplacian, the negative of the trace of the
+Hessian, so (-Delta)^d below is the d-th power of the analyst's sum of pure
+second partials.
 
 The degree-shifting pairings on harmonic polynomials are normalized by
 
@@ -257,8 +257,9 @@ class Poly:
                           {e: v * k for e, v in self.nums.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        _require_slot_room(self.nvars, self.nums, other.nums)
         return Poly._make(self.nvars, self.den * other.den,
-                          _product_numerators(self.nums, other.nums, self.nvars))
+                          _add_product({}, 1, self.nums.items(), other.nums.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars \
@@ -286,10 +287,6 @@ class Poly:
         return degs.pop()
 
     # -- calculus ----------------------------------------------------------
-    # Sparse, unlike the homogeneous calculus below: a dense list holds
-    # every monomial of a degree, which a few-term polynomial of high degree
-    # cannot afford.  A partial is a map of the terms, in their order; the
-    # directional derivative and the Laplacian are Poly sums of partials.
     def _partials(self, den: int, weights, step: int) -> "Poly":
         """sum_i b_i d_i^step over den, step 1 or 2, for (i, b_i) in weights:
         each partial maps the terms in their order and is added the way
@@ -385,12 +382,6 @@ def _add_product(acc: dict, k: int, items1, items2) -> dict:
     return acc
 
 
-def _product_numerators(nums1: dict, nums2: dict, nvars: int) -> dict:
-    """The product of two key -> integer term dicts, after _require_slot_room."""
-    _require_slot_room(nvars, nums1, nums2)
-    return _add_product({}, 1, nums1.items(), nums2.items())
-
-
 @dataclass(frozen=True)
 class HarmonicElement:
     """A homogeneous polynomial annihilated by the Laplacian, exactly."""
@@ -446,15 +437,33 @@ def _lowering(nvars: int, degree: int, step: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _raising(nvars: int, degree: int, step: int):
-    """The gather table of x_i^step times a degree list, as a getter over
-    the list with a 0 appended: for each target monomial t of degree + step,
-    in order, and each i, the source position of t - step u_i, or the 0's
-    where t_i < step."""
-    place, pad = _place(nvars, degree), len(_packed_monomials(nvars, degree))
-    return _getter(tuple(place[t - (step << s)] if (t >> s) & _SLOT_MASK >= step else pad
-                         for t in _packed_monomials(nvars, degree + step)
-                         for s in _shifts(nvars)))
+def _raising(nvars: int, degree: int, step: int) -> tuple:
+    """The compact table of x_i^step times a degree list, (positions, size):
+    for each target t of degree + step, in order, the sources t - step u_i
+    with t_i >= step (for step 1 in copy i of the list, see _copies), then
+    pads -1, read from a 0 appended, to the largest group, of size
+    min(nvars, (degree + step) // step)."""
+    place, shifts = _place(nvars, degree), _shifts(nvars)
+    stride = len(place) if step == 1 else 0
+    groups = [[place[t - (step << s)] + i * stride for i, s in enumerate(shifts)
+               if (t >> s) & _SLOT_MASK >= step]
+              for t in _packed_monomials(nvars, degree + step)]
+    size = max(map(len, groups), default=0)
+    return tuple(chain.from_iterable(g + [-1] * (size - len(g)) for g in groups)), size
+
+
+@lru_cache(maxsize=256)
+def _gather_sum(nvars: int, parts: tuple):
+    """The sum of the raising products of (degree, step) parts, as a function
+    of their sources in turn: each target's groups side by side, one gather."""
+    tables, offset = [], 0
+    for degree, step in parts:
+        tables.append((*_raising(nvars, degree, step), offset))
+        offset += len(_place(nvars, degree)) * (nvars if step == 1 else 1)
+    size, count = sum(k for _, k, _ in tables), len(_packed_monomials(nvars, sum(parts[0])))
+    get = _getter(tuple(p + o if p >= 0 else p for j in range(count)
+                        for ps, k, o in tables for p in ps[j * k:(j + 1) * k]))
+    return (lambda sources: _sums(get(sources + [0]), size)) if size else (lambda _: [0] * count)
 
 
 @lru_cache(maxsize=256)
@@ -463,9 +472,9 @@ def _fischer_weights(nvars: int, degree: int) -> tuple[int, ...]:
     return tuple(map(_fischer_weight, _packed_monomials(nvars, degree)))
 
 
-def _sums(items, nvars: int) -> list:
-    """The sums of consecutive runs of nvars items: one per target."""
-    return list(map(sum, zip(*[iter(items)] * nvars)))
+def _sums(items, size: int) -> list:
+    """The sums of consecutive runs of size items: one per target."""
+    return list(map(sum, zip(*[iter(items)] * size)))
 
 
 def _directional(v: list, nvars: int, degree: int, xi: list) -> list:
@@ -481,15 +490,19 @@ def _laplacian(v: list, nvars: int, degree: int) -> list:
     return _sums(map(mul, get(v), mults), nvars)
 
 
+def _copies(v: list, weights) -> list:
+    """w v for each w in weights, one after the other (see _raising)."""
+    return [w * c for w in weights for c in v]
+
+
 def _times_linear(v: list, nvars: int, degree: int, xi: list) -> list:
     """xi v for a degree list v and the coefficients xi of a linear form."""
-    return _sums(map(mul, _raising(nvars, degree, 1)(v + [0]),
-                     xi * len(_packed_monomials(nvars, degree + 1))), nvars)
+    return _gather_sum(nvars, ((degree, 1),))(_copies(v, xi))
 
 
 def _times_R(v: list, nvars: int, degree: int) -> list:
     """R v, R = sum_i x_i^2, for a degree list v."""
-    return _sums(_raising(nvars, degree, 2)(v + [0]), nvars)
+    return _gather_sum(nvars, ((degree, 2),))(v)
 
 
 def _fischer(v: list, w: list, weights) -> int:
@@ -590,9 +603,9 @@ def dot(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
 
 def _vee(v: list, nvars: int, degree: int, xi, vdx: list) -> list:
     """f vee xi = (n + 2d - 2) xi f - R (f . xi) for the list v of f of
-    degree d, given vdx = f . xi: the one place the formula lives."""
-    return _difference(_scaled(_times_linear(v, nvars, degree, xi), nvars + 2 * degree - 2),
-                       _times_R(vdx, nvars, degree - 1))
+    degree d, vdx = f . xi, in one gather-sum: the formula's one place."""
+    sources = _copies(v, _scaled(xi, nvars + 2 * degree - 2)) + _scaled(vdx, -1)
+    return _gather_sum(nvars, ((degree, 1), (degree - 1, 2)))(sources)
 
 
 def vee(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
@@ -606,9 +619,9 @@ def vee(f: HarmonicElement, xi: HarmonicElement) -> HarmonicElement:
 
 def _rotation(nvars: int, degree: int, a, b, fda: list, fdb: list) -> list:
     """a (f . b) - b (f . a) for f of degree `degree`, given fda = f . a and
-    fdb = f . b."""
-    return _difference(_times_linear(fdb, nvars, degree - 1, a),
-                       _times_linear(fda, nvars, degree - 1, b))
+    fdb = f . b, in one gather-sum."""
+    sources = _copies(fdb, a) + _copies(fda, _scaled(b, -1))
+    return _gather_sum(nvars, ((degree - 1, 1),) * 2)(sources)
 
 
 def so_action(alpha: HarmonicElement, beta: HarmonicElement,
@@ -821,17 +834,10 @@ def _a_terms(params: SpectralParams):
 def admissible_lambda(params: SpectralParams) -> Optional[int]:
     """The integer m with lambda = m(n+m-1)K exactly, if one exists."""
     params.validate()
-    mu = params.lam / params.K
-    if mu < 0:
-        return None
-    m = 0
-    while True:
-        val = m * (params.n + m - 1)
-        if val == mu:
-            return m
-        if val > mu:
-            return None
+    mu, m = params.lam / params.K, 0
+    while m * (params.n + m - 1) < mu:   # increasing in m
         m += 1
+    return m if m * (params.n + m - 1) == mu else None
 
 
 # ----------------------------------------------------------------------
@@ -849,15 +855,9 @@ def monomial_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     _require_integers(nvars=nvars, degree=degree)
     if nvars < 1:
         raise ParamViolation("number of variables must be positive")
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    if degree >= 0:
-        rec([], degree, nvars)
-    return out
+    # the exponent tuples of each remaining degree r over the last k variables
+    tails = {r: [(r,)] for r in range(degree + 1)}
+    for _ in range(nvars - 1):
+        tails = {r: [(j, *t) for j in range(r, -1, -1) for t in tails[r - j]]
+                 for r in range(degree + 1)}
+    return tails.get(degree, [])

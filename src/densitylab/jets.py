@@ -452,7 +452,12 @@ def jet_atan2(y: Jet, x: Jet) -> Jet:
 
     if m is _MATH:
         return y_over_x() if use_y_over_x else x_over_y()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a value the batch shares becomes an array, so that 1/y and 1/x are
+    # numpy divisions, which the errstate governs
+    y, x = (J if isinstance(J.value, np.ndarray) else
+            Jet(np.full(np.shape(angle), J.value), *(getattr(J, s) for s in _SLOTS[1:]),
+                order=J.order) for J in (y, x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b = y_over_x(), x_over_y()
     return Jet(*(np.where(use_y_over_x, getattr(a, s), getattr(b, s))
                  for s in _SLOTS), order=a.order)

@@ -335,21 +335,34 @@ BIG = st.integers(-10 ** 30, 10 ** 30)
 
 
 @st.composite
-def integer_polys(draw, n):
-    """A key -> int dict with terms of one to three degrees in 0..8."""
+def integer_polys(draw, n, max_degree=8):
+    """A key -> int dict with terms of one to three degrees in 0..max_degree."""
     nums = {}
-    for k in draw(st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True)):
+    for k in draw(st.lists(st.integers(0, max_degree), min_size=1, max_size=3, unique=True)):
         monos = ha._packed_monomials(n, k)
         for j in draw(st.lists(st.integers(0, len(monos) - 1), max_size=12)):
             nums[monos[j]] = draw(BIG)
     return {e: v for e, v in nums.items() if v}
 
 
-@given(st.data(), st.integers(3, 6))
+def unfused_vee(v, n, k, xi, vdx):
+    """(n + 2k - 2) xi v - R vdx, a product and a scaling at a time."""
+    return [(n + 2 * k - 2) * s - r for s, r in
+            zip(ha._times_linear(v, n, k, xi), ha._times_R(vdx, n, k - 1))]
+
+
+def unfused_rotation(n, k, a, b, fda, fdb):
+    """a fdb - b fda, two products and a difference."""
+    return [s - r for s, r in zip(ha._times_linear(fdb, n, k - 1, a),
+                                  ha._times_linear(fda, n, k - 1, b))]
+
+
+@given(st.data(), st.integers(3, 8))
 @settings(max_examples=120, deadline=None)
 def test_dense_kernels_match_the_dict_loops(data, n):
-    p, q = data.draw(integer_polys(n)), data.draw(integer_polys(n))
-    xi = data.draw(st.lists(BIG, min_size=n, max_size=n))
+    max_degree = 8 if n <= 6 else 5
+    p, q = data.draw(integer_polys(n, max_degree)), data.draw(integer_polys(n, max_degree))
+    xi, eta = (data.draw(st.lists(BIG, min_size=n, max_size=n)) for _ in range(2))
     xi_dict = {ha._unit(n, i, 1): b for i, b in enumerate(xi) if b}
     R = Poly.radius_squared(n).nums
     assert per_degree(p, n, lambda v, n, k: ha._directional(v, n, k, xi), -1) == \
@@ -365,6 +378,46 @@ def test_dense_kernels_match_the_dict_loops(data, n):
     ps, qs = ha._components(p, n), ha._components(q, n)
     assert sum(ha._fischer(v, qs[k], ha._fischer_weights(n, k))
                for k, v in ps.items() if k in qs) == dict_fischer(p, q)
+    # the empty list of degree -1 lowers to nothing and raises to zeros
+    assert ha._directional([], n, -1, xi) == ha._laplacian([], n, -1) == []
+    assert ha._times_linear([], n, -1, xi) == [0]
+    assert ha._times_R([], n, -1) == [0] * n
+    # the one-pass vee and rotation against their compositions, on p's
+    # degrees, degree 0 and the empty degree -1 list, with vdx taken from q
+    # so that it need not be v . xi
+    def at(lists, k):
+        return lists.get(k, [0] * len(ha._packed_monomials(n, k)))
+
+    for k in sorted({-1, 0, *ps}):
+        v, vdx = at(ps, k), at(qs, k - 1)
+        assert ha._vee(v, n, k, xi, vdx) == unfused_vee(v, n, k, xi, vdx)
+        fda, fdb = ha._directional(v, n, k, xi), ha._directional(v, n, k, eta)
+        assert ha._rotation(n, k, xi, eta, fda, fdb) == \
+            unfused_rotation(n, k, xi, eta, fda, fdb)
+        assert ha._rotation(n, k, xi, eta, vdx, at(ps, k - 1)) == \
+            unfused_rotation(n, k, xi, eta, vdx, at(ps, k - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_compact_raising_tables_pad_each_group_to_the_largest(n):
+    # a group per target monomial t lists the sources of t - step u_i that
+    # exist, by i (in copy i of the source list for step 1), then pads -1;
+    # the group size is the largest support, so no column is only pads
+    for step in (1, 2):
+        for degree in range(-1, 7 if n <= 5 else 4):
+            positions, size = ha._raising(n, degree, step)
+            assert size == min(n, (degree + step) // step)
+            sources = ha.monomial_exponents(n, degree)
+            place = {e: j for j, e in enumerate(sources)}
+            targets = ha.monomial_exponents(n, degree + step)
+            assert len(positions) == len(targets) * size
+            groups = [positions[j * size:(j + 1) * size] for j in range(len(targets))]
+            for t, g in zip(targets, groups):
+                want = [place[t[:i] + (t[i] - step,) + t[i + 1:]]
+                        + (i * len(sources) if step == 1 else 0)
+                        for i in range(n) if t[i] >= step]
+                assert g == tuple(want) + (-1,) * (size - len(want))
+            assert any(-1 not in g for g in groups)
 
 
 # ----------------------------------------------------------------------

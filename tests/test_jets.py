@@ -231,6 +231,20 @@ def test_array_atan2_takes_each_elements_branch():
     assert_elementwise(got, want, 1e-12)
 
 
+@pytest.mark.parametrize("y_value", [0.0, -0.0, 5e-324])
+def test_array_atan2_over_a_shared_float_y_at_or_next_to_zero(y_value):
+    # the x / y branch that no element takes divides by the shared y; it
+    # must run as a numpy division, silenced, not as Python's float one
+    rng = random.Random(14)
+    y_row = [y_value] + [rng.uniform(-1.0, 1.0) for _ in range(9)]
+    x_rows = random_rows(rng, 30, 0.5, 2.0)
+    for row in x_rows[::2]:
+        row[0] = -row[0]
+    got = jet_atan2(Jet(*y_row, order=3), batch_of(x_rows))
+    want = [jet_atan2(Jet(*y_row, order=3), Jet(*x, order=3)) for x in x_rows]
+    assert_elementwise(got, want, 1e-12)
+
+
 def test_floats_and_arrays_mix_within_one_jet():
     # an order-2 batch keeps its third-order slots as float zeros
     X = Jet(np.array([0.3, 0.9]), dx=1.0, order=2)
