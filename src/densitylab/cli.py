@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import import_module
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -363,6 +364,7 @@ def _families_sample(sc: Scenario, out_dir: Path,
     from .jets import BatchStatus
     p, name = sc.args, sc.args["field"]
     fam = _FAMILIES[p["family"]](mg, p)
+    fam.validate()   # before contains, which a non-finite phi would crash
     xs, ys = _grid_points(p)
     y, x = _grid(ys, xs)
     inside = np.broadcast_to(fam.contains(x, y), x.shape)
@@ -740,8 +742,61 @@ def run(sc: Scenario, out_dir: Path | None = None, fmt: str = "csv") -> dict:
 
 def report_body(report: dict) -> str:
     """Deterministic serialization of the report minus the runtime field."""
-    body = {k: v for k, v in report.items() if k != "runtime_seconds"}
-    return json.dumps(body, indent=2, sort_keys=True)
+    return _json_text({k: v for k, v in report.items() if k != "runtime_seconds"})
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for the
+    values a report holds: dicts with str keys, lists, tuples, str, int,
+    float (nan and infinities included), bool and None.
+
+    With an indent, json.dumps runs its pure-Python encoder, whose nested
+    closures refer to each other: each call leaves a reference cycle that
+    only the cycle collector frees.  This writer leaves none."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the text of value to out; newline is a line break followed
+    by the indent of the line where value starts."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append("NaN" if value != value else "Infinity" if value == math.inf
+                   else "-Infinity" if value == -math.inf else float.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            sep = "{" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(value[key], inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write_json(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -780,7 +835,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / f"report_{sc.suite}_{sc.mode}.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(_json_text(report) + "\n")
     for check in report["checks"]:
         res = f'  max_residual={check["max_residual"]:.3g}' \
             if "max_residual" in check else ""

@@ -28,6 +28,15 @@ GramMatrix is built only when a caller reads KernelCertificate.basis
 (maps kernel builds none).  The basis {h_a} is fraction-free as well (see
 basis_Hm), and its term products pass one slot-overflow guard per basis.
 
+A process keeps what depends on (n, m) alone.  basis_Hm builds each size
+once, checking its reproducing identity then, and keeps the last _BASES
+sizes asked for.  Each HarmonicBasis carries, built on first use, its
+parity blocks (_Blocks: the term table, the numerators modulo each prime,
+and the term pairs and cells of each stack) and its base point G0.  Every
+verdict still ranks its blocks modulo p (with the exact fallback),
+factors G0, checks h(G0) = R^m and the map's sum of squares, and draws and
+evaluates its own points: no rank or verdict is kept.
+
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
 picture corresponds to the rational diagonal matrix diag(1/(c n_a)), where
@@ -421,6 +430,18 @@ class HarmonicBasis:
     def dim(self) -> int:
         return len(self.elements)
 
+    # functions of the basis alone, built on first use and kept on the
+    # instance, so that every verdict on a cached basis shares them and a
+    # basis built by hand gets its own
+
+    @cached_property
+    def _scaled_identity(self) -> GramMatrix:
+        return GramMatrix.diagonal([1 / (self.invariant_c * n2) for n2 in self.norms])
+
+    @cached_property
+    def _blocks(self) -> "_Blocks":
+        return _Blocks(self)
+
 
 def radius_power(n_ambient: int, m: int) -> Poly:
     """R^m with R = |x|^2 on R^n_ambient, as an exact polynomial, in closed
@@ -449,12 +470,27 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     elements; hence t = s e! g_e, read off g's coefficient of x^e.  Norms
     squared are recorded, and the reproducing identity is one exact integer
     comparison, sum_a (L/n_a) h_a^2 = c L R^m, L = lcm(n_a).
+
+    The basis depends on (n_ambient, m) alone, so it is built, and its
+    identity checked, once per size: the last _BASES sizes asked for are
+    kept (_cached_basis), and every call for one of them returns the same
+    frozen HarmonicBasis.  A build that raises keeps nothing.
     """
     _require_integers(n_ambient=n_ambient, m=m)
     if n_ambient < 3:
         raise ParamViolation("ambient dimension must be >= 3")
     if m < 0:
         raise ParamViolation("degree must be nonnegative")
+    return _cached_basis(int(n_ambient), int(m))
+
+
+# sizes whose basis a process keeps, with its block layout and base point;
+# the maps kernel default scenario asks for 7
+_BASES = 8
+
+
+def _build_basis(n_ambient: int, m: int) -> HarmonicBasis:
+    """basis_Hm without its checks of the arguments and without the cache."""
     target = dim_harmonics(n_ambient, m)
     monos, weights = _packed_monomials(n_ambient, m), _fischer_weights(n_ambient, m)
     # the places in monos of each parity class, where its elements live
@@ -514,6 +550,9 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     return HarmonicBasis(n_ambient, m, tuple(ortho), tuple(map(Fraction, norms)), c)
 
 
+_cached_basis = lru_cache(maxsize=_BASES)(_build_basis)
+
+
 # ----------------------------------------------------------------------
 # the quadratic-form map and its affine solution space
 # ----------------------------------------------------------------------
@@ -537,10 +576,10 @@ def scaled_identity_gram(basis: HarmonicBasis) -> GramMatrix:
     """The rational diagonal point diag(1/(c n_a)) with h(G0) = R^m exactly.
 
     This is the plain-coordinate expression of the orthonormal picture's
-    scaled identity c^{-1} I.
+    scaled identity c^{-1} I.  It is built once per basis and kept on it; a
+    GramMatrix is immutable, so every caller may share it.
     """
-    return GramMatrix.diagonal(
-        [1 / (basis.invariant_c * n2) for n2 in basis.norms])
+    return basis._scaled_identity
 
 
 def _sym_pairs(D: int) -> list[tuple[int, int]]:
@@ -614,6 +653,11 @@ class _Blocks:
     scatters the products of the term pairs of the chosen blocks into an
     int64 stack; entries sums the exact products of one block's term
     pairs, for the places that need exact entries.
+
+    A basis keeps its _Blocks (HarmonicBasis._blocks), and the _Blocks
+    keeps what stack reads that does not depend on p: the numerators
+    modulo each prime, and for each set of chosen blocks its term pairs,
+    their column factors and the cells they add to.
     """
 
     def __init__(self, basis: HarmonicBasis):
@@ -645,6 +689,7 @@ class _Blocks:
         self.blocks = [(class_rows[cl], np.array(cols, dtype=np.intp))
                        for cl, cols in sorted(block_cols.items())]
         self._mod: dict[int, np.ndarray] = {}
+        self._scatter: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def shape_groups(self) -> dict[tuple[int, int], list[int]]:
         """The blocks of each shape (rows, columns), in order of first block."""
@@ -665,25 +710,45 @@ class _Blocks:
     def stack(self, chosen: list[int], p: int) -> np.ndarray:
         """The chosen blocks, all of one shape r x c, modulo p as an int64
         stack.  Each numerator is reduced once, so the product of two is
-        below 2^62 and the entry it adds, reduced and doubled, below 2^32.
-        An entry of column E_ab sums at most |h_a| |h_b| < 2^30 of them
-        (__init__ refuses longer elements), so it stays below 2^62 until
-        the final reduction."""
+        below 2^62, and the entry it adds, reduced, below 2^31.  An entry of
+        column E_ab sums at most |h_a| |h_b| < 2^30 of them (__init__
+        refuses longer elements), so it stays below 2^61, and below 2^62
+        once the column's factor multiplies it, until the final reduction."""
         mod = self._mod.get(p)
         if mod is None:
             mod = self._mod[p] = np.array([v % p for v in self.nums], dtype=np.int64)
         r, c = self.blocks[chosen[0]][0], len(self.blocks[chosen[0]][1])
-        cols = np.concatenate([self.blocks[b][1] for b in chosen])
-        t, u, k = self._term_pairs(cols)
-        values = mod[t] * mod[u] % p
-        values *= self.factor[cols][k]
-        # column k is column k % c of block k // c of the stack, whose row
-        # 0 starts at cell (k // c) r c + k % c
-        origin = (np.arange(len(chosen))[:, None] * (r * c) + np.arange(c)).ravel()
+        t, u, cells, factor = self._scatter_of(tuple(chosen))
+        values = mod[t]
+        values *= mod[u]
+        values %= p
         A = np.zeros(len(chosen) * r * c, dtype=np.int64)
-        np.add.at(A, origin[k] + self.row[self.mono[t], self.mono[u]] * c, values)
+        np.add.at(A, cells, values)
+        A = A.reshape(len(chosen), r, c)
+        A *= factor
         A %= p
-        return A.reshape(len(chosen), r, c)
+        return A
+
+    def _scatter_of(self, chosen: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """(t, u, cell, factor) as stack reads them, built once for each
+        tuple of blocks: for every term pair (t, u) of the chosen blocks the
+        cell of the flat stack it adds to, and the factor of each column of
+        the stack, shaped (blocks, 1, c).  The indices are kept as int32,
+        unless the stack has 2^31 cells or more (16 GiB)."""
+        scatter = self._scatter.get(chosen)
+        if scatter is None:
+            r, c = self.blocks[chosen[0]][0], len(self.blocks[chosen[0]][1])
+            cols = np.concatenate([self.blocks[b][1] for b in chosen])
+            t, u, k = self._term_pairs(cols)
+            # column k is column k % c of block k // c of the stack, whose
+            # row 0 starts at cell (k // c) r c + k % c
+            origin = (np.arange(len(chosen))[:, None] * (r * c) + np.arange(c)).ravel()
+            cells = origin[k] + self.row[self.mono[t], self.mono[u]] * c
+            index = np.int32 if len(chosen) * r * c < 2 ** 31 else np.intp
+            scatter = self._scatter[chosen] = (
+                t.astype(index), u.astype(index), cells.astype(index),
+                self.factor[cols].reshape(len(chosen), 1, c))
+        return scatter
 
     def entries(self, b: int) -> tuple[list[int], list[int], list[int]]:
         """The nonzero entries (rows, columns, values) of block b, exact."""
@@ -731,7 +796,7 @@ def _kernel_certificate(n_ambient: int, m: int,
     _require_sphere_dim_above_2(n_ambient)
     if basis is None:
         basis = basis_Hm(n_ambient, m)
-    blocks = _Blocks(basis)
+    blocks = basis._blocks
     dimension = 0
     for (r, c), group in blocks.shape_groups().items():
         ranks = _stack_ranks((r, c), len(group),
@@ -759,7 +824,7 @@ def _kernel_elements(basis: HarmonicBasis
     free column f has entry den_j w_j / (den_f d) at j, where w is d times
     the kernel vector of the integer block.
     """
-    blocks = _Blocks(basis)
+    blocks = basis._blocks
     pairs = _sym_pairs(basis.dim)
     element_dens = [el.poly.den for el in basis.elements]
     found: list[tuple[int, tuple]] = []  # (free column, sparse element)

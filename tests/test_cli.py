@@ -3,6 +3,8 @@
 import ast
 import contextlib
 import csv
+import gc
+import importlib
 import io
 import json
 import math
@@ -11,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -502,6 +505,19 @@ def test_families_sample_counts_dropped_points(tmp_path):
     assert len(rows) == 20 - dropped
 
 
+@pytest.mark.parametrize("params", [
+    {"family": "helicatenoid", "phi": math.inf}, {"family": "helicatenoid", "phi": math.nan},
+    {"family": "doubly_periodic", "a": 1.5, "c": 0.2}, {"family": "constant", "c": 0.5}])
+def test_families_sample_refuses_a_family_outside_its_range_in_one_line(
+        tmp_path, capsys, params):
+    # a helicatenoid's domain test reads sin(phi), which a non-finite phi
+    # made raise a ValueError with a traceback
+    rc, err = _main_error(tmp_path, capsys, "families", "sample",
+                          {"params": params, "grid": {"nx": 2, "ny": 2}})
+    assert rc == 2 and err.startswith("error: ParamViolation:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("field_*"))
+
+
 def test_families_sample_matches_the_scalar_slope_solutions(tmp_path):
     path = _sample(tmp_path, {
         "suite": "families", "mode": "sample",
@@ -573,10 +589,80 @@ def test_spectrum_with_too_few_terms_to_decide_exits_2(tmp_path, capsys, m_max):
     assert rc == 0
 
 
+def _json_dumps(value) -> str:
+    """The oracle of the report writer."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _body(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "runtime_seconds"}
+
+
 @pytest.mark.parametrize("suite,mode", list(cli._MODES))
-def test_default_scenarios_exit_0(tmp_path, capsys, suite, mode):
+def test_default_scenarios_exit_0(tmp_path, capsys, monkeypatch, suite, mode):
+    # and the report file and body are json.dumps's text, byte for byte
+    reports = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs:
+                        reports.append(run(*args, **kwargs)) or reports[-1])
     assert cli.main([suite, mode, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
+    (report,) = reports
+    assert (tmp_path / f"report_{suite}_{mode}.json").read_text() \
+        == _json_dumps(report) + "\n"
+    assert cli.report_body(report) == _json_dumps(_body(report))
+
+
+class _Float(float):
+    """A float subclass, as numpy's float64 is one."""
+
+    def __repr__(self):
+        return f"_Float({float(self)!r})"
+
+
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.floats().map(_Float) | st.floats().map(np.float64),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("seed", [2718, 31])
+def test_report_writer_matches_json_dumps_on_every_workload_body(monkeypatch, seed):
+    # the benchmark's documents: one pass of each of its four workloads
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.GENERATORS:
+        for doc in workloads.generate(name, seed):
+            report = cli.run(cli.Scenario.from_config(doc))
+            assert cli.report_body(report) == _json_dumps(_body(report))
+
+
+@pytest.mark.parametrize("suite,mode,params", [
+    ("maps", "verify", {"n_ambient": 4, "m": 3}),
+    ("families", "period", {"pairs": [[1.0, 1.0]]}),
+    ("harmonic", "identities", {"dims": [3], "max_degree": 2, "trials": 2})])
+def test_report_body_leaves_no_garbage_for_the_collector(suite, mode, params):
+    # json.dumps with an indent leaves a reference cycle per call, so that
+    # memory would hang on when the collector happens to run
+    report = cli.run(cli.Scenario.from_config(
+        {"suite": suite, "mode": mode, "params": params}))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cli.report_body(report)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _JSON = st.recursive(
@@ -614,7 +700,7 @@ def _mostly(valid):
     return st.integers(0, 2).flatmap(lambda i: valid if i else _ODD)
 
 
-def _main_answers(out, suite, mode, doc):
+def _main_answers(out, suite, mode, doc, *options):
     """cli.main on doc in the directory out answers with exit code 0, 1 or 2
     and, on 2, one stderr line, never with a traceback or a warning; no
     check of its report passes with a non-finite max_residual."""
@@ -622,7 +708,7 @@ def _main_answers(out, suite, mode, doc):
     cfg.write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = cli.main([suite, mode, "--config", str(cfg), "--out", str(out)])
+        rc = cli.main([suite, mode, "--config", str(cfg), "--out", str(out), *options])
     assert rc in (0, 1, 2)
     if rc == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
@@ -756,6 +842,59 @@ def test_maps_documents_exit_0_1_or_2(tmp_path_factory, mode_params, seed):
     mode, params = mode_params
     _main_answers(tmp_path_factory.mktemp(mode), "maps", mode,
                   {"params": params, "seed": seed})
+
+
+# the two modes that write files: grids of at most 5 x 5 points, and maps up
+# to n_ambient 6 and m 3, so that each example is cheap; one value in six
+# is odd, so that most documents write their files
+def _rarely_odd(valid):
+    return st.sampled_from(range(6)).flatmap(lambda i: _ODD if i == 5 else valid)
+
+
+_SAMPLE_DOC = st.fixed_dictionaries({
+    "params": st.fixed_dictionaries({}, optional={
+        "family": _rarely_odd(st.sampled_from(sorted(cli._FAMILIES))),
+        "field": _rarely_odd(st.sampled_from(cli._FIELDS)),
+        "a": _rarely_odd(st.floats(0.0, 3.0)), "c": _rarely_odd(st.floats(0.0, 3.0)),
+        "phi": _rarely_odd(st.floats(0.0, 1.6))}),
+    "grid": st.fixed_dictionaries(
+        {"nx": _rarely_odd(st.integers(2, 5)), "ny": _rarely_odd(st.integers(2, 5))},
+        optional={"x_min": _rarely_odd(st.floats(-1.0, 3.0)),
+                  "x_max": _rarely_odd(st.floats(-1.0, 3.0)),
+                  "y_min": _rarely_odd(st.floats(-10.0, 10.0)),
+                  "y_max": _rarely_odd(st.floats(-10.0, 10.0))})})
+_EXPORT_DOC = st.fixed_dictionaries({"params": st.fixed_dictionaries({}, optional={
+    "n_ambient": _rarely_odd(st.integers(3, 6)), "m": _rarely_odd(st.integers(0, 3)),
+    "points": _rarely_odd(st.integers(1, 20))})},
+    optional={"seed": _rarely_odd(st.integers(-2, 2 ** 70))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([("families", "sample", _SAMPLE_DOC), ("maps", "export", _EXPORT_DOC)])
+       .flatmap(lambda mode: st.tuples(st.just(mode[:2]), mode[2])),
+       st.sampled_from(["csv", "json"]))
+@example((("families", "sample"), {"params": {"family": "helicatenoid", "phi": math.inf},
+                                   "grid": {"nx": 2, "ny": 2}}), "json")
+def test_documents_that_write_files_exit_0_1_or_2_and_repeat_their_files(
+        tmp_path_factory, mode_doc, fmt):
+    # run twice in one directory, the files of the first run removed before
+    # the second: the same report body and the same files, byte for byte;
+    # the second maps export reads the basis that the first one cached
+    (suite, mode), doc = mode_doc
+    out = tmp_path_factory.mktemp(mode)
+    runs = []
+    for _ in range(2):
+        _main_answers(out, suite, mode, doc, "--format", fmt)
+        files = {path.name: path.read_bytes() for path in out.iterdir()
+                 if path.name != "cfg.json"}
+        report = files.pop(f"report_{suite}_{mode}.json", None)
+        runs.append((report and cli.report_body(json.loads(report)), files))
+        for name in files:
+            (out / name).unlink()
+        if report is not None:
+            (out / f"report_{suite}_{mode}.json").unlink()
+    assert runs[0] == runs[1]
+    assert (runs[0][0] is None) == (runs[0][1] == {})   # files only with a report
 
 
 # trials and probes are always given and at most 30, so each example is cheap

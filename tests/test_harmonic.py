@@ -609,7 +609,7 @@ def test_one_identity_trial_takes_nine_directional_derivatives(monkeypatch):
     assert len(calls) == 9 + 18
 
 
-def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch):
+def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch, fresh_bases):
     from densitylab import sphere_maps as sm
     parts = recording(monkeypatch, ha, "_harmonic_part")
     monkeypatch.setattr(sm, "_harmonic_part", ha._harmonic_part)

@@ -352,7 +352,7 @@ def test_basis_is_pinned_entry_for_entry(size):
     assert basis_digest(sm.basis_Hm(*size)) == BASIS_DIGESTS[size]
 
 
-def test_basis_gram_schmidt_is_fraction_free(monkeypatch):
+def test_basis_gram_schmidt_is_fraction_free(monkeypatch, fresh_bases):
     from densitylab import harmonic as ha
 
     def refuse(f, g):
@@ -377,10 +377,95 @@ def test_kernel_refuses_basis_exponents_that_could_carry(read):
         read(b)
 
 
-def test_basis_runs_no_elimination(monkeypatch):
+def test_basis_runs_no_elimination(monkeypatch, fresh_bases):
     primes, exact = spy_on_ranks(monkeypatch)
     assert sm.basis_Hm(5, 3).dim == 30
     assert primes == [] and exact == []
+
+
+# ----------------------------------------------------------------------
+# the basis cache: one basis per size, every check run by every verdict
+# ----------------------------------------------------------------------
+
+def maps_document(mode: str, params: dict, seed: int = 0):
+    from densitylab import cli
+    return cli.Scenario.from_config({"suite": "maps", "mode": mode,
+                                     "params": params, "seed": seed})
+
+
+@pytest.mark.parametrize("mode,params", [
+    ("kernel", {"cases": [[5, 2], [4, 3]]}), ("verify", {"n_ambient": 4, "m": 3})])
+def test_identical_maps_documents_each_run_every_check(monkeypatch, fresh_bases,
+                                                       mode, params):
+    # the second document reads the cached basis, yet ranks its blocks and
+    # checks its sum of squares again: no rank or verdict is remembered
+    from densitylab import cli
+    primes, _ = spy_on_ranks(monkeypatch)
+    squares = []
+    exact = sm._sum_of_squares_is_Rm
+    monkeypatch.setattr(sm, "_sum_of_squares_is_Rm",
+                        lambda the_map: squares.append(the_map) or exact(the_map))
+    runs = []
+    for _ in range(2):
+        misses = sm._cached_basis.cache_info().misses
+        body = cli.report_body(cli.run(maps_document(mode, params)))
+        runs.append((body, len(primes), len(squares),
+                     sm._cached_basis.cache_info().misses - misses))
+        del primes[:], squares[:]
+    (body, ranked, checked, built), again = runs
+    assert again == (body, ranked, checked, 0)   # nothing built the second time
+    assert ranked > 0 and built == (2 if mode == "kernel" else 1)
+    assert checked == (1 if mode == "verify" else 0)
+
+
+def test_cached_bases_are_unchanged_by_the_documents_run_on_them(tmp_path, fresh_bases):
+    from densitylab import cli
+    sizes = [(4, 2), (5, 2), (4, 3), (5, 3)]
+    first = {size: sm.basis_Hm(*size) for size in sizes}
+    cli.run(maps_document("kernel", {"cases": [list(s) for s in sizes]}))
+    for n_amb, m in sizes:
+        size = {"n_ambient": n_amb, "m": m}
+        for mode in ("verify", "construct"):
+            assert cli.run(maps_document(mode, size, seed=3))["overall"] == "pass"
+        cli.run(maps_document("export", size), tmp_path)
+        sm.solve_h_equals_Rm(n_amb, m)[1].elements
+    for size, basis in first.items():
+        assert sm.basis_Hm(*size) is basis   # still the cached one
+        fresh = basis_digest(sm._build_basis(*size))
+        assert basis_digest(basis) == fresh == BASIS_DIGESTS.get(size, fresh)
+
+
+def test_a_build_that_raises_is_not_cached(monkeypatch, fresh_bases):
+    # a wrong R^m fails the reproducing identity: nothing is kept, and the
+    # next call builds the basis anew
+    monkeypatch.setattr(sm, "radius_power",
+                        lambda n, m: Poly(n, {(2 * m,) + (0,) * (n - 1): 1}))
+    for _ in range(2):
+        with pytest.raises(ParamViolation, match="reproducing identity"):
+            sm.basis_Hm(4, 2)
+    assert sm._cached_basis.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert basis_digest(sm.basis_Hm(4, 2)) == BASIS_DIGESTS[(4, 2)]
+    info = sm._cached_basis.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+
+
+def test_the_cache_rebuilds_a_size_it_has_evicted(fresh_bases):
+    first = sm.basis_Hm(4, 1)
+    others = [sm.basis_Hm(3, m) for m in range(sm._BASES)]   # evicts (4, 1)
+    again = sm.basis_Hm(4, 1)
+    assert again is not first and again == first
+    assert sm._cached_basis.cache_info().misses == sm._BASES + 2
+    # the most recent sizes are still kept
+    assert sm.basis_Hm(3, sm._BASES - 1) is others[-1]
+
+
+def test_a_basis_keeps_its_block_layout_and_base_point():
+    b = sm.basis_Hm(4, 2)
+    assert b._blocks is b._blocks and sm.scaled_identity_gram(b) is sm.scaled_identity_gram(b)
+    by_hand = sm.HarmonicBasis(4, 2, b.elements, b.norms, b.invariant_c)
+    assert by_hand == b and by_hand._blocks is not b._blocks
+    assert sm.scaled_identity_gram(by_hand) == sm.scaled_identity_gram(b)
 
 
 def test_radius_power_closed_form_is_m_products_by_r():
@@ -929,7 +1014,7 @@ def test_psd_point_on_line_gives_up_after_sixty_halvings():
         sm.psd_point_on_line(G0, k)
 
 
-def test_no_floating_eigensolver_is_needed(monkeypatch):
+def test_no_floating_eigensolver_is_needed(monkeypatch, fresh_bases):
     import numpy as np
     from densitylab import cli
 
