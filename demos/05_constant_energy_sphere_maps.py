@@ -53,7 +53,7 @@ m0 = sm.construct_map(G0, basis)
 rank0 = len(G0.ldlt()[0])   # the PSD elimination stops at the rank
 print(f"   construct_map(G0): {len(m0.components)} components from rank "
       f"{rank0}, exact sum of squares")
-G1, t = sm.psd_point_on_line(G0, kernel.basis[0])
+G1, t = sm.psd_point_on_line(G0, kernel.elements[0])
 m1 = sm.construct_map(G1, basis)
 print(f"   deformed Gram G0 + {t} k stays PSD: a second map with the same")
 print(f"   energy density and a different Gram matrix ({len(m1.components)} "

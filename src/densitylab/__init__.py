@@ -36,7 +36,7 @@ _EXPORTS = {
     "sphere_maps": (
         "GramMatrix", "HarmonicBasis", "KernelCertificate", "SphericalHarmonicMap",
         "basis_Hm", "canonical_exact_map", "construct_map", "energy_density",
-        "h_of_G", "nonuniqueness_report", "solve_h_equals_Rm",
+        "nonuniqueness_report", "solve_h_equals_Rm",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

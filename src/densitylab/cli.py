@@ -612,10 +612,10 @@ def _maps_verify(sc: Scenario) -> list[dict]:
     basis = sm.basis_Hm(n_amb, m)
     G0, kernel = sm.solve_h_equals_Rm(n_amb, m, basis)
     checks = []
-    base_ok = sm.h_of_G(G0, basis) == sm.radius_power(n_amb, m)
+    base_ok = basis._blocks.h(*G0.numerators()) == sm.radius_power(n_amb, m)
     checks.append(_check("base_point_exact", base_ok, exact=True))
-    # the dimension is certified by exact block ranks; each kernel element,
-    # built only on request, is certified by h(k) = 0 exactly
+    # reports the kernel dimension that solve_h_equals_Rm certified by exact
+    # block ranks; it builds no kernel element, so checks no h(k) = 0
     checks.append(_check("kernel_annihilates", True, exact=True,
                          witness=f"dimension {kernel.dimension}"))
     if not base_ok:   # construct_map refuses such a G0

@@ -21,21 +21,27 @@ rank modulo p is full row rank over Q; a block that falls short is
 retried modulo further primes, then ranked exactly from the same term
 pairs summed as Python integers.  The kernel elements are built only on
 request, by fraction-free Gauss-Jordan elimination on sparse Python
-integer rows (Bareiss), one block at a time, and are certified by one
-exact product per block: block matrix times integer kernel block = 0.
-They stay sparse, as integer numerators over one denominator; a dense
-GramMatrix is built only when a caller reads KernelCertificate.basis
-(maps kernel builds none).  The basis {h_a} is fraction-free as well (see
-basis_Hm), and its term products pass one slot-overflow guard per basis.
+integer rows (Bareiss), one block at a time.  They stay sparse, as
+integer numerators over one denominator at the entries a <= b, and no
+dense matrix of them is built: GramMatrix.add takes one as it is.  The
+basis {h_a} is fraction-free as well (see basis_Hm), and its term
+products pass one slot-overflow guard per basis.
+
+h has one exact evaluator, _Blocks.h: for a symmetric matrix held as a
+kernel element is, it sums the exact products of the term pairs of its
+columns, keyed by packed monomial.  It checks the basis's reproducing
+identity, h(G0) = R^m for maps verify, and h(k) = 0 for each kernel
+element k as it is built.
 
 A process keeps what depends on (n, m) alone.  basis_Hm builds each size
 once, checking its reproducing identity then, and keeps the last _BASES
-sizes asked for.  Each HarmonicBasis carries, built on first use, its
-parity blocks (_Blocks: the term table, the numerators modulo each prime,
-and the term pairs and cells of each stack) and its base point G0.  Every
-verdict still ranks its blocks modulo p (with the exact fallback),
-factors G0, checks h(G0) = R^m and the map's sum of squares, and draws and
-evaluates its own points: no rank or verdict is kept.
+sizes asked for.  Each HarmonicBasis carries its parity blocks (_Blocks:
+the term table, the numerators modulo each prime, and the term pairs and
+cells of each stack), the ones its identity was checked with, and its
+base point G0, built on first use.  Every verdict still ranks its blocks
+modulo p (with the exact fallback), factors G0, checks h(G0) = R^m and
+the map's sum of squares, and draws and evaluates its own points: no rank
+or verdict is kept.
 
 Gram matrices here live in the plain coordinates of the orthogonal basis
 (norms recorded exactly); the scaled-identity solution of the orthonormal
@@ -89,7 +95,6 @@ from .harmonic import (
     _shifts,
     _unpack,
     dim_harmonics,
-    inner,
 )
 
 _ZERO = Fraction(0)   # immutable, so one object serves every zero entry
@@ -268,40 +273,32 @@ class GramMatrix:
         return len(self.entries)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "GramMatrix":
-        ent = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        d = len(ent)
-        for row in ent:
-            if len(row) != d:
-                raise DimensionMismatch("matrix is not square")
-        for i in range(d):
-            for j in range(i):
-                if ent[i][j] != ent[j][i]:
-                    raise DimensionMismatch(f"not symmetric at ({i},{j})")
-        return GramMatrix(ent)
-
-    @staticmethod
     def diagonal(values: Sequence) -> "GramMatrix":
         d = len(values)
         return GramMatrix(tuple(
             tuple(Fraction(values[i]) if i == j else _ZERO
                   for j in range(d)) for i in range(d)))
 
-    def add(self, other: "GramMatrix", scale=1) -> "GramMatrix":
-        if other.dim != self.dim:
-            raise DimensionMismatch(
-                f"adding a {other.dim}x{other.dim} to a {self.dim}x{self.dim} matrix")
-        s = Fraction(scale)
-        return GramMatrix(tuple(
-            tuple(a + s * b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+    def add(self, element, scale=1) -> "GramMatrix":
+        """self + scale k for k = (den, entries) held as a kernel element
+        is: num / den at (a, b) and (b, a) for each ((a, b), num)."""
+        den, entries = element
+        s = Fraction(scale) / den
+        M = [list(row) for row in self.entries]
+        for (a, b), num in entries:
+            if not 0 <= a <= b < self.dim:
+                raise DimensionMismatch(
+                    f"entry ({a}, {b}) added to a {self.dim}x{self.dim} matrix")
+            M[a][b] = M[b][a] = M[a][b] + s * num
+        return GramMatrix(tuple(map(tuple, M)))
 
-    def quadratic_form(self, v: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for i, row in enumerate(self.entries):
-            if v[i]:
-                total += v[i] * sum(row[j] * v[j] for j in range(self.dim) if v[j])
-        return total
+    def numerators(self) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+        """The matrix held as a kernel element is: (den, entries), with
+        ((a, b), num) for each nonzero entry num / den at a <= b."""
+        upper = [((a, b), v) for a, row in enumerate(self.entries)
+                 for b, v in enumerate(row[a:], a) if v]
+        den = math.lcm(*(v.denominator for _, v in upper))
+        return den, tuple([(ab, v.numerator * (den // v.denominator)) for ab, v in upper])
 
     def ldlt(self) -> tuple[list[tuple[int, list[Fraction], Fraction]],
                             Optional[list[Fraction]]]:
@@ -370,12 +367,11 @@ class KernelCertificate:
     dimension is exact: it comes from the rank of each parity block of the
     matrix of h (see solve_h_equals_Rm).  elements is the rref kernel
     basis, in free-column order, read off the fraction-free elimination of
-    each block on first use and certified by one exact integer product per
-    block; its count must equal dimension.  Each element is a pair (den,
+    each block on first use, kept once built, and each certified h(k) = 0
+    exactly; its count must equal dimension.  Each element is a pair (den,
     entries) of integer numerators over one denominator: entries holds
     ((a, b), num) with a <= b for every nonzero entry, the one at (a, b)
-    and at (b, a) being num / den.  basis builds the dense GramMatrix of
-    each element on first use.  Both are kept once built.
+    and at (b, a) being num / den.
     """
 
     D: int
@@ -390,19 +386,6 @@ class KernelCertificate:
                 f"{len(elements)} kernel elements against certified dimension "
                 f"{self.dimension} (internal)")
         return elements
-
-    @cached_property
-    def basis(self) -> tuple[GramMatrix, ...]:
-        return tuple(_kernel_gram(self.D, den, entries)
-                     for den, entries in self.elements)
-
-
-def _kernel_gram(D: int, den: int, entries) -> GramMatrix:
-    """The symmetric D x D GramMatrix of one sparse kernel element."""
-    M = [[_ZERO] * D for _ in range(D)]
-    for (a, b), num in entries:
-        M[a][b] = M[b][a] = Fraction(num, den)
-    return GramMatrix(tuple(map(tuple, M)))
 
 
 # ----------------------------------------------------------------------
@@ -430,9 +413,10 @@ class HarmonicBasis:
     def dim(self) -> int:
         return len(self.elements)
 
-    # functions of the basis alone, built on first use and kept on the
-    # instance, so that every verdict on a cached basis shares them and a
-    # basis built by hand gets its own
+    # functions of the basis alone, kept on the instance, so that every
+    # verdict on a cached basis shares them and a basis built by hand gets
+    # its own, built on first use (basis_Hm's come with the _Blocks that
+    # checked their reproducing identity)
 
     @cached_property
     def _scaled_identity(self) -> GramMatrix:
@@ -440,7 +424,7 @@ class HarmonicBasis:
 
     @cached_property
     def _blocks(self) -> "_Blocks":
-        return _Blocks(self)
+        return _Blocks(self.n_ambient, self.m, self.elements)
 
 
 def radius_power(n_ambient: int, m: int) -> Poly:
@@ -468,8 +452,9 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     sum: cur = s x^e - s R q - (kept elements before g), s the running
     scale, and g is harmonic, so Fischer-orthogonal to R q and to the kept
     elements; hence t = s e! g_e, read off g's coefficient of x^e.  Norms
-    squared are recorded, and the reproducing identity is one exact integer
-    comparison, sum_a (L/n_a) h_a^2 = c L R^m, L = lcm(n_a).
+    squared are recorded, and the reproducing identity is one exact
+    comparison, h(diag(L/n_a)) = c L R^m with L = lcm(n_a), read by
+    _Blocks.h from the parity blocks the basis then keeps.
 
     The basis depends on (n_ambient, m) alone, so it is built, and its
     identity checked, once per size: the last _BASES sizes asked for are
@@ -534,20 +519,18 @@ def _build_basis(n_ambient: int, m: int) -> HarmonicBasis:
     if len(ortho) != target:
         raise ParamViolation("failed to build a full harmonic basis")
 
-    # reproducing identity sum_a (L/n_a) h_a^2 = c L R^m, verified exactly
+    # reproducing identity h(diag(L/n_a)) = c L R^m, verified exactly
     L = math.lcm(*norms)
-    _require_slot_room(n_ambient, *(el.poly.nums for el in ortho))
-    acc: dict[int, int] = {}
-    for el, n_g in zip(ortho, norms):
-        items = el.poly.nums.items()
-        _add_product(acc, L // n_g, items, items)
-    rm = radius_power(n_ambient, m).nums
-    lead = next(iter(rm))
-    s0, r0 = acc.get(lead, 0), rm[lead]
-    if {k: v * r0 for k, v in acc.items()} != {k: s0 * v for k, v in rm.items()}:
+    blocks = _Blocks(n_ambient, m, ortho)
+    h = blocks.h(1, tuple([((a, a), L // n_g) for a, n_g in enumerate(norms)]))
+    rm = radius_power(n_ambient, m)
+    lead = next(iter(rm.nums))
+    cL = Fraction(h.nums.get(lead, 0) * rm.den, h.den * rm.nums[lead])
+    if h != rm.scale(cL):
         raise ParamViolation("basis reproducing identity failed (internal)")
-    c = Fraction(s0, L * r0)
-    return HarmonicBasis(n_ambient, m, tuple(ortho), tuple(map(Fraction, norms)), c)
+    basis = HarmonicBasis(n_ambient, m, tuple(ortho), tuple(map(Fraction, norms)), cL / L)
+    vars(basis)["_blocks"] = blocks   # where the cached_property keeps it
+    return basis
 
 
 _cached_basis = lru_cache(maxsize=_BASES)(_build_basis)
@@ -556,21 +539,6 @@ _cached_basis = lru_cache(maxsize=_BASES)(_build_basis)
 # ----------------------------------------------------------------------
 # the quadratic-form map and its affine solution space
 # ----------------------------------------------------------------------
-
-def h_of_G(G: GramMatrix, basis: HarmonicBasis) -> Poly:
-    """The degree-2m polynomial sum G^{ab} h_a h_b (linear in G, exact)."""
-    if G.dim != basis.dim:
-        raise DimensionMismatch(f"G is {G.dim}x{G.dim}, basis has {basis.dim}")
-    out = Poly.zero(basis.n_ambient)
-    for a in range(G.dim):
-        pa = basis.elements[a].poly
-        for b in range(a, G.dim):
-            coef = G.entries[a][b]
-            if coef:
-                out = out + (pa * basis.elements[b].poly).scale(
-                    coef if a == b else 2 * coef)
-    return out
-
 
 def scaled_identity_gram(basis: HarmonicBasis) -> GramMatrix:
     """The rational diagonal point diag(1/(c n_a)) with h(G0) = R^m exactly.
@@ -633,8 +601,9 @@ def _pair_arrays(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Blocks:
-    """The parity blocks of the matrix of h for one basis, read from one
-    table of the basis's terms; no product h_a h_b is built as a polynomial.
+    """The parity blocks of the matrix of h for the basis elements of degree
+    m on R^n_ambient, and h itself, read from one table of their terms; no
+    product h_a h_b is built as a polynomial.
 
     Column E_ab, for the pair (a, b) at place j of _sym_pairs, holds the
     integer numerators of h_a h_b, times 2 when a != b.  Each basis element
@@ -646,13 +615,15 @@ class _Blocks:
     order of _product_layout.
 
     The term table lists every term of every element, element by element:
-    the place of its monomial (mono) and its integer numerator (nums).  A
+    the place of its monomial (mono) and its integer numerator (nums), and
+    per element its (packed key, numerator) pairs (terms).  A
     term pair (t, u) of column E_ab, t a term of h_a and u one of h_b, adds
     the product of their numerators at row[mono[t], mono[u]] of the block
     (see _product_layout).  stack reduces each numerator modulo p once and
     scatters the products of the term pairs of the chosen blocks into an
     int64 stack; entries sums the exact products of one block's term
-    pairs, for the places that need exact entries.
+    pairs, for the places that need exact entries, and h those of the
+    columns of one matrix, keyed by packed monomial, from terms.
 
     A basis keeps its _Blocks (HarmonicBasis._blocks), and the _Blocks
     keeps what stack reads that does not depend on p: the numerators
@@ -660,16 +631,19 @@ class _Blocks:
     their column factors and the cells they add to.
     """
 
-    def __init__(self, basis: HarmonicBasis):
-        nums = [el.poly.nums for el in basis.elements]
-        _require_slot_room(basis.n_ambient, *nums)
-        index, self.row, parity, class_rows = _product_layout(basis.n_ambient, basis.m)
+    def __init__(self, n_ambient: int, m: int, elements: Sequence[HarmonicElement]):
+        nums = [el.poly.nums for el in elements]
+        _require_slot_room(n_ambient, *nums)
+        index, self.row, parity, class_rows = _product_layout(n_ambient, m)
         try:
             self.mono = np.array([index[e] for t in nums for e in t], dtype=np.intp)
         except KeyError:
             raise ParamViolation(
-                f"basis element not homogeneous of degree {basis.m} (internal)") from None
+                f"basis element not homogeneous of degree {m} (internal)") from None
+        self.n_ambient = n_ambient
+        self.terms = [tuple(t.items()) for t in nums]
         self.nums = [v for t in nums for v in t.values()]
+        self.dens = [el.poly.den for el in elements]
         self.count = np.array([len(t) for t in nums], dtype=np.intp)
         self.start = np.cumsum(self.count) - self.count
         first = self.mono[self.start] if self.count.all() else None
@@ -763,6 +737,27 @@ class _Blocks:
         return ([i for i, _, _ in nonzero], [k for _, k, _ in nonzero],
                 [v for _, _, v in nonzero])
 
+    def h(self, den: int, entries) -> Poly:
+        """h(G) = sum_{a, b} G^{ab} h_a h_b, exact, for the symmetric G held
+        as a kernel element is: num / den at (a, b) and (b, a) for each
+        ((a, b), num) of entries, a <= b.  Column E_ab adds its factor
+        times num times the products of the term pairs of h_a and h_b, at
+        the packed key of each product, in Python integers and with no
+        numpy call, so a small G costs a few products.  The columns are
+        brought to the lcm L of their element denominators d_a d_b, so
+        h(G) is the sum over den L."""
+        terms, dens = self.terms, self.dens
+        if not all(0 <= a <= b < len(terms) for (a, b), _ in entries):
+            raise DimensionMismatch(
+                f"an entry outside the {len(terms)}x{len(terms)} matrices of h")
+        L = math.lcm(*(dens[a] * dens[b] for (a, b), _ in entries))
+        acc: dict[int, int] = {}
+        for (a, b), num in entries:
+            if num:   # _add_product takes a nonzero factor
+                _add_product(acc, (1 if a == b else 2) * num * (L // (dens[a] * dens[b])),
+                             terms[a], terms[b])
+        return Poly._make(self.n_ambient, den * L, acc)
+
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(run, value) for the ranges starts[i], ..., starts[i] + counts[i] - 1
@@ -808,14 +803,14 @@ def _kernel_certificate(n_ambient: int, m: int,
 
 def _kernel_elements(basis: HarmonicBasis
                      ) -> tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]:
-    """The rref kernel basis of h, sparse, certified by exact products.
+    """The rref kernel basis of h, sparse, each element certified exactly.
 
     Each parity block is eliminated on its own by _IntegerRref.  A column
     is free exactly when it is free in its block, and the block's kernel
     vector for a free column is the whole matrix's, so the basis is the
-    one read off the rref of the whole matrix, in the same order.  Each is
-    certified by one exact product: the integer block matrix times its
-    integer kernel vectors is zero, else ParamViolation.
+    one read off the rref of the whole matrix, in the same order.  Each
+    element k is certified by h(k) = 0 exactly (_Blocks.h), else
+    ParamViolation.
 
     Column E_ab holds the integer numerators of h_a h_b (times 2 when
     a != b) over den_ab, the product of the two elements' denominators
@@ -831,27 +826,21 @@ def _kernel_elements(basis: HarmonicBasis
     for b, (r, cols) in enumerate(blocks.blocks):
         cols = cols.tolist()
         rows: list[dict[int, int]] = [{} for _ in range(r)]
-        sparse: list[list[tuple[int, int]]] = [[] for _ in cols]  # per column
         for i, k, v in zip(*blocks.entries(b)):
             rows[i][k] = v
-            sparse[k].append((i, v))
         dens = [element_dens[a] * element_dens[bb] for a, bb in map(pairs.__getitem__, cols)]
         core = _IntegerRref()
         for row in rows:
             core.add(row)
         for fc, w in core.kernel(len(cols)):
-            acc = [0] * len(rows)
-            for k, wk in w:
-                for i, v in sparse[k]:
-                    acc[i] += wk * v
-            if any(acc):
-                raise ParamViolation("kernel verification failed (internal)")
             # tuples from lists, not generators: a tuple grown from a
             # generator is reallocated as it grows, and that churn let
             # the heap, and so peak RSS, creep up over repeated solves
-            found.append((cols[fc], (dens[fc] * core.d,
-                                     tuple([(pairs[cols[k]], dens[k] * wk)
-                                            for k, wk in w]))))
+            element = (dens[fc] * core.d,
+                       tuple([(pairs[cols[k]], dens[k] * wk) for k, wk in w]))
+            if not blocks.h(*element).is_zero():
+                raise ParamViolation("kernel verification failed (internal)")
+            found.append((cols[fc], element))
     found.sort(key=lambda item: item[0])
     return tuple([element for _, element in found])
 
@@ -997,31 +986,6 @@ def construct_map(G: GramMatrix, basis: HarmonicBasis) -> SphericalHarmonicMap:
     return the_map
 
 
-def gram_of_components(components: Sequence[Poly], basis: HarmonicBasis
-                       ) -> GramMatrix:
-    """Exact Gram matrix T^T T of rational components in basis coordinates.
-
-    The basis is Fischer-orthogonal, so the coordinates of f are
-    t_a = <f, h_a> / n_a; sum t_a h_a = f is then checked exactly, and
-    ParamViolation raised when f is not in the span.
-    """
-    T: list[list[Fraction]] = []
-    for f in components:
-        fe = HarmonicElement(f, basis.m)
-        coeffs = [inner(fe, h) / n2 for h, n2 in zip(basis.elements, basis.norms)]
-        span = Poly.zero(basis.n_ambient)
-        for t, h in zip(coeffs, basis.elements):
-            if t:
-                span = span + h.poly.scale(t)
-        if span != f:
-            raise ParamViolation("component is not in the basis span")
-        T.append(coeffs)
-    D = basis.dim
-    M = [[sum(trow[a] * trow[b] for trow in T) for b in range(D)]
-         for a in range(D)]
-    return GramMatrix.from_rows(M)
-
-
 def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
     """A fully rational constant-energy map, where one is known.
 
@@ -1069,9 +1033,10 @@ def canonical_exact_map(n_ambient: int, m: int) -> SphericalHarmonicMap:
     return the_map
 
 
-def psd_point_on_line(G0: GramMatrix, k: GramMatrix,
-                      t_target: float = 0.5) -> tuple[GramMatrix, Fraction]:
-    """A rational point G0 + t k that is exactly PSD, by line search.
+def psd_point_on_line(G0: GramMatrix, k, t_target: float = 0.5
+                      ) -> tuple[GramMatrix, Fraction]:
+    """A rational point G0 + t k that is exactly PSD, by line search, for
+    k = (den, entries) held as a kernel element is (see GramMatrix.add).
 
     t starts at the exact rational value of t_target (finite, > 0) and is
     halved until the exact LDL^T of G0 + t k finds no indefiniteness

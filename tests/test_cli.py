@@ -391,15 +391,14 @@ def test_maps_below_ambient_dimension_4_exit_2(tmp_path, capsys, mode):
 
 
 def test_maps_kernel_and_verify_build_no_dense_kernel_matrix(monkeypatch):
-    # nor any kernel element: the verdicts read only the certified dimension
+    # nor any kernel element: the verdicts read only the certified dimension;
+    # the library holds kernel elements sparse only
     def refuse(what):
         def hook(*args):
             raise AssertionError(f"{what} was built")
         return hook
 
-    monkeypatch.setattr(sm, "_kernel_gram", refuse("a dense kernel GramMatrix"))
-    with pytest.raises(AssertionError, match="dense kernel"):
-        sm.solve_h_equals_Rm(4, 2)[1].basis   # the hook is the one used
+    assert not hasattr(sm, "_kernel_gram") and not hasattr(sm.KernelCertificate, "basis")
     monkeypatch.setattr(sm, "_kernel_elements", refuse("a kernel element"))
     with pytest.raises(AssertionError, match="kernel element"):
         sm.solve_h_equals_Rm(4, 2)[1].elements
@@ -440,24 +439,27 @@ def test_maps_construct_checks_the_sum_of_squares_once(monkeypatch, size):
 
 
 def test_maps_verify_builds_h_of_the_base_point_once(monkeypatch):
+    # through the one evaluator of h, at G0; the basis is built beforehand,
+    # so its reproducing identity is not among the calls
     calls = []
-    h_of_G = sm.h_of_G
+    h = sm._Blocks.h
 
-    def counting(G, basis):
-        calls.append(G)
-        return h_of_G(G, basis)
+    def counting(self, den, entries):
+        calls.append((den, entries))
+        return h(self, den, entries)
 
-    monkeypatch.setattr(sm, "h_of_G", counting)
+    basis = sm.basis_Hm(4, 3)
+    monkeypatch.setattr(sm._Blocks, "h", counting)
     sc = cli.Scenario.from_config({"suite": "maps", "mode": "verify",
                                    "params": {"n_ambient": 4, "m": 3}})
     assert cli.run(sc)["overall"] == "pass"
-    assert len(calls) == 1
+    assert calls == [sm.scaled_identity_gram(basis).numerators()]
 
 
 def test_maps_verify_reports_a_wrong_base_point_as_failed_checks(monkeypatch):
     scaled = sm.scaled_identity_gram
     monkeypatch.setattr(sm, "scaled_identity_gram",
-                        lambda basis: scaled(basis).add(scaled(basis)))
+                        lambda basis: scaled(basis).add(scaled(basis).numerators()))
     sc = cli.Scenario.from_config({"suite": "maps", "mode": "verify",
                                    "params": {"n_ambient": 4, "m": 2}})
     report = cli.run(sc)

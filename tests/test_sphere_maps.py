@@ -1,5 +1,6 @@
 """Gram-matrix construction of constant-energy sphere maps."""
 
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -24,6 +25,13 @@ from densitylab.harmonic import (
     dim_harmonics,
     inner,
     monomial_exponents,
+)
+from sphere_map_oracles import (
+    dense,
+    gram_from_rows,
+    gram_of_components,
+    h_of_G,
+    quadratic_form,
 )
 
 
@@ -243,7 +251,7 @@ def test_stacks_are_the_block_products_modulo_p(n_amb, m):
     # every pair (a, b) lies in one block, and each stack holds, entry for
     # entry, the products h_a h_b reduced modulo each prime
     basis = sm.basis_Hm(n_amb, m)
-    blocks = sm._Blocks(basis)
+    blocks = basis._blocks
     assert sorted(j for _, cols in blocks.blocks for j in cols.tolist()) \
         == list(range(len(sm._sym_pairs(basis.dim))))
     for (r, c), group in blocks.shape_groups().items():
@@ -277,7 +285,7 @@ def test_kernel_dimension_survives_failing_primes(monkeypatch, n_amb, m, failing
     D = dim_harmonics(n_amb, m)
     _, ker = sm.solve_h_equals_Rm(n_amb, m)
     assert ker.dimension == D * (D + 1) // 2 - math.comb(n_amb + 2 * m - 1, 2 * m)
-    blocks = sm._Blocks(ker.harmonics).blocks
+    blocks = ker.harmonics._blocks.blocks
     assert {p for p, _ in primes} == ({P0, P1} if len(failing) == 1 else set(sm._PRIMES))
     assert len(exact) == (0 if len(failing) == 1 else len(blocks))
 
@@ -359,7 +367,7 @@ def test_basis_gram_schmidt_is_fraction_free(monkeypatch, fresh_bases):
         raise AssertionError("inner was called")
 
     monkeypatch.setattr(ha, "inner", refuse)
-    monkeypatch.setattr(sm, "inner", refuse)
+    assert not hasattr(sm, "inner")
     assert basis_digest(sm.basis_Hm(5, 3)) == BASIS_DIGESTS[(5, 3)]
 
 
@@ -523,37 +531,86 @@ def test_basis_reproducing_identity():
 # the quadratic map h
 # ----------------------------------------------------------------------
 
+def h_of(basis: sm.HarmonicBasis, G: sm.GramMatrix) -> Poly:
+    """h(G) through the library's one evaluator."""
+    return basis._blocks.h(*G.numerators())
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_basis() -> sm.HarmonicBasis:
+    """basis_Hm(4, 2) with h_3 scaled by 2/3 and h_5 by 1/5: elements with
+    a denominator, so columns E_ab over one."""
+    b = sm.basis_Hm(4, 2)
+    els, norms = list(b.elements), list(b.norms)
+    for i, s in ((3, Fraction(2, 3)), (5, Fraction(1, 5))):
+        els[i] = HarmonicElement(els[i].poly.scale(s), 2)
+        norms[i] *= s * s
+    return sm.HarmonicBasis(4, 2, tuple(els), tuple(norms), b.invariant_c)
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A basis and a symmetric rational matrix held as a kernel element is,
+    its entries at any pairs a <= b, across parity blocks too."""
+    size = draw(st.sampled_from([(4, 1), (4, 2), (5, 2), (4, 3), None]))
+    basis = sm.basis_Hm(*size) if size else fraction_basis()
+    index = st.integers(0, basis.dim - 1)
+    pairs = draw(st.lists(st.tuples(index, index).map(sorted).map(tuple),
+                          max_size=8, unique=True))
+    nums = draw(st.lists(st.integers(-60, 60).filter(bool),
+                         min_size=len(pairs), max_size=len(pairs)))
+    return basis, (draw(st.integers(1, 40)), tuple(zip(pairs, nums)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_symmetric())
+def test_h_evaluator_matches_the_product_oracle(drawn):
+    basis, element = drawn
+    got = basis._blocks.h(*element)
+    G = dense(basis.dim, element)
+    assert got == h_of_G(G, basis)
+    assert h_of(basis, G) == got   # through the matrix's own numerators
+
+
 def test_h_of_identity_on_linear_basis_is_R():
     b = sm.basis_Hm(4, 1)
     G = sm.GramMatrix.diagonal([1, 1, 1, 1])
-    assert sm.h_of_G(G, b) == Poly.radius_squared(4)
+    assert h_of(b, G) == Poly.radius_squared(4)
 
 
 def test_h_of_zero_is_zero():
     b = sm.basis_Hm(4, 1)
-    assert sm.h_of_G(sm.GramMatrix.diagonal([0, 0, 0, 0]), b).is_zero()
+    assert sm.GramMatrix.diagonal([0, 0, 0, 0]).numerators() == (1, ())
+    assert b._blocks.h(1, ()).is_zero()
 
 
 def test_h_is_linear_in_G():
     b = sm.basis_Hm(4, 2)
     G1 = sm.scaled_identity_gram(b)
     _, ker = sm.solve_h_equals_Rm(4, 2, b)
-    G2 = ker.basis[0]
-    lhs = sm.h_of_G(G1.add(G2, Fraction(3, 7)), b)
-    rhs = sm.h_of_G(G1, b) + sm.h_of_G(G2, b).scale(Fraction(3, 7))
-    assert lhs == rhs
+    for k in (ker.elements[0], (3, (((0, 1), 2), ((2, 7), -5), ((4, 4), 1)))):
+        lhs = h_of(b, G1.add(k, Fraction(3, 7)))
+        rhs = h_of(b, G1) + b._blocks.h(*k).scale(Fraction(3, 7))
+        assert lhs == rhs
 
 
 def test_h_dimension_guard():
+    # a negative index would read an element from the other end
     b = sm.basis_Hm(4, 1)
-    with pytest.raises(DimensionMismatch):
-        sm.h_of_G(sm.GramMatrix.diagonal([1, 1]), b)
+    for entry in ((1, 4), (-1, 2), (2, 1)):
+        with pytest.raises(DimensionMismatch, match="4x4"):
+            b._blocks.h(1, ((entry, 1),))
 
 
 def test_gram_add_refuses_another_size():
-    # zipping the rows would return the 2 x 2 leading block
-    with pytest.raises(DimensionMismatch, match="2x2 to a 3x3"):
-        sm.GramMatrix.diagonal([1, 2, 3]).add(sm.GramMatrix.diagonal([1, 1]))
+    # an entry outside 0 <= a <= b < 3 is refused: a negative index would
+    # write at the other end
+    G = sm.GramMatrix.diagonal([1, 2, 3])
+    for entry in ((0, 3), (-1, 0), (2, 1)):
+        with pytest.raises(DimensionMismatch, match="to a 3x3"):
+            G.add((1, ((entry, 1),)))
+    assert G.add((2, (((0, 1), 3), ((2, 2), -4))), 5) == gram_from_rows(
+        [[1, Fraction(15, 2), 0], [Fraction(15, 2), 2, 0], [0, 0, -7]])
 
 
 # ----------------------------------------------------------------------
@@ -564,17 +621,17 @@ def test_solve_degree_one_kernel_trivial():
     b = sm.basis_Hm(4, 1)
     G0, ker = sm.solve_h_equals_Rm(4, 1, b)
     assert ker.dimension == 0
-    assert sm.h_of_G(G0, b) == Poly.radius_squared(4)
+    assert h_of_G(G0, b) == Poly.radius_squared(4)
 
 
 def test_solve_degree_two_kernel():
     b = sm.basis_Hm(4, 2)
     G0, ker = sm.solve_h_equals_Rm(4, 2, b)
     R = Poly.radius_squared(4)
-    assert sm.h_of_G(G0, b) == R * R
+    assert h_of_G(G0, b) == R * R
     assert ker.dimension >= 45 - 35 == 10
-    for k in ker.basis:
-        assert sm.h_of_G(k, b).is_zero()
+    for k in ker.elements:
+        assert h_of_G(dense(b.dim, k), b).is_zero()
     # rank-nullity against an independent rank computation (sympy)
     import sympy as sp
     from densitylab.harmonic import monomial_exponents
@@ -620,45 +677,45 @@ def test_block_kernel_equals_whole_matrix_nullspace(n_amb, m):
     b = sm.basis_Hm(n_amb, m)
     G0, ker = sm.solve_h_equals_Rm(n_amb, m, b)
     pairs = sm._sym_pairs(b.dim)
-    got = [[k.entries[a][bb] for a, bb in pairs] for k in ker.basis]
+    kernel = [dense(b.dim, k) for k in ker.elements]
+    got = [[k.entries[a][bb] for a, bb in pairs] for k in kernel]
     assert got == whole_matrix_kernel(b)  # entry for entry, in order
-    assert all(sm.GramMatrix.from_rows(k.entries) == k for k in ker.basis)
+    assert all(gram_from_rows(k.entries) == k for k in kernel)
+    # each element holds its nonzero entries at distinct pairs a <= b
+    assert all(len({ab for ab, _ in entries}) == len(entries)
+               and all(a <= b and num for (a, b), num in entries)
+               for _, entries in ker.elements)
     assert G0 == sm.scaled_identity_gram(b)
 
 
 def test_kernel_basis_is_built_once_on_demand(monkeypatch):
     built = []
 
-    def counting(D, den, entries):
-        built.append(den)
-        return gram(D, den, entries)
+    def counting(basis):
+        built.append(basis)
+        return elements(basis)
 
-    gram = sm._kernel_gram
-    monkeypatch.setattr(sm, "_kernel_gram", counting)
+    elements = sm._kernel_elements
+    monkeypatch.setattr(sm, "_kernel_elements", counting)
     _, ker = sm.solve_h_equals_Rm(4, 2)
     assert built == [] and ker.dimension == 10
-    first = ker.basis
-    assert len(built) == len(first) == ker.dimension
-    assert ker.basis is first and len(built) == ker.dimension
-    assert ker.elements is ker.elements
+    first = ker.elements
+    assert len(built) == 1 and len(first) == ker.dimension
+    assert ker.elements is first and len(built) == 1
 
 
 def test_block_kernel_of_a_basis_with_fraction_coefficients():
     # columns over a denominator: scaling h_a scales the columns E_ab
-    b = sm.basis_Hm(4, 2)
-    els, norms = list(b.elements), list(b.norms)
-    for i, s in ((3, Fraction(2, 3)), (5, Fraction(1, 5))):
-        els[i] = HarmonicElement(els[i].poly.scale(s), 2)
-        norms[i] *= s * s
-    scaled = sm.HarmonicBasis(4, 2, tuple(els), tuple(norms), b.invariant_c)
+    scaled = fraction_basis()
     _, ker = sm.solve_h_equals_Rm(4, 2, scaled)
-    pairs = sm._sym_pairs(b.dim)
-    got = [[k.entries[a][bb] for a, bb in pairs] for k in ker.basis]
+    pairs = sm._sym_pairs(scaled.dim)
+    kernel = [dense(scaled.dim, k) for k in ker.elements]
+    got = [[k.entries[a][bb] for a, bb in pairs] for k in kernel]
     assert got == whole_matrix_kernel(scaled)
-    assert all(sm.h_of_G(k, scaled).is_zero() for k in ker.basis)
+    assert all(h_of_G(k, scaled).is_zero() for k in kernel)
 
 
-# dimension only: the basis would be thousands of dense matrices
+# dimension only: the elements would take seconds to build
 DIMENSION_ONLY = {(6, 4), (8, 4), (10, 3)}
 
 
@@ -672,7 +729,7 @@ def test_kernel_dimension_oracle(n_amb, m):
     _, ker = sm.solve_h_equals_Rm(n_amb, m)
     assert ker.dimension == D * (D + 1) // 2 - math.comb(n_amb + 2 * m - 1, 2 * m)
     if (n_amb, m) not in DIMENSION_ONLY:
-        assert len(ker.basis) == ker.dimension
+        assert len(ker.elements) == ker.dimension
 
 
 def test_basis_elements_have_one_parity_each():
@@ -711,16 +768,16 @@ def test_solve_requires_ambient_four():
 # ----------------------------------------------------------------------
 
 def test_psd_certificate_accepts_and_rejects():
-    good = sm.GramMatrix.from_rows([[2, 1], [1, 2]])
+    good = gram_from_rows([[2, 1], [1, 2]])
     assert good.psd_certificate() == (True, None)
-    semi = sm.GramMatrix.from_rows([[1, 1], [1, 1]])
+    semi = gram_from_rows([[1, 1], [1, 1]])
     assert semi.psd_certificate() == (True, None)
-    bad = sm.GramMatrix.from_rows([[1, 2], [2, 1]])
+    bad = gram_from_rows([[1, 2], [2, 1]])
     ok, w = bad.psd_certificate()
-    assert not ok and bad.quadratic_form(w) < 0
-    hidden = sm.GramMatrix.from_rows([[0, 1], [1, 0]])  # minors are 0, 0
+    assert not ok and quadratic_form(bad, w) < 0
+    hidden = gram_from_rows([[0, 1], [1, 0]])  # minors are 0, 0
     ok, w = hidden.psd_certificate()
-    assert not ok and hidden.quadratic_form(w) < 0
+    assert not ok and quadratic_form(hidden, w) < 0
 
 
 F = Fraction
@@ -737,12 +794,12 @@ F = Fraction
 ], ids=["psd", "singular", "indefinite"])
 def test_ldlt_steps_and_witness_are_pinned(rows, steps, witness):
     # skipping zero entries must leave every step and the witness as pinned
-    G = sm.GramMatrix.from_rows(rows)
+    G = gram_from_rows(rows)
     got_steps, got_witness = G.ldlt()
     assert got_steps == steps
     assert got_witness == witness
     if witness is not None:
-        assert G.quadratic_form(got_witness) < 0
+        assert quadratic_form(G, got_witness) < 0
 
 
 def test_construct_map_rejects_indefinite():
@@ -824,9 +881,9 @@ def test_euler_relation_exact_on_components():
 def test_canonical_map_gram_is_in_solution_space():
     b = sm.basis_Hm(4, 2)
     cmap = sm.canonical_exact_map(4, 2)
-    G = sm.gram_of_components(cmap.components, b)
+    G = gram_of_components(cmap.components, b)
     R = Poly.radius_squared(4)
-    assert sm.h_of_G(G, b) == R * R
+    assert h_of_G(G, b) == R * R
     # the PSD elimination stops at the rank
     assert len(G.ldlt()[0]) == reference_rank(G.entries) == 8
     ok, _ = G.psd_certificate()
@@ -841,8 +898,8 @@ def test_gram_of_components_refuses_a_component_outside_the_span():
     b = sm.basis_Hm(4, 2)
     x0 = Poly.variable(4, 0)
     with pytest.raises(ParamViolation, match="not in the basis span"):
-        sm.gram_of_components([x0 * x0], b)   # not harmonic
-    G = sm.gram_of_components([b.elements[2].poly.scale(Fraction(3, 2))], b)
+        gram_of_components([x0 * x0], b)   # not harmonic
+    G = gram_of_components([b.elements[2].poly.scale(Fraction(3, 2))], b)
     assert G == sm.GramMatrix.diagonal([Fraction(9, 4) if a == 2 else 0
                                         for a in range(9)])
 
@@ -964,7 +1021,7 @@ def test_fewest_squares_refuse_the_bound():
     # a PSD point whose pivots have denominators beyond the bound
     b = sm.basis_Hm(4, 2)
     G0, ker = sm.solve_h_equals_Rm(4, 2, b)
-    G, t = sm.psd_point_on_line(G0, ker.basis[0], Fraction(1, 3 ** 30))
+    G, t = sm.psd_point_on_line(G0, ker.elements[0], Fraction(1, 3 ** 30))
     assert t == Fraction(1, 3 ** 30)
     with pytest.raises(ParamViolation, match=r"2\^40"):
         sm.construct_map(G, b)
@@ -973,9 +1030,9 @@ def test_fewest_squares_refuse_the_bound():
 def test_kernel_line_gives_inequivalent_map():
     b = sm.basis_Hm(4, 2)
     G0, ker = sm.solve_h_equals_Rm(4, 2, b)
-    G, t = sm.psd_point_on_line(G0, ker.basis[0])
+    G, t = sm.psd_point_on_line(G0, ker.elements[0])
     assert t > 0
-    assert sm.h_of_G(G, b) == sm.h_of_G(G0, b)
+    assert h_of_G(G, b) == h_of_G(G0, b)
     assert G.entries != G0.entries  # different Gram matrix: inequivalent data
     m = sm.construct_map(G, b)
     for p in sm.random_sphere_points(4, 10, 7):
@@ -989,7 +1046,7 @@ def test_kernel_line_gives_inequivalent_map():
 def test_psd_point_on_line_halves_to_a_psd_point(n_amb, m, element, t):
     b = sm.basis_Hm(n_amb, m)
     G0, ker = sm.solve_h_equals_Rm(n_amb, m, b)
-    k = ker.basis[element]
+    k = ker.elements[element]
     G, got = sm.psd_point_on_line(G0, k)
     assert got == t and G == G0.add(k, t)
     assert G.psd_certificate()[0]
@@ -1004,12 +1061,12 @@ def test_psd_point_on_line_refuses_a_bad_start(t_target):
     b = sm.basis_Hm(4, 2)
     G0, ker = sm.solve_h_equals_Rm(4, 2, b)
     with pytest.raises(ParamViolation, match="t_target"):
-        sm.psd_point_on_line(G0, ker.basis[0], t_target)
+        sm.psd_point_on_line(G0, ker.elements[0], t_target)
 
 
 def test_psd_point_on_line_gives_up_after_sixty_halvings():
     G0 = sm.GramMatrix.diagonal([0, 1])
-    k = sm.GramMatrix.diagonal([-1, 0])   # G0 + t k is indefinite for t > 0
+    k = (1, (((0, 0), -1),))   # G0 + t k is indefinite for t > 0
     with pytest.raises(ParamViolation, match="no PSD point"):
         sm.psd_point_on_line(G0, k)
 
@@ -1026,7 +1083,7 @@ def test_no_floating_eigensolver_is_needed(monkeypatch, fresh_bases):
     b = sm.basis_Hm(4, 2)
     G0, ker = sm.solve_h_equals_Rm(4, 2, b)
     assert len(sm.construct_map(G0, b).components) == 24
-    G, _ = sm.psd_point_on_line(G0, ker.basis[0])
+    G, _ = sm.psd_point_on_line(G0, ker.elements[0])
     assert len(sm.construct_map(G, b).components) == 24
     for mode, size in (("construct", (5, 2)), ("verify", (4, 3))):
         sc = cli.Scenario.from_config({
