@@ -38,7 +38,7 @@ solves would give it.  A float jet runs the three solves one by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ def _reciprocal_ceiling(order: int) -> float:
     return 2.0 ** (1020 // max(2, order + 1))
 
 
-@dataclass(frozen=True)
-class GradientPair:
+class GradientPair(NamedTuple):
     """A gradient (p, q) = (z_x, z_y) in the Lagrangian's domain.
 
     The domain of L is radicand positivity, p + q > 1 and |p - q| < 1
@@ -105,8 +104,7 @@ class GradientPair:
         return p2 + q2 > 1.0 and abs(p2 - q2) < 1.0
 
 
-@dataclass(frozen=True)
-class CompatibilityData:
+class CompatibilityData(NamedTuple):
     """Extracted 1-form coefficients w_i = (dx, dy) and obstruction A_i."""
 
     omega1: tuple[float, float]

@@ -20,20 +20,22 @@ Rational numbers are serialized as "numerator/denominator" strings.
 Each handler imports the suite module it runs, and numpy where it makes
 arrays.  ``Scenario.from_config`` imports the module of the document's
 suite, so a fresh process pays for that import before its first verdict,
-and for no other suite's.
+and for no other suite's.  ``argparse`` is imported by ``main`` and ``csv``
+by ``families sample``'s writer, where they are used.  Beyond what ``import
+json, sys`` loads, a harmonic document's process then loads only
+``fractions`` (with ``decimal`` and ``numbers``), ``__future__`` and
+densitylab's ``cli``, ``errors``, ``tolerances`` and ``harmonic``: no numpy,
+and none of ``dataclasses``, ``inspect``, ``argparse`` or ``csv``.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import json
 import math
 import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from importlib import import_module
@@ -103,14 +105,28 @@ def _read(where: str, doc, spec: dict) -> dict:
             for name, (kind, default) in spec.items()}
 
 
-@dataclass
 class Scenario:
-    suite: str
-    mode: str
-    params: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
+    """A document's suite and mode, its params and grid as written, its
+    tolerances and its seed."""
+
+    _fields = ("suite", "mode", "params", "grid", "tolerances", "seed")
+
+    def __init__(self, suite: str, mode: str, params: dict | None = None,
+                 grid: dict | None = None, tolerances: dict | None = None,
+                 seed: int = 0):
+        self.suite, self.mode, self.seed = suite, mode, seed
+        self.params = {} if params is None else params
+        self.grid = {} if grid is None else grid
+        self.tolerances = {} if tolerances is None else tolerances
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"Scenario({items})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scenario:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self._fields)
 
     @staticmethod
     def from_config(doc) -> "Scenario":
@@ -347,6 +363,7 @@ def _write_field(rows: list, field_name: str, out_path: Path, fmt: str) -> Path:
     if fmt == "json":
         out_path.write_text(json.dumps({"field": field_name, "rows": rows}) + "\n")
         return out_path
+    import csv
     with out_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", field_name])
@@ -636,7 +653,7 @@ def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
               for e, c in comp.sorted_terms()}
              for comp in the_map.components]
     # top-level keys in alphabetical order; each component's monomials in
-    # sorted_terms() order, which sort_keys would lose
+    # sorted_terms() order, which sorting the keys would lose
     doc = {
         "components": comps,
         "exact": True,   # kept so the format keeps its keys
@@ -645,7 +662,7 @@ def export_map_json(the_map: sm.SphericalHarmonicMap, out_path: Path) -> Path:
         "n": the_map.sphere_dim,
     }
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
+    out_path.write_text(_json_text(doc, sort_keys=False) + "\n")
     return out_path
 
 
@@ -729,7 +746,7 @@ def run(sc: Scenario, out_dir: Path | None = None, fmt: str = "csv") -> dict:
     t0 = time.perf_counter()
     checks, artifacts = _MODES[(sc.suite, sc.mode)].run(sc, out_dir, fmt)
     report = {
-        "scenario": {f.name: getattr(sc, f.name) for f in fields(sc)},
+        "scenario": {name: getattr(sc, name) for name in sc._fields},
         "seed": sc.seed,
         "checks": checks,
         "overall": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
@@ -745,20 +762,21 @@ def report_body(report: dict) -> str:
     return _json_text({k: v for k, v in report.items() if k != "runtime_seconds"})
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for the
-    values a report holds: dicts with str keys, lists, tuples, str, int,
-    float (nan and infinities included), bool and None.
+def _json_text(value, sort_keys: bool = True) -> str:
+    """json.dumps(value, indent=2, sort_keys=sort_keys), byte for byte, for
+    the values a report or an exported map holds: dicts with str keys,
+    lists, tuples, str, int, float (nan and infinities included), bool and
+    None.
 
     With an indent, json.dumps runs its pure-Python encoder, whose nested
     closures refer to each other: each call leaves a reference cycle that
     only the cycle collector frees.  This writer leaves none."""
     out: list[str] = []
-    _write_json(value, "\n", out)
+    _write_json(value, "\n", out, sort_keys)
     return "".join(out)
 
 
-def _write_json(value, newline: str, out: list[str]) -> None:
+def _write_json(value, newline: str, out: list[str], sort_keys: bool) -> None:
     """Append the text of value to out; newline is a line break followed
     by the indent of the line where value starts."""
     if isinstance(value, str):
@@ -781,18 +799,18 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         inner = newline + "  "
         if isinstance(value, dict):
             sep = "{" + inner
-            for key in sorted(value):
+            for key in sorted(value) if sort_keys else value:
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 out.append(sep + encode_basestring_ascii(key) + ": ")
-                _write_json(value[key], inner, out)
+                _write_json(value[key], inner, out, sort_keys)
                 sep = "," + inner
             out.append(newline + "}")
         else:
             sep = "[" + inner
             for item in value:
                 out.append(sep)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, sort_keys)
                 sep = "," + inner
             out.append(newline + "]")
     else:
@@ -800,6 +818,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="densitylab",
         description="verification suites for prescribed-density extremals")

@@ -67,13 +67,12 @@ from __future__ import annotations
 
 import numbers
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, islice, repeat
 from math import comb, factorial, gcd, perm
 from operator import add, itemgetter, mul, or_, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DegreeMismatch,
@@ -382,16 +381,14 @@ def _add_product(acc: dict, k: int, items1, items2) -> dict:
     return acc
 
 
-@dataclass(frozen=True)
-class HarmonicElement:
+class HarmonicElement(NamedTuple):
     """A homogeneous polynomial annihilated by the Laplacian, exactly."""
 
     poly: Poly
     degree: int
 
 
-@dataclass(frozen=True)
-class SpectralParams:
+class SpectralParams(NamedTuple):
     """Space-form dimension n >= 3, sectional curvature K > 0, eigenvalue."""
 
     n: int
@@ -795,8 +792,7 @@ def dim_harmonics(n_ambient: int, m: int) -> int:
     return dim_sm - dim_sm2
 
 
-@dataclass(frozen=True)
-class ASequence:
+class ASequence(NamedTuple):
     values: tuple[Fraction, ...]
     first_zero: Optional[int]
     first_negative: Optional[int]

@@ -636,6 +636,13 @@ def test_report_writer_matches_json_dumps(value):
     assert cli._json_text(value) == _json_dumps(value)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_REPORT_VALUES)
+def test_writer_keeps_the_key_order_unless_asked_to_sort(value):
+    # map.json keeps its monomials in sorted_terms() order
+    assert cli._json_text(value, sort_keys=False) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("seed", [2718, 31])
 def test_report_writer_matches_json_dumps_on_every_workload_body(monkeypatch, seed):
     # the benchmark's documents: one pass of each of its four workloads
@@ -665,6 +672,24 @@ def test_report_body_leaves_no_garbage_for_the_collector(suite, mode, params):
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (4, 2), (5, 2), (4, 3)])
+def test_map_export_is_json_dumps_text_and_leaves_no_garbage(tmp_path, n, m):
+    basis = sm.basis_Hm(n, m)
+    the_map = sm.construct_map(sm.solve_h_equals_Rm(n, m, basis)[0], basis)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        path = cli.export_map_json(the_map, tmp_path / "map.json")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    # the text json.dumps(doc, indent=2) wrote, keys in the document's order
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 _JSON = st.recursive(

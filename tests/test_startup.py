@@ -1,7 +1,9 @@
 """Start-up: a process imports the modules its suite runs, and no others.
 
 The import checks run in a fresh interpreter, so that the modules pytest and
-the other tests have loaded cannot hide an import.
+the other tests have loaded cannot hide an import.  The records that a
+harmonic or calabi process builds are NamedTuples, not dataclasses, and keep
+the value semantics the dataclasses had.
 """
 
 import ast
@@ -9,12 +11,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import densitylab
+from densitylab import calabi as cb, harmonic as ha
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,6 +94,64 @@ def test_a_document_imports_its_suite_before_its_first_verdict(suite, module):
                     f"print(json.dumps({_LOADED}))\n", suite)
     assert f"densitylab.{module}" in loaded
     assert ("numpy" in loaded) == (suite != "harmonic")
+
+
+# one small document per suite, run as a benchmark verdict is
+_ONE_DOCUMENT = {
+    "families": {"suite": "families", "mode": "verify", "grid": {"nx": 5, "ny": 5}},
+    "calabi": {"suite": "calabi", "mode": "branches", "params": {"trials": 20}},
+    "harmonic": {"suite": "harmonic", "mode": "identities",
+                 "params": {"max_degree": 2, "trials": 2}},
+    "maps": {"suite": "maps", "mode": "verify", "params": {"n_ambient": 4, "m": 2}},
+}
+
+
+@pytest.mark.parametrize("suite,module,unused", [
+    ("families", "minimal_graphs", {"argparse", "csv"}),
+    ("calabi", "calabi", {"argparse", "csv", "dataclasses"}),
+    ("harmonic", "harmonic", {"argparse", "csv", "dataclasses", "inspect"}),
+    ("maps", "sphere_maps", {"argparse", "csv"})])
+def test_a_document_loads_no_module_its_verdicts_do_not_use(suite, module, unused):
+    # argparse serves the command line and csv families sample's tables;
+    # dataclasses (with inspect, ast, dis and tokenize) serves no record of
+    # harmonic or calabi, and numpy, which harmonic never loads, is what
+    # brings inspect into the other suites
+    bare = _fresh("import json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
+    loaded = _fresh("import json, sys\n"
+                    "from densitylab import cli\n"
+                    "sc = cli.Scenario.from_config(json.loads(sys.argv[1]))\n"
+                    "assert json.loads(cli.report_body(cli.run(sc)))['overall'] == 'pass'\n"
+                    "print(json.dumps(sorted(sys.modules)))\n",
+                    json.dumps(_ONE_DOCUMENT[suite]))
+    assert f"densitylab.{module}" in loaded
+    assert unused & (set(loaded) - set(bare)) == set()
+
+
+@pytest.mark.parametrize("make,text", [
+    (lambda: ha.SpectralParams(3, Fraction(1), Fraction(6)),
+     "SpectralParams(n=3, K=Fraction(1, 1), lam=Fraction(6, 1))"),
+    (lambda: ha.HarmonicElement(ha.Poly.variable(3, 0), 1),
+     "HarmonicElement(poly=Poly(1*x0^1), degree=1)"),
+    (lambda: ha.a_sequence(ha.SpectralParams(3, Fraction(1), Fraction(8)), 4),
+     "ASequence(values=(Fraction(1, 1), Fraction(8, 1), Fraction(40, 3), "
+     "Fraction(0, 1), Fraction(0, 1)), first_zero=3, first_negative=None)"),
+    (lambda: cb.GradientPair(1.3, 0.8), "GradientPair(p=1.3, q=0.8)"),
+    (lambda: cb.CompatibilityData((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), 0.5, 0.25, 0.125),
+     "CompatibilityData(omega1=(1.0, 2.0), omega2=(3.0, 4.0), omega3=(5.0, 6.0), "
+     "A1=0.5, A2=0.25, A3=0.125)"),
+], ids=["SpectralParams", "HarmonicElement", "ASequence", "GradientPair",
+        "CompatibilityData"])
+def test_a_record_keeps_its_equality_hash_immutability_and_repr(make, text):
+    record, twin = make(), make()
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin) and len({record, twin}) == 1
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(twin, name))
+    assert repr(record) == text
+    # what changed when the records stopped being dataclasses: they are
+    # tuples, so they iterate, have a length and equal a plain tuple
+    assert record == tuple(record) and len(record) == len(record._fields)
 
 
 def test_every_eager_export_is_still_exported():
