@@ -28,7 +28,9 @@ jet kernels build array-valued jets, and their guards go through
 given a :class:`~densitylab.jets.BatchStatus`, records it per element.
 Likewise a :class:`SurfacePoint` whose fields hold arrays is a whole sampled
 path, and the angle lift and the throat period run over it in one numpy
-pass.  Floats take ``math`` and give the same bits as one point at a time
+pass; height reconstruction takes every quadrature node of its polyline as
+one batch.  Each of these raises the error a walk along its samples meets
+first.  Floats take ``math`` and give the same bits as one point at a time
 always did; arrays take numpy, whose functions may differ in the last digit.
 """
 
@@ -98,8 +100,8 @@ class DensityFamily:
                      ) -> tuple[float, float, float] | None:
         """(cos theta, sin theta, sinh mu) where the slope system degenerates.
 
-        None for the nondegenerate families, whose angle is tracked along
-        the path instead.
+        x and y may be arrays.  None for the nondegenerate families, whose
+        angle is lifted along the path instead.
         """
         return None
 
@@ -153,12 +155,12 @@ class ScherkFifth(DensityFamily):
 
     def closed_slope(self, x: float, y: float, branch: int, psi: float
                      ) -> tuple[float, float, float]:
-        c1 = math.cos(y + psi)
-        w = math.sqrt(math.sinh(x) ** 2 + c1 * c1)
+        m = math_for(x, y)
+        c1 = m.cos(y + psi)
+        w = m.sqrt(m.sinh(x) ** 2 + c1 * c1)
         s = float(branch)
-        return (s * (-c1 * math.cosh(x) / w),
-                s * (-math.sin(y + psi) * math.sinh(x) / w),
-                math.sinh(x))
+        return (s * (-c1 * m.cosh(x) / w), s * (-m.sin(y + psi) * m.sinh(x) / w),
+                m.sinh(x))
 
 
 @dataclass(frozen=True)
@@ -665,6 +667,14 @@ class _ThroatLoop:
             f"throat period not within {tol:g} at {MAX_PERIOD_NODES} nodes")
 
 
+def _require_count(name: str, n) -> None:
+    """ParamViolation unless the count n is an integer >= 1."""
+    if not isinstance(n, (int, np.integer)):
+        raise ParamViolation(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ParamViolation(f"{name} must be positive, got {n}")
+
+
 def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
                ) -> SurfacePoint:
     """Closed x = x_section section of the surface, sampled at n+1 points.
@@ -679,12 +689,15 @@ def sigma_loop(a: float, c: float, n: int, x_section: float = 0.0
     level at the closure points rho = 0, 2 pi; acos(g) loses half the
     digits there (|y| ~ 1e-8) and the loop fails to close.
     """
+    _require_count("n", n)
     return _ThroatLoop(a, c, x_section).chart(_loop_rho(np.arange(n + 1), n))[0]
 
 
 def require_rectangle(a: float, R: float) -> None:
-    """ParamViolation unless a cosh(R), the largest a cosh(x) on the
-    rectangle |x| <= R, is a finite float."""
+    """ParamViolation unless R > 0 and a cosh(R), the largest a cosh(x) on
+    the rectangle |x| <= R, is a finite float."""
+    if R <= 0.0:
+        raise ParamViolation(f"rectangle half-width {R} must be positive")
     try:
         top = a * math.cosh(R)
     except OverflowError:
@@ -701,6 +714,7 @@ def gamma_rectangle(a: float, c: float, R: float, n_per_edge: int = 1200
 
     The 4 n_per_edge + 1 samples come as one SurfacePoint of arrays.
     """
+    _require_count("n_per_edge", n_per_edge)
     DoublyPeriodic(a, c).validate()
     require_rectangle(a, R)
     if not math.isfinite(a * math.cosh(R) + c):
@@ -743,10 +757,7 @@ def period_sigma(a: float, c: float, seed_sign: int = 1,
     """
     if seed_sign not in (1, -1):
         raise ParamViolation("seed_sign must be +1 or -1")
-    if not isinstance(samples, (int, np.integer)):
-        raise ParamViolation(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ParamViolation(f"samples must be positive, got {samples}")
+    _require_count("samples", samples)
     return _ThroatLoop(a, c, x_section).period(seed_sign, tol, samples)
 
 
@@ -754,74 +765,56 @@ def period_sigma(a: float, c: float, seed_sign: int = 1,
 # reconstruction of u by path integration
 # ----------------------------------------------------------------------
 
-class _ThetaTracker:
-    """Continuous (cos theta, sin theta, sinh mu) along a point sequence."""
-
-    def __init__(self, family: DensityFamily, branch: int, psi: float):
-        if branch not in (1, -1):
-            raise ParamViolation("branch must be +1 or -1")
-        family.validate()
-        self.family = family
-        self.branch = branch
-        self.psi = psi
-        self._prev2 = None
-        self._half_offset = None
-
-    def __call__(self, x: float, y: float) -> tuple[float, float, float]:
-        closed = self.family.closed_slope(x, y, self.branch, self.psi)
-        if closed is not None:
-            return closed
-        # nondegenerate families: track the doubled angle of the chosen branch
-        C = family_C_jet(self.family, x, y, order=2)
-        mu = mu_jet_from_C(C)
-        plus, minus = two_theta_solutions(mu)
-        c2, s2 = plus if self.branch == 1 else minus
-        ang = math.atan2(s2, c2)
-        if self._prev2 is None:
-            self._prev2 = ang
-            self._half_offset = 0.0
-        else:
-            step = _wrap_pi(ang - self._prev2)
-            if abs(step) >= math.pi / 2.0:
-                raise LiftAmbiguity("branch angle stepped >= pi/2; refine path")
-            self._prev2 += step
-        theta = 0.5 * self._prev2 + self._half_offset
-        smu = math.sqrt(0.5 * (C.value - 1.0))
-        return math.cos(theta), math.sin(theta), smu
-
-
 def reconstruct_u(path: list[tuple[float, float]], family: DensityFamily,
                   branch: int = 1, psi: float = 0.0,
                   panels: int = 2) -> list[float]:
     """Integrate du = (cos th dx + sin th dy)/sinh mu along a polyline.
 
-    Returns the height u at every path vertex with u[0] = 0.  The branch
+    Returns the height u at every path vertex with u[0] = 0, each edge
+    integrated by Simpson's rule on 2 panels + 1 nodes.  The branch
     selects which of the two slope-angle solutions is followed (for the
     degenerate constant and Scherk families it selects u versus -u); psi
     is the family phase for those degenerate families.
+
+    The nodes of all edges are one batch, taken edge by edge in walk order,
+    and the branch's doubled angle is lifted along them by
+    :func:`_unwrap_doubled`.  The error raised is the one a walk along the
+    path meets first: a vertex that is not finite or lies outside the
+    domain, then at node i, C <= 1, a degenerate or negative discriminant,
+    then a step of pi/2 or more from node i-1 (LiftAmbiguity).
     """
     if len(path) < 2:
         raise ParamViolation("path needs at least two vertices")
-    for (x, y) in path:
-        if not family.contains(x, y):
-            raise DomainViolation(f"path vertex ({x}, {y}) outside the domain")
-    tracker = _ThetaTracker(family, branch, psi)
+    _require_count("panels", panels)
+    vx, vy = np.array(path, dtype=float).T
+    with np.errstate(invalid="ignore"):   # non-finite vertices are refused
+        outside = ~(np.isfinite(vx) & np.isfinite(vy) & family.contains(vx, vy))
+    if outside.any():
+        x, y = path[int(np.argmax(outside))]
+        raise DomainViolation(f"path vertex ({x}, {y}) outside the domain")
+    if branch not in (1, -1):
+        raise ParamViolation("branch must be +1 or -1")
+    family.validate()
     n = 2 * panels
-    us = [0.0]
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(path[:-1], path[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        vals = []
-        for k in range(n + 1):
-            t = k / n
-            ct, st, smu = tracker(x0 + t * dx, y0 + t * dy)
-            vals.append((ct * dx + st * dy) / smu)
-        acc = vals[0] + vals[-1]
-        for k in range(1, n):
-            acc += vals[k] * (4.0 if k % 2 else 2.0)
-        total += acc / (3.0 * n)
-        us.append(total)
-    return us
+    dx, dy = np.diff(vx)[:, None], np.diff(vy)[:, None]
+    t = np.arange(n + 1) / n
+    x, y = vx[:-1, None] + t * dx, vy[:-1, None] + t * dy
+    slope = family.closed_slope(x, y, branch, psi)
+    if slope is None:
+        status = BatchStatus(x.size)
+        C = family_C_jet(family, x.ravel(), y.ravel(), order=2)
+        plus, minus = two_theta_solutions(mu_jet_from_C(C, status), status)
+        c2, s2 = plus if branch == 1 else minus
+        with masked_errstate(status):
+            ang = np.arctan2(s2, c2)
+        theta = 0.5 * _unwrap_doubled(ang, status.failed, status.exception)
+        smu = np.sqrt(0.5 * (C.value - 1.0))
+        slope = [v.reshape(x.shape) for v in (np.cos(theta), np.sin(theta), smu)]
+    ct, st, smu = slope
+    weights = np.where(np.arange(n + 1) % 2, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    vals = np.broadcast_to((ct * dx + st * dy) / smu, x.shape)
+    return [0.0, *np.cumsum(vals @ weights / (3.0 * n)).tolist()]
 
 
 def minimal_residual(u: Jet) -> float:

@@ -346,12 +346,12 @@ def test_malformed_pairs_exit_2_in_one_line(tmp_path, capsys, mode, pairs):
     assert err.startswith("error: UsageError:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("half_width", [1e9, math.inf])
+@pytest.mark.parametrize("half_width", [1e9, math.inf, -8.0, 0.0])
 def test_winding_rectangle_too_wide_exits_2_in_one_line(tmp_path, capsys,
                                                        half_width):
-    # a cosh(R) overflows: refused before any array work, so numpy warns of
-    # nothing (a warning is an error under this suite's filter, and is also
-    # recorded here)
+    # a cosh(R) overflows, or R <= 0 gives no counterclockwise rectangle:
+    # refused before any array work, so numpy warns of nothing (a warning is
+    # an error under this suite's filter, and is also recorded here)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc, err = _main_error(tmp_path, capsys, "families", "winding",
@@ -815,7 +815,8 @@ _HALF_WIDTH = _mostly(st.floats(0.0, 30.0) | st.sampled_from([710.0, 1e9, math.i
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(["period", "winding"]), _FAMILY_PAIRS, _HALF_WIDTH)
 @example("period", [[6.703903964971299e+153] * 2], 8.0)   # (a + c)^2 overflows float **
-@example("winding", [[8.98846567431158e+307] * 2], 0.0)   # a cosh(R) + c overflows
+@example("winding", [[8.98846567431158e+307] * 2], 0.0)   # R <= 0
+@example("winding", [[8.98846567431158e+307] * 2], 1e-300)   # a cosh(R) + c overflows
 def test_families_documents_exit_0_1_or_2(tmp_path_factory, mode, pairs, half_width):
     # whatever the pairs, main answers with an exit code; numpy warnings are
     # errors under this suite's filter

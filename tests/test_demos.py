@@ -1,4 +1,4 @@
-"""Smoke test: every demo runs to completion.
+"""Smoke test: every demo runs to completion, and demo 01 prints its heights.
 
 The five demos cover height reconstruction, throat periods, the Calabi
 compatibility search (its 2000 random jets run as one batch), the exact
@@ -21,6 +21,17 @@ QUICK_DEMOS = [
     "04_harmonic_polynomial_calculus.py",
     "05_constant_energy_sphere_maps.py",
 ]
+# lines a demo must print, so that the smoke test sees a change in what it
+# computes and not only in its exit code: demo 01's reconstructed heights
+# (sections 1, 3 and 4, to 6 digits)
+PINNED_LINES = {
+    "01_equal_area_minimal_graphs.py": [
+        "   psi = 0.0: reconstructed heights [0.0, 1.732051, 1.732051]",
+        "   psi = 1.0: reconstructed heights [0.0, 0.935831, 2.393302]",
+        "   reconstructed branch heights at path end: u+ = 0.380616, u- = 0.444855",
+        "   branch heights over a staircase path: u+ = 0.734425, u- = -0.196962",
+    ],
+}
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)
@@ -32,3 +43,6 @@ def test_demo_exits_zero(name, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    for line in PINNED_LINES.get(name, []):
+        assert line in lines

@@ -3,8 +3,9 @@
 Each batch runs once with a BatchStatus; every element must then agree with
 the scalar call at that point within 1e-12 (relative to the value where it
 exceeds 1), or fail with the exception class that the scalar call raises.
-The angle lift is checked against the point-by-point loop it replaced,
-which is kept here verbatim as the reference.
+The angle lift and the height reconstruction are checked against the
+point-by-point loops they replaced, which are kept here verbatim as the
+reference.
 
 numpy's elementary functions may differ from math's in the last digit, and
 near a domain edge the jets amplify that difference: as C -> 1 (x -> 0 for
@@ -309,3 +310,123 @@ def test_gamma_rectangle_refuses_a_boundary_off_the_surface():
     # at half-width 0.1 the rectangle's side x = R crosses C < 1
     with pytest.raises(DomainViolation, match="rectangle point"):
         mg.gamma_rectangle(0.8, 0.5, 0.1)
+
+
+# ----------------------------------------------------------------------
+# height reconstruction against the point-by-point tracker
+# ----------------------------------------------------------------------
+
+class ReferenceTracker:
+    """The tracker that reconstruct_u ran one node at a time, verbatim."""
+
+    def __init__(self, family, branch, psi):
+        if branch not in (1, -1):
+            raise ParamViolation("branch must be +1 or -1")
+        family.validate()
+        self.family = family
+        self.branch = branch
+        self.psi = psi
+        self._prev2 = None
+        self._half_offset = None
+
+    def __call__(self, x, y):
+        closed = self.family.closed_slope(x, y, self.branch, self.psi)
+        if closed is not None:
+            return closed
+        # nondegenerate families: track the doubled angle of the chosen branch
+        C = mg.family_C_jet(self.family, x, y, order=2)
+        mu = mg.mu_jet_from_C(C)
+        plus, minus = mg.two_theta_solutions(mu)
+        c2, s2 = plus if self.branch == 1 else minus
+        ang = math.atan2(s2, c2)
+        if self._prev2 is None:
+            self._prev2 = ang
+            self._half_offset = 0.0
+        else:
+            step = _wrap_pi(ang - self._prev2)
+            if abs(step) >= math.pi / 2.0:
+                raise LiftAmbiguity("branch angle stepped >= pi/2; refine path")
+            self._prev2 += step
+        theta = 0.5 * self._prev2 + self._half_offset
+        smu = math.sqrt(0.5 * (C.value - 1.0))
+        return math.cos(theta), math.sin(theta), smu
+
+
+def reference_reconstruct(path, family, branch=1, psi=0.0, panels=2):
+    """The Simpson loop of reconstruct_u over ReferenceTracker, verbatim."""
+    if len(path) < 2:
+        raise ParamViolation("path needs at least two vertices")
+    for (x, y) in path:
+        if not family.contains(x, y):
+            raise DomainViolation(f"path vertex ({x}, {y}) outside the domain")
+    tracker = ReferenceTracker(family, branch, psi)
+    n = 2 * panels
+    us = [0.0]
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(path[:-1], path[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        vals = []
+        for k in range(n + 1):
+            t = k / n
+            ct, st, smu = tracker(x0 + t * dx, y0 + t * dy)
+            vals.append((ct * dx + st * dy) / smu)
+        acc = vals[0] + vals[-1]
+        for k in range(1, n):
+            acc += vals[k] * (4.0 if k % 2 else 2.0)
+        total += acc / (3.0 * n)
+        us.append(total)
+    return us
+
+
+def random_path(rng) -> list:
+    """A random walk of 1 to 5 steps from a point of [-2, 2.5] x [-3, 3],
+    or a coarse polygon round a hole where C <= 1: the heli-catenoid's at
+    the origin or the doubly periodic family's at (0, pi)."""
+    if rng.random() < 0.5:
+        cy, r = rng.choice((0.0, math.pi)), rng.uniform(0.5, 3.0)
+        k, start = rng.randint(3, 7), rng.uniform(0.0, 2.0 * math.pi)
+        return [(r * math.cos(start + 2.0 * math.pi * j / k),
+                 cy + r * math.sin(start + 2.0 * math.pi * j / k)) for j in range(k + 1)]
+    x, y = rng.uniform(-2.0, 2.5), rng.uniform(-3.0, 3.0)
+    path = [(x, y)]
+    for _ in range(rng.randint(1, 5)):
+        r, turn = rng.choice((0.2, 0.6, 2.0)) * rng.random(), rng.uniform(0.0, 2.0 * math.pi)
+        x, y = x + r * math.cos(turn), y + r * math.sin(turn)
+        path.append((x, y))
+    return path
+
+
+def reconstruct_outcome(call):
+    """The heights, or the error's class and whether a vertex or a node
+    raised it."""
+    try:
+        return call()
+    except DensityLabError as exc:
+        return type(exc), "vertex" if "path vertex" in str(exc) else "node"
+
+
+def test_reconstruct_matches_the_reference_loop():
+    # 1e-13 absolute is fixed in advance: numpy and math differ in the last
+    # digit of each node, and the heights of these paths stay below 14
+    rng = random.Random(81)
+    seen = {type(f).__name__: set() for f in FAMILIES}
+    for _ in range(250):
+        for family in FAMILIES:
+            path = random_path(rng)
+            args = (family, rng.choice((1, -1)), rng.uniform(0.0, 2.0 * math.pi),
+                    rng.randint(1, 6))
+            want = reconstruct_outcome(lambda: reference_reconstruct(path, *args))
+            got = reconstruct_outcome(lambda: mg.reconstruct_u(path, *args))
+            if isinstance(want, tuple):
+                assert got == want, (path, args)
+                seen[type(family).__name__].add(want)
+                continue
+            assert type(got) is list and all(type(u) is float for u in got)
+            assert got[0] == 0.0 and len(got) == len(want)
+            assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13, (path, args)
+            seen[type(family).__name__].add(None)
+    holes = {None, (DomainViolation, "vertex"), (DomainViolation, "node"),
+             (LiftAmbiguity, "node")}
+    assert seen == {"ScherkFifth": {None, (DomainViolation, "vertex")},
+                    "HeliCatenoid": holes, "DoublyPeriodic": holes,
+                    "ConstantPlane": {None}}

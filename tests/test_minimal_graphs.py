@@ -6,6 +6,7 @@ quadrature, finite differences with Richardson extrapolation) and frozen.
 """
 
 import math
+import re
 
 import pytest
 import sympy as sp
@@ -421,6 +422,18 @@ def test_period_refines_an_ambiguous_start():
         mg.period_sigma(1.0, 1.0, samples=0)
 
 
+@pytest.mark.parametrize("count", [0, -1, -3, 1.5])
+def test_sample_counts_must_be_integers_of_at_least_one(count):
+    with pytest.raises(ParamViolation, match="^n must be"):
+        mg.sigma_loop(1.0, 1.0, count)
+    with pytest.raises(ParamViolation, match="^n_per_edge must be"):
+        mg.gamma_rectangle(1.0, 1.0, 2.0, count)
+    with pytest.raises(ParamViolation, match="^panels must be"):
+        mg.reconstruct_u([(1.0, 0.3), (1.2, 0.4)], mg.ScherkFifth(), panels=count)
+    with pytest.raises(ParamViolation, match="^samples must be"):
+        mg.period_sigma(1.0, 1.0, samples=count)
+
+
 @pytest.mark.parametrize("a,c", [(1.0, 1.0), (0.2807, 0.8615)])
 def test_period_homotopy_invariance(a, c):
     lam0 = mg.period_sigma(a, c)
@@ -483,6 +496,19 @@ def test_reconstruct_rejects_out_of_domain():
     fam = mg.HeliCatenoid(math.pi / 4)
     with pytest.raises(DomainViolation):
         mg.reconstruct_u([(0.9, 0.2), (0.0, 0.0)], fam)
+
+
+@pytest.mark.parametrize("family", [mg.ConstantPlane(2.0), mg.ScherkFifth(),
+                                    mg.HeliCatenoid(0.9), mg.DoublyPeriodic(0.8, 0.5)],
+                         ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("vertex", [(math.nan, 0.3), (1.0, math.nan),
+                                    (math.inf, 0.3), (1.0, -math.inf)])
+def test_reconstruct_refuses_a_vertex_that_is_not_finite(family, vertex):
+    # (1.0, 0.3) lies in every family's domain; the constant density's
+    # domain test holds everywhere, nan included
+    with pytest.raises(DomainViolation,
+                       match=re.escape(f"path vertex {vertex} outside the domain")):
+        mg.reconstruct_u([(1.0, 0.3), vertex], family)
 
 
 # ----------------------------------------------------------------------
