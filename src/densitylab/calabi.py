@@ -443,7 +443,7 @@ def _branch_angles(base, beta):
             + _BRANCH_TURN.reshape(column))
 
 
-def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
+def candidates_from_coefficients(A1, A2, A3, phi_value,
                                  status: BatchStatus | None = None) -> list:
     """Range-filtered solutions of A1 cos(2th) + A2 sin(2th) + A3 = 0.
 
@@ -454,7 +454,7 @@ def candidates_from_coefficients(A1, A2, A3, phi_value, tol: float = TOL_SING,
     m = math_for(A1)
     amp = m.hypot(A1, A2)
     scale = m.maximum(m.maximum(abs(A1), abs(A2)), abs(A3))
-    guard(scale < tol, DegenerateAllZero, "A1 = A2 = A3 = 0 within tolerance",
+    guard(scale < TOL_SING, DegenerateAllZero, "A1 = A2 = A3 = 0 within tolerance",
           status=status)
     real = np.logical_not(abs(A3) > amp)
     if not batch and not real:

@@ -553,8 +553,8 @@ def _brute_harmonic_dim(n_amb: int, m: int) -> int:
     plus terms with a higher power of x_0, so with rows and columns ordered
     by the exponent of x_0 the minor is triangular with a nonzero diagonal,
     and the rank is the row count.  That structure is checked on the
-    columns built; only where it fails is the rank taken by elimination,
-    with sphere_maps, which loads numpy.
+    columns built; only where it fails is the rank taken, by the exact
+    elimination of sphere_maps (which loads numpy) on the columns.
     """
     from . import harmonic
     monos = harmonic._packed_monomials(n_amb, m)
@@ -576,13 +576,10 @@ def _brute_harmonic_dim(n_amb: int, m: int) -> int:
     else:
         return len(monos) - len(targets)
     from . import sphere_maps as sm
-    rows, cols, values = [], [], []
-    for j, col in enumerate(columns):
-        rows += col
-        cols += [j] * len(col)
-        values += col.values()
-    (rank,) = sm._ranks((len(targets), len(monos)), [(rows, cols, values)])
-    return len(monos) - rank
+    core = sm._IntegerRref()   # the rank of the columns is the rank of the matrix
+    for col in columns:
+        core.add(col)
+    return len(monos) - len(core.pivots)
 
 
 # ----------------------------------------------------------------------

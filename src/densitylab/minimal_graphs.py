@@ -450,16 +450,14 @@ def _abeq_fields(a: float, c: float, q_factor: float, x: float, y: float,
 
 
 def cos_sin_two_theta(a: float, c: float, p: SurfacePoint, *,
-                      q_factor: float | None = None,
                       status: BatchStatus | None = None) -> tuple[float, float]:
     """(cos 2theta, sin 2theta) at a point of the double cover, or on a path.
 
     For a path (a SurfacePoint with array fields) both results are arrays
     with one entry per sample, and the guards act per sample (see
-    :func:`densitylab.jets.guard`).  A caller that evaluates many points of
-    one validated pair passes that pair's ``_q_factor(a, c)``; without it
-    the pair is validated here.  cosh x and cos y are evaluated once and
-    serve both the on-surface residual and the fields.
+    :func:`densitylab.jets.guard`).  The pair is validated here.  cosh x
+    and cos y are evaluated once and serve both the on-surface residual
+    and the fields.
     """
     m = math_for(p.x, p.y)
     ch, co = m.cosh(p.x), m.cos(p.y)
@@ -469,11 +467,9 @@ def cos_sin_two_theta(a: float, c: float, p: SurfacePoint, *,
     guard(abs(residual) > TOL_SURFACE, DomainViolation,
           "SurfacePoint(x={}, y={}, z={}) is not on the surface (residual {:.3g})",
           p.x, p.y, p.z, residual, status=status)
-    if q_factor is None:
-        DoublyPeriodic(a, c).validate()
-        q_factor = _q_factor(a, c)
+    DoublyPeriodic(a, c).validate()
     with masked_errstate(status):
-        A, B, E, Q = _abeq_fields(a, c, q_factor, p.x, p.y, ch, co)
+        A, B, E, Q = _abeq_fields(a, c, _q_factor(a, c), p.x, p.y, ch, co)
         d = A * A + B * B
     guard(d < TOL_SING, Singularity, "A^2 + B^2 vanished; fields undefined here",
           status=status)
@@ -496,12 +492,12 @@ def _as_path(path) -> SurfacePoint:
                           for f in ("x", "y", "z")))
 
 
-def _doubled_angle(a: float, c: float, pts: SurfacePoint, q_factor: float
+def _doubled_angle(a: float, c: float, pts: SurfacePoint
                    ) -> tuple[np.ndarray, BatchStatus]:
     """The principal doubled angle atan2(sin 2theta, cos 2theta) at each
     sample of a path of a validated pair, with the samples' guard status."""
     status = BatchStatus(np.broadcast(pts.x, pts.y, pts.z).size)
-    c2, s2 = cos_sin_two_theta(a, c, pts, q_factor=q_factor, status=status)
+    c2, s2 = cos_sin_two_theta(a, c, pts, status=status)
     with masked_errstate(status):
         return np.arctan2(s2, c2), status
 
@@ -546,7 +542,7 @@ def lift_theta_along(path, a: float, c: float, seed_sign: int = 1) -> LiftedAngl
     if np.broadcast(pts.x, pts.y, pts.z).size < 2:
         raise ParamViolation("path needs at least two samples")
     DoublyPeriodic(a, c).validate()
-    ang, status = _doubled_angle(a, c, pts, _q_factor(a, c))
+    ang, status = _doubled_angle(a, c, pts)
     lifted2 = _unwrap_doubled(ang, status.failed, status.exception)
     offset = 0.0 if seed_sign == 1 else math.pi
     return LiftedAngle(path=path if pts is path else list(path),
@@ -625,7 +621,7 @@ class _ThroatLoop:
             new = np.arange(n + 1)
         pts, cos_rho = self.chart(_loop_rho(new, n))
         a, c, ap = self.a, self.c, self.ap
-        ang, status = _doubled_angle(a, c, pts, _q_factor(a, c))
+        ang, status = _doubled_angle(a, c, pts)
         den = np.sqrt(c + 1.0 - ap + (ap + c - 1.0) * cos_rho ** 2)
         errors = {int(new[i]): status.exception(i) for i in np.flatnonzero(status.failed)}
         if have:
@@ -780,21 +776,25 @@ def reconstruct_u(path: list[tuple[float, float]], family: DensityFamily,
     and the branch's doubled angle is lifted along them by
     :func:`_unwrap_doubled`.  The error raised is the one a walk along the
     path meets first: a vertex that is not finite or lies outside the
-    domain, then at node i, C <= 1, a degenerate or negative discriminant,
-    then a step of pi/2 or more from node i-1 (LiftAmbiguity).
+    domain, then (branch and family valid) one so far out that its
+    C = cosh(2 mu) overflows, then at node i, C <= 1, a degenerate or
+    negative discriminant, then a step of pi/2 or more from node i-1
+    (LiftAmbiguity).
     """
     if len(path) < 2:
         raise ParamViolation("path needs at least two vertices")
     _require_count("panels", panels)
     vx, vy = np.array(path, dtype=float).T
-    with np.errstate(invalid="ignore"):   # non-finite vertices are refused
+    with np.errstate(invalid="ignore", over="ignore"):   # such vertices are refused
         outside = ~(np.isfinite(vx) & np.isfinite(vy) & family.contains(vx, vy))
+        if not outside.any():
+            if branch not in (1, -1):
+                raise ParamViolation("branch must be +1 or -1")
+            family.validate()
+            outside = ~np.isfinite(family.C_jet(*Jet.variables(vx, vy, 0)).value)
     if outside.any():
         x, y = path[int(np.argmax(outside))]
         raise DomainViolation(f"path vertex ({x}, {y}) outside the domain")
-    if branch not in (1, -1):
-        raise ParamViolation("branch must be +1 or -1")
-    family.validate()
     n = 2 * panels
     dx, dy = np.diff(vx)[:, None], np.diff(vy)[:, None]
     t = np.arange(n + 1) / n

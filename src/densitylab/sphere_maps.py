@@ -18,14 +18,15 @@ basis's terms are listed once, as monomial places and numerators, and the
 products of their pairs, reduced modulo p, are scattered straight into
 one int64 stack per block shape, which is eliminated at once.  Full row
 rank modulo p is full row rank over Q; a block that falls short is
-retried modulo further primes, then ranked exactly from the same term
-pairs summed as Python integers.  The kernel elements are built only on
-request, by fraction-free Gauss-Jordan elimination on sparse Python
-integer rows (Bareiss), one block at a time.  They stay sparse, as
-integer numerators over one denominator at the entries a <= b, and no
-dense matrix of them is built: GramMatrix.add takes one as it is.  The
-basis {h_a} is fraction-free as well (see basis_Hm), and its term
-products pass one slot-overflow guard per basis.
+retried modulo further primes, then ranked exactly.  Modular and exact
+block entries come from one scatter (_Blocks.stack): without a prime it
+sums the same products as Python integers.  The kernel elements are
+built only on request, by fraction-free Gauss-Jordan elimination on
+sparse Python integer rows (Bareiss), one block at a time.  They stay
+sparse, as integer numerators over one denominator at the entries
+a <= b, and no dense matrix of them is built: GramMatrix.add takes one as
+it is.  The basis {h_a} is fraction-free as well (see basis_Hm), and its
+term products pass one slot-overflow guard per basis.
 
 h has one exact evaluator, _Blocks.h: for a symmetric matrix held as a
 kernel element is, it sums the exact products of the term pairs of its
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Real
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -209,53 +210,39 @@ def _full_row_rank_mod(A: np.ndarray, p: int) -> np.ndarray:
     return full
 
 
-def _ranks(shape: tuple[int, int], blocks: Sequence[tuple[list, list, list]]
-           ) -> list[int]:
-    """The exact rank of each integer matrix of the given shape (r, c),
-    given as (rows, cols, values): its nonzero entries, at distinct
-    positions, as Python ints (see _stack_ranks)."""
-    r, c = shape
+def _stack_ranks(blocks: "_Blocks", group: list[int]) -> list[int]:
+    """The exact rank of each block numbered in group, all of one shape r x c.
 
-    def stack(chosen: list[int], p: int) -> np.ndarray:
-        A = np.zeros((len(chosen), r, c), dtype=np.int64)
-        for k, b in enumerate(chosen):
-            rows, cols, values = blocks[b]
-            A[k, rows, cols] = [v % p for v in values]
-        return A
-
-    return _stack_ranks(shape, len(blocks), stack, blocks.__getitem__)
-
-
-def _stack_ranks(shape: tuple[int, int], count: int,
-                 stack: Callable[[list[int], int], np.ndarray],
-                 entries: Callable[[int], tuple[list, list, list]]) -> list[int]:
-    """The exact rank of each of count integer matrices of shape (r, c).
-
-    stack(chosen, p) gives the matrices numbered in chosen modulo p, as one
-    int64 stack with entries in [0, p), which is eliminated at once.  Rank
-    r modulo p means a nonzero r x r minor modulo p, hence a nonzero
-    integer minor: rank r over Q.  A matrix that falls short is retried
+    The blocks are stacked modulo p (_Blocks.stack) and eliminated at once.
+    Rank r modulo p means a nonzero r x r minor modulo p, hence a nonzero
+    integer minor: rank r over Q.  A block that falls short is retried
     modulo the next prime, and after the last one its rank comes from the
-    exact elimination of _IntegerRref on entries(b), its nonzero entries
-    (rows, cols, values) as Python ints, read only then.
+    exact elimination of its exact stack (_exact_cores): modular and exact
+    entries come from one scatter.
     """
-    r, c = shape
-    ranks = [r] * count
-    short = list(range(count))
+    r, c = blocks.blocks[group[0]][0], len(blocks.blocks[group[0]][1])
+    ranks = dict.fromkeys(group, r)
+    short = list(group)
     for p in _PRIMES if r <= c else ():   # r > c: short over Q as well
-        full = _full_row_rank_mod(stack(short, p), p)
+        full = _full_row_rank_mod(blocks.stack(short, p), p)
         short = [b for b, ok in zip(short, full.tolist()) if not ok]
         if not short:
             break
-    for b in short:
-        rows_of: list[dict[int, int]] = [{} for _ in range(r)]
-        for i, j, v in zip(*entries(b)):
-            rows_of[i][j] = v
-        core = _IntegerRref()
-        for row in rows_of:
-            core.add(row)
+    for b, core in _exact_cores(blocks, short):
         ranks[b] = len(core.pivots)
-    return ranks
+    return [ranks[b] for b in group]
+
+
+def _exact_cores(blocks: "_Blocks", chosen: list[int]):
+    """(b, core) for each block b in chosen, in order, core the _IntegerRref
+    of b's rows: one exact stack of the chosen blocks, each core built only
+    when it is asked for."""
+    if chosen:
+        for b, rows in zip(chosen, blocks.stack(chosen)):
+            core = _IntegerRref()
+            for row in rows.tolist():
+                core.add(dict(enumerate(row)))   # add ignores the zeros
+            yield b, core
 
 
 # ----------------------------------------------------------------------
@@ -594,10 +581,11 @@ def _product_layout(n_ambient: int, m: int
 def _pair_arrays(D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs a <= b of _sym_pairs(D) as three arrays: a, b, and the
     factor of column E_ab, 1 on the diagonal and 2 off it."""
-    pairs = np.array([(a, b, 1 + (a != b)) for a, b in _sym_pairs(D)],
-                     dtype=np.intp).reshape(-1, 3).T
-    pairs.flags.writeable = False   # cached, so shared by every caller
-    return pairs[0], pairs[1], pairs[2]
+    a, b = np.triu_indices(D)   # row by row, as _sym_pairs
+    pairs = a, b, 1 + (a != b)
+    for array in pairs:
+        array.flags.writeable = False   # cached, so shared by every caller
+    return pairs
 
 
 class _Blocks:
@@ -619,16 +607,16 @@ class _Blocks:
     per element its (packed key, numerator) pairs (terms).  A
     term pair (t, u) of column E_ab, t a term of h_a and u one of h_b, adds
     the product of their numerators at row[mono[t], mono[u]] of the block
-    (see _product_layout).  stack reduces each numerator modulo p once and
-    scatters the products of the term pairs of the chosen blocks into an
-    int64 stack; entries sums the exact products of one block's term
-    pairs, for the places that need exact entries, and h those of the
-    columns of one matrix, keyed by packed monomial, from terms.
+    (see _product_layout).  stack scatters the products of the term pairs
+    of the chosen blocks into one stack, modulo p (each numerator reduced
+    once) or exact, so that modular and exact entries come from one
+    scatter; h sums those of the columns of one matrix, keyed by packed
+    monomial, from terms.
 
     A basis keeps its _Blocks (HarmonicBasis._blocks), and the _Blocks
-    keeps what stack reads that does not depend on p: the numerators
-    modulo each prime, and for each set of chosen blocks its term pairs,
-    their column factors and the cells they add to.
+    keeps what stack reads: the numerators, exact and modulo each prime,
+    and for each set of chosen blocks its term pairs, their column factors
+    and the cells they add to.
     """
 
     def __init__(self, n_ambient: int, m: int, elements: Sequence[HarmonicElement]):
@@ -662,7 +650,7 @@ class _Blocks:
         # places in _sym_pairs
         self.blocks = [(class_rows[cl], np.array(cols, dtype=np.intp))
                        for cl, cols in sorted(block_cols.items())]
-        self._mod: dict[int, np.ndarray] = {}
+        self._nums: dict[Optional[int], np.ndarray] = {}
         self._scatter: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     def shape_groups(self) -> dict[tuple[int, int], list[int]]:
@@ -681,26 +669,32 @@ class _Blocks:
         line, u = _runs(self.start[b][k], self.count[b][k])
         return t[line], u, k[line]
 
-    def stack(self, chosen: list[int], p: int) -> np.ndarray:
-        """The chosen blocks, all of one shape r x c, modulo p as an int64
-        stack.  Each numerator is reduced once, so the product of two is
-        below 2^62, and the entry it adds, reduced, below 2^31.  An entry of
-        column E_ab sums at most |h_a| |h_b| < 2^30 of them (__init__
-        refuses longer elements), so it stays below 2^61, and below 2^62
-        once the column's factor multiplies it, until the final reduction."""
-        mod = self._mod.get(p)
-        if mod is None:
-            mod = self._mod[p] = np.array([v % p for v in self.nums], dtype=np.int64)
+    def stack(self, chosen: list[int], p: Optional[int] = None) -> np.ndarray:
+        """The chosen blocks, all of one shape r x c, as one stack: modulo p
+        in int64, or exact, in Python integers in an object array, without
+        a prime.  Both sum the products of the same term pairs into the same
+        cells (_scatter_of).  Modulo p each numerator is reduced once, so
+        the product of two is below 2^62, and the entry it adds, reduced,
+        below 2^31.  An entry of column E_ab sums at most |h_a| |h_b| < 2^30
+        of them (__init__ refuses longer elements), so it stays below 2^61,
+        and below 2^62 once the column's factor multiplies it, until the
+        final reduction."""
+        nums = self._nums.get(p)
+        if nums is None:
+            nums = self._nums[p] = (np.array(self.nums, dtype=object) if p is None else
+                                    np.array([v % p for v in self.nums], dtype=np.int64))
         r, c = self.blocks[chosen[0]][0], len(self.blocks[chosen[0]][1])
         t, u, cells, factor = self._scatter_of(tuple(chosen))
-        values = mod[t]
-        values *= mod[u]
-        values %= p
-        A = np.zeros(len(chosen) * r * c, dtype=np.int64)
+        values = nums[t]
+        values *= nums[u]
+        if p:
+            values %= p
+        A = np.zeros(len(chosen) * r * c, dtype=nums.dtype)
         np.add.at(A, cells, values)
         A = A.reshape(len(chosen), r, c)
         A *= factor
-        A %= p
+        if p:
+            A %= p
         return A
 
     def _scatter_of(self, chosen: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -723,19 +717,6 @@ class _Blocks:
                 t.astype(index), u.astype(index), cells.astype(index),
                 self.factor[cols].reshape(len(chosen), 1, c))
         return scatter
-
-    def entries(self, b: int) -> tuple[list[int], list[int], list[int]]:
-        """The nonzero entries (rows, columns, values) of block b, exact."""
-        cols = self.blocks[b][1]
-        t, u, k = self._term_pairs(cols)
-        at = zip(self.row[self.mono[t], self.mono[u]].tolist(), k.tolist())
-        nums = self.nums
-        acc: dict[tuple[int, int], int] = {}
-        for ik, i, j, f in zip(at, t.tolist(), u.tolist(), self.factor[cols][k].tolist()):
-            acc[ik] = acc.get(ik, 0) + f * nums[i] * nums[j]
-        nonzero = [(i, k, v) for (i, k), v in acc.items() if v]
-        return ([i for i, _, _ in nonzero], [k for _, k, _ in nonzero],
-                [v for _, _, v in nonzero])
 
     def h(self, den: int, entries) -> Poly:
         """h(G) = sum_{a, b} G^{ab} h_a h_b, exact, for the symmetric G held
@@ -793,11 +774,8 @@ def _kernel_certificate(n_ambient: int, m: int,
         basis = basis_Hm(n_ambient, m)
     blocks = basis._blocks
     dimension = 0
-    for (r, c), group in blocks.shape_groups().items():
-        ranks = _stack_ranks((r, c), len(group),
-                             lambda chosen, p: blocks.stack([group[k] for k in chosen], p),
-                             lambda k: blocks.entries(group[k]))
-        dimension += sum(c - rank for rank in ranks)
+    for (_, c), group in blocks.shape_groups().items():
+        dimension += sum(c - rank for rank in _stack_ranks(blocks, group))
     return KernelCertificate(basis.dim, dimension, basis)
 
 
@@ -805,12 +783,13 @@ def _kernel_elements(basis: HarmonicBasis
                      ) -> tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]:
     """The rref kernel basis of h, sparse, each element certified exactly.
 
-    Each parity block is eliminated on its own by _IntegerRref.  A column
-    is free exactly when it is free in its block, and the block's kernel
-    vector for a free column is the whole matrix's, so the basis is the
-    one read off the rref of the whole matrix, in the same order.  Each
-    element k is certified by h(k) = 0 exactly (_Blocks.h), else
-    ParamViolation.
+    Each parity block is eliminated on its own by _IntegerRref, from the
+    exact stack of its shape group (_exact_cores), whose scatter the rank
+    step has already built.  A column is free exactly when it is free in
+    its block, and the block's kernel vector for a free column is the
+    whole matrix's, so the basis is the one read off the rref of the whole
+    matrix, in the same order.  Each element k is certified by h(k) = 0
+    exactly (_Blocks.h), else ParamViolation.
 
     Column E_ab holds the integer numerators of h_a h_b (times 2 when
     a != b) over den_ab, the product of the two elements' denominators
@@ -823,15 +802,10 @@ def _kernel_elements(basis: HarmonicBasis
     pairs = _sym_pairs(basis.dim)
     element_dens = [el.poly.den for el in basis.elements]
     found: list[tuple[int, tuple]] = []  # (free column, sparse element)
-    for b, (r, cols) in enumerate(blocks.blocks):
-        cols = cols.tolist()
-        rows: list[dict[int, int]] = [{} for _ in range(r)]
-        for i, k, v in zip(*blocks.entries(b)):
-            rows[i][k] = v
+    for b, core in (bc for group in blocks.shape_groups().values()
+                    for bc in _exact_cores(blocks, group)):
+        cols = blocks.blocks[b][1].tolist()
         dens = [element_dens[a] * element_dens[bb] for a, bb in map(pairs.__getitem__, cols)]
-        core = _IntegerRref()
-        for row in rows:
-            core.add(row)
         for fc, w in core.kernel(len(cols)):
             # tuples from lists, not generators: a tuple grown from a
             # generator is reallocated as it grows, and that churn let

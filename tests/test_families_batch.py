@@ -226,10 +226,9 @@ def reference_lift(path, a, c, seed_sign=1):
     if len(path) < 2:
         raise ParamViolation("path needs at least two samples")
     mg.DoublyPeriodic(a, c).validate()
-    q_factor = mg._q_factor(a, c)
     lifted2 = []
     for i, pt in enumerate(path):
-        c2, s2 = mg.cos_sin_two_theta(a, c, pt, q_factor=q_factor)
+        c2, s2 = mg.cos_sin_two_theta(a, c, pt)
         ang = math.atan2(s2, c2)
         if i == 0:
             lifted2.append(ang)

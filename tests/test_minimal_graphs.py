@@ -7,6 +7,7 @@ quadrature, finite differences with Richardson extrapolation) and frozen.
 
 import math
 import re
+import warnings
 
 import pytest
 import sympy as sp
@@ -509,6 +510,29 @@ def test_reconstruct_refuses_a_vertex_that_is_not_finite(family, vertex):
     with pytest.raises(DomainViolation,
                        match=re.escape(f"path vertex {vertex} outside the domain")):
         mg.reconstruct_u([(1.0, 0.3), vertex], family)
+
+
+@pytest.mark.parametrize("family,far", [
+    (mg.ScherkFifth(), 400.0),            # sinh(x) ** 2 in closed_slope overflowed
+    (mg.ScherkFifth(), 355.5),            # cosh 2x overflows from x = 355.24
+    (mg.DoublyPeriodic(1.0, 1.0), 800.0),
+    (mg.HeliCatenoid(0.7), 1e160),
+    (mg.ConstantPlane(2.0), 1e300)],
+    ids=["scherk-400", "scherk-355.5", "doubly-periodic-800", "heli-catenoid-1e160",
+         "constant-1e300"])
+def test_reconstruct_refuses_a_vertex_whose_C_overflows(family, far):
+    # the family's C at the far vertex is not a finite float, except for the
+    # constant density, whose heights grow linearly and stay finite
+    path = [(1.5, 0.3), (far, 0.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(family, mg.ConstantPlane):
+            assert mg.reconstruct_u(path, family) \
+                == pytest.approx([0.0, math.sqrt(3.0) * (far - 1.5)], rel=1e-12)
+            return
+        with pytest.raises(DomainViolation,
+                           match=re.escape(f"path vertex ({far}, 0.3) outside the domain")):
+            mg.reconstruct_u(path, family)
 
 
 # ----------------------------------------------------------------------

@@ -160,16 +160,30 @@ def integer_blocks(draw):
     return r, c, blocks
 
 
-def sparse_block(mat):
-    entries = [(i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v]
-    return tuple(map(list, zip(*entries))) if entries else ([], [], [])
+class FakeBlocks:
+    """What _stack_ranks reads of a _Blocks, over given integer matrices of
+    one shape r x c: each block's row count and columns, and their stack,
+    exact or modulo p."""
+
+    def __init__(self, r, c, mats):
+        self.blocks = [(r, range(c)) for _ in mats]
+        self.mats = mats
+
+    def stack(self, chosen, p=None):
+        r, c = self.blocks[0][0], len(self.blocks[0][1])
+        A = np.array([self.mats[b] for b in chosen], dtype=object).reshape(len(chosen), r, c)
+        return A if p is None else (A % p).astype(np.int64)
+
+
+def ranks(r, c, mats):
+    return sm._stack_ranks(FakeBlocks(r, c, mats), list(range(len(mats))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_blocks())
 def test_ranks_match_the_fraction_reference_near_the_primes(shape_and_blocks):
     r, c, blocks = shape_and_blocks
-    got = sm._ranks((r, c), [sparse_block(mat) for mat in blocks])
+    got = ranks(r, c, blocks)
     assert got == [reference_rank([[Fraction(v) for v in row] for row in mat])
                    for mat in blocks]
 
@@ -201,7 +215,7 @@ def test_ranks_retry_the_next_prime_then_eliminate_exactly(monkeypatch):
     zero_mod_all = [[P0 * P1 * P2, 0, 0], [0, 0, 3]]
     short_over_q = [[2, 2 * (P0 + 1), 4], [1, P0 + 1, 2]]
     blocks = [full, singular_mod_p0, zero_mod_all, short_over_q]
-    assert sm._ranks((2, 3), [sparse_block(m) for m in blocks]) == [2, 2, 2, 1]
+    assert ranks(2, 3, blocks) == [2, 2, 2, 1]
     assert primes == [(P0, (4, 2, 3)), (P1, (3, 2, 3)), (P2, (2, 2, 3))]
     assert len(exact) == 2   # zero_mod_all and short_over_q
     assert [reference_rank([[Fraction(v) for v in row] for row in m])
@@ -210,8 +224,8 @@ def test_ranks_retry_the_next_prime_then_eliminate_exactly(monkeypatch):
 
 def test_ranks_of_a_tall_block_are_exact_without_a_prime(monkeypatch):
     primes, exact = spy_on_ranks(monkeypatch)
-    assert sm._ranks((3, 2), [sparse_block([[1, 0], [0, P0], [1, 1]])]) == [2]
-    assert sm._ranks((2, 0), [([], [], [])]) == [0]
+    assert ranks(3, 2, [[[1, 0], [0, P0], [1, 1]]]) == [2]
+    assert ranks(2, 0, [[[], []]]) == [0]
     assert primes == [] and len(exact) == 2
 
 
@@ -249,7 +263,8 @@ def block_entries(basis: sm.HarmonicBasis, cols) -> tuple[int, dict]:
                                      (5, 3), (4, 4), (8, 3)])
 def test_stacks_are_the_block_products_modulo_p(n_amb, m):
     # every pair (a, b) lies in one block, and each stack holds, entry for
-    # entry, the products h_a h_b reduced modulo each prime
+    # entry and zeros included, the products h_a h_b, exactly and reduced
+    # modulo each prime
     basis = sm.basis_Hm(n_amb, m)
     blocks = basis._blocks
     assert sorted(j for _, cols in blocks.blocks for j in cols.tolist()) \
@@ -257,16 +272,18 @@ def test_stacks_are_the_block_products_modulo_p(n_amb, m):
     for (r, c), group in blocks.shape_groups().items():
         oracle = [block_entries(basis, blocks.blocks[b][1].tolist()) for b in group]
         assert all(rows == r for rows, _ in oracle)
+        expected = np.zeros((len(group), r, c), dtype=object)
+        for s, (_, entries) in enumerate(oracle):
+            for (i, k), v in entries.items():
+                expected[s, i, k] = v
+        exact = blocks.stack(group)
+        assert exact.dtype == object and exact.shape == expected.shape
+        assert all(type(v) is int for v in exact.ravel().tolist())
+        assert exact.tolist() == expected.tolist()
         for p in (sm._PRIMES if (n_amb, m) != (8, 3) else sm._PRIMES[:1]):
-            expected = np.zeros((len(group), r, c), dtype=np.int64)
-            for s, (_, entries) in enumerate(oracle):
-                for (i, k), v in entries.items():
-                    expected[s, i, k] = v % p
-            assert np.array_equal(blocks.stack(group, p), expected)
-        if n_amb + m <= 8:   # exact entries too
-            for b, (_, entries) in zip(group, oracle):
-                rows, ks, values = blocks.entries(b)
-                assert dict(zip(zip(rows, ks), values)) == entries
+            modular = blocks.stack(group, p)
+            assert modular.dtype == np.int64
+            assert np.array_equal(modular, (expected % p).astype(np.int64))
 
 
 @pytest.mark.parametrize("failing", [{P0}, {P0, P1, P2}], ids=["first", "every"])
