@@ -5,7 +5,7 @@ equation admits several inequivalent solutions inducing the same Lagrangian
 density: minimal graphs sharing an area density (:mod:`.minimal_graphs`),
 Calabi's band-metric Lagrangian from extremal isosystolic geometry
 (:mod:`.calabi`), and constant-energy harmonic maps between spheres
-(:mod:`.harmonic`, :mod:`.sphere_maps`).  Exact rational arithmetic is used
+(:mod:`.poly`, :mod:`.harmonic`, :mod:`.sphere_maps`).  Exact rational arithmetic is used
 wherever a statement is exact; everything else is checked against stated
 double-precision tolerances.
 """
@@ -28,10 +28,10 @@ _EXPORTS = {
         "compatibility_extract", "el_residual", "ellipse_param", "lagrangian_L",
         "theta_gradient_calabi", "third_order_residual", "two_theta_candidates",
     ),
+    "poly": ("HarmonicElement", "Poly", "dim_harmonics"),
     "harmonic": (
-        "HarmonicElement", "Poly", "SpectralParams", "a_sequence",
-        "admissible_lambda", "b_coeff", "dim_harmonics", "dot", "identity_suite",
-        "inner", "so_action", "vee",
+        "SpectralParams", "a_sequence", "admissible_lambda", "b_coeff", "dot",
+        "identity_suite", "inner", "so_action", "vee",
     ),
     "sphere_maps": (
         "GramMatrix", "HarmonicBasis", "KernelCertificate", "SphericalHarmonicMap",

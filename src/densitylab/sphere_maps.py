@@ -63,42 +63,60 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Real
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotOnSphere,
-    NotPSD,
-    ParamViolation,
-)
-from .harmonic import (
-    HarmonicElement,
-    Poly,
-    _SLOT_MASK,
-    _add_product,
-    _difference,
-    _every_slot,
-    _fischer,
-    _fischer_weight,
-    _fischer_weights,
-    _getter,
-    _harmonic_part,
-    _packed_monomials,
-    _require_integers,
-    _require_slot_room,
-    _scaled,
-    _shifts,
-    _unpack,
-    dim_harmonics,
-)
+from .errors import DimensionMismatch, NotOnSphere, NotPSD, ParamViolation
+from .poly import (HarmonicElement, Poly, _SLOT_MASK, _add_product, _difference, _every_slot,
+                   _fischer, _fischer_weight, _fischer_weights, _getter, _harmonic_part,
+                   _packed_monomials, _place, _require_integers, _require_slot_room, _scaled,
+                   _shifts, _unpack, dim_harmonics)
 
 _ZERO = Fraction(0)   # immutable, so one object serves every zero entry
+
+
+class _Frozen:
+    """The value semantics of a frozen dataclass, for a record that keeps
+    cached_property values (in vars(), which no assignment reaches).
+
+    __init__ takes the _fields in order, and no field can be assigned or
+    deleted afterwards; equality (with an instance of its own class only),
+    hash and repr read the _compared fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(self._fields)}; got {len(values)} values")
+        vars(self).update(zip(self._fields, values))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._compared, self._key()))
+        return f"{type(self).__qualname__}({shown})"
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +267,7 @@ def _exact_cores(blocks: "_Blocks", chosen: list[int]):
 # Gram matrices
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Symmetric matrix of exact rationals in basis coordinates."""
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -346,8 +363,7 @@ class GramMatrix:
         return witness is None, witness
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
+class KernelCertificate(_Frozen):
     """The kernel of h on symmetric D x D matrices: its certified dimension,
     and its exact basis built on request.
 
@@ -361,9 +377,11 @@ class KernelCertificate:
     and at (b, a) being num / den.
     """
 
+    _fields = ("D", "dimension", "harmonics")
+    _compared = ("D", "dimension")   # harmonics is neither shown nor compared
     D: int
     dimension: int
-    harmonics: HarmonicBasis = field(repr=False, compare=False)
+    harmonics: HarmonicBasis
 
     @cached_property
     def elements(self) -> tuple[tuple[int, tuple[tuple[tuple[int, int], int], ...]], ...]:
@@ -379,8 +397,7 @@ class KernelCertificate:
 # harmonic bases
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HarmonicBasis:
+class HarmonicBasis(_Frozen):
     """Orthogonal basis of degree-m harmonics with exact norm data.
 
     invariant_c is the exact rational with sum_a h_a^2 / n_a = c R^m,
@@ -390,6 +407,7 @@ class HarmonicBasis:
     computation rational).
     """
 
+    _fields = _compared = ("n_ambient", "m", "elements", "norms", "invariant_c")
     n_ambient: int
     m: int
     elements: tuple[HarmonicElement, ...]
@@ -426,7 +444,7 @@ def basis_Hm(n_ambient: int, m: int) -> HarmonicBasis:
     """Deterministic orthogonal basis of degree-m harmonics on R^n_ambient.
 
     The harmonic part of each monomial x^e, in graded-lex order (closed
-    form, see harmonic._harmonic_part, on dense degree lists), is
+    form, see poly._harmonic_part, on dense degree lists), is
     Gram-Schmidt orthogonalized without normalization against the kept
     elements of its parity class, whose supports are disjoint from other
     classes'.  The steps are fraction-free on integer numerators
@@ -563,18 +581,25 @@ def _product_layout(n_ambient: int, m: int
     low = _every_slot(n_ambient, 1)
     classes: dict[int, int] = {}
     rows: list[int] = []
-    place: dict[int, tuple[int, int]] = {}
+    # per degree-2m monomial, in order: its place in its class, and its class
+    row_of, class_of = [], []
     for e in _packed_monomials(n_ambient, 2 * m):
         c = classes.setdefault(e & low, len(classes))
         if c == len(rows):
             rows.append(0)
-        place[e] = (rows[c], c)
+        row_of.append(rows[c])
+        class_of.append(c)
         rows[c] += 1
-    monos = _packed_monomials(n_ambient, m)
-    table = np.array([[place[e + f] for f in monos] for e in monos],
-                     dtype=np.intp).reshape(len(monos), len(monos), 2)
-    table.flags.writeable = False   # cached, so shared by every caller
-    return {e: i for i, e in enumerate(monos)}, table[..., 0], table[..., 1], tuple(rows)
+    # product[i, j] = product[j, i]: the place of x^(e_i + e_j), i <= j read
+    monos, place = _packed_monomials(n_ambient, m), _place(n_ambient, 2 * m)
+    upper = np.triu_indices(len(monos))   # row by row, as the pairs are read
+    product = np.empty((len(monos), len(monos)), dtype=np.intp)
+    product[upper] = [place[e + f] for i, e in enumerate(monos) for f in monos[i:]]
+    product[upper[::-1]] = product[upper]
+    row, parity = (np.array(v, dtype=np.intp)[product] for v in (row_of, class_of))
+    for table in (row, parity):
+        table.flags.writeable = False   # cached, so shared by every caller
+    return {e: i for i, e in enumerate(monos)}, row, parity, tuple(rows)
 
 
 @lru_cache(maxsize=16)
@@ -643,13 +668,12 @@ class _Blocks:
             raise ParamViolation("basis element of 2^15 terms or more: its term "
                                  "pairs could overflow an int64 entry")
         self.pa, self.pb, self.factor = _pair_arrays(len(nums))
-        block_cols: dict[int, list[int]] = {}
-        for j, cl in enumerate(parity[first[self.pa], first[self.pb]].tolist()):
-            block_cols.setdefault(cl, []).append(j)
         # per block, in class order: its row count and its columns, as
-        # places in _sym_pairs
-        self.blocks = [(class_rows[cl], np.array(cols, dtype=np.intp))
-                       for cl, cols in sorted(block_cols.items())]
+        # places in _sym_pairs, in order (a stable sort by class)
+        cls = parity[first[self.pa], first[self.pb]]
+        classes, counts = np.unique(cls, return_counts=True)
+        self.blocks = list(zip([class_rows[cl] for cl in classes.tolist()],
+                               np.split(np.argsort(cls, kind="stable"), np.cumsum(counts)[:-1])))
         self._nums: dict[Optional[int], np.ndarray] = {}
         self._scatter: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
@@ -823,8 +847,7 @@ def _kernel_elements(basis: HarmonicBasis
 # maps
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SphericalHarmonicMap:
+class SphericalHarmonicMap(NamedTuple):
     """Harmonic polynomial map with component sum of squares R^m, kept as
     the steps of its factorization.
 

@@ -398,7 +398,7 @@ def test_criterion_10_map_construction():
 # ----------------------------------------------------------------------
 
 def test_criterion_11_dimension_formula():
-    from densitylab.cli import _brute_harmonic_dim
+    from densitylab.cli_harmonic import _brute_harmonic_dim
     ok = True
     witness = None
     for n_amb in (3, 4, 5):

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from densitylab import cli, harmonic as ha, minimal_graphs as mg, sphere_maps as sm
+from densitylab import cli, cli_calabi, cli_harmonic, harmonic as ha, minimal_graphs as mg, poly
+from densitylab import sphere_maps as sm
 from densitylab.errors import ParamViolation, UsageError
 
 
@@ -83,7 +84,7 @@ class _BeyondRange:
 
 def test_calabi_branches_fails_when_no_trial_is_used(monkeypatch):
     # every phi value lands above pi/4, so every trial raises RangeViolation
-    monkeypatch.setattr(cli, "random", SimpleNamespace(Random=_BeyondRange))
+    monkeypatch.setattr(cli_calabi, "random", SimpleNamespace(Random=_BeyondRange))
     sc = cli.Scenario.from_config({"suite": "calabi", "mode": "branches",
                                    "params": {"trials": 20}, "seed": 0})
     report = cli.run(sc)
@@ -221,17 +222,17 @@ def test_harmonic_dims_certifies_the_laplacian_by_its_triangular_minor(monkeypat
             return super().add(x)
 
     monkeypatch.setattr(sm, "_IntegerRref", Counting)
-    assert cli._brute_harmonic_dim(7, 8) == ha.dim_harmonics(7, 8) and fed == []
+    assert cli_harmonic._brute_harmonic_dim(7, 8) == ha.dim_harmonics(7, 8) and fed == []
     # the geometer's sign puts -(b0+2)(b0+1) on the diagonal, so the check
     # fails and the rank of the same matrix comes from elimination
-    lowering = ha._lowering
+    lowering = poly._lowering
 
     def geometers(nvars, degree, step):
         get, mults, positions = lowering(nvars, degree, step)
         return get, tuple(-v for v in mults), positions
 
-    monkeypatch.setattr(ha, "_lowering", geometers)
-    assert cli._brute_harmonic_dim(4, 5) == ha.dim_harmonics(4, 5)
+    monkeypatch.setattr(poly, "_lowering", geometers)
+    assert cli_harmonic._brute_harmonic_dim(4, 5) == ha.dim_harmonics(4, 5)
     assert fed == [56]
 
 
@@ -412,6 +413,28 @@ def test_maps_kernel_and_verify_build_no_dense_kernel_matrix(monkeypatch):
                                        "params": params})
         report = cli.run(sc)
         assert report["overall"] == "pass", report["checks"]
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_maps_kernel_fails_a_dimension_off_the_closed_form(tmp_path, capsys,
+                                                           monkeypatch, off):
+    # h maps onto the degree-2m polynomials, so a certified dimension other
+    # than D(D+1)/2 - dim P_2m is a defect, reported with the same witness
+    report = sm.nonuniqueness_report
+
+    def one_off(n_amb, m):
+        rep = report(n_amb, m)
+        return {**rep, "kernel_dimension": rep["kernel_dimension"] + off * (m == 2)}
+
+    monkeypatch.setattr(sm, "nonuniqueness_report", one_off)
+    (tmp_path / "doc.json").write_text('{"params": {"cases": [[4, 1], [4, 2]]}}')
+    assert cli.main(["maps", "kernel", "--config", str(tmp_path / "doc.json"),
+                     "--out", str(tmp_path)]) == 1
+    checks = json.loads((tmp_path / "report_maps_kernel.json").read_text())["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("kernel[n_ambient=4,m=1]", "pass"), ("kernel[n_ambient=4,m=2]", "fail")]
+    assert json.loads(checks[1]["witness"])["kernel_dimension"] == 10 + off
+    assert "[FAIL] kernel[n_ambient=4,m=2]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("size", [(4, 1), (4, 2), (5, 2)])

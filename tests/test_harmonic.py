@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from densitylab import harmonic as ha
+from densitylab import harmonic as ha, poly
 from densitylab.errors import (
     DegreeMismatch,
     DegreeViolation,
@@ -22,6 +22,20 @@ from densitylab.harmonic import HarmonicElement, Poly
 
 def x(i, n=3):
     return HarmonicElement(Poly.variable(n, i), 1)
+
+
+def random_harmonic(nvars, degree, rng, span=4):
+    """The harmonic part of a random small-integer homogeneous polynomial,
+    drawn as the identity suite draws its f and g."""
+    den, h = ha._random_harmonic(nvars, degree, rng, span)
+    return HarmonicElement(poly._from_components(nvars, den, {degree: h}), degree)
+
+
+def random_linear(nvars, rng, span=4):
+    """A random small-integer linear form, drawn as the identity suite draws
+    its a and b."""
+    coefficients = ha._random_linear(nvars, rng, span)
+    return HarmonicElement(poly._from_components(nvars, 1, {1: coefficients}), 1)
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +91,7 @@ def test_decompose_examples():
 def test_decompose_idempotent_on_harmonics():
     rng = random.Random(11)
     for n in (3, 4, 5):
-        f = ha.random_harmonic(n, 3, rng)
+        f = random_harmonic(n, 3, rng)
         assert harmonic_part(f.poly, 3) == f.poly
 
 
@@ -85,7 +99,7 @@ def test_decompose_reconstructs_exactly():
     rng = random.Random(13)
     for n in (3, 4):
         for d in (2, 3, 4, 5, 6):
-            terms = {e: rng.randint(-9, 9) for e in ha.monomial_exponents(n, d)}
+            terms = {e: rng.randint(-9, 9) for e in poly.monomial_exponents(n, d)}
             p = Poly(n, terms)
             if p.is_zero():
                 continue
@@ -102,7 +116,7 @@ def test_every_shell_is_harmonic_and_the_shells_rebuild_p():
     for n in range(3, 7):
         R = Poly.radius_squared(n)
         for d in range(9):
-            p = Poly(n, {e: rng.randint(-9, 9) for e in ha.monomial_exponents(n, d)})
+            p = Poly(n, {e: rng.randint(-9, 9) for e in poly.monomial_exponents(n, d)})
             if p.is_zero():
                 continue
             shells, rest = [], p
@@ -124,7 +138,7 @@ def test_every_shell_is_harmonic_and_the_shells_rebuild_p():
 @settings(max_examples=60, deadline=None)
 def test_decompose_property(coeffs):
     # p = H[p] + R r with Delta H[p] = 0, exactly, for arbitrary integer quartics
-    exps = ha.monomial_exponents(3, 4)
+    exps = poly.monomial_exponents(3, 4)
     p = Poly(3, dict(zip(exps, coeffs)))
     if p.is_zero():
         return
@@ -154,8 +168,8 @@ def test_normalization_identity_random():
     rng = random.Random(5)
     for n in (3, 4, 5):
         for d in (1, 2, 3, 4):
-            f = ha.random_harmonic(n, d, rng)
-            xi = ha.random_linear(n, rng)
+            f = random_harmonic(n, d, rng)
+            xi = random_linear(n, rng)
             lhs = (xi.poly * f.poly).scale(n + 2 * d - 2)
             rhs = ha.vee(f, xi).poly \
                 + Poly.radius_squared(n) * f.poly.directional(xi.poly)
@@ -172,8 +186,8 @@ def test_so_action_examples():
 def test_so_action_preserves_harmonicity():
     rng = random.Random(6)
     for _ in range(10):
-        f = ha.random_harmonic(4, 3, rng)
-        a, b = ha.random_linear(4, rng), ha.random_linear(4, rng)
+        f = random_harmonic(4, 3, rng)
+        a, b = random_linear(4, rng), random_linear(4, rng)
         out = ha.so_action(a, b, f)
         assert out.poly.analyst_laplacian().is_zero()
         assert out.poly.is_zero() or out.poly.homogeneous_degree() == 3
@@ -210,8 +224,8 @@ def test_inner_equals_laplacian_form_on_random_harmonics():
     for n in (3, 4, 5):
         for d in range(5):
             for _ in range(3):
-                f = ha.random_harmonic(n, d, rng)
-                g = ha.random_harmonic(n, d, rng)
+                f = random_harmonic(n, d, rng)
+                g = random_harmonic(n, d, rng)
                 assert ha.inner(f, g) == laplacian_inner(f, g)
                 assert ha.inner(f, f) == laplacian_inner(f, f) > 0
             # a rational multiple, so that denominators take part
@@ -253,7 +267,7 @@ def naive_directional(p, xi):
 
 def random_rational_poly(n, d, rng, density=0.6):
     terms = {}
-    for e in ha.monomial_exponents(n, d):
+    for e in poly.monomial_exponents(n, d):
         if rng.random() < density:
             terms[e] = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 6)))
     return Poly(n, terms)
@@ -293,9 +307,9 @@ def dict_directional(nums, xi):
     """nums . xi over key -> int dicts, a term of xi at a time."""
     out = {}
     for ex, b in xi.items():
-        s = (ex.bit_length() - 1) // ha.SLOT_BITS * ha.SLOT_BITS
+        s = (ex.bit_length() - 1) // poly.SLOT_BITS * poly.SLOT_BITS
         for e, a in nums.items():
-            j = e >> s & ha._SLOT_MASK
+            j = e >> s & poly._SLOT_MASK
             if j:
                 out[e - (1 << s)] = out.get(e - (1 << s), 0) + a * j * b
     return {e: v for e, v in out.items() if v}
@@ -304,9 +318,9 @@ def dict_directional(nums, xi):
 def dict_laplacian(nums, n):
     """sum_i d_i d_i over a key -> int dict, a variable at a time."""
     out = {}
-    for s in ha._shifts(n):
+    for s in poly._shifts(n):
         for e, v in nums.items():
-            k = (e >> s) & ha._SLOT_MASK
+            k = (e >> s) & poly._SLOT_MASK
             if k > 1:
                 out[e - (2 << s)] = out.get(e - (2 << s), 0) + v * k * (k - 1)
     return {e: v for e, v in out.items() if v}
@@ -321,7 +335,7 @@ def dict_product(nums1, nums2):
 
 
 def dict_fischer(nums1, nums2):
-    return sum(ha._fischer_weight(e) * a * nums2[e] for e, a in nums1.items() if e in nums2)
+    return sum(poly._fischer_weight(e) * a * nums2[e] for e, a in nums1.items() if e in nums2)
 
 
 def per_degree(nums, n, kernel, shift):
@@ -345,16 +359,22 @@ def integer_polys(draw, n, max_degree=8):
     return {e: v for e, v in nums.items() if v}
 
 
+def times_linear(v, nvars, degree, xi):
+    """xi v for a degree list v and the coefficients xi of a linear form:
+    one raising gather-sum over the list's scaled copies."""
+    return poly._gather_sum(nvars, ((degree, 1),))(poly._copies(v, xi))
+
+
 def unfused_vee(v, n, k, xi, vdx):
     """(n + 2k - 2) xi v - R vdx, a product and a scaling at a time."""
     return [(n + 2 * k - 2) * s - r for s, r in
-            zip(ha._times_linear(v, n, k, xi), ha._times_R(vdx, n, k - 1))]
+            zip(times_linear(v, n, k, xi), poly._times_R(vdx, n, k - 1))]
 
 
 def unfused_rotation(n, k, a, b, fda, fdb):
     """a fdb - b fda, two products and a difference."""
-    return [s - r for s, r in zip(ha._times_linear(fdb, n, k - 1, a),
-                                  ha._times_linear(fda, n, k - 1, b))]
+    return [s - r for s, r in zip(times_linear(fdb, n, k - 1, a),
+                                  times_linear(fda, n, k - 1, b))]
 
 
 @given(st.data(), st.integers(3, 8))
@@ -363,25 +383,25 @@ def test_dense_kernels_match_the_dict_loops(data, n):
     max_degree = 8 if n <= 6 else 5
     p, q = data.draw(integer_polys(n, max_degree)), data.draw(integer_polys(n, max_degree))
     xi, eta = (data.draw(st.lists(BIG, min_size=n, max_size=n)) for _ in range(2))
-    xi_dict = {ha._unit(n, i, 1): b for i, b in enumerate(xi) if b}
+    xi_dict = {poly._unit(n, i, 1): b for i, b in enumerate(xi) if b}
     R = Poly.radius_squared(n).nums
     assert per_degree(p, n, lambda v, n, k: ha._directional(v, n, k, xi), -1) == \
         dict_directional(p, xi_dict)
-    assert per_degree(p, n, ha._laplacian, -2) == dict_laplacian(p, n)
-    assert per_degree(p, n, lambda v, n, k: ha._times_linear(v, n, k, xi), 1) == \
+    assert per_degree(p, n, poly._laplacian, -2) == dict_laplacian(p, n)
+    assert per_degree(p, n, lambda v, n, k: times_linear(v, n, k, xi), 1) == \
         dict_product(xi_dict, p)
     for i in range(n):
         unit = [int(j == i) for j in range(n)]
-        assert per_degree(p, n, lambda v, n, k: ha._times_linear(v, n, k, unit), 1) == \
-            dict_product({ha._unit(n, i, 1): 1}, p)
-    assert per_degree(p, n, ha._times_R, 2) == dict_product(R, p)
+        assert per_degree(p, n, lambda v, n, k: times_linear(v, n, k, unit), 1) == \
+            dict_product({poly._unit(n, i, 1): 1}, p)
+    assert per_degree(p, n, poly._times_R, 2) == dict_product(R, p)
     ps, qs = ha._components(p, n), ha._components(q, n)
     assert sum(ha._fischer(v, qs[k], ha._fischer_weights(n, k))
                for k, v in ps.items() if k in qs) == dict_fischer(p, q)
     # the empty list of degree -1 lowers to nothing and raises to zeros
-    assert ha._directional([], n, -1, xi) == ha._laplacian([], n, -1) == []
-    assert ha._times_linear([], n, -1, xi) == [0]
-    assert ha._times_R([], n, -1) == [0] * n
+    assert ha._directional([], n, -1, xi) == poly._laplacian([], n, -1) == []
+    assert times_linear([], n, -1, xi) == [0]
+    assert poly._times_R([], n, -1) == [0] * n
     # the one-pass vee and rotation against their compositions, on p's
     # degrees, degree 0 and the empty degree -1 list, with vdx taken from q
     # so that it need not be v . xi
@@ -405,11 +425,11 @@ def test_compact_raising_tables_pad_each_group_to_the_largest(n):
     # the group size is the largest support, so no column is only pads
     for step in (1, 2):
         for degree in range(-1, 7 if n <= 5 else 4):
-            positions, size = ha._raising(n, degree, step)
+            positions, size = poly._raising(n, degree, step)
             assert size == min(n, (degree + step) // step)
-            sources = ha.monomial_exponents(n, degree)
+            sources = poly.monomial_exponents(n, degree)
             place = {e: j for j, e in enumerate(sources)}
-            targets = ha.monomial_exponents(n, degree + step)
+            targets = poly.monomial_exponents(n, degree + step)
             assert len(positions) == len(targets) * size
             groups = [positions[j * size:(j + 1) * size] for j in range(len(targets))]
             for t, g in zip(targets, groups):
@@ -522,7 +542,7 @@ def test_scale_round_trip_is_the_same_poly(data, n):
 
 def test_canonical_form_examples():
     # nums is keyed by packed exponents: x0 in the high slot, x1 in the low
-    x0, x1 = 1 << ha.SLOT_BITS, 1
+    x0, x1 = 1 << poly.SLOT_BITS, 1
     p = Poly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
     assert (p.den, p.nums) == (6, {x0: 3, x1: 2})
     two_x = p + Poly(2, {(1, 0): Fraction(3, 2), (0, 1): Fraction(-1, 3)})
@@ -538,15 +558,15 @@ def test_canonical_form_examples():
 @given(st.data(), st.integers(1, 6))
 @settings(max_examples=100, deadline=None)
 def test_key_order_is_lexicographic_order(data, n):
-    top = (1 << ha.SLOT_BITS) - 1
+    top = (1 << poly.SLOT_BITS) - 1
     exps = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=20))
-    assert sorted(ha._pack(n, e) for e in exps) == [ha._pack(n, e) for e in sorted(exps)]
-    shifts = ha._shifts(n)
-    assert [ha._unpack(ha._pack(n, e), shifts) for e in exps] == exps
+    assert sorted(poly._pack(n, e) for e in exps) == [poly._pack(n, e) for e in sorted(exps)]
+    shifts = poly._shifts(n)
+    assert [poly._unpack(poly._pack(n, e), shifts) for e in exps] == exps
 
 
 def test_product_that_could_carry_between_slots_raises():
-    top = 1 << (ha.SLOT_BITS - 1)
+    top = 1 << (poly.SLOT_BITS - 1)
     below = Poly(2, {(top - 1, 0): 1, (0, top - 1): 1})
     square = below * below      # 2 (2^15 - 1) still fits a slot
     assert square.terms == {(2 * top - 2, 0): 1, (top - 1, top - 1): 2,
@@ -613,10 +633,10 @@ def test_harmonic_parts_are_peeled_without_the_remainder(monkeypatch, fresh_base
     from densitylab import sphere_maps as sm
     parts = recording(monkeypatch, ha, "_harmonic_part")
     monkeypatch.setattr(sm, "_harmonic_part", ha._harmonic_part)
-    r_products = recording(monkeypatch, ha, "_times_R")
+    r_products = recording(monkeypatch, poly, "_times_R")
     rng = random.Random(3)
     for n, d in [(3, 4), (4, 5), (5, 4), (3, 2)]:
-        ha.random_harmonic(n, d, rng)
+        random_harmonic(n, d, rng)
     # the closed form by Horner takes K = d // 2 products by R, 7 here,
     # where peeling the shells one at a time takes K(K + 1)/2, 10 here;
     # each is one gather on a degree list
@@ -655,8 +675,8 @@ def random_stream_digest():
     for seed in range(10):
         for n in range(3, 7):
             rng_h, rng_l = random.Random(seed), random.Random(seed)
-            draws = [ha.random_harmonic(n, d, rng_h) for d in range(7)]
-            draws.append(ha.random_linear(n, rng_l))
+            draws = [random_harmonic(n, d, rng_h) for d in range(7)]
+            draws.append(random_linear(n, rng_l))
             for h in draws:
                 digest.update(repr((h.poly.den, h.poly.sorted_terms())).encode())
             digest.update(repr((rng_h.getrandbits(32), rng_l.getrandbits(32))).encode())
@@ -685,7 +705,7 @@ def test_identity_suite_passes():
 
 def test_identity_suite_zero_linear_form():
     # alpha = 0 makes every side vanish; check directly on the identities
-    f = ha.random_harmonic(3, 2, random.Random(10))
+    f = random_harmonic(3, 2, random.Random(10))
     zero = HarmonicElement(Poly.zero(3), 1)
     assert ha.vee(f, zero).poly.is_zero()
     assert ha.dot(f, zero).poly.is_zero()
@@ -733,9 +753,9 @@ def suite_trial(n, d, seed):
     """f, a, b, g of trial 0 of identity_suite(n, d, ..., seed), drawn in
     the suite's order."""
     rng = random.Random(seed)
-    f = ha.random_harmonic(n, d, rng)
-    a, b = ha.random_linear(n, rng), ha.random_linear(n, rng)
-    return f, a, b, ha.random_harmonic(n, d + 1, rng)
+    f = random_harmonic(n, d, rng)
+    a, b = random_linear(n, rng), random_linear(n, rng)
+    return f, a, b, random_harmonic(n, d + 1, rng)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -893,8 +913,8 @@ def test_spectral_dichotomy_sweep():
 def brute_dim(n_amb, m):
     """Kernel rank of the Laplacian on degree-m monomials, via sympy."""
     xs = sp.symbols(f"x0:{n_amb}")
-    monos = ha.monomial_exponents(n_amb, m)
-    target = ha.monomial_exponents(n_amb, max(m - 2, 0))
+    monos = poly.monomial_exponents(n_amb, m)
+    target = poly.monomial_exponents(n_amb, max(m - 2, 0))
     rows = []
     for e in monos:
         mono = sp.prod(v ** k for v, k in zip(xs, e))
@@ -929,7 +949,32 @@ def test_dim_matches_ambient_shell_sum():
             assert total == ha.dim_harmonics(n + 1, m)
 
 
+def reference_exponents(nvars, degree):
+    """The exponent tuples of the given total degree in graded-lex order, as
+    the library listed them before it packed keys by shifts: the tuples of
+    each remaining degree over the last k variables, a variable at a time."""
+    tails = {r: [(r,)] for r in range(degree + 1)}
+    for _ in range(nvars - 1):
+        tails = {r: [(j, *t) for j in range(r, -1, -1) for t in tails[r - j]]
+                 for r in range(degree + 1)}
+    return tails.get(degree, [])
+
+
+def test_packed_monomials_are_the_packed_reference_tuples_in_order():
+    # keys generated by shifts, without _pack's checks, against _pack of the
+    # reference tuples: the same keys in the same order
+    for nvars in range(1, 9):
+        for degree in range(-2, 9 if nvars <= 7 else 7):
+            want = reference_exponents(nvars, degree)
+            assert poly._packed_monomials(nvars, degree) == \
+                tuple(poly._pack(nvars, e) for e in want)
+            assert poly.monomial_exponents(nvars, degree) == want
+    with pytest.raises(DegreeViolation, match="16-bit slot"):
+        poly._packed_monomials(1, 1 << 16)
+    assert poly._packed_monomials(1, (1 << 16) - 1) == ((1 << 16) - 1,)
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 @pytest.mark.parametrize("degree", [-1, -2])
 def test_monomial_exponents_empty_for_negative_degree(nvars, degree):
-    assert ha.monomial_exponents(nvars, degree) == []
+    assert poly.monomial_exponents(nvars, degree) == []

@@ -2,8 +2,9 @@
 
 The import checks run in a fresh interpreter, so that the modules pytest and
 the other tests have loaded cannot hide an import.  The records that a
-harmonic or calabi process builds are NamedTuples, not dataclasses, and keep
-the value semantics the dataclasses had.
+harmonic, calabi or maps process builds are not dataclasses, and keep the
+value semantics the dataclasses had: NamedTuples, and for the two sphere-map
+records that keep cached values, plain classes.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import densitylab
-from densitylab import calabi as cb, harmonic as ha
+from densitylab import calabi as cb, harmonic as ha, sphere_maps as sm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -70,8 +71,9 @@ def test_harmonic_verdicts_never_import_numpy(tmp_path):
         "codes = [cli.main(['harmonic', mode, '--out', sys.argv[1]])\n"
         "         for mode in ('identities', 'spectrum', 'dims')]\n"
         f"print(json.dumps([codes, {_LOADED}]))\n", str(tmp_path))
-    assert loaded == [[0, 0, 0], ["densitylab", "densitylab.cli", "densitylab.errors",
-                               "densitylab.harmonic", "densitylab.tolerances"]]
+    assert loaded == [[0, 0, 0], ["densitylab", "densitylab.cli", "densitylab.cli_harmonic",
+                               "densitylab.errors", "densitylab.harmonic", "densitylab.poly",
+                               "densitylab.tolerances"]]
 
 
 def test_a_package_export_imports_only_its_module():
@@ -79,7 +81,7 @@ def test_a_package_export_imports_only_its_module():
                     "import densitylab\n"
                     "densitylab.Poly\n"
                     f"print(json.dumps({_LOADED}))\n")
-    assert loaded == ["densitylab", "densitylab.errors", "densitylab.harmonic"]
+    assert loaded == ["densitylab", "densitylab.errors", "densitylab.poly"]
 
 
 @pytest.mark.parametrize("suite,module", [
@@ -110,12 +112,13 @@ _ONE_DOCUMENT = {
     ("families", "minimal_graphs", {"argparse", "csv"}),
     ("calabi", "calabi", {"argparse", "csv", "dataclasses"}),
     ("harmonic", "harmonic", {"argparse", "csv", "dataclasses", "inspect"}),
-    ("maps", "sphere_maps", {"argparse", "csv"})])
+    ("maps", "sphere_maps", {"argparse", "csv", "dataclasses"})])
 def test_a_document_loads_no_module_its_verdicts_do_not_use(suite, module, unused):
     # argparse serves the command line and csv families sample's tables;
     # dataclasses (with inspect, ast, dis and tokenize) serves no record of
-    # harmonic or calabi, and numpy, which harmonic never loads, is what
-    # brings inspect into the other suites
+    # harmonic, calabi or maps, and numpy, which harmonic never loads, is
+    # what brings inspect into the other suites; only minimal_graphs' records
+    # are dataclasses
     bare = _fresh("import json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
     loaded = _fresh("import json, sys\n"
                     "from densitylab import cli\n"
@@ -125,6 +128,59 @@ def test_a_document_loads_no_module_its_verdicts_do_not_use(suite, module, unuse
                     json.dumps(_ONE_DOCUMENT[suite]))
     assert f"densitylab.{module}" in loaded
     assert unused & (set(loaded) - set(bare)) == set()
+
+
+# suite -> numpy and the densitylab modules one document of it loads: the
+# suite's own handler module and its suite's modules, and no other suite's
+_SUITE_LOADS = {
+    "families": ["densitylab", "densitylab.cli", "densitylab.cli_families",
+                 "densitylab.errors", "densitylab.jets", "densitylab.minimal_graphs",
+                 "densitylab.tolerances", "numpy"],
+    "calabi": ["densitylab", "densitylab.calabi", "densitylab.cli", "densitylab.cli_calabi",
+               "densitylab.errors", "densitylab.jets", "densitylab.tolerances", "numpy"],
+    "harmonic": ["densitylab", "densitylab.cli", "densitylab.cli_harmonic",
+                 "densitylab.errors", "densitylab.harmonic", "densitylab.poly",
+                 "densitylab.tolerances"],
+    "maps": ["densitylab", "densitylab.cli", "densitylab.cli_maps", "densitylab.errors",
+             "densitylab.poly", "densitylab.sphere_maps", "densitylab.tolerances", "numpy"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_LOADS))
+def test_a_document_loads_its_own_handlers_and_no_other_suite(suite):
+    # set-up imports them all: the verdict loads nothing more
+    loaded = _fresh("import json, sys\n"
+                    "from densitylab import cli\n"
+                    "sc = cli.Scenario.from_config(json.loads(sys.argv[1]))\n"
+                    f"ready = {_LOADED}\n"
+                    "assert json.loads(cli.report_body(cli.run(sc)))['overall'] == 'pass'\n"
+                    f"print(json.dumps([ready, {_LOADED}]))\n",
+                    json.dumps(_ONE_DOCUMENT[suite]))
+    assert loaded == [_SUITE_LOADS[suite]] * 2
+
+
+def test_a_scenario_built_by_hand_imports_its_handlers_when_run():
+    loaded = _fresh("import json, sys\n"
+                    "from densitylab import cli\n"
+                    "sc = cli.Scenario('harmonic', 'dims',\n"
+                    "                  {'ambient_dims': [3], 'max_degree': 2})\n"
+                    f"before = {_LOADED}\n"
+                    "overall = cli.run(sc)['overall']\n"
+                    f"print(json.dumps([before, overall, {_LOADED}]))\n")
+    assert loaded == [["densitylab", "densitylab.cli", "densitylab.errors",
+                       "densitylab.tolerances"], "pass", _SUITE_LOADS["harmonic"]]
+
+
+def test_a_malformed_document_loads_no_suite(tmp_path):
+    # the mode table names the handlers, so checking a document needs none
+    (tmp_path / "doc.json").write_text('{"params": {"cases": [[4]]}}')
+    loaded = _fresh("import json, sys\n"
+                    "from densitylab import cli\n"
+                    "code = cli.main(['maps', 'kernel', '--config', sys.argv[1]])\n"
+                    f"print(json.dumps([code, {_LOADED}]))\n",
+                    str(tmp_path / "doc.json"))
+    assert loaded == [2, ["densitylab", "densitylab.cli", "densitylab.errors",
+                          "densitylab.tolerances"]]
 
 
 @pytest.mark.parametrize("make,text", [
@@ -139,19 +195,50 @@ def test_a_document_loads_no_module_its_verdicts_do_not_use(suite, module, unuse
     (lambda: cb.CompatibilityData((1.0, 2.0), (3.0, 4.0), (5.0, 6.0), 0.5, 0.25, 0.125),
      "CompatibilityData(omega1=(1.0, 2.0), omega2=(3.0, 4.0), omega3=(5.0, 6.0), "
      "A1=0.5, A2=0.25, A3=0.125)"),
+    (lambda: sm.GramMatrix.diagonal([1, Fraction(1, 2)]),
+     "GramMatrix(entries=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))))"),
+    (lambda: sm.canonical_exact_map(3, 1),
+     "SphericalHarmonicMap(n_ambient=3, m=1, steps=((Poly(1*x0^1), Fraction(1, 1), (1,)), "
+     "(Poly(1*x1^1), Fraction(1, 1), (1,)), (Poly(1*x2^1), Fraction(1, 1), (1,))))"),
+    (lambda: sm._kernel_certificate(4, 1), "KernelCertificate(D=4, dimension=0)"),
+    (lambda: sm._build_basis(3, 1),
+     "HarmonicBasis(n_ambient=3, m=1, elements=(HarmonicElement(poly=Poly(1*x0^1), degree=1), "
+     "HarmonicElement(poly=Poly(1*x1^1), degree=1), HarmonicElement(poly=Poly(1*x2^1), "
+     "degree=1)), norms=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)), "
+     "invariant_c=Fraction(1, 1))"),
 ], ids=["SpectralParams", "HarmonicElement", "ASequence", "GradientPair",
-        "CompatibilityData"])
+        "CompatibilityData", "GramMatrix", "SphericalHarmonicMap", "KernelCertificate",
+        "HarmonicBasis"])
 def test_a_record_keeps_its_equality_hash_immutability_and_repr(make, text):
+    # each repr is the text the record gave as a frozen dataclass
     record, twin = make(), make()
     assert record == twin and record is not twin
     assert hash(record) == hash(twin) and len({record, twin}) == 1
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(twin, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     assert repr(record) == text
-    # what changed when the records stopped being dataclasses: they are
-    # tuples, so they iterate, have a length and equal a plain tuple
-    assert record == tuple(record) and len(record) == len(record._fields)
+    if isinstance(record, tuple):
+        # what changed when the records stopped being dataclasses: they are
+        # tuples, so they iterate, have a length and equal a plain tuple
+        assert record == tuple(record) and len(record) == len(record._fields)
+    else:
+        # a plain class, as a dataclass was: equal to its own class only
+        assert record != tuple(getattr(record, name) for name in record._fields)
+
+
+def test_a_kernel_certificate_neither_shows_nor_compares_its_basis():
+    # as the dataclass field(repr=False, compare=False) did; elements, a
+    # cached_property, is still kept on the frozen instance
+    small, large = sm.basis_Hm(4, 1), sm.basis_Hm(4, 2)
+    assert sm.KernelCertificate(4, 0, small) == sm.KernelCertificate(4, 0, large)
+    assert hash(sm.KernelCertificate(4, 0, small)) == hash(sm.KernelCertificate(4, 0, large))
+    assert sm.KernelCertificate(4, 0, small) != sm.KernelCertificate(4, 1, small)
+    kernel = sm._kernel_certificate(4, 2)
+    assert kernel.elements is kernel.elements and len(kernel.elements) == kernel.dimension
+    assert "harmonics" not in repr(kernel)
 
 
 def test_every_eager_export_is_still_exported():
