@@ -109,12 +109,10 @@ def _families_period(sc: Scenario) -> list[dict]:
     for (a, c) in sc.args["pairs"]:
         tag = f"a={a},c={c}"
         try:
-            # the three periods of period_sigma, on one loop: each node of
-            # the pair's throat loop is evaluated once for all of them
-            loop = mg._ThroatLoop(a, c)
-            lam = loop.period(1, tol["quadrature"], 64)
-            lam2 = loop.period(1, tol["quadrature"], 1024)
-            lamf = loop.period(-1, tol["quadrature"], 64)
+            # the three periods of period_sigma, on one loop: the nodes of
+            # the finest level they read are evaluated once, in one pass
+            lam, lam2, lamf = mg._ThroatLoop(a, c).periods(
+                tol["quadrature"], (1, 64), (1, 1024), (-1, 64))
             checks.append(_check(f"period_nonzero[{tag}]", abs(lam) > 1e-3, abs(lam)))
             checks.append(_check(f"period_refinement[{tag}]",
                                  abs(lam - lam2) < 10 * tol["quadrature"],
@@ -182,6 +180,15 @@ def _write_field(rows: list, field_name: str, out_path: Path, fmt: str) -> Path:
     return out_path
 
 
+def _read_field(path: Path, fmt: str) -> list:
+    """The rows of a table that _write_field wrote, as read back."""
+    if fmt == "json":
+        return json.loads(path.read_text())["rows"]
+    import csv
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 def _families_sample(sc: Scenario, out_dir: Path,
                      fmt: str = "csv") -> tuple[list[dict], list[str]]:
     """The field over the scenario grid, [x, y, value] in y-major order where
@@ -202,4 +209,13 @@ def _families_sample(sc: Scenario, out_dir: Path,
     fmt = "json" if fmt == "json" else "csv"
     path = _write_field(rows, name, out_dir / f"field_{name}.{fmt}", fmt)
     witness = f"{path}; {sum(dropped.values())} grid points dropped{_tally(dropped)}"
-    return [_check(f"sample_emitted[{name}]", True, witness=witness)], [str(path)]
+    # the table read back holds a finite row per grid point kept
+    written = _read_field(path, fmt)
+    kept = len(xs) * len(ys) - sum(dropped.values())
+    bad = sum(not math.isfinite(float(v)) for row in written for v in row)
+    if len(written) != kept:
+        witness += f"; {len(written)} rows written of {kept} kept"
+    if bad:
+        witness += f"; {bad} non-finite values"
+    return [_check(f"sample_emitted[{name}]", len(written) == kept and not bad,
+                   witness=witness)], [str(path)]

@@ -586,7 +586,8 @@ class _ThroatLoop:
     evaluated so far; a coarser level is a stride through it, and a finer
     one evaluates only its new nodes.  So each node's doubled angle and
     quadrature weight are evaluated once, whatever the order of the levels
-    asked for.
+    asked for.  The periods evaluate the finest level they read first, so
+    the nodes come in one numpy pass, and each level is unwrapped once.
     """
 
     def __init__(self, a: float, c: float, x_section: float = 0.0):
@@ -599,6 +600,7 @@ class _ThroatLoop:
         self.zmax = math.sqrt(ap + c - 1.0)
         self.half = math.sqrt((ap + c - 1.0) / (2.0 * c))
         self._levels: dict[int, _Level] = {}   # odd part of n -> finest level
+        self._lifts: dict[int, np.ndarray] = {}   # n -> level n's lifted2()
 
     def chart(self, rho: np.ndarray) -> tuple[SurfacePoint, np.ndarray]:
         """The loop's points at the chart values rho, and cos rho."""
@@ -642,12 +644,16 @@ class _ThroatLoop:
         offset = 0.0 if seed_sign == 1 else math.pi
         n, prev = samples, None
         while n <= MAX_PERIOD_NODES:
+            if prev is None and 2 * n <= MAX_PERIOD_NODES:
+                self.level(2 * n)   # T_n is compared with T_2n: one pass for both
             level = self.level(n)
-            try:
-                lifted2 = level.lifted2()
-            except LiftAmbiguity:
-                n, prev = 2 * n, None
-                continue
+            lifted2 = self._lifts.get(n)
+            if lifted2 is None:
+                try:
+                    lifted2 = self._lifts[n] = level.lifted2()
+                except LiftAmbiguity:
+                    n, prev = 2 * n, None
+                    continue
             theta = 0.5 * lifted2 + offset
             residue = 2.0 * (theta[-1] - theta[0])
             if abs(residue) > 1e-9:
@@ -661,6 +667,14 @@ class _ThroatLoop:
             n, prev = 2 * n, value
         raise QuadratureFailure(
             f"throat period not within {tol:g} at {MAX_PERIOD_NODES} nodes")
+
+    def periods(self, tol: float, *requests: tuple[int, int]) -> list[float]:
+        """period(seed_sign, tol, samples) for each (seed_sign, samples)
+        request, in order, after one pass over the finest level they read."""
+        reads = [2 * s for _, s in requests if 2 * s <= MAX_PERIOD_NODES]
+        if reads:
+            self.level(max(reads))
+        return [self.period(sign, tol, samples) for sign, samples in requests]
 
 
 def _require_count(name: str, n) -> None:
@@ -745,11 +759,13 @@ def period_sigma(a: float, c: float, seed_sign: int = 1,
     at samples and doubles until |T_N - T_2N| < tol; a lift that is
     ambiguous on a coarse grid is refined the same way.
 
-    The nodes are nested: node k of N is node 2k of 2N bit for bit, so each
-    doubling evaluates only the N new nodes (Trefethen and Weideman, SIAM
-    Rev. 56 (2014)).  The loop of :class:`_ThroatLoop` keeps them, and
-    several periods of one pair asked of one loop (the families period
-    checks ask three) share every node they have in common.
+    The nodes are nested: node k of N is node 2k of 2N bit for bit
+    (Trefethen and Weideman, SIAM Rev. 56 (2014)), so level 2N is evaluated
+    first, in one pass, and level N is a stride through it.  The loop of
+    :class:`_ThroatLoop` keeps the nodes and each level's lift; several
+    periods of one pair asked of one loop (the families period checks ask
+    three) evaluate the finest level they read in one pass and share the
+    rest.
     """
     if seed_sign not in (1, -1):
         raise ParamViolation("seed_sign must be +1 or -1")

@@ -378,14 +378,27 @@ def test_basis_is_pinned_entry_for_entry(size):
 
 
 def test_basis_gram_schmidt_is_fraction_free(monkeypatch, fresh_bases):
-    from densitylab import harmonic as ha
+    # _build_basis orthogonalizes on integer lists: every list and factor it
+    # scales, subtracts and pairs, and every result, is made of Python ints
+    calls = []
 
-    def refuse(f, g):
-        raise AssertionError("inner was called")
+    def ints(value):
+        return all(type(v) is int for v in
+                   (value if isinstance(value, (list, tuple)) else [value]))
 
-    monkeypatch.setattr(ha, "inner", refuse)
-    assert not hasattr(sm, "inner")
+    def guarded(name, inner):
+        def guard(*args):
+            out = inner(*args)
+            assert all(map(ints, (*args, out))), (name, args, out)
+            calls.append(name)
+            return out
+        return guard
+
+    for name in ("_fischer", "_scaled", "_difference"):
+        monkeypatch.setattr(sm, name, guarded(name, getattr(sm, name)))
     assert basis_digest(sm.basis_Hm(5, 3)) == BASIS_DIGESTS[(5, 3)]
+    # each guard saw the build, so none of them can go dead unnoticed
+    assert set(calls) == {"_fischer", "_scaled", "_difference"}
 
 
 @pytest.mark.parametrize("read", [

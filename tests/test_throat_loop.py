@@ -10,7 +10,10 @@ differ from them in the last digit.
 """
 
 import hashlib
+import importlib
 import math
+import random
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitylab import cli, minimal_graphs as mg
-from densitylab.errors import DensityLabError, ParamViolation
+from densitylab.errors import (DensityLabError, LiftAmbiguity, ParamViolation,
+                               QuadratureFailure, Singularity)
 
 # (mode, params, grid) of a families document -> sha256 of its report body:
 # six pairs inside the strip, one per cell of a - c, a + c, then two where
@@ -108,31 +112,117 @@ def test_period_sigma_matches_the_recorded_values(pair):
     assert tuple(v.hex() for v in got) == PERIODS[pair]
 
 
-def _count_nodes(monkeypatch):
-    """Wrap cos_sin_two_theta; the returned list holds the nodes it saw."""
-    seen = [0]
-    inner = mg.cos_sin_two_theta
+def _count_passes(monkeypatch):
+    """Wrap _doubled_angle; the returned list holds the node count of each
+    call, one numpy pass over the nodes."""
+    passes = []
+    inner = mg._doubled_angle
 
-    def counted(a, c, p, **kwargs):
-        seen[0] += np.broadcast(p.x, p.y, p.z).size
-        return inner(a, c, p, **kwargs)
+    def counted(a, c, pts):
+        passes.append(np.broadcast(pts.x, pts.y, pts.z).size)
+        return inner(a, c, pts)
 
-    monkeypatch.setattr(mg, "cos_sin_two_theta", counted)
-    return seen
+    monkeypatch.setattr(mg, "_doubled_angle", counted)
+    return passes
 
 
 def test_a_period_document_evaluates_each_node_once(monkeypatch):
-    # at (1, 1) the three periods converge at 128, 2048 and 128 nodes: the
-    # 2049 nodes of the finest level, against 3462 when each call and each
-    # doubling evaluated its own
-    seen = _count_nodes(monkeypatch)
-    sc = cli.Scenario.from_config({"suite": "families", "mode": "period",
-                                   "params": {"pairs": [[1.0, 1.0]]}})
-    assert cli.run(sc)["overall"] == "pass"
-    assert seen[0] == 2049
-    seen[0] = 0
+    # the three periods converge at 128, 2048 and 128 nodes at (1, 1): the
+    # finest level, 2048, comes first as one pass of 2049 nodes, and the
+    # coarser levels are strides through it
+    passes = _count_passes(monkeypatch)
+    for pair in ([1.0, 1.0], [0.8, 0.5], [0.35, 0.95]):
+        sc = cli.Scenario.from_config({"suite": "families", "mode": "period",
+                                       "params": {"pairs": [pair]}})
+        assert cli.run(sc)["overall"] == "pass"
+        assert passes == [2049]
+        passes.clear()
+    # the default compares T_64 with T_128: one pass of 129 nodes
     mg.period_sigma(1.0, 1.0)
-    assert seen[0] == 129
+    assert passes == [129]
+
+
+# ----------------------------------------------------------------------
+# finest level first against the coarse-first order
+# ----------------------------------------------------------------------
+
+# the three periods a families period document asks of a pair's loop
+REQUESTS = ((1, 64), (1, 1024), (-1, 64))
+
+
+def _coarse_first_period(loop, seed_sign, tol, samples):
+    """_ThroatLoop.period as it ran with the levels evaluated coarsest
+    first: level n when the rule reaches it, lifted anew on every call."""
+    offset = 0.0 if seed_sign == 1 else math.pi
+    n, prev = samples, None
+    while n <= mg.MAX_PERIOD_NODES:
+        level = loop.level(n)
+        try:
+            lifted2 = level.lifted2()
+        except LiftAmbiguity:
+            n, prev = 2 * n, None
+            continue
+        theta = 0.5 * lifted2 + offset
+        residue = 2.0 * (theta[-1] - theta[0])
+        if abs(residue) > 1e-9:
+            raise LiftAmbiguity(
+                f"angle lift failed to close around the section loop "
+                f"(winding residue {residue:.3g})")
+        total = float(np.sum(np.sin(theta[:n]) / level.den[:n]))
+        value = 2.0 * math.sqrt(2.0) * 2.0 * math.pi * total / n
+        if prev is not None and abs(value - prev) < tol:
+            return value
+        n, prev = 2 * n, value
+    raise QuadratureFailure(
+        f"throat period not within {tol:g} at {mg.MAX_PERIOD_NODES} nodes")
+
+
+def _periods_or_error(periods):
+    """The periods periods() returns, or the class and message of the
+    first error it raises."""
+    try:
+        return periods()
+    except DensityLabError as exc:
+        return type(exc), str(exc)
+
+
+def _workload_pairs(monkeypatch, seed):
+    """The pairs of the benchmark's families_sweep period documents."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    return [tuple(doc["params"]["pairs"][0])
+            for doc in workloads.generate("families_sweep", seed)
+            if doc["mode"] == "period"]
+
+
+def _edge_pairs(count, seed=33):
+    """Pairs within 1e-8 to 1e-1 of a + c = 1, a - c = 1 and c - a = 1, on
+    either side, in turn."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        e = 10 ** rng.uniform(-8, -1) * rng.choice([-1, 1])
+        t = rng.uniform(0.05, 1.9) / 2.0
+        pairs.append([(t, 1.0 - t + e), (1.0 + t + e, t), (t, 1.0 + t + e)][i % 3])
+    return pairs
+
+
+def test_periods_match_the_coarse_first_order(monkeypatch):
+    pairs = (_workload_pairs(monkeypatch, 2718) + _workload_pairs(monkeypatch, 31)
+             + _edge_pairs(60))
+    tol = mg.TOL_QUAD
+    seen = set()
+    for a, c in pairs:
+        got = _periods_or_error(lambda: mg._ThroatLoop(a, c).periods(tol, *REQUESTS))
+
+        def coarse_first():
+            loop = mg._ThroatLoop(a, c)
+            return [_coarse_first_period(loop, sign, tol, n) for sign, n in REQUESTS]
+        want = _periods_or_error(coarse_first)
+        assert got == want, (a, c)
+        seen.add(got[0] if isinstance(got, tuple) else float)
+    # the pairs reach the periods and each way a period can fail here
+    assert seen == {float, ParamViolation, Singularity, QuadratureFailure}
 
 
 def test_period_sigma_checks_its_arguments_before_the_pair():
